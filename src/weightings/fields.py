@@ -94,11 +94,6 @@ def vf_apply(X: PolyVectorField, p: WeightedPoly) -> WeightedPoly:
     return out
 
 
-def vf_apply_expr(chart: Sequence[str], coeff_exprs: Sequence[Expr], f: Expr) -> Expr:
-    return ex.add(*[ex.mul(c, ex.differentiate(f, v))
-                    for v, c in zip(chart, coeff_exprs)], ZERO)
-
-
 def lie_bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorField:
     if X.vars != Y.vars:
         raise ValueError("vector fields live on different charts")

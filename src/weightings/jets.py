@@ -10,6 +10,16 @@ Function lifts f^(i) pick out the eps^i coefficient of f evaluated on the
 generic jet; vector-field lifts X^(-i) shift the prolongation levels of
 their coefficients.  Only polynomial data with rational coefficients is
 accepted here, which keeps every identity bit-exact.
+
+Slot polynomials are computed by one private integer-first kernel.  A
+polynomial, or a truncated series of them, is held as dicts Monomial -> int
+over one shared denominator: sums rescale by the lcm of the denominators,
+products multiply them and accumulate in place, and powers square and
+multiply.  A result is sealed into a JetPoly once, one Fraction per term, so
+the inner loops do plain int arithmetic (lifts of integer polynomials stay
+integral) and Fraction's gcd normalisation is paid per output term only.
+A JetPoly keeps its terms sorted by monomial, every coefficient a non-zero
+Fraction, so equal polynomials compare equal.
 """
 
 from __future__ import annotations
@@ -17,6 +27,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 from typing import Mapping, Sequence
 
 from . import expr as ex
@@ -25,6 +37,9 @@ from .fields import PolyVectorField
 
 Label = tuple[int, int]
 Monomial = tuple[tuple[Label, int], ...]
+# A raw series: one dict Monomial -> int numerator per eps level, over one
+# shared positive denominator.  A raw polynomial is a one-level series.
+Raw = tuple[list[dict[Monomial, int]], int]
 
 
 @dataclass(frozen=True)
@@ -58,7 +73,8 @@ class JetPoly:
 
 
 def jetpoly(terms: Mapping[Monomial, Fraction]) -> JetPoly:
-    cleaned = [(m, Fraction(c)) for m, c in terms.items() if c != 0]
+    cleaned = [(m, c if isinstance(c, Fraction) else Fraction(c))
+               for m, c in terms.items() if c != 0]
     cleaned.sort(key=lambda item: item[0])
     return JetPoly(tuple(cleaned))
 
@@ -84,68 +100,39 @@ def jp_slot(a: int, j: int) -> JetPoly:
 
 
 def jp_add(*polys: JetPoly) -> JetPoly:
-    acc: dict[Monomial, Fraction] = {}
-    for p in polys:
-        for m, c in p.terms:
-            acc[m] = acc.get(m, Fraction(0)) + c
-    return jetpoly(acc)
-
-
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    acc = dict(m1)
-    for label, e in m2:
-        acc[label] = acc.get(label, 0) + e
-    return tuple(sorted(acc.items()))
+    (total,), den = _series_sum([_raw(p) for p in polys], 0)
+    return _seal(total, den)
 
 
 def jp_mul(a: JetPoly, b: JetPoly) -> JetPoly:
-    acc: dict[Monomial, Fraction] = {}
-    for m1, c1 in a.terms:
-        for m2, c2 in b.terms:
-            m = _mono_mul(m1, m2)
-            acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-    return jetpoly(acc)
+    (product,), den = _series_mul(_raw(a), _raw(b), 0)
+    return _seal(product, den)
 
 
 def jp_scale(p: JetPoly, c) -> JetPoly:
     c = Fraction(c)
-    return jetpoly({m: c * co for m, co in p.terms})
+    (nums,), den = _raw(p)
+    return _seal({m: v * c.numerator for m, v in nums.items()},
+                 den * c.denominator)
 
 
 def jp_pow(p: JetPoly, exponent: int) -> JetPoly:
-    if exponent < 0:
-        raise ValueError("negative power of a jet polynomial")
-    out = JP_ONE
-    for _ in range(exponent):
-        out = jp_mul(out, p)
-    return out
-
-
-def jp_partial(p: JetPoly, label: Label) -> JetPoly:
-    acc: dict[Monomial, Fraction] = {}
-    for m, c in p.terms:
-        d = dict(m)
-        e = d.get(label, 0)
-        if e == 0:
-            continue
-        if e == 1:
-            del d[label]
-        else:
-            d[label] = e - 1
-        key = tuple(sorted(d.items()))
-        acc[key] = acc.get(key, Fraction(0)) + c * e
-    return jetpoly(acc)
+    (power,), den = _series_pow(_raw(p), exponent, 0)
+    return _seal(power, den)
 
 
 def jp_substitute(p: JetPoly, mapping: Mapping[Label, JetPoly]) -> JetPoly:
-    out = JP_ZERO
-    for m, c in p.terms:
-        piece = jp_const(c)
+    (nums,), den = _raw(p)
+    pieces = []
+    for m, c in nums.items():
+        piece = [{(): c}], den
         for label, e in m:
-            base = mapping.get(label, jp_slot(*label))
-            piece = jp_mul(piece, jp_pow(base, e))
-        out = jp_add(out, piece)
-    return out
+            factor = (_series_pow(_raw(mapping[label]), e, 0) if label in mapping
+                      else ([{((label, e),): 1}], 1))
+            piece = _series_mul(piece, factor, 0)
+        pieces.append(piece)
+    (total,), total_den = _series_sum(pieces, 0)
+    return _seal(total, total_den)
 
 
 def jp_evaluate(p: JetPoly, values: Mapping[Label, Fraction]) -> Fraction:
@@ -196,6 +183,76 @@ def jp_text(p: JetPoly, names: Sequence[str] | None = None) -> str:
         else:
             pieces.append(f" {sign} {body}")
     return "".join(pieces)
+
+
+# ---------------------------------------------------------------------------
+# the integer-first kernel
+
+def _raw(*polys: JetPoly) -> Raw:
+    """The polynomials as the levels of one raw series."""
+    den = lcm(*(c.denominator for p in polys for _, c in p.terms))
+    return [{m: c.numerator * (den // c.denominator) for m, c in p.terms}
+            for p in polys], den
+
+
+def _seal(nums: dict[Monomial, int], den: int) -> JetPoly:
+    return jetpoly({m: Fraction(c, den) for m, c in nums.items() if c})
+
+
+def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    if not m1 or not m2:
+        return m1 or m2
+    acc = dict(m1)
+    for label, e in m2:
+        acc[label] = acc.get(label, 0) + e
+    return tuple(sorted(acc.items()))
+
+
+def _mul_into(out: dict, x: dict, y: dict) -> None:
+    """out += x * y, in place."""
+    get = out.get
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            m = _mono_mul(m1, m2)
+            out[m] = get(m, 0) + c1 * c2
+
+
+def _series_mul(a: Raw, b: Raw, r: int) -> Raw:
+    """The product truncated after eps^r."""
+    (xs, dx), (ys, dy) = a, b
+    out = [{} for _ in range(r + 1)]
+    for i, x in enumerate(xs[:r + 1]):
+        if x:
+            for j, y in enumerate(ys[:r + 1 - i]):
+                if y:
+                    _mul_into(out[i + j], x, y)
+    return out, dx * dy
+
+
+def _series_pow(a: Raw, exponent: int, r: int) -> Raw:
+    """a^exponent truncated after eps^r, by square-and-multiply."""
+    if exponent < 0:
+        raise ValueError("negative power of a jet polynomial")
+    out = [{(): 1}] + [{} for _ in range(r)], 1
+    while exponent:
+        if exponent & 1:
+            out = _series_mul(out, a, r)
+        exponent >>= 1
+        if exponent:
+            a = _series_mul(a, a, r)
+    return out
+
+
+def _series_sum(parts: Sequence[Raw], r: int) -> Raw:
+    """The sum truncated after eps^r, over the lcm of the denominators."""
+    den = lcm(*(d for _, d in parts))
+    acc = [{} for _ in range(r + 1)]
+    for levels, d in parts:
+        k = den // d
+        for out, level in zip(acc, levels):
+            for m, c in level.items():
+                out[m] = out.get(m, 0) + k * c
+    return acc, den
 
 
 # ---------------------------------------------------------------------------
@@ -333,51 +390,27 @@ def evaluate_jet(f: Expr, u: JetPoint, r: int | None = None) -> JetScalar:
 # ---------------------------------------------------------------------------
 # lifts
 
-def _generic_series(f: Expr, chart: Sequence[str], r: int) -> list[JetPoly]:
-    """Coefficients of f along the generic jet, as slot polynomials."""
-    chart = tuple(chart)
+def _generic_series(f: Expr, chart: Sequence[str], r: int) -> Raw:
+    """Coefficients of f along the generic jet up to eps^r, as a raw series."""
     index = {name: a for a, name in enumerate(chart)}
 
-    def ser_add(a, b):
-        return [jp_add(x, y) for x, y in zip(a, b)]
-
-    def ser_mul(a, b):
-        out = [JP_ZERO] * (r + 1)
-        for i, x in enumerate(a):
-            if x.is_zero:
-                continue
-            for j, y in enumerate(b):
-                if i + j > r:
-                    break
-                out[i + j] = jp_add(out[i + j], jp_mul(x, y))
-        return out
-
-    def rec(e: Expr) -> list[JetPoly]:
+    def rec(e: Expr) -> Raw:
         if isinstance(e, ex.Const):
-            return [jp_const(e.value)] + [JP_ZERO] * r
+            return [{(): e.value.numerator}] + [{} for _ in range(r)], \
+                e.value.denominator
         if isinstance(e, ex.Var):
             if e.name not in index:
                 raise ValueError(f"variable {e.name!r} is not a chart variable")
             a = index[e.name]
-            return [jp_slot(a, j) for j in range(r + 1)]
+            return [{(((a, j), 1),): 1} for j in range(r + 1)], 1
         if isinstance(e, ex.Sum):
-            out = [JP_ZERO] * (r + 1)
-            for t in e.terms:
-                out = ser_add(out, rec(t))
-            return out
+            return _series_sum([rec(t) for t in e.terms], r)
         if isinstance(e, ex.Prod):
-            out = [jp_const(1)] + [JP_ZERO] * r
-            for fct in e.factors:
-                out = ser_mul(out, rec(fct))
-            return out
+            return reduce(lambda x, y: _series_mul(x, y, r), map(rec, e.factors))
         if isinstance(e, ex.Pow):
             if e.exponent < 0:
                 raise ValueError("input is not polynomial (negative power)")
-            out = [jp_const(1)] + [JP_ZERO] * r
-            base = rec(e.base)
-            for _ in range(e.exponent):
-                out = ser_mul(out, base)
-            return out
+            return _series_pow(rec(e.base), e.exponent, r)
         if isinstance(e, ex.App):
             raise ValueError(f"input is not polynomial ({e.fn} head)")
         raise TypeError(f"unknown expression node {e!r}")
@@ -389,7 +422,9 @@ def jet_lift(f: Expr, i: int, r: int, chart: Sequence[str]) -> JetPoly:
     """The lift f^(i): the eps^i coefficient of f on the generic jet."""
     if not 0 <= i <= r:
         raise ValueError(f"lift level {i} outside 0..{r}")
-    return _generic_series(f, chart, r)[i]
+    # levels above i never feed level i, so the series stops there
+    levels, den = _generic_series(f, chart, i)
+    return _seal(levels[i], den)
 
 
 @dataclass(frozen=True)
@@ -421,63 +456,81 @@ def jet_vf(terms: Mapping[Label, JetPoly]) -> JetVectorField:
     return JetVectorField(tuple(cleaned))
 
 
-def jvf_apply(xi: JetVectorField, p: JetPoly) -> JetPoly:
-    out = JP_ZERO
-    for label, c in xi.terms:
-        dp = jp_partial(p, label)
-        if not dp.is_zero:
-            out = jp_add(out, jp_mul(c, dp))
+def _raw_field(xi: JetVectorField) -> tuple[list[tuple[Label, dict]], int]:
+    levels, den = _raw(*(c for _, c in xi.terms))
+    return [(label, nums) for (label, _), nums in zip(xi.terms, levels)], den
+
+
+def _apply_into(out: dict, field: list[tuple[Label, dict]], nums: dict) -> dict:
+    """out += field(nums), in place; the denominators multiply."""
+    for label, c in field:
+        # lowering one exponent keeps distinct monomials distinct
+        dp = {}
+        for m, v in nums.items():
+            for k, (l, e) in enumerate(m):
+                if l == label:
+                    dp[m[:k] + (((l, e - 1),) if e > 1 else ()) + m[k + 1:]] = v * e
+                    break
+        _mul_into(out, c, dp)
     return out
 
 
-def jvf_add(a: JetVectorField, b: JetVectorField) -> JetVectorField:
-    acc: dict[Label, JetPoly] = dict(a.terms)
-    for l, c in b.terms:
-        acc[l] = jp_add(acc[l], c) if l in acc else c
-    return jet_vf(acc)
-
-
-def jvf_scale(a: JetVectorField, c) -> JetVectorField:
-    return jet_vf({l: jp_scale(p, c) for l, p in a.terms})
+def jvf_apply(xi: JetVectorField, p: JetPoly) -> JetPoly:
+    field, field_den = _raw_field(xi)
+    (nums,), den = _raw(p)
+    return _seal(_apply_into({}, field, nums), field_den * den)
 
 
 def jet_bracket(xi: JetVectorField, eta: JetVectorField) -> JetVectorField:
     """Coordinate Lie bracket on the prolonged chart."""
-    acc: dict[Label, JetPoly] = {}
-    for label, c in eta.terms:
-        acc[label] = jvf_apply(xi, c)
-    for label, c in xi.terms:
-        piece = jvf_apply(eta, c)
-        acc[label] = jp_add(acc[label], jp_scale(piece, -1)) if label in acc \
-            else jp_scale(piece, -1)
-    return jet_vf(acc)
+    fx, dx = _raw_field(xi)
+    fe, de = _raw_field(eta)
+    # [xi, eta]_l = xi(eta_l) - eta(xi_l), every term over dx * de
+    acc: dict[Label, dict[Monomial, int]] = {}
+    for label, c in fe:
+        _apply_into(acc.setdefault(label, {}), fx, c)
+    for label, c in fx:
+        _apply_into(acc.setdefault(label, {}), fe, {m: -v for m, v in c.items()})
+    return jet_vf({label: _seal(nums, dx * de) for label, nums in acc.items()})
 
 
 def vf_lift(X: PolyVectorField, i: int, r: int) -> JetVectorField:
     """The lift X^(-i): coefficients f_a^(k-i) on d/d[x_a^(k)], k = i..r."""
     if not 0 <= i <= r:
         raise ValueError(f"lift level {i} outside 0..{r}")
-    chart = X.vars
     acc: dict[Label, JetPoly] = {}
     for a, coeff in enumerate(X.coeff_exprs()):
         if coeff == ex.ZERO:
             continue
-        series = _generic_series(coeff, chart, r)
-        for k in range(i, r + 1):
-            if not series[k - i].is_zero:
-                acc[(a, k)] = series[k - i]
+        levels, den = _generic_series(coeff, X.vars, r - i)
+        for k, nums in enumerate(levels, start=i):
+            acc[(a, k)] = _seal(nums, den)
     return jet_vf(acc)
 
 
 def epsilon_shift(xi: JetVectorField, r: int) -> JetVectorField:
     """Frame-wise action of eps: d/d[x_a^(j)] -> d/d[x_a^(j+1)], top level drops."""
-    acc: dict[Label, JetPoly] = {}
-    for (a, j), c in xi.terms:
-        if j + 1 > r:
-            continue
-        key = (a, j + 1)
-        acc[key] = jp_add(acc[key], c) if key in acc else c
-    return jet_vf(acc)
+    # (a, j) -> (a, j + 1) is injective, so no two coefficients meet
+    return jet_vf({(a, j + 1): c for (a, j), c in xi.terms if j < r})
+
+
+def jp_reparametrize(rows: Sequence[Sequence[JetPoly]],
+                     psi: Sequence[JetPoly]) -> list[list[JetPoly]]:
+    """Series of slot polynomials under eps -> Psi(eps) = sum_m psi[m-1] eps^m:
+    row a of the result is sum_j rows[a][j] Psi(eps)^j up to eps^len(psi)."""
+    r = len(psi)
+    levels, den = _raw(*psi)
+    Psi = [{}] + levels, den
+    powers = [_series_pow(Psi, 0, r)]
+    for _ in range(r):
+        powers.append(_series_mul(powers[-1], Psi, r))
+    out = []
+    for row in rows:
+        vals, vals_den = _raw(*row)
+        levels, den = _series_sum([_series_mul(([v], vals_den), power, r)
+                                   for v, power in zip(vals, powers)], r)
+        out.append([_seal(nums, den) for nums in levels])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -416,12 +416,6 @@ class BlowupField:
     chart: RationalMonomialMap
     components: tuple[tuple[str, tuple[Term, ...]], ...]
 
-    def coefficient_terms(self, name: str) -> tuple[Term, ...]:
-        for n, terms in self.components:
-            if n == name:
-                return terms
-        return ()
-
     def __str__(self):
         parts = []
         for n, terms in self.components:

@@ -179,8 +179,7 @@ def k_membership(Q: GraphSubbundle, X: PolyVectorField, i: int) -> bool:
         raise ValueError("vector field chart does not match the subbundle")
     xi = jt.vf_lift(X, i, Q.order)
     for (a, j), g in Q.constraints:
-        image = jt.jp_add(xi.coefficient((a, j)),
-                          jt.jp_scale(jt.jvf_apply(xi, g), -1))
+        image = xi.coefficient((a, j)) - jt.jvf_apply(xi, g)
         if not substitute_graph(Q, image).is_zero:
             return False
     return True
@@ -311,40 +310,15 @@ def _lambda_invariance_witness(Q: GraphSubbundle) -> str | None:
     """
     r = Q.order
     cmap = Q.constraint_map()
-    vals: list[list[JetPoly]] = []
-    for a in range(Q.n):
-        vals.append([cmap.get((a, j), jt.jp_slot(a, j)) for j in range(r + 1)])
-    # powers of Psi(eps) as truncated series with slot-polynomial coefficients
-    psi = [jt.JP_ZERO] + [jt.jp_slot(-1, m) for m in range(1, r + 1)]
-    powers = [[jt.JP_ONE] + [jt.JP_ZERO] * r]
-    for _ in range(r):
-        prev = powers[-1]
-        nxt = [jt.JP_ZERO] * (r + 1)
-        for i, p in enumerate(prev):
-            if p.is_zero:
-                continue
-            for j, qq in enumerate(psi):
-                if qq.is_zero or i + j > r:
-                    continue
-                nxt[i + j] = jt.jp_add(nxt[i + j], jt.jp_mul(p, qq))
-        powers.append(nxt)
-    new_vals: list[list[JetPoly]] = []
-    for a in range(Q.n):
-        row = [jt.JP_ZERO] * (r + 1)
-        for j in range(r + 1):
-            if vals[a][j].is_zero:
-                continue
-            for k in range(r + 1):
-                if not powers[j][k].is_zero:
-                    row[k] = jt.jp_add(row[k], jt.jp_mul(vals[a][j], powers[j][k]))
-        new_vals.append(row)
+    rows = [[cmap.get((a, j), jt.jp_slot(a, j)) for j in range(r + 1)]
+            for a in range(Q.n)]
+    psi = [jt.jp_slot(-1, m) for m in range(1, r + 1)]
+    new_vals = jt.jp_reparametrize(rows, psi)
     free_map = {(b, k): new_vals[b][k] for (b, k) in Q.free_labels()}
     for (a, j), g in Q.constraints:
-        expected = jt.jp_substitute(g, free_map)
-        if jt.jp_add(new_vals[a][j], jt.jp_scale(expected, -1)).is_zero:
-            continue
-        return (f"slot {Q.vars[a]}.{j} moves off the graph under a generic "
-                f"reparametrization")
+        if new_vals[a][j] != jt.jp_substitute(g, free_map):
+            return (f"slot {Q.vars[a]}.{j} moves off the graph under a generic "
+                    f"reparametrization")
     return None
 
 

@@ -67,15 +67,6 @@ def wp_const(pvars: Sequence[str], coefficient) -> WeightedPoly:
     return wpoly(pvars, {z: ex.as_expr(coefficient)})
 
 
-def wp_var(pvars: Sequence[str], name: str) -> WeightedPoly:
-    pvars = tuple(pvars)
-    if name in pvars:
-        s = [0] * len(pvars)
-        s[pvars.index(name)] = 1
-        return wpoly(pvars, {tuple(s): ONE})
-    return wp_const(pvars, ex.var(name))
-
-
 def wp_add(*polys: WeightedPoly) -> WeightedPoly:
     if not polys:
         raise ValueError("empty sum")
@@ -103,15 +94,6 @@ def wp_mul(a: WeightedPoly, b: WeightedPoly) -> WeightedPoly:
 def wp_scale(p: WeightedPoly, factor) -> WeightedPoly:
     factor = ex.as_expr(factor)
     return wpoly(p.pvars, {s: ex.mul(factor, c) for s, c in p.terms})
-
-
-def wp_pow(p: WeightedPoly, exponent: int) -> WeightedPoly:
-    if exponent < 0:
-        raise ValueError("negative power of a polynomial")
-    out = wp_const(p.pvars, ONE)
-    for _ in range(exponent):
-        out = wp_mul(out, p)
-    return out
 
 
 def monomial_expr(pvars: Sequence[str], exponents: Sequence[int]) -> Expr:

@@ -241,3 +241,156 @@ def test_parse_reparametrization():
     assert jt.parse_reparametrization("2*e", order=3) == reparam([2, 0, 0])
     with pytest.raises(ValueError, match="malformed"):
         jt.parse_reparametrization("psi=e^2 + q")
+
+
+# ---------------------------------------------------------------------------
+# generated oracles for the slot-polynomial kernel
+
+def _rand_coeff(rng):
+    if rng.random() < 0.5:
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]))
+    return Fraction(rng.choice([-5, -1, 1, 3, 7]), rng.choice([2, 3, 4, 9]))
+
+
+def _rand_nested(rng, names, budget):
+    """Polynomial expression of degree at most budget: sums of scaled
+    products whose factors are variables or powers (exponent up to 9) of
+    smaller such expressions."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = [ex.const(_rand_coeff(rng))]
+        left = rng.randint(0, budget)
+        while left:
+            if left >= 2 and rng.random() < 0.4:
+                inner = rng.randint(1, min(3, left))
+                e = rng.randint(2, max(2, left // inner))
+                if inner * e > left:
+                    e = left // inner
+                base = _rand_nested(rng, names, inner)
+                factors.append(ex.pow_(base, e) if e > 1 else base)
+                left -= inner * e
+            else:
+                factors.append(ex.var(rng.choice(names)))
+                left -= 1
+        terms.append(ex.mul(*factors))
+    return ex.add(*terms)
+
+
+def test_jet_lift_generated_oracle():
+    rng = random.Random(1031)
+    for r in range(7):
+        for trial in range(6):
+            names = ("x1", "x2") if trial % 2 else ("x1", "x2", "x3")
+            budget = 9 if len(names) == 2 and r <= 3 else 5
+            f = _rand_nested(rng, names, budget)
+            if trial == 0:
+                f = ex.add(f, ex.pow_(ex.add(ex.var("x1"), ex.mul(
+                    ex.const(Fraction(-1, 2)), ex.var("x2"))), 9))
+            u = _rand_point(rng, names, r)
+            series = evaluate_jet(f, u).coeffs
+            values = u.slot_map()
+            for i in range(r + 1):
+                assert jp_evaluate(jet_lift(f, i, r, names), values) == series[i]
+
+
+def _rand_jetpoly(rng, labels, terms=4, degree=3):
+    p = JP_ZERO
+    for _ in range(terms):
+        mono = jt.JP_ONE
+        for _ in range(rng.randint(0, degree)):
+            mono = jp_mul(mono, jp_slot(*rng.choice(labels)))
+        p = jp_add(p, jp_scale(mono, _rand_coeff(rng)))
+    return p
+
+
+def test_jp_pow_matches_repeated_product():
+    rng = random.Random(1033)
+    labels = [(a, j) for a in range(2) for j in range(3)] + [(-1, 1)]
+    for _ in range(12):
+        p = _rand_jetpoly(rng, labels, terms=rng.randint(1, 3), degree=2)
+        expected = jt.JP_ONE
+        for e in range(8):
+            assert jt.jp_pow(p, e) == expected
+            expected = jp_mul(expected, p)
+    with pytest.raises(ValueError, match="negative power"):
+        jt.jp_pow(jp_slot(0, 0), -1)
+
+
+def test_jp_reparametrize_matches_numeric_reparametrization():
+    # rows of slot polynomials evaluated at a point give a numeric jet; the
+    # symbolic reparametrization evaluated there equals reparametrize().
+    rng = random.Random(1039)
+    for r in range(1, 5):
+        labels = [(a, j) for a in range(2) for j in range(r + 1)]
+        rows = [[_rand_jetpoly(rng, labels, terms=2, degree=2)
+                 for _ in range(r + 1)] for _ in range(2)]
+        psi = [jp_slot(-1, m) for m in range(1, r + 1)]
+        values = {label: rand_rational(rng) for label in labels}
+        psi_values = [rand_rational(rng) for _ in range(r)]
+        values.update({(-1, m): c for m, c in enumerate(psi_values, start=1)})
+        point = jet_point(("x", "y"), [[jp_evaluate(g, values) for g in row]
+                                       for row in rows])
+        moved = reparametrize(point, reparam(psi_values))
+        got = jt.jp_reparametrize(rows, psi)
+        assert [[jp_evaluate(g, values) for g in row] for row in got] == \
+            [list(row) for row in moved.values]
+
+
+def _assert_contract(p):
+    monomials = [m for m, _ in p.terms]
+    assert monomials == sorted(set(monomials))
+    assert all(type(c) is Fraction and c != 0 for _, c in p.terms)
+
+
+def test_outputs_keep_the_jetpoly_contract():
+    rng = random.Random(1049)
+    names = ("x1", "x2")
+    half = Fraction(1, 2)
+    a = jp_add(jp_scale(jp_slot(0, 1), half), jp_slot(1, 1))
+    b = jp_add(jp_scale(jp_slot(0, 1), half), jp_scale(jp_slot(1, 1), -1))
+    outputs = [
+        jp_mul(a, b),                       # cross terms cancel
+        jp_add(a, jp_scale(a, -1)),         # everything cancels
+        jp_add(jp_scale(jt.JP_ONE, half), jp_scale(jt.JP_ONE, half)),
+        jt.jp_pow(a, 5),
+        jt.jp_substitute(jp_mul(jp_slot(0, 1), jp_slot(1, 2)),
+                         {(1, 2): b, (0, 1): jp_scale(jp_slot(1, 1), 2)}),
+        jt.jetpoly({(((0, 1), 1),): 2, (): 0}),
+    ]
+    for _ in range(10):
+        f = _rand_nested(rng, names, 4)
+        r = rng.randint(0, 4)
+        outputs += [jet_lift(f, i, r, names) for i in range(r + 1)]
+        X, Y = _rand_vf(rng, names, r), _rand_vf(rng, names, r)
+        xi, eta = vf_lift(X, rng.randint(0, r), r), vf_lift(Y, 0, r)
+        outputs += [c for _, c in xi.terms]
+        outputs += [c for _, c in jet_bracket(xi, eta).terms]
+    assert outputs[1].is_zero and outputs[2] == jt.JP_ONE
+    for p in outputs:
+        _assert_contract(p)
+
+
+def test_jp_text_fixed_renderings():
+    s = jp_slot
+    cases = [
+        (jet_lift(parse_expr("x1*x2 - 3/2*x2^2 + 5"), 0, 2, ("x1", "x2")), None,
+         "5 + x1.0*x2.0 - 3/2*x2.0^2"),
+        (jet_lift(parse_expr("x1*x2 - 3/2*x2^2 + 5"), 2, 2, ("x1", "x2")), ("x", "y"),
+         "x.0*y.2 + x.1*y.1 + x.2*y.0 - 3*y.0*y.2 - 3/2*y.1^2"),
+        (jet_lift(parse_expr("(x - 2*y)^3"), 3, 4, ("x", "y")), ("x", "y"),
+         "6*x.0*x.1*x.2 - 12*x.0*x.1*y.2 - 12*x.0*x.2*y.1 - 12*x.0*x.3*y.0"
+         " + 24*x.0*y.0*y.3 + 24*x.0*y.1*y.2 + 3*x.0^2*x.3 - 6*x.0^2*y.3"
+         " - 12*x.1*x.2*y.0 + 24*x.1*y.0*y.2 + 12*x.1*y.1^2 - 6*x.1^2*y.1"
+         " + x.1^3 + 24*x.2*y.0*y.1 + 12*x.3*y.0^2 - 48*y.0*y.1*y.2"
+         " - 24*y.0^2*y.3 - 8*y.1^3"),
+        (jet_lift(parse_expr("-x^2*y/7 + (1/3)*y"), 1, 1, ("x", "y")), None,
+         "-2/7*x1.0*x1.1*x2.0 - 1/7*x1.0^2*x2.1 + 1/3*x2.1"),
+        (jp_scale(jt.jp_pow(jp_add(s(0, 1), s(1, 2)), 2), Fraction(-2, 3)), None,
+         "-2/3*x1.1^2 - 4/3*x1.1*x2.2 - 2/3*x2.2^2"),
+        (jp_add(jp_mul(s(0, 1), s(1, 2)), jp_scale(jp_mul(s(0, 2), s(1, 1)), -1)),
+         ("a", "b"), "a.1*b.2 - a.2*b.1"),
+        (jp_add(jt.JP_ONE, jp_scale(jt.JP_ONE, Fraction(1, 2))), None, "3/2"),
+        (jp_add(s(0, 1), jp_scale(s(0, 1), -1)), None, "0"),
+    ]
+    for p, names, text in cases:
+        assert jt.jp_text(p, names) == text
