@@ -29,7 +29,8 @@ The grammar accepted by ``parse_expr``:
     base   := number | ident | ident "(" expr ")" | "(" expr ")"
 
 where ``number`` is a nonnegative integer and the known functions are
-sin, cos, exp.  The leading "-" is a convenience extension.
+sin, cos, exp.  The leading "-" is a convenience extension.  Parentheses
+and function calls nest at most ``MAX_NESTING`` levels deep.
 """
 
 from __future__ import annotations
@@ -55,9 +56,13 @@ class ParseError(ValueError):
 
 
 class Expr:
-    """Base class for expression nodes.  Instances are immutable."""
+    """Base class for expression nodes.  Instances are immutable.
 
-    __slots__ = ()
+    Each node keeps its hash in the ``_h`` slot after the first call, so a
+    dict or set lookup hashes a subtree once rather than on every probe.
+    """
+
+    __slots__ = ("_h",)
 
     def __add__(self, other):
         return add(self, as_expr(other))
@@ -92,7 +97,30 @@ class Expr:
         return to_text(self)
 
 
-@dataclass(frozen=True, repr=False)
+def _node(cls):
+    """Frozen, slotted dataclass whose hash is computed once per instance.
+
+    The cached value is the dataclass hash of the field tuple, so dict and
+    set order are those of an uncached node.  Pickled state holds the fields
+    only (the dataclass ``__getstate__`` of a frozen slotted class), never
+    ``_h``, which depends on the process's string-hash seed.
+    """
+    cls = dataclass(frozen=True, slots=True, repr=False)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._h
+        except AttributeError:
+            h = field_hash(self)
+            object.__setattr__(self, "_h", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Const(Expr):
     value: Fraction
 
@@ -100,7 +128,7 @@ class Const(Expr):
         return f"Const({self.value})"
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Var(Expr):
     name: str
 
@@ -108,7 +136,7 @@ class Var(Expr):
         return f"Var({self.name})"
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Sum(Expr):
     terms: tuple
 
@@ -116,7 +144,7 @@ class Sum(Expr):
         return "Sum(" + ", ".join(map(repr, self.terms)) + ")"
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Prod(Expr):
     factors: tuple
 
@@ -124,7 +152,7 @@ class Prod(Expr):
         return "Prod(" + ", ".join(map(repr, self.factors)) + ")"
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: int
@@ -133,7 +161,7 @@ class Pow(Expr):
         return f"Pow({self.base!r}, {self.exponent})"
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class App(Expr):
     fn: str
     arg: Expr
@@ -582,11 +610,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Deepest parenthesis or function-call nesting parse_expr accepts; the
+# recursive-descent parser and the tree walkers recurse once per level.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.index]
@@ -663,24 +697,30 @@ class _Parser:
             return pow_(base, sign * int(value))
         return base
 
+    def nested(self, pos: int) -> Expr:
+        """The expression after an opening parenthesis, up to its match."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        e = self.expr()
+        self.expect_op(")")
+        self.depth -= 1
+        return e
+
     def base(self) -> Expr:
         kind, value, pos = self.advance()
         if kind == "number":
             return const(int(value))
         if kind == "ident":
-            k, v, _ = self.peek()
+            k, v, paren = self.peek()
             if k == "op" and v == "(":
                 if value not in FUNCTIONS:
                     raise ParseError(f"unknown function {value!r}", pos)
                 self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return app(value, arg)
+                return app(value, self.nested(paren))
             return Var(value)
         if kind == "op" and value == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
+            return self.nested(pos)
         raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
 
 

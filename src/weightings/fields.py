@@ -244,10 +244,13 @@ class GradedLieAlgebra:
         return f"{mono} {head}" if mono else head
 
 
-def _bracket_labels(W: WeightSequence, s: tuple[int, ...], a: int,
-                    u: tuple[int, ...], b: int) -> dict:
-    """[x^s d_a, x^u d_b] expanded over monomial-field labels."""
-    pvars = W.positive_vars
+def _bracket_labels(s: tuple[int, ...], a: int, a_pos: int | None,
+                    u: tuple[int, ...], b: int, b_pos: int | None) -> dict:
+    """[x^s d_a, x^u d_b] expanded over monomial-field labels.
+
+    a_pos and b_pos are the positions of x_a and x_b among the
+    positive-weight variables, or None for a weight-0 variable.
+    """
     out: dict[tuple[tuple[int, ...], int], Fraction] = {}
 
     def accumulate(coeff: int, exps: tuple[int, ...], direction: int):
@@ -258,8 +261,6 @@ def _bracket_labels(W: WeightSequence, s: tuple[int, ...], a: int,
         if out[key] == 0:
             del out[key]
 
-    a_pos = pvars.index(W.vars[a]) if W.vars[a] in pvars else None
-    b_pos = pvars.index(W.vars[b]) if W.vars[b] in pvars else None
     if a_pos is not None and u[a_pos] > 0:
         exps = tuple(x + y for x, y in zip(s, u))
         exps = exps[:a_pos] + (exps[a_pos] - 1,) + exps[a_pos + 1:]
@@ -298,12 +299,13 @@ def nilpotent_frames(W: WeightSequence) -> GradedLieAlgebra:
     index = {lab: i for i, lab in enumerate(labels)}
     degrees = tuple(weighted_degree(s, pw) - W.weights[a] for s, a in labels)
     in_sub = tuple(any(s) for s, _ in labels)
+    positions = [pvars.index(v) if v in pvars else None for v in W.vars]
     brackets = []
     for i, (s, a) in enumerate(labels):
         for j, (u, b) in enumerate(labels):
             if i >= j:
                 continue
-            expanded = _bracket_labels(W, s, a, u, b)
+            expanded = _bracket_labels(s, a, positions[a], u, b, positions[b])
             entries = tuple(sorted((index[lab], coeff)
                                    for lab, coeff in expanded.items()))
             if entries:

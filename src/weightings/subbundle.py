@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import expr as ex
@@ -428,7 +428,12 @@ def _corrected_frame(Q: GraphSubbundle,
 
 @dataclass(frozen=True)
 class Frame:
-    """Local frame with declared tangency levels, over the chart of W."""
+    """Local frame with declared tangency levels, over the chart of W.
+
+    What a frame derives from its fields (their coefficient expressions, its
+    brackets and normal-ordered words) is kept on the instance, outside the
+    dataclass fields, and dies with it.
+    """
 
     W: WeightSequence
     fields: tuple[PolyVectorField, ...]
@@ -444,20 +449,53 @@ class Frame:
     def n(self) -> int:
         return self.W.n
 
+    @cached_property
+    def _coeff_exprs(self) -> tuple[tuple[Expr, ...], ...]:
+        return tuple(f.coeff_exprs() for f in self.fields)
+
+    @cached_property
+    def _brackets(self) -> dict:
+        """(a, b) -> [V_a, V_b] over the frame, filled by _frame_bracket."""
+        return {}
+
+    @cached_property
+    def _va_vs(self) -> dict:
+        """(a, s) -> V_a o V^s in standard form, filled by _normal_va_vs
+        for the words that need a reordering."""
+        return {}
+
     def field_exprs(self, a: int) -> tuple[Expr, ...]:
-        return self.fields[a].coeff_exprs()
+        return self._coeff_exprs[a]
 
     def apply(self, a: int, f: Expr) -> Expr:
         return ex.add(*[ex.mul(c, ex.differentiate(f, v))
-                        for v, c in zip(self.W.vars, self.field_exprs(a))], ZERO)
+                        for v, c in zip(self.W.vars, self._coeff_exprs[a])], ZERO)
 
     def apply_word(self, s: Sequence[int], f: Expr) -> Expr:
         """V^s f with V^s = V_1^{s_1} o ... o V_n^{s_n} (rightmost acts first)."""
-        out = f
-        for a in reversed(range(self.n)):
-            for _ in range(s[a]):
-                out = self.apply(a, out)
-        return out
+        return _word_applier(self)(tuple(s), f)
+
+
+def _word_applier(fr: Frame):
+    """V^s f as V_c (V^(s - e_c) f), c the first index with s_c > 0.
+
+    The returned function keeps every V^s f it computes, so words that
+    share a prefix apply it once.  It belongs to one computation; the frame
+    keeps nothing.
+    """
+    memo: dict = {}
+
+    def apply_word(s: tuple[int, ...], f: Expr) -> Expr:
+        c = next((c for c, e in enumerate(s) if e), None)
+        if c is None:
+            return f
+        key = (s, f)
+        if key not in memo:
+            prefix = s[:c] + (s[c] - 1,) + s[c + 1:]
+            memo[key] = fr.apply(c, apply_word(prefix, f))
+        return memo[key]
+
+    return apply_word
 
 
 def restrict_to_base(e: Expr, W: WeightSequence) -> Expr:
@@ -468,7 +506,7 @@ def frame(W: WeightSequence, coeff_rows: Sequence[Sequence[Expr]]) -> Frame:
     """Build and validate a frame from per-field coefficient expressions."""
     fields = tuple(vf_for_weights(W, row) for row in coeff_rows)
     fr = Frame(W, fields)
-    matrix = [[restrict_to_base(c, W) for c in f.coeff_exprs()] for f in fields]
+    matrix = [[restrict_to_base(c, W) for c in fr.field_exprs(a)] for a in range(W.n)]
     origin = {v: Fraction(0) for v in W.zero_vars}
     numeric = [[ex.eval_exact(entry, origin) for entry in row] for row in matrix]
     if _det(numeric) == 0:
@@ -508,9 +546,10 @@ def _det_expr(matrix: list[list[Expr]]) -> Expr:
     return ex.add(*terms, ZERO)
 
 
-@lru_cache(maxsize=None)
 def _frame_bracket(fr: Frame, a: int, b: int) -> tuple[tuple[int, Expr], ...]:
     """[V_a, V_b] expanded over the frame, by exact adjugate inversion."""
+    if (a, b) in fr._brackets:
+        return fr._brackets[(a, b)]
     bracket = lie_bracket(fr.fields[a], fr.fields[b])
     target = bracket.coeff_exprs()
     n = fr.n
@@ -529,7 +568,8 @@ def _frame_bracket(fr: Frame, a: int, b: int) -> tuple[tuple[int, Expr], ...]:
         h = ex.simplify_canonical(h, expand_polynomials=True)
         if h != ZERO:
             out.append((c, h))
-    return tuple(out)
+    fr._brackets[(a, b)] = out = tuple(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -561,7 +601,6 @@ def diffop(fr: Frame, terms: Mapping[tuple[int, ...], Expr]) -> DiffOpStandardFo
     return DiffOpStandardForm(fr, tuple(cleaned))
 
 
-@lru_cache(maxsize=None)
 def _normal_va_vs(fr: Frame, a: int, s: tuple[int, ...]) -> tuple:
     """Standard form of V_a o V^s, as ((u, coefficient) ...)."""
     n = len(s)
@@ -572,6 +611,8 @@ def _normal_va_vs(fr: Frame, a: int, s: tuple[int, ...]) -> tuple:
     if a <= b:
         bumped = tuple(e + (1 if c == a else 0) for c, e in enumerate(s))
         return ((bumped, ONE),)
+    if (a, s) in fr._va_vs:
+        return fr._va_vs[(a, s)]
     rest = tuple(e - (1 if c == b else 0) for c, e in enumerate(s))
     acc: dict[tuple[int, ...], Expr] = {}
 
@@ -593,7 +634,8 @@ def _normal_va_vs(fr: Frame, a: int, s: tuple[int, ...]) -> tuple:
         coeff = ex.simplify_canonical(coeff)
         if coeff != ZERO:
             cleaned.append((u, coeff))
-    return tuple(sorted(cleaned, key=lambda item: item[0]))
+    fr._va_vs[(a, s)] = out = tuple(sorted(cleaned, key=lambda item: item[0]))
+    return out
 
 
 def normal_order(fr: Frame, word: Sequence) -> DiffOpStandardForm:
@@ -730,6 +772,7 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
     all_s = _normal_multi_indices(W, max_w, 2)
     chi: dict[tuple[int, tuple[int, ...]], Expr] = {}
     normalizers: dict[tuple[int, ...], Fraction] = {}
+    apply_word = _word_applier(fr)
 
     def y_monomial(u: tuple[int, ...]) -> Expr:
         return ex.mul(*[ex.pow_(y_exprs[b], e) for b, e in enumerate(u) if e],
@@ -741,7 +784,7 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
         if not targets:
             continue
         if s not in normalizers:
-            c_s = restrict_to_base(fr.apply_word(s, y_monomial(s)), W)
+            c_s = restrict_to_base(apply_word(s, y_monomial(s)), W)
             if not isinstance(c_s, ex.Const) or c_s.value <= 0:
                 raise ValueError(
                     f"frame normalizer for {s} is not a positive constant "
@@ -749,11 +792,11 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
                     f"preconditions")
             normalizers[s] = c_s.value
         for a in targets:
-            total = restrict_to_base(fr.apply_word(s, y_exprs[a]), W)
+            total = restrict_to_base(apply_word(s, y_exprs[a]), W)
             for (a2, u), coeff in chi.items():
                 if a2 != a or sum(u) >= sum(s):
                     continue
-                piece = fr.apply_word(s, ex.mul(coeff, y_monomial(u)))
+                piece = apply_word(s, ex.mul(coeff, y_monomial(u)))
                 total = ex.add(total, restrict_to_base(piece, W))
             value = ex.mul(ex.const(Fraction(-1) / normalizers[s]), total)
             value = ex.simplify_canonical(value, expand_polynomials=True)
@@ -783,13 +826,13 @@ def verify_adapted(x_exprs: Sequence[Expr], fr: Frame) -> bool:
     """Check (V^s x_a) vanishes on the base whenever s.w < w_a."""
     W = fr.W
     x_exprs = tuple(ex.as_expr(x) for x in x_exprs)
-    max_w = max(W.weights)
+    apply_word = _word_applier(fr)
     for a in range(W.n):
         wa = W.weights[a]
         if wa == 0:
             continue
         for s in _normal_multi_indices(W, wa, 0):
-            value = restrict_to_base(fr.apply_word(s, x_exprs[a]), W)
+            value = restrict_to_base(apply_word(s, x_exprs[a]), W)
             if ex.simplify_canonical(value, expand_polynomials=True) != ZERO:
                 return False
     return True

@@ -236,3 +236,15 @@ def test_exit_code_zero_on_success(command, capsys, tmp_path):
 def test_exit_code_two_on_missing_flags(command, capsys):
     code, _out, err = run(_USAGE_INVOCATIONS[command], capsys)
     assert code == 2 and err
+
+
+@pytest.mark.parametrize("argv", [
+    ["wdeg", "--weights", "x=1"],
+    ["jet-lift", "--vars", "x", "--level", "1", "--order", "1"],
+])
+def test_deeply_nested_expression_is_one_line_error(argv, capsys):
+    deep = "(" * 3000 + "x" + ")" * 3000
+    code, out, err = run(argv + ["--expr", deep], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: parentheses nested deeper than 100 levels")
+    assert err.count("\n") == 1

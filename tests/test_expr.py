@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -128,3 +130,99 @@ def test_semantic_equality_fallback():
     assert lhs != rhs
     assert ex.semantically_equal(lhs, rhs)
     assert not ex.semantically_equal(parse_expr("sin(x)"), parse_expr("cos(x)"))
+
+
+def test_parse_nesting_limit():
+    x = var("x")
+    depth = ex.MAX_NESTING
+    assert parse_expr("(" * depth + "x" + ")" * depth) == x
+    assert parse_expr("sin(" * depth + "0" + ")" * depth) == ex.ZERO
+    for text in ("(" * (depth + 1) + "x" + ")" * (depth + 1),
+                 "sin(" * (depth + 1) + "x" + ")" * (depth + 1),
+                 "x + (" * 3000 + "x" + ")" * 3000):
+        with pytest.raises(ParseError, match=f"deeper than {depth} levels"):
+            parse_expr(text)
+
+
+# ---------------------------------------------------------------------------
+# the node contract: frozen slotted dataclasses that hash once
+
+_NODE_FIELDS = {ex.Const: ["value"], ex.Var: ["name"], ex.Sum: ["terms"],
+                ex.Prod: ["factors"], ex.Pow: ["base", "exponent"],
+                ex.App: ["fn", "arg"]}
+
+
+def _subtrees(e):
+    yield e
+    for f in dataclasses.fields(e):
+        value = getattr(e, f.name)
+        children = value if isinstance(value, tuple) else (value,)
+        for child in children:
+            if isinstance(child, ex.Expr):
+                yield from _subtrees(child)
+
+
+def _field_tuple(e):
+    return tuple(getattr(e, f.name) for f in dataclasses.fields(e))
+
+
+def _random_trees(seed, count=150):
+    rng = random.Random(seed)
+    return [rand_expr(rng, ["x", "y", "z"], depth=4) for _ in range(count)]
+
+
+def _rebuilt_shuffled(e, rng):
+    """The same canonical tree, rebuilt with children in a random order."""
+    if isinstance(e, (ex.Const, ex.Var)):
+        return type(e)(*_field_tuple(e))
+    if isinstance(e, (ex.Sum, ex.Prod)):
+        parts = [_rebuilt_shuffled(c, rng) for c in _field_tuple(e)[0]]
+        rng.shuffle(parts)
+        return ex.add(*parts) if isinstance(e, ex.Sum) else mul(*parts)
+    if isinstance(e, ex.Pow):
+        return pow_(_rebuilt_shuffled(e.base, rng), e.exponent)
+    return app(e.fn, _rebuilt_shuffled(e.arg, rng))
+
+
+def test_node_fields_unchanged():
+    for cls, names in _NODE_FIELDS.items():
+        assert dataclasses.is_dataclass(cls)
+        assert [f.name for f in dataclasses.fields(cls)] == names
+
+
+def test_node_hash_is_hash_of_field_tuple():
+    for e in _random_trees(41):
+        for node in _subtrees(e):
+            assert hash(node) == hash(_field_tuple(node))
+            assert hash(node) == hash(node)
+
+
+def test_equal_trees_built_in_different_orders_hash_equal():
+    rng = random.Random(43)
+    for e in _random_trees(42):
+        again = _rebuilt_shuffled(e, rng)
+        assert again == e and hash(again) == hash(e)
+        fresh = pickle.loads(pickle.dumps(e))
+        assert fresh == e and hash(fresh) == hash(e)
+        assert len({e, again, fresh}) == 1
+
+
+def test_nodes_are_frozen_and_slotted():
+    for e in _random_trees(44, count=40):
+        for node in _subtrees(e):
+            assert not hasattr(node, "__dict__")
+            name = dataclasses.fields(node)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, getattr(node, name))
+
+
+def test_pickle_round_trip_leaves_out_cached_hash():
+    for e in _random_trees(45, count=60):
+        fresh = pickle.loads(pickle.dumps(e))
+        assert fresh == e and to_text(fresh) == to_text(e)
+        assert not any(hasattr(node, "_h") for node in _subtrees(fresh))
+        before = pickle.dumps(fresh)
+        for node in _subtrees(fresh):
+            hash(node)
+        assert all(hasattr(node, "_h") for node in _subtrees(fresh))
+        assert pickle.dumps(fresh) == before == pickle.dumps(e)

@@ -1,11 +1,14 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from weightings import expr as ex
 from weightings import jets as jt
+from weightings import subbundle as sb
 from weightings import wpoly as wp
 from weightings.expr import ONE, ZERO, parse_expr, var
 from weightings.fields import vf_filtration_degree, vf_for_weights
@@ -506,3 +509,83 @@ def test_adapted_change_inverse_composes_to_identity():
             composed = ex.substitute(change.x_in_y[a], inverse)
             diff = ex.add(composed, ex.mul(ex.MINUS_ONE, var(f"x{a + 1}")))
             assert wp.weighted_taylor(diff, xw, W.order).is_zero, (a, diff)
+
+
+# ---------------------------------------------------------------------------
+# what a Frame derives, and who keeps it
+
+def _unipotent_frame(rng, weights):
+    """Upper unitriangular frame V_a = d_a + sum_{b>a} c_ab d_b with random
+    polynomials c_ab; its coefficient matrix has determinant 1."""
+    names = tuple(f"x{a + 1}" for a in range(len(weights)))
+    W = weight_sequence(dict(zip(names, weights)), max(weights))
+    rows = []
+    for a in range(W.n):
+        row = [ONE if b == a else ZERO for b in range(W.n)]
+        for b in range(a + 1, W.n):
+            row[b] = rand_poly_expr(rng, names, max_degree=2, max_terms=2)
+        rows.append(row)
+    return W, rows
+
+
+def _iterated_apply(fr, s, f):
+    for a in reversed(range(fr.n)):
+        for _ in range(s[a]):
+            f = fr.apply(a, f)
+    return f
+
+
+def _word_frames():
+    w13 = _coordinate_frame(weight_sequence({"x1": 1, "x2": 3}, 3))
+    W, rows = _unipotent_frame(random.Random(53), (1, 2, 3))
+    return {"adapted_w13": w13, "unipotent": frame(W, rows)}
+
+
+@pytest.mark.parametrize("name", ["adapted_w13", "unipotent"])
+def test_memoised_apply_word_equals_iterated_apply(name):
+    fr = _word_frames()[name]
+    rng = random.Random(54)
+    apply_word = sb._word_applier(fr)
+    functions = [rand_poly_expr(rng, fr.W.vars, max_degree=4, max_terms=3)
+                 for _ in range(4)]
+    for _ in range(60):
+        s = [0] * fr.n
+        for _ in range(rng.randint(0, 4)):
+            s[rng.randrange(fr.n)] += 1
+        s = tuple(s)
+        f = rng.choice(functions)
+        assert apply_word(s, f) == _iterated_apply(fr, s, f)
+
+
+def test_normal_order_on_equal_distinct_frames():
+    rng = random.Random(59)
+    W, rows = _unipotent_frame(rng, (1, 2, 3))
+    first, second = frame(W, rows), frame(W, rows)
+    assert first == second and first is not second
+    words = [[rng.choice([0, 1, 2, rand_poly_expr(rng, W.vars, max_degree=2,
+                                                  max_terms=2)])
+              for _ in range(rng.randint(2, 6))] for _ in range(30)]
+    warm = [normal_order(first, word) for word in words]
+    f = rand_poly_expr(rng, W.vars, max_degree=4, max_terms=3)
+    for word, expected in zip(reversed(words), reversed(warm)):
+        got = normal_order(second, word)
+        assert got.terms == expected.terms
+        assert got == expected
+        direct = f
+        for item in reversed(word):
+            direct = second.apply(item, direct) if isinstance(item, int) \
+                else ex.mul(item, direct)
+        assert ex.simplify_canonical(direct, expand_polynomials=True) == \
+            ex.simplify_canonical(apply_diffop(got, f), expand_polynomials=True)
+
+
+def test_frame_used_by_normal_order_is_collected():
+    rng = random.Random(61)
+    W, rows = _unipotent_frame(rng, (1, 2, 3))
+    fr = frame(W, rows)
+    D = normal_order(fr, [2, 1, parse_expr("x1 + x2"), 0, 2])
+    assert D.terms
+    ref = weakref.ref(fr)
+    del fr, D
+    gc.collect()
+    assert ref() is None
