@@ -10,19 +10,9 @@ weighting check), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-from dataclasses import dataclass
-from typing import Sequence
-
-from . import expr as ex
-from . import fields as fl
-from . import jets as jt
-from . import spaces as sp
-from . import subbundle as sb
-from . import weights as wt
-from . import wpoly as wp
+from collections.abc import Sequence
 
 JSON_SCHEMA_VERSION = "1"
 
@@ -31,10 +21,14 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
 class Command:
-    name: str
-    options: dict
+    """A parsed invocation: the subcommand name and its option values."""
+
+    __slots__ = ("name", "options")
+
+    def __init__(self, name: str, options: dict):
+        self.name = name
+        self.options = options
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,7 +144,9 @@ def parse_problem_file(text: str) -> dict[str, dict]:
     return sections
 
 
-def _weights_from_sections(sections, options) -> wt.WeightSequence:
+def _weights_from_sections(sections, options):
+    """The WeightSequence from --weights or the [weights] section."""
+    from . import weights as wt
     if options.get("weights"):
         pairs = wt.parse_weight_assignments(options["weights"])
         order = options.get("order")
@@ -174,8 +170,11 @@ def _sections_for(options) -> dict:
         return parse_problem_file(handle.read())
 
 
-def _parse_slot_poly(text: str, names: Sequence[str]) -> jt.JetPoly:
+def _parse_slot_poly(text: str, names: Sequence[str]):
     """Parse a polynomial in slots written name.level into a JetPoly."""
+    from . import expr as ex
+    from . import jets as jt
+    from . import wpoly as wp
     mangled = _SLOT_RE.sub(lambda m: f"{m.group(1)}__L{m.group(2)}", text)
     tree = ex.parse_expr(mangled)
     slot_vars = sorted(ex.variables(tree))
@@ -198,7 +197,9 @@ def _parse_slot_poly(text: str, names: Sequence[str]) -> jt.JetPoly:
     return jt.jetpoly(terms)
 
 
-def _graph_from_sections(sections) -> sb.GraphSubbundle:
+def _graph_from_sections(sections):
+    """The GraphSubbundle of the [graph] section."""
+    from . import subbundle as sb
     if "graph" not in sections:
         raise UsageError("check-q needs a [graph] section (use --file)")
     body = dict(sections["graph"])
@@ -217,7 +218,10 @@ def _graph_from_sections(sections) -> sb.GraphSubbundle:
     return sb.graph_subbundle(names, order, constraints)
 
 
-def _frame_from_sections(sections, W: wt.WeightSequence) -> sb.Frame:
+def _frame_from_sections(sections, W):
+    """The Frame of the [frame] section, one row V1 ... Vn per variable of W."""
+    from . import expr as ex
+    from . import subbundle as sb
     if "frame" not in sections:
         raise UsageError("adapt needs a [frame] section")
     body = sections["frame"]
@@ -238,8 +242,13 @@ def _frame_from_sections(sections, W: wt.WeightSequence) -> sb.Frame:
 
 # ---------------------------------------------------------------------------
 # execution and rendering
+#
+# Each handler takes (options, sections) and returns (text, exit code, json
+# payload).  Handlers and helpers import the library modules they use when
+# they run, so an invocation loads only what its subcommand needs.
 
-def _expr_arg(options, sections) -> ex.Expr:
+def _expr_arg(options, sections):
+    from . import expr as ex
     text = options.get("expr")
     if text is None and "map" in sections and len(sections["map"]) == 1:
         text = next(iter(sections["map"].values()))
@@ -254,7 +263,8 @@ def _vars_arg(options) -> tuple[str, ...]:
     return tuple(v.strip() for v in options["vars"].split(","))
 
 
-def _coeffs_arg(options, chart) -> list[ex.Expr]:
+def _coeffs_arg(options, chart) -> list:
+    from . import expr as ex
     if not options.get("coeffs"):
         raise UsageError("missing --coeffs")
     parts = [ex.parse_expr(chunk) for chunk in options["coeffs"].split(";")]
@@ -264,204 +274,262 @@ def _coeffs_arg(options, chart) -> list[ex.Expr]:
     return parts
 
 
-def _wp_json(p: wp.WeightedPoly) -> dict:
+def _degree_arg(options) -> int:
+    if options.get("degree") is None:
+        raise UsageError("missing --degree")
+    return options["degree"]
+
+
+def _wp_json(p) -> dict:
+    from . import expr as ex
     return {"vars": list(p.pvars),
             "terms": [{"exponents": list(s), "coefficient": ex.to_text(c)}
                       for s, c in p.terms]}
 
 
-def _jp_json(p: jt.JetPoly, names) -> dict:
+def _jp_json(p, names) -> dict:
     return {"terms": [{"slots": [[names[a], j, e] for (a, j), e in m],
                        "coefficient": str(c)} for m, c in p.terms]}
 
 
+def _wdeg(options, sections):
+    from . import wpoly as wp
+    W = _weights_from_sections(sections, options)
+    p = wp.poly_normal_form(_expr_arg(options, sections), W.positive_vars)
+    degree = wp.filtration_degree(p, W)
+    text = "inf" if degree == float("inf") else str(degree)
+    return text, 0, {"degree": text}
+
+
+def _happrox(options, sections):
+    from . import wpoly as wp
+    W = _weights_from_sections(sections, options)
+    degree = _degree_arg(options)
+    part = wp.homogeneous_part(
+        wp.weighted_taylor(_expr_arg(options, sections), W, degree),
+        W, degree)
+    return wp.wpoly_text(part, W), 0, _wp_json(part)
+
+
+def _gens(options, sections):
+    from . import weights as wt
+    from . import wpoly as wp
+    W = _weights_from_sections(sections, options)
+    gens = wt.ideal_generators(W, _degree_arg(options))
+    w = list(W.positive_weights)
+    ordered = sorted(gens, key=lambda s: (wt.weighted_degree(s, w), s))
+    texts = [wp.monomial_text(W.positive_vars, s) for s in ordered]
+    payload = [{"exponents": list(s), "coefficient": "1"} for s in ordered]
+    return ", ".join(texts), 0, payload
+
+
+def _jet_lift(options, sections):
+    from . import jets as jt
+    chart = _vars_arg(options)
+    if options.get("level") is None or options.get("order") is None:
+        raise UsageError("jet-lift needs --level and --order")
+    lifted = jt.jet_lift(_expr_arg(options, sections), options["level"],
+                         options["order"], chart)
+    return jt.jp_text(lifted, chart), 0, _jp_json(lifted, chart)
+
+
+def _vf_lift(options, sections):
+    from . import fields as fl
+    from . import jets as jt
+    chart = _vars_arg(options)
+    if options.get("level") is None or options.get("order") is None:
+        raise UsageError("vf-lift needs --level and --order")
+    coeffs = _coeffs_arg(options, chart)
+    X = fl.vf_from_exprs(chart, coeffs, chart)
+    xi = jt.vf_lift(X, options["level"], options["order"])
+    lines = [f"d/d[{chart[a]}.{k}]: {jt.jp_text(c, chart)}"
+             for (a, k), c in xi.terms]
+    payload = [{"slot": [chart[a], k], "coefficient": _jp_json(c, chart)}
+               for (a, k), c in xi.terms]
+    return "\n".join(lines) if lines else "0", 0, payload
+
+
+def _nu_trans(options, sections):
+    from . import expr as ex
+    from . import spaces as sp
+    if "map" not in sections:
+        raise UsageError("nu-trans needs a [map] section (use --file)")
+    W = _weights_from_sections(sections, options)
+    components = []
+    for v in W.vars:
+        if v not in sections["map"]:
+            raise ValueError(f"[map] is missing component for {v!r}")
+        components.append(ex.parse_expr(sections["map"][v]))
+    extra = set(sections["map"]) - set(W.vars)
+    if extra:
+        raise ValueError(f"[map] has unknown keys {sorted(extra)}")
+    phi = sp.coordinate_change(W, W, components)
+    out = sp.nu_transition(phi)
+    names = sp.deformation_names(W)
+    lines = [f"{n} -> {ex.to_text(c)}" for n, c in zip(names, out)]
+    payload = {n: ex.to_text(c) for n, c in zip(names, out)}
+    return "\n".join(lines), 0, payload
+
+
+def _def_interp(options, sections):
+    from . import expr as ex
+    from . import spaces as sp
+    W = _weights_from_sections(sections, options)
+    degree = _degree_arg(options)
+    F = sp.def_interpolant(_expr_arg(options, sections), degree, W)
+    return ex.to_text(F.expression), 0, {"expression": ex.to_text(F.expression),
+                                         "degree": F.degree}
+
+
+def _theta(options, sections):
+    from . import expr as ex
+    from . import spaces as sp
+    W = _weights_from_sections(sections, options)
+    th = sp.theta_field(W)
+    return str(th), 0, {n: ex.to_text(c) for n, c in th.components}
+
+
+def _blowup(options, sections):
+    from . import spaces as sp
+    W = _weights_from_sections(sections, options)
+    if not options.get("center"):
+        raise UsageError("missing --center")
+    chart = sp.blowup_chart(W, options["center"], options.get("sign", "+"))
+    lines = [f"{n} = {sp.monomial_text(c, m)}"
+             for n, (c, m) in chart.components]
+    payload = {n: sp.monomial_text(c, m) for n, (c, m) in chart.components}
+    return "\n".join(lines), 0, payload
+
+
+def _check_q(options, sections):
+    from . import subbundle as sb
+    Q = _graph_from_sections(sections)
+    verdict = sb.check_weighting(Q)
+    if verdict.accepted:
+        payload = {"verdict": "weighting",
+                   "weights": list(verdict.weights.weights),
+                   "vars": list(verdict.weights.vars)}
+        return str(verdict), 0, payload
+    text = f"{verdict.reason}: {verdict.witness}"
+    if verdict.details:
+        text += (f" (reconstructed dimension "
+                 f"{verdict.details['reconstructed_dim']} vs "
+                 f"{verdict.details['graph_dim']})")
+    payload = {"verdict": "rejected", "reason": verdict.reason,
+               "witness": verdict.witness, "details": verdict.details}
+    return text, 1, payload
+
+
+def _adapt(options, sections):
+    from . import expr as ex
+    from . import subbundle as sb
+    W = _weights_from_sections(sections, options)
+    fr = _frame_from_sections(sections, W)
+    if "coords" not in sections:
+        raise UsageError("adapt needs a [coords] section")
+    names = list(sections["coords"])
+    exprs = [ex.parse_expr(sections["coords"][n]) for n in names]
+    change = sb.adapted_coordinates(fr, exprs, names)
+    lines = [f"x{a + 1} = {ex.to_text(e)}"
+             for a, e in enumerate(change.x_in_y)]
+    for (a, u), coeff in change.chi:
+        lines.append(f"chi[{a + 1}][{','.join(map(str, u))}] = "
+                     f"{ex.to_text(coeff)}")
+    for u, c in change.normalizers:
+        lines.append(f"c[{','.join(map(str, u))}] = {c}")
+    payload = {
+        "coordinates": [ex.to_text(e) for e in change.x_in_y],
+        "chi": [{"target": a + 1, "multi_index": list(u),
+                 "value": ex.to_text(coeff)}
+                for (a, u), coeff in change.chi],
+        "normalizers": [{"multi_index": list(u), "value": str(c)}
+                        for u, c in change.normalizers]}
+    return "\n".join(lines), 0, payload
+
+
+def _euler_like(options, sections):
+    from . import fields as fl
+    from . import spaces as sp
+    W = _weights_from_sections(sections, options)
+    coeffs = _coeffs_arg(options, W.vars)
+    X = fl.vf_for_weights(W, coeffs)
+    verdict = sp.euler_like_check(X, W)
+    return ("true" if verdict else "false"), 0, {"euler_like": verdict}
+
+
+def _scale_order(options, sections):
+    from . import spaces as sp
+    W = _weights_from_sections(sections, options)
+    report = sp.scaling_order_estimate(_expr_arg(options, sections), W,
+                                       seed=options.get("seed", 0))
+    text = (f"order ~ {report.estimated_order:.4f} "
+            f"(residual {report.residual:.2e}, samples {report.samples})")
+    payload = {"order": report.estimated_order,
+               "residual": report.residual, "samples": report.samples}
+    return text, 0, payload
+
+
+def _nilpotent(options, sections):
+    from . import fields as fl
+    W = _weights_from_sections(sections, options)
+    g = fl.nilpotent_frames(W)
+    lines = [f"dim k = {g.dim}, dim l = {g.dim_sub}"]
+    for i in range(g.dim):
+        marker = " (in l)" if g.in_subalgebra[i] else ""
+        lines.append(f"  b{i + 1} = {g.label_text(i)}  "
+                     f"degree {g.degrees[i]}{marker}")
+    for (i, j), entries in g.brackets:
+        body = " + ".join(
+            (f"{c}*b{k + 1}" if c != 1 else f"b{k + 1}")
+            for k, c in entries)
+        lines.append(f"  [b{i + 1}, b{j + 1}] = {body}")
+    payload = {"dim": g.dim, "dim_sub": g.dim_sub,
+               "basis": [g.label_text(i) for i in range(g.dim)],
+               "degrees": list(g.degrees)}
+    return "\n".join(lines), 0, payload
+
+
+def _total_weight(options, sections):
+    from . import weights as wt
+    if not options.get("multi"):
+        raise UsageError("missing --multi")
+    mw = wt.parse_multiweight(options["multi"])
+    W = wt.total_weighting(mw, options.get("order"))
+    return W.assignment_text(), 0, {"weights": W.as_dict(),
+                                    "order": W.order}
+
+
+_HANDLERS = {
+    "wdeg": _wdeg,
+    "happrox": _happrox,
+    "gens": _gens,
+    "jet-lift": _jet_lift,
+    "vf-lift": _vf_lift,
+    "nu-trans": _nu_trans,
+    "def-interp": _def_interp,
+    "theta": _theta,
+    "blowup": _blowup,
+    "check-q": _check_q,
+    "adapt": _adapt,
+    "euler-like": _euler_like,
+    "scale-order": _scale_order,
+    "nilpotent": _nilpotent,
+    "total-weight": _total_weight,
+}
+
+
 def execute(cmd: Command) -> tuple[str, int, object]:
     """Run a parsed command; returns (text, exit code, json payload)."""
-    options = cmd.options
-    sections = _sections_for(options)
-    name = cmd.name
-
-    if name == "wdeg":
-        W = _weights_from_sections(sections, options)
-        p = wp.poly_normal_form(_expr_arg(options, sections), W.positive_vars)
-        degree = wp.filtration_degree(p, W)
-        text = "inf" if degree == float("inf") else str(degree)
-        return text, 0, {"degree": text}
-
-    if name == "happrox":
-        W = _weights_from_sections(sections, options)
-        if options.get("degree") is None:
-            raise UsageError("missing --degree")
-        degree = options["degree"]
-        part = wp.homogeneous_part(
-            wp.weighted_taylor(_expr_arg(options, sections), W, degree),
-            W, degree)
-        return wp.wpoly_text(part, W), 0, _wp_json(part)
-
-    if name == "gens":
-        W = _weights_from_sections(sections, options)
-        if options.get("degree") is None:
-            raise UsageError("missing --degree")
-        gens = wt.ideal_generators(W, options["degree"])
-        w = list(W.positive_weights)
-        ordered = sorted(gens, key=lambda s: (wt.weighted_degree(s, w), s))
-        texts = [wp.monomial_text(W.positive_vars, s) for s in ordered]
-        payload = [{"exponents": list(s), "coefficient": "1"} for s in ordered]
-        return ", ".join(texts), 0, payload
-
-    if name == "jet-lift":
-        chart = _vars_arg(options)
-        if options.get("level") is None or options.get("order") is None:
-            raise UsageError("jet-lift needs --level and --order")
-        lifted = jt.jet_lift(_expr_arg(options, sections), options["level"],
-                             options["order"], chart)
-        return jt.jp_text(lifted, chart), 0, _jp_json(lifted, chart)
-
-    if name == "vf-lift":
-        chart = _vars_arg(options)
-        if options.get("level") is None or options.get("order") is None:
-            raise UsageError("vf-lift needs --level and --order")
-        coeffs = _coeffs_arg(options, chart)
-        X = fl.vf_from_exprs(chart, coeffs, chart)
-        xi = jt.vf_lift(X, options["level"], options["order"])
-        lines = [f"d/d[{chart[a]}.{k}]: {jt.jp_text(c, chart)}"
-                 for (a, k), c in xi.terms]
-        payload = [{"slot": [chart[a], k], "coefficient": _jp_json(c, chart)}
-                   for (a, k), c in xi.terms]
-        return "\n".join(lines) if lines else "0", 0, payload
-
-    if name == "nu-trans":
-        if "map" not in sections:
-            raise UsageError("nu-trans needs a [map] section (use --file)")
-        W = _weights_from_sections(sections, options)
-        components = []
-        for v in W.vars:
-            if v not in sections["map"]:
-                raise ValueError(f"[map] is missing component for {v!r}")
-            components.append(ex.parse_expr(sections["map"][v]))
-        extra = set(sections["map"]) - set(W.vars)
-        if extra:
-            raise ValueError(f"[map] has unknown keys {sorted(extra)}")
-        phi = sp.coordinate_change(W, W, components)
-        out = sp.nu_transition(phi)
-        names = sp.deformation_names(W)
-        lines = [f"{n} -> {ex.to_text(c)}" for n, c in zip(names, out)]
-        payload = {n: ex.to_text(c) for n, c in zip(names, out)}
-        return "\n".join(lines), 0, payload
-
-    if name == "def-interp":
-        W = _weights_from_sections(sections, options)
-        if options.get("degree") is None:
-            raise UsageError("missing --degree")
-        F = sp.def_interpolant(_expr_arg(options, sections),
-                               options["degree"], W)
-        return ex.to_text(F.expression), 0, {"expression": ex.to_text(F.expression),
-                                             "degree": F.degree}
-
-    if name == "theta":
-        W = _weights_from_sections(sections, options)
-        th = sp.theta_field(W)
-        return str(th), 0, {n: ex.to_text(c) for n, c in th.components}
-
-    if name == "blowup":
-        W = _weights_from_sections(sections, options)
-        if not options.get("center"):
-            raise UsageError("missing --center")
-        chart = sp.blowup_chart(W, options["center"], options.get("sign", "+"))
-        lines = [f"{n} = {sp.monomial_text(c, m)}"
-                 for n, (c, m) in chart.components]
-        payload = {n: sp.monomial_text(c, m) for n, (c, m) in chart.components}
-        return "\n".join(lines), 0, payload
-
-    if name == "check-q":
-        Q = _graph_from_sections(sections)
-        verdict = sb.check_weighting(Q)
-        if verdict.accepted:
-            payload = {"verdict": "weighting",
-                       "weights": list(verdict.weights.weights),
-                       "vars": list(verdict.weights.vars)}
-            return str(verdict), 0, payload
-        text = f"{verdict.reason}: {verdict.witness}"
-        if verdict.details:
-            text += (f" (reconstructed dimension "
-                     f"{verdict.details['reconstructed_dim']} vs "
-                     f"{verdict.details['graph_dim']})")
-        payload = {"verdict": "rejected", "reason": verdict.reason,
-                   "witness": verdict.witness, "details": verdict.details}
-        return text, 1, payload
-
-    if name == "adapt":
-        W = _weights_from_sections(sections, options)
-        fr = _frame_from_sections(sections, W)
-        if "coords" not in sections:
-            raise UsageError("adapt needs a [coords] section")
-        names = list(sections["coords"])
-        exprs = [ex.parse_expr(sections["coords"][n]) for n in names]
-        change = sb.adapted_coordinates(fr, exprs, names)
-        lines = [f"x{a + 1} = {ex.to_text(e)}"
-                 for a, e in enumerate(change.x_in_y)]
-        for (a, u), coeff in change.chi:
-            lines.append(f"chi[{a + 1}][{','.join(map(str, u))}] = "
-                         f"{ex.to_text(coeff)}")
-        for u, c in change.normalizers:
-            lines.append(f"c[{','.join(map(str, u))}] = {c}")
-        payload = {
-            "coordinates": [ex.to_text(e) for e in change.x_in_y],
-            "chi": [{"target": a + 1, "multi_index": list(u),
-                     "value": ex.to_text(coeff)}
-                    for (a, u), coeff in change.chi],
-            "normalizers": [{"multi_index": list(u), "value": str(c)}
-                            for u, c in change.normalizers]}
-        return "\n".join(lines), 0, payload
-
-    if name == "euler-like":
-        W = _weights_from_sections(sections, options)
-        coeffs = _coeffs_arg(options, W.vars)
-        X = fl.vf_for_weights(W, coeffs)
-        verdict = sp.euler_like_check(X, W)
-        return ("true" if verdict else "false"), 0, {"euler_like": verdict}
-
-    if name == "scale-order":
-        W = _weights_from_sections(sections, options)
-        report = sp.scaling_order_estimate(_expr_arg(options, sections), W,
-                                           seed=options.get("seed", 0))
-        text = (f"order ~ {report.estimated_order:.4f} "
-                f"(residual {report.residual:.2e}, samples {report.samples})")
-        payload = {"order": report.estimated_order,
-                   "residual": report.residual, "samples": report.samples}
-        return text, 0, payload
-
-    if name == "nilpotent":
-        W = _weights_from_sections(sections, options)
-        g = fl.nilpotent_frames(W)
-        lines = [f"dim k = {g.dim}, dim l = {g.dim_sub}"]
-        for i in range(g.dim):
-            marker = " (in l)" if g.in_subalgebra[i] else ""
-            lines.append(f"  b{i + 1} = {g.label_text(i)}  "
-                         f"degree {g.degrees[i]}{marker}")
-        for (i, j), entries in g.brackets:
-            body = " + ".join(
-                (f"{c}*b{k + 1}" if c != 1 else f"b{k + 1}")
-                for k, c in entries)
-            lines.append(f"  [b{i + 1}, b{j + 1}] = {body}")
-        payload = {"dim": g.dim, "dim_sub": g.dim_sub,
-                   "basis": [g.label_text(i) for i in range(g.dim)],
-                   "degrees": list(g.degrees)}
-        return "\n".join(lines), 0, payload
-
-    if name == "total-weight":
-        if not options.get("multi"):
-            raise UsageError("missing --multi")
-        mw = wt.parse_multiweight(options["multi"])
-        W = wt.total_weighting(mw, options.get("order"))
-        return W.assignment_text(), 0, {"weights": W.as_dict(),
-                                        "order": W.order}
-
-    raise UsageError(f"unknown command {name!r}")
+    sections = _sections_for(cmd.options)
+    handler = _HANDLERS.get(cmd.name)
+    if handler is None:
+        raise UsageError(f"unknown command {cmd.name!r}")
+    return handler(cmd.options, sections)
 
 
 def render(text: str, payload: object, cmd: Command) -> str:
     if cmd.options.get("json"):
+        import json
         envelope = {"op": cmd.name, "version": JSON_SCHEMA_VERSION,
                     "result": payload}
         return json.dumps(envelope, sort_keys=True)
@@ -481,7 +549,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as err:
+    except KeyError as err:
+        # str() of a KeyError is the repr of its message; print the message
+        message = err.args[0] if len(err.args) == 1 else err
+        print(f"error: {message}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     print(render(text, payload, cmd))

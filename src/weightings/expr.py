@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -104,6 +104,10 @@ def _node(cls):
     set order are those of an uncached node.  Pickled state holds the fields
     only (the dataclass ``__getstate__`` of a frozen slotted class), never
     ``_h``, which depends on the process's string-hash seed.
+
+    Every attribute assignment or deletion raises FrozenInstanceError.  The
+    dataclass-generated methods would call ``super()`` with the class that
+    ``slots=True`` replaced, a TypeError for any name that is not a field.
     """
     cls = dataclass(frozen=True, slots=True, repr=False)(cls)
     field_hash = cls.__hash__
@@ -117,7 +121,17 @@ def _node(cls):
             return h
 
     cls.__hash__ = __hash__
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
     return cls
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @_node

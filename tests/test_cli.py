@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -248,3 +251,46 @@ def test_deeply_nested_expression_is_one_line_error(argv, capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: parentheses nested deeper than 100 levels")
     assert err.count("\n") == 1
+
+
+def test_key_error_message_has_no_stray_quotes(capsys):
+    code, out, err = run(["blowup", "--weights", "x=1,y=2", "--center", "q"],
+                         capsys)
+    assert (code, out, err) == (1, "", "error: unknown variable 'q'\n")
+
+
+_LOADED_BY_MAIN = """\
+import contextlib, io, json, sys
+from weightings import cli
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("weightings."))]))
+"""
+
+
+def _loaded_by_main(argv):
+    """(exit code, weightings.* modules loaded) of main(argv) in a child."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", _LOADED_BY_MAIN, *argv],
+                            capture_output=True, text=True, env=env,
+                            cwd=FIXTURES.parent, timeout=60, check=True)
+    code, modules = json.loads(result.stdout)
+    return code, {m.removeprefix("weightings.") for m in modules} - {"cli"}
+
+
+def test_cli_loads_only_what_the_subcommand_runs():
+    assert _loaded_by_main(["wdeg", "--nope"]) == (2, set())
+    assert _loaded_by_main(["total-weight", "--multi", "x=(1,0),y=(0,1)"]) \
+        == (0, {"weights"})
+    code, loaded = _loaded_by_main(["wdeg", "--weights", "x=1",
+                                    "--expr", "x^2"])
+    assert code == 0 and not loaded & {"jets", "subbundle", "spaces"}
+    code, loaded = _loaded_by_main(["nu-trans", "--file",
+                                    "fixtures/transition_sin_exp.prob"])
+    assert code == 0 and "spaces" in loaded
+    assert not loaded & {"jets", "subbundle"}

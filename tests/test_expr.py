@@ -214,6 +214,13 @@ def test_nodes_are_frozen_and_slotted():
             name = dataclasses.fields(node)[0].name
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(node, name, getattr(node, name))
+            for attr in (name, "_h", "foo"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(node, attr, 0)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(node, attr)
+            before = hash(node)
+            assert hash(node) == before == hash(_field_tuple(node))
 
 
 def test_pickle_round_trip_leaves_out_cached_hash():

@@ -19,6 +19,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -99,6 +100,30 @@ def test_cli_output_matches_golden(argv, monkeypatch):
     assert got["code"] == expected["code"]
     assert got["stdout"].encode("utf-8") == expected["stdout"].encode("utf-8")
     assert got["stderr"].encode("utf-8") == expected["stderr"].encode("utf-8")
+
+
+# Run as `python -m weightings.cli`, the module is __main__ and its handlers'
+# relative imports resolve through __package__.
+_CHILD_CASES = (
+    ("gens",) + _INTRO + ("--degree", "4"),
+    ("nu-trans",) + _TRANSITION + ("--json",),
+    ("check-q", "--file", "fixtures/antisymmetric_relation.prob"),
+    ("wdeg",) + _INTRO + ("--expr", "(x*y"),
+    ("adapt",) + _INTRO,
+)
+
+
+@pytest.mark.parametrize("argv", _CHILD_CASES, ids=" ".join)
+def test_cli_child_process_matches_golden(argv):
+    expected = _recorded()[argv]
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    got = subprocess.run([sys.executable, "-m", "weightings.cli", *argv],
+                         capture_output=True, env=env, cwd=ROOT, timeout=60)
+    assert got.returncode == expected["code"]
+    assert got.stdout == expected["stdout"].encode("utf-8")
+    assert got.stderr == expected["stderr"].encode("utf-8")
 
 
 if __name__ == "__main__":

@@ -1,0 +1,76 @@
+"""The package's public surface: the names `weightings` exports, by module."""
+
+import importlib
+import sys
+
+import pytest
+
+import weightings
+
+EXPORTED = {
+    "expr": """App Const Expr ParseError Pow Prod Sum Var add app const
+        differentiate eval_numeric expand mul parse_expr pow_
+        semantically_equal simplify_canonical substitute to_text var
+        variables""",
+    "weights": """MultiWeight WeightSequence ideal_generators multi_degree
+        multi_filtration_degree parse_multiweight parse_weight_assignments
+        total_weighting weight_sequence""",
+    "wpoly": """WeightedPoly dilate filtration_degree homogeneous_approx
+        homogeneous_part poly_normal_form to_expr weighted_taylor
+        wpoly_text""",
+    "fields": """DifferentialFormPoly GradedLieAlgebra PolyVectorField contract
+        coordinate_field d_form d_poly euler_field form
+        form_filtration_degree gla_bracket homogeneous_approx_vf lie_bracket
+        lie_derivative_form nilpotent_frames vf_apply vf_filtration_degree
+        vf_for_weights vf_from_exprs""",
+    "jets": """JetPoint JetPoly JetScalar JetVectorField Reparametrization
+        dilation epsilon_shift evaluate_jet jet_bracket jet_lift jet_point
+        jet_point_text jet_scalar jetpoly parse_jet_point
+        parse_reparametrization reparam reparam_compose reparametrize
+        tm_translate vf_lift""",
+    "subbundle": """AdaptedChange DiffOpStandardForm Frame GraphSubbundle
+        WeightingVerdict adapted_coordinates apply_diffop check_weighting
+        coefficient_q_weight derive_weights diffop frame graph_subbundle
+        induced_filtration_degree k_membership normal_order q_membership
+        quotient_to_normal standard_q substitute_graph verify_adapted""",
+    "spaces": """BlowupField CoordinateChange DeformationField
+        DeformationFunction RationalMonomialMap ScalingReport blowup_chart
+        blowup_chart_inverse blowup_lift_vf check_morphism compose_rational
+        coordinate_change def_interpolant def_vf_interpolant
+        euler_like_check nu_transition scaling_order_estimate theta_field""",
+}
+NAMES = {name: module for module, names in EXPORTED.items()
+         for name in names.split()}
+
+
+def test_all_lists_the_exported_names():
+    assert sorted(weightings.__all__) == sorted(NAMES)
+    assert weightings.__version__ == "0.1.0"
+
+
+def test_each_name_is_the_submodule_object():
+    for name, module_name in NAMES.items():
+        module = importlib.import_module(f"weightings.{module_name}")
+        assert getattr(weightings, name) is getattr(module, name), name
+
+
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from weightings import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(NAMES)
+    assert all(namespace[name] is getattr(weightings, name) for name in NAMES)
+
+
+def test_submodules_import_through_the_package():
+    from weightings import expr, spaces
+    assert expr is sys.modules["weightings.expr"]
+    assert weightings.spaces is spaces
+    assert set(EXPORTED) <= set(dir(weightings))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        weightings.no_such_name
+    assert not hasattr(weightings, "cached_property")
+    with pytest.raises(ImportError):
+        exec("from weightings import no_such_name", {})
