@@ -33,6 +33,7 @@ GOLDEN = ROOT / "tests" / "golden" / "cli.json"
 _INTRO = ("--file", "fixtures/intro_origin.prob")
 _TRANSITION = ("--file", "fixtures/transition_sin_exp.prob")
 _W13 = ("--file", "fixtures/adapted_w13.prob")
+_ZERO_REPEATED = ("--file", "tests/golden/zero_repeated.prob")
 
 _BASE = (
     ("wdeg",) + _INTRO + ("--expr", "x*y + z^2"),
@@ -62,6 +63,10 @@ _BASE = (
     ("nilpotent",) + _INTRO,
     ("nilpotent",) + _W13,
     ("total-weight", "--multi", "x=(1,0),y=(0,1),z=(1,1)"),
+    # a weight-0 variable and repeated weights
+    ("nilpotent",) + _ZERO_REPEATED,
+    ("adapt",) + _ZERO_REPEATED,
+    ("check-q",) + _ZERO_REPEATED,
     # domain and usage errors
     ("adapt",) + _INTRO,
     ("check-q",) + _INTRO,
