@@ -10,6 +10,7 @@ weighting check), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from collections.abc import Sequence
@@ -557,7 +558,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    print(render(text, payload, cmd))
+    try:
+        print(render(text, payload, cmd), flush=True)
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so that the flush at
+        # exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed by the reader", file=sys.stderr)
+        return 1
     return code
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 from . import expr as ex
 from . import wpoly as wp
 from .expr import Expr, ZERO
-from .weights import WeightSequence, weighted_degree
+from .weights import WeightSequence, exponents_below, weighted_degree
 from .wpoly import WeightedPoly
 
 
@@ -276,24 +276,8 @@ def nilpotent_frames(W: WeightSequence) -> GradedLieAlgebra:
     """Monomial frame of the negative graded fields, with exact brackets."""
     pvars = W.positive_vars
     pw = list(W.positive_weights)
-    labels: list[tuple[tuple[int, ...], int]] = []
-    for a, name in enumerate(W.vars):
-        wa = W.weights[a]
-        if wa == 0:
-            continue
-
-        def walk(prefix: list[int], pos: int, total: int):
-            if total >= wa:
-                return
-            if pos == len(pvars):
-                labels.append((tuple(prefix), a))
-                return
-            s = 0
-            while total + s * pw[pos] < wa:
-                walk(prefix + [s], pos + 1, total + s * pw[pos])
-                s += 1
-
-        walk([], 0, 0)
+    labels = [(s, a) for a, wa in enumerate(W.weights)
+              for s in exponents_below(pw, wa)]
     labels.sort(key=lambda lab: (weighted_degree(lab[0], pw) - W.weights[lab[1]],
                                  lab[1], lab[0]))
     index = {lab: i for i, lab in enumerate(labels)}

@@ -24,8 +24,10 @@ weighting checks all reduce to substitution into this graph.
       of monomial lifts certifies that no weighting induces the graph:
       function lifts only produce symmetric slot combinations, so an
       antisymmetric relation can never be matched.
-  N5  the corrected coordinate frame must be tangent to the subbundle at
-      its declared levels (the spanning condition).
+
+N4 suffices, so no spanning check follows: every lift u_a^(j) with j < w_a
+vanishes on the graph, so the graph lies in the standard subbundle of u, and
+both have dimension sum_a (r + 1 - w_a).
 
 Failures carry machine-readable reason codes and a concrete witness.
 """
@@ -41,15 +43,15 @@ from . import expr as ex
 from . import jets as jt
 from . import wpoly as wp
 from .expr import Expr, ZERO, ONE
-from .fields import PolyVectorField, lie_bracket, vf_for_weights, vf_from_exprs
+from .fields import PolyVectorField, lie_bracket, vf_for_weights
 from .jets import JetPoly, JetPoint, Label
-from .weights import WeightSequence, weight_sequence, weighted_degree
+from .weights import (WeightSequence, exponents_below, weight_sequence,
+                      weighted_degree)
 
 FLAG_INVALID = "FLAG_INVALID"
 TM_INVARIANCE = "TM_INVARIANCE"
 LAMBDA_INVARIANCE = "LAMBDA_INVARIANCE"
 FILTRATION_MISMATCH = "FILTRATION_MISMATCH"
-SPAN_FAIL = "SPAN_FAIL"
 UNDECIDED = "UNDECIDED"
 
 
@@ -242,39 +244,13 @@ def _solve_exact(rows: list[list[Fraction]],
     return x
 
 
-def _monomials_of_weight(weights: Sequence[int], target: int) -> list[tuple[int, ...]]:
-    """Exponent vectors s over positive-weight variables with s.w == target."""
-    positive = [(a, w) for a, w in enumerate(weights) if w >= 1]
-    out: list[tuple[int, ...]] = []
-
-    def walk(prefix: dict[int, int], pos: int, total: int):
-        if total == target and pos == len(positive):
-            out.append(tuple(prefix.get(a, 0) for a in range(len(weights))))
-            return
-        if pos == len(positive) or total > target:
-            return
-        a, w = positive[pos]
-        smax = (target - total) // w
-        for s in range(smax + 1):
-            if s:
-                prefix[a] = s
-            walk(prefix, pos + 1, total + s * w)
-            prefix.pop(a, None)
-
-    walk({}, 0, 0)
-    return sorted(out)
-
-
-def _monomial_expr(Q: GraphSubbundle, s: tuple[int, ...]) -> Expr:
-    return ex.mul(*[ex.pow_(ex.var(v), e) for v, e in zip(Q.vars, s) if e], ONE)
-
-
 def _solve_as_lift(Q: GraphSubbundle, weights: Sequence[int], level: int,
                    target: JetPoly) -> Expr | None:
     """Express target as (sum c_s x^s)^(level) restricted to the graph."""
-    candidates = _monomials_of_weight(weights, level)
-    lifts = [substitute_graph(Q, jt.jet_lift(_monomial_expr(Q, s), level,
-                                             Q.order, Q.vars))
+    candidates = [s for s in exponents_below(weights, level + 1)
+                  if weighted_degree(s, weights) == level]
+    lifts = [substitute_graph(Q, jt.jet_lift(wp.monomial_expr(Q.vars, s),
+                                             level, Q.order, Q.vars))
              for s in candidates]
     monomials = sorted({m for p in lifts for m, _ in p.terms}
                        | {m for m, _ in target.terms})
@@ -291,7 +267,7 @@ def _solve_as_lift(Q: GraphSubbundle, weights: Sequence[int], level: int,
     solution = _solve_exact(rows, rhs)
     if solution is None:
         return None
-    return ex.add(*[ex.mul(ex.const(c), _monomial_expr(Q, s))
+    return ex.add(*[ex.mul(ex.const(c), wp.monomial_expr(Q.vars, s))
                     for s, c in zip(candidates, solution) if c != 0], ZERO)
 
 
@@ -322,7 +298,7 @@ def _lambda_invariance_witness(Q: GraphSubbundle) -> str | None:
     return None
 
 
-def check_weighting(Q: GraphSubbundle, max_passes: int | None = None) -> WeightingVerdict:
+def check_weighting(Q: GraphSubbundle) -> WeightingVerdict:
     """Decide whether the graph is the subbundle of a weighting."""
     # N1: flag validity
     try:
@@ -344,10 +320,7 @@ def check_weighting(Q: GraphSubbundle, max_passes: int | None = None) -> Weighti
     # N4: filtration consistency through coordinate corrections
     corrections: dict[int, Expr] = {a: ZERO for a in range(Q.n)}
     ordered = sorted(Q.constraints, key=lambda item: (item[0][1], item[0][0]))
-    if max_passes is None:
-        max_passes = Q.order + 2
-    solved = False
-    for _ in range(max_passes):
+    for _ in range(Q.order + 2):
         dirty = False
         for (a, j), _g in ordered:
             corrected = ex.add(ex.var(Q.vars[a]),
@@ -374,53 +347,12 @@ def check_weighting(Q: GraphSubbundle, max_passes: int | None = None) -> Weighti
                              "graph_dim": Q.dim})
             corrections[a] = ex.add(corrections[a], correction)
         if not dirty:
-            solved = True
             break
-    if not solved:
+    else:
         return WeightingVerdict(
             False, reason=UNDECIDED,
             witness="coordinate corrections did not stabilize")
-    # N5: the corrected frame spans the graph tangent at its declared levels
-    frame_fields = _corrected_frame(Q, corrections)
-    for a, field_a in enumerate(frame_fields):
-        if not k_membership(Q, field_a, weights[a]):
-            return WeightingVerdict(
-                False, reason=SPAN_FAIL,
-                witness=(f"corrected frame field for {Q.vars[a]} is not "
-                         f"tangent at level {weights[a]}"))
     return WeightingVerdict(True, weights=W)
-
-
-def _corrected_frame(Q: GraphSubbundle,
-                     corrections: dict[int, Expr]) -> list[PolyVectorField]:
-    """Coordinate frame of u_a = x_a - G_a pushed back to the chart."""
-    n = Q.n
-    names = Q.vars
-    # D[a][b] = d G_a / d x_b; the Jacobian of u is I - D, with D nilpotent
-    D = [[ex.differentiate(corrections[a], names[b]) for b in range(n)]
-         for a in range(n)]
-
-    def mat_mul(A, B):
-        return [[ex.add(*[ex.mul(A[i][k], B[k][j]) for k in range(n)], ZERO)
-                 for j in range(n)] for i in range(n)]
-
-    identity = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    inverse = identity
-    power = D
-    for _ in range(n):
-        if all(entry == ZERO for row in power for entry in row):
-            break
-        inverse = [[ex.add(inverse[i][j], power[i][j]) for j in range(n)]
-                   for i in range(n)]
-        power = mat_mul(power, D)
-    weights = _slot_weights(Q)
-    positive = [v for v, w in zip(names, weights) if w >= 1]
-    fields = []
-    for a in range(n):
-        # d/d[u_a] = sum_b (dx_b/du_a) d/d[x_b], the a-th column of (I - D)^{-1}
-        coeffs = [inverse[b][a] for b in range(n)]
-        fields.append(vf_from_exprs(names, coeffs, positive))
-    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +438,10 @@ def frame(W: WeightSequence, coeff_rows: Sequence[Sequence[Expr]]) -> Frame:
     """Build and validate a frame from per-field coefficient expressions."""
     fields = tuple(vf_for_weights(W, row) for row in coeff_rows)
     fr = Frame(W, fields)
-    matrix = [[restrict_to_base(c, W) for c in fr.field_exprs(a)] for a in range(W.n)]
     origin = {v: Fraction(0) for v in W.zero_vars}
-    numeric = [[ex.eval_exact(entry, origin) for entry in row] for row in matrix]
-    if _det(numeric) == 0:
+    at_origin = [[ex.const(ex.eval_exact(restrict_to_base(c, W), origin))
+                  for c in fr.field_exprs(a)] for a in range(W.n)]
+    if _det_expr(at_origin) == ZERO:
         raise ValueError("frame coefficient matrix is singular at the base point")
     k0 = W.count(0)
     for a in range(k0):
@@ -520,18 +452,6 @@ def frame(W: WeightSequence, coeff_rows: Sequence[Sequence[Expr]]) -> Frame:
                     raise ValueError(
                         "base-tangent frame fields do not commute on the base")
     return fr
-
-
-def _det(matrix) -> Fraction:
-    n = len(matrix)
-    if n == 1:
-        return Fraction(matrix[0][0])
-    out = Fraction(0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = Fraction(matrix[0][j]) * _det(minor)
-        out += term if j % 2 == 0 else -term
-    return out
 
 
 def _det_expr(matrix: list[list[Expr]]) -> Expr:
@@ -715,26 +635,10 @@ class AdaptedChange:
 
 def _normal_multi_indices(W: WeightSequence, below: int,
                           min_size: int) -> list[tuple[int, ...]]:
-    """Multi-indices supported on positive-weight variables with s.w < below."""
-    n = W.n
-    out = []
-
-    def walk(prefix: list[int], a: int, total: int, size: int):
-        if a == n:
-            if size >= min_size:
-                out.append(tuple(prefix))
-            return
-        w = W.weights[a]
-        if w == 0:
-            walk(prefix + [0], a + 1, total, size)
-            return
-        s = 0
-        while total + s * w < below:
-            walk(prefix + [s], a + 1, total + s * w, size + s)
-            s += 1
-
-    walk([], 0, 0, 0)
-    return sorted(out, key=lambda s: (sum(s), s))
+    """Multi-indices supported on positive-weight variables with s.w < below,
+    of size at least min_size, by size and then lexicographically."""
+    return sorted((s for s in exponents_below(W.weights, below)
+                   if sum(s) >= min_size), key=sum)
 
 
 def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
@@ -811,9 +715,7 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
             if a2 != a:
                 continue
             chart = ex.add(chart, ex.mul(coeff, y_monomial(u)))
-            in_y = ex.add(in_y, ex.mul(
-                coeff, ex.mul(*[ex.pow_(ex.var(y_names[b]), e)
-                                for b, e in enumerate(u) if e], ONE)))
+            in_y = ex.add(in_y, ex.mul(coeff, wp.monomial_expr(y_names, u)))
         x_in_chart.append(ex.simplify_canonical(chart))
         x_in_y.append(ex.simplify_canonical(in_y))
     return AdaptedChange(

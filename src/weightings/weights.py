@@ -118,6 +118,19 @@ def weighted_degree(exponents: Sequence[int], weights: Sequence[int]) -> int:
     return sum(s * w for s, w in zip(exponents, weights))
 
 
+def exponents_below(weights: Sequence[int],
+                    bound: int) -> list[tuple[int, ...]]:
+    """Every exponent tuple s with s.w < bound, in lexicographic order.
+
+    Positions of weight 0 carry exponent 0, so the list is finite.
+    """
+    rows = [((), 0)] if bound > 0 else []
+    for w in weights:
+        rows = [(s + (k,), total + k * w) for s, total in rows
+                for k in range((bound - 1 - total) // w + 1 if w else 1)]
+    return [s for s, _ in rows]
+
+
 def ideal_generators(W: WeightSequence, degree: int) -> set[tuple[int, ...]]:
     """Minimal monomial generators of the ideal of weighted degree >= degree.
 

@@ -294,3 +294,21 @@ def test_cli_loads_only_what_the_subcommand_runs():
                                     "fixtures/transition_sin_exp.prob"])
     assert code == 0 and "spaces" in loaded
     assert not loaded & {"jets", "subbundle"}
+
+
+def test_closed_stdout_ends_in_one_error_line():
+    # About 180 kB of generators, more than a pipe holds, so the child is
+    # still writing when the reader closes its end.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "weightings.cli", "gens",
+         "--weights", "x=1,y=1,z=1", "--degree", "150"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.read(50).startswith(b"z^150, y*z^149, ")
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=60) == 1
+    assert err == b"error: output closed by the reader\n"

@@ -11,7 +11,8 @@ from weightings import jets as jt
 from weightings import subbundle as sb
 from weightings import wpoly as wp
 from weightings.expr import ONE, ZERO, parse_expr, var
-from weightings.fields import vf_filtration_degree, vf_for_weights
+from weightings.fields import (coordinate_field, vf_filtration_degree,
+                               vf_for_weights)
 from weightings.jets import jet_point, jp_mul, jp_scale, jp_slot
 from weightings.subbundle import (FILTRATION_MISMATCH, FLAG_INVALID,
                                   LAMBDA_INVARIANCE, UNDECIDED,
@@ -235,6 +236,62 @@ def test_check_weighting_undecided_on_weight0_rhs():
     assert verdict.reason == UNDECIDED
 
 
+def _random_shear(rng):
+    """Weights W and shears G of coordinates u_a = x_a - G_a, triangular by
+    weight: each G_a is a polynomial of weighted degree at most w_a in
+    unsheared variables of smaller positive weight, so x_b = u_b in G_a."""
+    weights = sorted(rng.randint(0, 4) for _ in range(rng.randint(2, 4)))
+    W = weight_sequence([(f"x{a + 1}", w) for a, w in enumerate(weights)],
+                        max(1, weights[-1]) + rng.randint(0, 1))
+    shears = [ZERO] * W.n
+    for a, wa in enumerate(weights):
+        lower = [b for b in range(a)
+                 if 0 < weights[b] < wa and shears[b] == ZERO]
+        if not lower or rng.random() < 0.2:
+            continue
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            factors = [rng.choice(lower) for _ in range(rng.randint(1, 3))]
+            if sum(weights[b] for b in factors) <= wa:
+                terms.append(ex.mul(ex.const(rand_rational(rng, zero_ok=False)),
+                                    *[var(W.vars[b]) for b in factors]))
+        shears[a] = ex.add(*terms, ZERO)
+    return W, shears
+
+
+def _graph_of_shear(W, shears):
+    """The subbundle u_a^(j) = 0 (j < w_a), solved for the x-slots."""
+    standard = standard_q(W)
+    return graph_subbundle(W.vars, W.order, {
+        (a, j): substitute_graph(standard,
+                                 jt.jet_lift(shears[a], j, W.order, W.vars))
+        for a in range(W.n) for j in range(W.weights[a])})
+
+
+def test_generating_frame_of_a_shear_spans_its_graph():
+    # The spanning condition holds by the dimension count once the
+    # coordinate corrections are found: d/du_a, the generating frame, is
+    # tangent at level w_a to every accepted shear graph.
+    rng = random.Random(41)
+    sheared = plain_fails = 0
+    for _ in range(100):
+        W, shears = _random_shear(rng)
+        Q = _graph_of_shear(W, shears)
+        verdict = check_weighting(Q)
+        assert verdict.accepted and verdict.weights == W, (W, shears)
+        sheared += Q != standard_q(W)
+        for a, name in enumerate(W.vars):
+            # d/du_a = d_a + sum_c (dG_c/dx_a) d_c
+            coeffs = [ex.add(ONE if c == a else ZERO,
+                             ex.differentiate(shears[c], name))
+                      for c in range(W.n)]
+            assert k_membership(Q, vf_for_weights(W, coeffs), W.weights[a]), \
+                (W, shears, name)
+            plain_fails += not k_membership(Q, coordinate_field(W, name),
+                                            W.weights[a])
+    assert sheared >= 30 and plain_fails >= 30
+
+
 def test_quotient_to_normal():
     W = weight_sequence({"x1": 1, "x2": 2}, 2)
     Q = standard_q(W)
@@ -388,6 +445,17 @@ def test_frame_rejects_singular_matrix():
     W = weight_sequence({"x1": 1, "x2": 1}, 1)
     with pytest.raises(ValueError, match="singular"):
         frame(W, [[ONE, ONE], [ONE, ONE]])
+    # determinant x1^2 + x2^2: singular at the base point only
+    with pytest.raises(ValueError, match="singular"):
+        frame(W, [[var("x1"), var("x2")], [parse_expr("-x2"), var("x1")]])
+    # determinant 1 - x1*x2: singular away from the base point only
+    frame(W, [[ONE, var("x1")], [var("x2"), ONE]])
+    # a weight-0 variable a: the determinant a vanishes at the base point,
+    # 1 + a does not (it vanishes at a = -1 instead)
+    W0 = weight_sequence({"a": 0, "x": 1}, 1)
+    with pytest.raises(ValueError, match="singular"):
+        frame(W0, [[var("a"), ZERO], [ZERO, ONE]])
+    frame(W0, [[parse_expr("1 + a"), ZERO], [ZERO, ONE]])
 
 
 def test_adapted_coordinates_with_base_coordinates():

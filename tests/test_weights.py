@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,7 +7,8 @@ import pytest
 from weightings import expr as ex
 from weightings import wpoly as wp
 from weightings.expr import parse_expr
-from weightings.weights import (MultiWeight, ideal_generators, multi_degree,
+from weightings.weights import (MultiWeight, exponents_below,
+                                ideal_generators, multi_degree,
                                 multi_filtration_degree, parse_multiweight,
                                 parse_weight_assignments, total_weighting,
                                 weight_sequence, weighted_degree)
@@ -110,6 +112,18 @@ def test_ideal_generators_cover_and_antichain():
             if weighted_degree(s, w) >= degree:
                 assert any(all(g <= v for g, v in zip(gen, s))
                            for gen in gens)
+
+
+@pytest.mark.parametrize("weights", [
+    (), (0,), (2,), (1, 1, 1), (0, 1, 0, 2), (3, 1, 2), (2, 0, 2, 1), (0, 0)])
+@pytest.mark.parametrize("bound", [-2, 0, 1, 2, 5, 7])
+def test_exponents_below_matches_brute_force(weights, bound):
+    got = exponents_below(weights, bound)
+    ranges = [range(bound) if w else range(1) for w in weights]
+    expected = [s for s in itertools.product(*ranges)
+                if weighted_degree(s, weights) < bound]
+    assert got == expected  # the same set, in lexicographic order
+    assert exponents_below(list(weights), bound) == got
 
 
 def test_weighted_taylor_examples():
