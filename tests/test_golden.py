@@ -67,6 +67,13 @@ _BASE = (
     ("nilpotent",) + _ZERO_REPEATED,
     ("adapt",) + _ZERO_REPEATED,
     ("check-q",) + _ZERO_REPEATED,
+    # powers of sums with a weight-0 part, and a head over a designated variable
+    ("happrox",) + _TRANSITION + ("--expr", "(1+x+y)^3 + (1+x+y)^-2",
+                                  "--degree", "2"),
+    ("wdeg",) + _TRANSITION + ("--expr", "exp(x)*(x+y)^3"),
+    ("wdeg",) + _TRANSITION + ("--expr", "exp(sin(y))"),
+    ("def-interp",) + _TRANSITION + ("--expr", "(1+x)*y^2*z + cos(x)*y^3",
+                                     "--degree", "3"),
     # domain and usage errors
     ("adapt",) + _INTRO,
     ("check-q",) + _INTRO,
