@@ -123,24 +123,29 @@ class DeformationFunction:
         return ex.to_text(self.expression)
 
 
+def _interpolate(p: wp.WeightedPoly, shift: int, W: WeightSequence,
+                 tname: str) -> Expr:
+    """sum of t^(s.w - shift)*c(y)*y^s over the terms c*x^s of p, renamed to y."""
+    rename = _rename_map(W, deformation_names(W))
+    w = list(W.positive_weights)
+    t = ex.var(tname)
+    terms = []
+    for s, c in p.terms:
+        sw = weighted_degree(s, w)
+        if sw < shift:
+            raise ValueError(
+                f"function has a term of weighted degree {sw} below {shift}")
+        mono = ex.substitute(wp.monomial_expr(p.pvars, s), rename)
+        terms.append(ex.mul(ex.pow_(t, sw - shift),
+                            ex.substitute(c, rename), mono))
+    return ex.add(*terms, ZERO)
+
+
 def def_interpolant(f: Expr, degree: int, W: WeightSequence,
                     tname: str = "t") -> DeformationFunction:
     """The interpolant between f (t = 1) and its degree-`degree` part (t = 0)."""
     p = wp.poly_normal_form(ex.as_expr(f), W.positive_vars)
-    names = deformation_names(W)
-    rename = _rename_map(W, names)
-    w = list(W.positive_weights)
-    terms = []
-    t = ex.var(tname)
-    for s, c in p.terms:
-        sw = weighted_degree(s, w)
-        if sw < degree:
-            raise ValueError(
-                f"function has a term of weighted degree {sw} below {degree}")
-        mono = ex.substitute(wp.monomial_expr(p.pvars, s), rename)
-        terms.append(ex.mul(ex.pow_(t, sw - degree),
-                            ex.substitute(c, rename), mono))
-    return DeformationFunction(W, degree, ex.add(*terms, ZERO))
+    return DeformationFunction(W, degree, _interpolate(p, degree, W, tname))
 
 
 @dataclass(frozen=True)
@@ -180,21 +185,8 @@ def def_vf_interpolant(X: PolyVectorField, degree: int, W: WeightSequence,
     if vf_filtration_degree(X, W) < degree:
         raise ValueError(f"vector field has filtration degree below {degree}")
     names = deformation_names(W)
-    rename = _rename_map(W, names)
-    w = list(W.positive_weights)
-    t = ex.var(tname)
-    comps: dict[str, Expr] = {}
-    for a, coeff in enumerate(X.coeffs):
-        if coeff.is_zero:
-            continue
-        shift = degree + W.weights[a]
-        pieces = []
-        for s, c in coeff.terms:
-            sw = weighted_degree(s, w)
-            mono = ex.substitute(wp.monomial_expr(coeff.pvars, s), rename)
-            pieces.append(ex.mul(ex.pow_(t, sw - shift),
-                                 ex.substitute(c, rename), mono))
-        comps[names[a]] = ex.add(*pieces, ZERO)
+    comps = {names[a]: _interpolate(coeff, degree + W.weights[a], W, tname)
+             for a, coeff in enumerate(X.coeffs)}
     return _def_field(W, degree, comps)
 
 

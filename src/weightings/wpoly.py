@@ -8,6 +8,15 @@ coefficients, so equal polynomials compare equal bit for bit.
 
 The weighted degree of a term is s.w for the weights supplied by the calling
 operation; the polynomial itself only knows its variable split.
+
+All arithmetic runs on one private kernel of term maps (exponent tuple ->
+coefficient): an in-place sum, a product that drops the terms above an
+optional weighted-degree bound, and one expression walk, `_expand`; each
+operation drops zero coefficients once, at its end.  With no bound the walk
+is exact (`poly_normal_form`) and rejects what has no finite expansion: a
+function of a designated variable, a negative power of a non-constant.  With
+a bound it is the weighted Taylor expansion up to that degree
+(`weighted_taylor`), and each power series stops once its powers are empty.
 """
 
 from __future__ import annotations
@@ -75,20 +84,14 @@ def wp_add(*polys: WeightedPoly) -> WeightedPoly:
     for p in polys:
         if p.pvars != pvars:
             raise ValueError("mismatched variable splits")
-        for s, c in p.terms:
-            acc[s] = ex.add(acc.get(s, ZERO), c)
+        _add_into(acc, p.terms)
     return wpoly(pvars, acc)
 
 
 def wp_mul(a: WeightedPoly, b: WeightedPoly) -> WeightedPoly:
     if a.pvars != b.pvars:
         raise ValueError("mismatched variable splits")
-    acc: dict[tuple[int, ...], Expr] = {}
-    for s, c in a.terms:
-        for u, d in b.terms:
-            key = tuple(x + y for x, y in zip(s, u))
-            acc[key] = ex.add(acc.get(key, ZERO), ex.mul(c, d))
-    return wpoly(a.pvars, acc)
+    return wpoly(a.pvars, _product(a.terms, b.terms))
 
 
 def wp_scale(p: WeightedPoly, factor) -> WeightedPoly:
@@ -121,59 +124,7 @@ def poly_normal_form(e: Expr, positive_vars: Sequence[str]) -> WeightedPoly:
     variables are absorbed into the coefficients.
     """
     pvars = tuple(positive_vars)
-    pset = set(pvars)
-
-    def rec(e: Expr) -> dict[tuple[int, ...], Expr]:
-        if isinstance(e, ex.Const):
-            return {(0,) * len(pvars): e}
-        if isinstance(e, ex.Var):
-            if e.name in pset:
-                s = [0] * len(pvars)
-                s[pvars.index(e.name)] = 1
-                return {tuple(s): ONE}
-            return {(0,) * len(pvars): e}
-        if isinstance(e, ex.Sum):
-            acc: dict[tuple[int, ...], Expr] = {}
-            for t in e.terms:
-                for s, c in rec(t).items():
-                    acc[s] = ex.add(acc.get(s, ZERO), c)
-            return acc
-        if isinstance(e, ex.Prod):
-            acc = {(0,) * len(pvars): ONE}
-            for f in e.factors:
-                fmap = rec(f)
-                nxt: dict[tuple[int, ...], Expr] = {}
-                for s, c in acc.items():
-                    for u, d in fmap.items():
-                        key = tuple(x + y for x, y in zip(s, u))
-                        nxt[key] = ex.add(nxt.get(key, ZERO), ex.mul(c, d))
-                acc = nxt
-            return acc
-        if isinstance(e, ex.Pow):
-            base = rec(e.base)
-            involves = any(any(s) for s in base)
-            if e.exponent < 0:
-                if involves:
-                    raise ValueError(
-                        f"not polynomial in designated variables: {ex.to_text(e)}")
-                return {(0,) * len(pvars): e}
-            acc = {(0,) * len(pvars): ONE}
-            for _ in range(e.exponent):
-                nxt = {}
-                for s, c in acc.items():
-                    for u, d in base.items():
-                        key = tuple(x + y for x, y in zip(s, u))
-                        nxt[key] = ex.add(nxt.get(key, ZERO), ex.mul(c, d))
-                acc = nxt
-            return acc
-        if isinstance(e, ex.App):
-            if ex.variables(e.arg) & pset:
-                raise ValueError(
-                    f"not polynomial in designated variables: {ex.to_text(e)}")
-            return {(0,) * len(pvars): e}
-        raise TypeError(f"unknown expression node {e!r}")
-
-    return wpoly(pvars, rec(ex.simplify_canonical(e)))
+    return wpoly(pvars, _expand(ex.simplify_canonical(e), pvars, None, None))
 
 
 def filtration_degree(p: WeightedPoly, W: WeightSequence):
@@ -261,95 +212,105 @@ def weighted_taylor(e: Expr, W: WeightSequence, up_to: int) -> WeightedPoly:
     if up_to < 0:
         raise ValueError("truncation degree must be nonnegative")
     pvars = W.positive_vars
-    w = list(W.positive_weights)
-    zero_exp = (0,) * len(pvars)
+    return wpoly(pvars, _expand(ex.simplify_canonical(e), pvars,
+                                W.positive_weights, up_to))
 
-    def truncate(m: dict) -> dict:
-        return {s: c for s, c in m.items()
-                if weighted_degree(s, w) <= up_to}
 
-    def madd(a: dict, b: dict) -> dict:
-        out = dict(a)
-        for s, c in b.items():
-            out[s] = ex.add(out.get(s, ZERO), c)
-        return {s: c for s, c in out.items() if c != ZERO}
+# ---------------------------------------------------------------------------
+# the term-map kernel: exponent tuple -> coefficient
 
-    def mmul(a: dict, b: dict) -> dict:
-        out: dict = {}
-        for s, c in a.items():
-            for u, d in b.items():
-                key = tuple(x + y for x, y in zip(s, u))
-                if weighted_degree(key, w) > up_to:
-                    continue
-                out[key] = ex.add(out.get(key, ZERO), ex.mul(c, d))
-        return {s: c for s, c in out.items() if c != ZERO}
+def _add_into(acc: dict, terms) -> None:
+    """Add (exponent, coefficient) pairs into acc, in place."""
+    for s, c in terms:
+        acc[s] = ex.add(acc.get(s, ZERO), c)
 
-    def mpow_series(base: dict, exponent: int) -> dict:
-        a0 = base.get(zero_exp, ZERO)
-        h = {s: c for s, c in base.items() if s != zero_exp}
-        if exponent >= 0 and not h:
-            return {zero_exp: ex.pow_(a0, exponent)} if a0 != ZERO or exponent == 0 else {}
-        if exponent >= 0:
-            out = {zero_exp: ONE}
-            for _ in range(exponent):
-                out = mmul(out, base)
-            return out
+
+def _nonzero(acc: dict) -> dict:
+    return {s: c for s, c in acc.items() if c != ZERO}
+
+
+def _product(a, b, w=None, bound=None) -> dict:
+    """Product of two pair sequences without terms of weighted degree > bound."""
+    acc: dict = {}
+    for s, c in a:
+        for u, d in b:
+            key = tuple(x + y for x, y in zip(s, u))
+            if bound is not None and weighted_degree(key, w) > bound:
+                continue
+            acc[key] = ex.add(acc.get(key, ZERO), ex.mul(c, d))
+    return _nonzero(acc)
+
+
+def _series(coeff_of, h: dict, zero: tuple, w, bound) -> dict:
+    """sum_j coeff_of(j) * h^j for h without constant term, until h^j is
+    empty: past the bound, or at j = 1 when h is empty."""
+    acc: dict = {}
+    hj = {zero: ONE}
+    j = 0
+    while hj:
+        coeff = coeff_of(j)
+        if coeff != ZERO:
+            _add_into(acc, ((s, ex.mul(coeff, c)) for s, c in hj.items()))
+        hj = _product(hj.items(), h.items(), w, bound)
+        j += 1
+    return _nonzero(acc)
+
+
+def _expand(e: Expr, pvars: tuple[str, ...], w, bound) -> dict:
+    """Term map of e in pvars up to weighted degree bound (weights w);
+    exact when bound is None."""
+    zero = (0,) * len(pvars)
+    if isinstance(e, ex.Const):
+        return {zero: e} if e != ZERO else {}
+    if isinstance(e, ex.Var):
+        if e.name not in pvars:
+            return {zero: e}
+        a = pvars.index(e.name)
+        if bound is not None and w[a] > bound:
+            return {}
+        return {zero[:a] + (1,) + zero[a + 1:]: ONE}
+    if isinstance(e, ex.Sum):
+        acc: dict = {}
+        for t in e.terms:
+            _add_into(acc, _expand(t, pvars, w, bound).items())
+        return _nonzero(acc)
+    if isinstance(e, ex.Prod):
+        acc = {zero: ONE}
+        for f in e.factors:
+            acc = _product(acc.items(), _expand(f, pvars, w, bound).items(),
+                           w, bound)
+        return acc
+    if isinstance(e, ex.Pow):
+        base = _expand(e.base, pvars, w, bound)
+        k = e.exponent
+        if k > 0:
+            acc = {zero: ONE}
+            for _ in range(k):
+                acc = _product(acc.items(), base.items(), w, bound)
+                if not acc:
+                    break
+            return acc
+        a0 = base.pop(zero, ZERO)
+        if bound is None and (base or a0 == ZERO):
+            raise ValueError(
+                f"not polynomial in designated variables: {ex.to_text(e)}")
         if a0 == ZERO:
             raise ValueError("negative power with vanishing constant term is "
                              "not analytic in the positive-weight variables")
-        out: dict = {}
-        hj = {zero_exp: ONE}
-        for j in range(up_to + 1):
-            coeff = ex.mul(ex.const(_binom(exponent, j)),
-                           ex.pow_(a0, exponent - j))
-            out = madd(out, {s: ex.mul(coeff, c) for s, c in hj.items()})
-            hj = mmul(hj, h)
-            if not hj:
-                break
-        return out
-
-    def mapp(fn: str, arg_map: dict) -> dict:
-        a0 = arg_map.get(zero_exp, ZERO)
-        h = {s: c for s, c in arg_map.items() if s != zero_exp}
-        out: dict = {}
-        hj = {zero_exp: ONE}
-        for j in range(up_to + 1):
-            coeff = _maclaurin_coeff(fn, a0, j)
-            if coeff != ZERO:
-                out = madd(out, {s: ex.mul(coeff, c) for s, c in hj.items()})
-            hj = mmul(hj, h)
-            if not hj:
-                break
-        return out
-
-    def rec(e: Expr) -> dict:
-        if isinstance(e, ex.Const):
-            return {zero_exp: e} if e != ZERO else {}
-        if isinstance(e, ex.Var):
-            if e.name in pvars:
-                if W.weight_of(e.name) > up_to:
-                    return {}
-                s = [0] * len(pvars)
-                s[pvars.index(e.name)] = 1
-                return {tuple(s): ONE}
-            return {zero_exp: e}
-        if isinstance(e, ex.Sum):
-            out: dict = {}
-            for t in e.terms:
-                out = madd(out, rec(t))
-            return out
-        if isinstance(e, ex.Prod):
-            out = {zero_exp: ONE}
-            for f in e.factors:
-                out = mmul(out, rec(f))
-            return out
-        if isinstance(e, ex.Pow):
-            return mpow_series(rec(e.base), e.exponent)
-        if isinstance(e, ex.App):
-            return mapp(e.fn, rec(e.arg))
-        raise TypeError(f"unknown expression node {e!r}")
-
-    return wpoly(pvars, truncate(rec(ex.simplify_canonical(e))))
+        return _series(lambda j: ex.mul(ex.const(_binom(k, j)),
+                                        ex.pow_(a0, k - j)),
+                       base, zero, w, bound)
+    if isinstance(e, ex.App):
+        if bound is None:  # no series: the head must be constant in pvars
+            if ex.variables(e.arg) & set(pvars):
+                raise ValueError(
+                    f"not polynomial in designated variables: {ex.to_text(e)}")
+            return {zero: e}
+        h = _expand(e.arg, pvars, w, bound)
+        a0 = h.pop(zero, ZERO)
+        return _series(lambda j: _maclaurin_coeff(e.fn, a0, j),
+                       h, zero, w, bound)
+    raise TypeError(f"unknown expression node {e!r}")
 
 
 def wpoly_text(p: WeightedPoly, W: WeightSequence | None = None) -> str:

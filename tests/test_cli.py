@@ -312,3 +312,17 @@ def test_closed_stdout_ends_in_one_error_line():
     err = child.stderr.read()
     assert child.wait(timeout=60) == 1
     assert err == b"error: output closed by the reader\n"
+
+
+def test_huge_power_of_a_truncated_variable_stops_early():
+    # y^e above the requested degree vanishes after a few products; the
+    # power loop must not run all e of them
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", "weightings.cli", "happrox", "--weights", "y=1",
+         "--degree", "2", "--expr", "y^1000000000"],
+        capture_output=True, env=env, timeout=10)
+    assert (result.returncode, result.stdout, result.stderr) == (0, b"0\n", b"")

@@ -13,7 +13,7 @@ from weightings.weights import (MultiWeight, exponents_below,
                                 parse_weight_assignments, total_weighting,
                                 weight_sequence, weighted_degree)
 
-from conftest import rand_weight_sequence, rand_wpoly
+from conftest import rand_rational, rand_weight_sequence, rand_wpoly
 
 
 def test_weight_sequence_counts():
@@ -137,14 +137,78 @@ def test_weighted_taylor_examples():
     assert wp.to_expr(t2) == parse_expr("1 + y + 1/2*y^2")
 
 
+def _top_degree(p, W):
+    return max((weighted_degree(s, W.positive_weights) for s, _ in p.terms),
+               default=0)
+
+
 def test_weighted_taylor_agrees_with_normal_form():
+    # at the top degree nothing is truncated, and below it exactly the terms
+    # above the degree are
     rng = random.Random(31)
     for _ in range(30):
         W = rand_weight_sequence(rng)
         p = rand_wpoly(rng, W, coeff_vars=False)
+        assert wp.weighted_taylor(wp.to_expr(p), W, _top_degree(p, W)) == p
+    # weight-0 variables in the coefficients, and powers of sums with a
+    # weight-0 part
+    rng = random.Random(43)
+    for _ in range(60):
+        W = rand_weight_sequence(rng, min_weight=0)
+        p = rand_wpoly(rng, W, max_degree=3, max_terms=3)
         e = wp.to_expr(p)
-        degree = max(weighted_degree(s, W.positive_weights) for s, _ in p.terms)
-        assert wp.weighted_taylor(e, W, degree) == p
+        if rng.random() < 0.7:
+            zero_part = ex.add(ex.const(rand_rational(rng, zero_ok=False)),
+                               *[ex.var(v) for v in W.zero_vars])
+            e = ex.pow_(ex.add(e, zero_part), rng.choice([2, 3]))
+        expected = wp.poly_normal_form(e, W.positive_vars)
+        top = _top_degree(expected, W)
+        assert wp.weighted_taylor(e, W, top) == expected
+        for d in range(top):
+            low = {s: c for s, c in expected.terms
+                   if weighted_degree(s, W.positive_weights) <= d}
+            assert wp.weighted_taylor(e, W, d) == wp.wpoly(W.positive_vars, low)
+
+
+def _sympy_oracle_tree(rng, pvars, zvars, depth):
+    """Random tree, polynomial in pvars, with weight-0 heads and inverses.
+
+    Called with depth 3, the root is a sum, product or power."""
+    if depth == 0 or (depth < 3 and rng.random() < 0.3):
+        r = rng.random()
+        if r < 0.3:
+            return ex.const(rand_rational(rng))
+        if r < 0.8 or not zvars:
+            return ex.var(rng.choice(pvars + zvars))
+        x = ex.var(rng.choice(zvars))
+        if r < 0.9:
+            return ex.app(rng.choice(["sin", "cos", "exp"]), x)
+        return ex.pow_(ex.add(ex.ONE, x), -1)
+    kids = [_sympy_oracle_tree(rng, pvars, zvars, depth - 1)
+            for _ in range(rng.randint(2, 3))]
+    kind = rng.randrange(3)
+    if kind == 0:
+        return ex.add(*kids)
+    if kind == 1:
+        return ex.mul(*kids)
+    return ex.pow_(kids[0], rng.randint(2, 3))
+
+
+def test_poly_normal_form_matches_sympy_expansion():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(47)
+    pvars, zvars = ["y", "z"], ["x"]
+    gens = sympy.symbols(pvars)
+    for _ in range(60):
+        e = _sympy_oracle_tree(rng, pvars, zvars, 3)
+        p = wp.poly_normal_form(e, pvars)
+        ours = {s: sympy.sympify(ex.to_text(c).replace("^", "**"))
+                for s, c in p.terms}
+        theirs = sympy.Poly(sympy.expand(
+            sympy.sympify(ex.to_text(e).replace("^", "**"))), *gens).as_dict()
+        for s in set(ours) | set(theirs):
+            difference = ours.get(s, 0) - theirs.get(s, 0)
+            assert sympy.cancel(difference) == 0, (ex.to_text(e), s)
 
 
 def test_weighted_taylor_numeric_remainder():
@@ -170,10 +234,26 @@ def test_weighted_taylor_rejects_non_analytic():
 
 
 def test_poly_normal_form_errors():
-    with pytest.raises(ValueError, match="not polynomial"):
-        wp.poly_normal_form(parse_expr("sin(y)"), ("y",))
-    with pytest.raises(ValueError, match="not polynomial"):
-        wp.poly_normal_form(parse_expr("y^-2"), ("y",))
+    cases = {
+        "sin(y)": "sin(y)",
+        "y^-2": "y^-2",
+        # the outer head is named, before its argument is expanded
+        "exp(sin(y))": "exp(sin(y))",
+        # the base is expanded first, so its head is named
+        "(sin(y)+1)^-1": "sin(y)",
+    }
+    for text, named in cases.items():
+        with pytest.raises(ValueError) as info:
+            wp.poly_normal_form(parse_expr(text), ("y",))
+        assert str(info.value) == f"not polynomial in designated variables: {named}"
+
+
+def test_poly_normal_form_cancelled_base():
+    # the base expands to the constant 1: its y-terms cancel exactly
+    e = parse_expr("((y+1)^2 - y^2 - 2*y)^-1")
+    assert wp.poly_normal_form(e, ("y",)) == wp.wp_const(("y",), 1)
+    assert wp.weighted_taylor(e, weight_sequence({"y": 1}, 2), 2) == \
+        wp.wp_const(("y",), 1)
 
 
 def test_poly_normal_form_round_trip():
