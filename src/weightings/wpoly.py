@@ -190,15 +190,13 @@ _SIN_CYCLE = ("sin", "cos", "-sin", "-cos")
 
 def _maclaurin_coeff(fn: str, at: Expr, j: int) -> Expr:
     """j-th Taylor coefficient of fn about the point `at` (an expression)."""
-    factorial = Fraction(1)
-    for i in range(2, j + 1):
-        factorial *= i
+    factorial = math.factorial(j)
     if fn == "exp":
-        return ex.mul(ex.const(Fraction(1) / factorial), ex.app("exp", at))
+        return ex.mul(ex.const(Fraction(1, factorial)), ex.app("exp", at))
     shift = 0 if fn == "sin" else 1
     head = _SIN_CYCLE[(j + shift) % 4]
     sign = -1 if head.startswith("-") else 1
-    return ex.mul(ex.const(Fraction(sign) / factorial), ex.app(head.lstrip("-"), at))
+    return ex.mul(ex.const(Fraction(sign, factorial)), ex.app(head.lstrip("-"), at))
 
 
 def weighted_taylor(e: Expr, W: WeightSequence, up_to: int) -> WeightedPoly:
@@ -284,6 +282,8 @@ def _expand(e: Expr, pvars: tuple[str, ...], w, bound) -> dict:
         base = _expand(e.base, pvars, w, bound)
         k = e.exponent
         if k > 0:
+            if base.keys() <= {zero}:  # mul merges equal bases: same text
+                return {zero: ex.pow_(base[zero], k)} if base else {}
             acc = {zero: ONE}
             for _ in range(k):
                 acc = _product(acc.items(), base.items(), w, bound)

@@ -259,6 +259,15 @@ def test_key_error_message_has_no_stray_quotes(capsys):
     assert (code, out, err) == (1, "", "error: unknown variable 'q'\n")
 
 
+def _child_env():
+    """This environment with the checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 _LOADED_BY_MAIN = """\
 import contextlib, io, json, sys
 from weightings import cli
@@ -272,12 +281,8 @@ print(json.dumps([code, sorted(m for m in sys.modules
 
 def _loaded_by_main(argv):
     """(exit code, weightings.* modules loaded) of main(argv) in a child."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     result = subprocess.run([sys.executable, "-c", _LOADED_BY_MAIN, *argv],
-                            capture_output=True, text=True, env=env,
+                            capture_output=True, text=True, env=_child_env(),
                             cwd=FIXTURES.parent, timeout=60, check=True)
     code, modules = json.loads(result.stdout)
     return code, {m.removeprefix("weightings.") for m in modules} - {"cli"}
@@ -299,14 +304,10 @@ def test_cli_loads_only_what_the_subcommand_runs():
 def test_closed_stdout_ends_in_one_error_line():
     # About 180 kB of generators, more than a pipe holds, so the child is
     # still writing when the reader closes its end.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     child = subprocess.Popen(
         [sys.executable, "-m", "weightings.cli", "gens",
          "--weights", "x=1,y=1,z=1", "--degree", "150"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
     assert child.stdout.read(50).startswith(b"z^150, y*z^149, ")
     child.stdout.close()
     err = child.stderr.read()
@@ -314,15 +315,15 @@ def test_closed_stdout_ends_in_one_error_line():
     assert err == b"error: output closed by the reader\n"
 
 
-def test_huge_power_of_a_truncated_variable_stops_early():
-    # y^e above the requested degree vanishes after a few products; the
-    # power loop must not run all e of them
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+@pytest.mark.parametrize("argv, printed", [
+    # y^e above the requested degree vanishes after a few products
+    (["--weights", "y=1", "--degree", "2", "--expr", "y^1000000000"], b"0\n"),
+    # x has weight 0: the base is constant in the designated variables
+    (["--file", str(FIXTURES / "transition_sin_exp.prob"), "--degree", "0",
+      "--expr", "x^1000000000"], b"x^1000000000\n"),
+], ids=["truncated", "weight-0-base"])
+def test_huge_power_does_not_run_all_products(argv, printed):
     result = subprocess.run(
-        [sys.executable, "-m", "weightings.cli", "happrox", "--weights", "y=1",
-         "--degree", "2", "--expr", "y^1000000000"],
-        capture_output=True, env=env, timeout=10)
-    assert (result.returncode, result.stdout, result.stderr) == (0, b"0\n", b"")
+        [sys.executable, "-m", "weightings.cli", "happrox", *argv],
+        capture_output=True, env=_child_env(), timeout=10)
+    assert (result.returncode, result.stdout, result.stderr) == (0, printed, b"")
