@@ -12,13 +12,22 @@ their coefficients.  Only polynomial data with rational coefficients is
 accepted here, which keeps every identity bit-exact.
 
 Slot polynomials are computed by one private integer-first kernel.  A
-polynomial, or a truncated series of them, is held as dicts Monomial -> int
-over one shared denominator: sums rescale by the lcm of the denominators,
-products multiply them and accumulate in place, and powers square and
-multiply.  A result is sealed into a JetPoly once, one Fraction per term, so
-the inner loops do plain int arithmetic (lifts of integer polynomials stay
-integral) and Fraction's gcd normalisation is paid per output term only.
-A JetPoly keeps its terms sorted by monomial, every coefficient a non-zero
+polynomial, or a truncated series of them, is held as dicts from packed
+monomials to int numerators over one shared denominator.  A packed monomial
+is one int in which each slot label of the operation owns a bit field
+holding its exponent.  Before any work starts, the operation bounds every
+exponent it can produce from its inputs (the total degree of the lifted
+expression, e times the largest exponent for an e-th power, the sum of the
+largest exponents for a product, ...); the field width is the bit length of
+that bound, so no field ever carries into the next.  A monomial product is
+then one int addition, and a partial derivative lowers one field by a
+subtraction.  Sums rescale by the lcm of the denominators, products
+multiply them and accumulate in place, and powers square and multiply.  A
+result is sealed into a JetPoly once: each key is unpacked into a monomial
+and each numerator becomes one Fraction, so the inner loops do plain int
+arithmetic (lifts of integer polynomials stay integral) and Fraction's gcd
+normalisation is paid per output term only.  A JetPoly keeps its terms
+sorted by monomial, each exponent positive and each coefficient a non-zero
 Fraction, so equal polynomials compare equal.
 """
 
@@ -29,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from . import expr as ex
@@ -37,9 +47,9 @@ from .fields import PolyVectorField
 
 Label = tuple[int, int]
 Monomial = tuple[tuple[Label, int], ...]
-# A raw series: one dict Monomial -> int numerator per eps level, over one
-# shared positive denominator.  A raw polynomial is a one-level series.
-Raw = tuple[list[dict[Monomial, int]], int]
+# A raw series: one dict packed monomial -> int numerator per eps level, over
+# one shared positive denominator.  A raw polynomial is a one-level series.
+Raw = tuple[list[dict[int, int]], int]
 
 
 @dataclass(frozen=True)
@@ -100,39 +110,65 @@ def jp_slot(a: int, j: int) -> JetPoly:
 
 
 def jp_add(*polys: JetPoly) -> JetPoly:
-    (total,), den = _series_sum([_raw(p) for p in polys], 0)
-    return _seal(total, den)
+    # a sum multiplies no monomials, so it keeps the tuple keys
+    den = lcm(*(c.denominator for p in polys for _, c in p.terms))
+    acc: dict[Monomial, int] = {}
+    for p in polys:
+        for m, c in p.terms:
+            acc[m] = acc.get(m, 0) + c.numerator * (den // c.denominator)
+    return jetpoly({m: Fraction(v, den) for m, v in acc.items() if v})
 
 
 def jp_mul(a: JetPoly, b: JetPoly) -> JetPoly:
-    (product,), den = _series_mul(_raw(a), _raw(b), 0)
-    return _seal(product, den)
+    fields = _Fields(_labels(a, b), _max_exponent(a) + _max_exponent(b))
+    (product,), den = _series_mul(fields.raw(a), fields.raw(b), 0)
+    return fields.seal(product, den)
 
 
 def jp_scale(p: JetPoly, c) -> JetPoly:
     c = Fraction(c)
-    (nums,), den = _raw(p)
-    return _seal({m: v * c.numerator for m, v in nums.items()},
-                 den * c.denominator)
+    return jetpoly({m: v * c for m, v in p.terms})
 
 
 def jp_pow(p: JetPoly, exponent: int) -> JetPoly:
-    (power,), den = _series_pow(_raw(p), exponent, 0)
-    return _seal(power, den)
+    fields = _Fields(jp_labels(p), exponent * _max_exponent(p))
+    (power,), den = _series_pow(fields.raw(p), exponent, 0)
+    return fields.seal(power, den)
 
 
 def jp_substitute(p: JetPoly, mapping: Mapping[Label, JetPoly]) -> JetPoly:
-    (nums,), den = _raw(p)
-    pieces = []
-    for m, c in nums.items():
-        piece = [{(): c}], den
+    # a term through a slot mapped to zero vanishes; the rest bound the fields
+    terms, labels, top, bound = [], set(), {}, 0
+    for m, c in p.terms:
+        degree = 0
         for label, e in m:
-            factor = (_series_pow(_raw(mapping[label]), e, 0) if label in mapping
-                      else ([{((label, e),): 1}], 1))
+            g = mapping.get(label)
+            if g is None:
+                labels.add(label)
+                degree += e
+            elif not g.terms:
+                break
+            else:
+                if label not in top:
+                    top[label] = _max_exponent(g)
+                    labels.update(jp_labels(g))
+                degree += e * top[label]
+        else:
+            terms.append((m, c))
+            bound = max(bound, degree)
+    fields = _Fields(labels, bound)
+    offsets = fields.offsets
+    values = {label: fields.raw(mapping[label]) for label in top}
+    pieces = []
+    for m, c in terms:
+        piece = [{0: c.numerator}], c.denominator
+        for label, e in m:
+            factor = (_series_pow(values[label], e, 0) if label in values
+                      else ([{e << offsets[label]: 1}], 1))
             piece = _series_mul(piece, factor, 0)
         pieces.append(piece)
-    (total,), total_den = _series_sum(pieces, 0)
-    return _seal(total, total_den)
+    (total,), den = _series_sum(pieces, 0)
+    return fields.seal(total, den)
 
 
 def jp_evaluate(p: JetPoly, values: Mapping[Label, Fraction]) -> Fraction:
@@ -188,24 +224,54 @@ def jp_text(p: JetPoly, names: Sequence[str] | None = None) -> str:
 # ---------------------------------------------------------------------------
 # the integer-first kernel
 
-def _raw(*polys: JetPoly) -> Raw:
-    """The polynomials as the levels of one raw series."""
-    den = lcm(*(c.denominator for p in polys for _, c in p.terms))
-    return [{m: c.numerator * (den // c.denominator) for m, c in p.terms}
-            for p in polys], den
+def _labels(*polys: JetPoly) -> set[Label]:
+    return {label for p in polys for m, _ in p.terms for label, _ in m}
 
 
-def _seal(nums: dict[Monomial, int], den: int) -> JetPoly:
-    return jetpoly({m: Fraction(c, den) for m, c in nums.items() if c})
+def _max_exponent(*polys: JetPoly) -> int:
+    return max((e for p in polys for m, _ in p.terms for _, e in m), default=0)
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1 or not m2:
-        return m1 or m2
-    acc = dict(m1)
-    for label, e in m2:
-        acc[label] = acc.get(label, 0) + e
-    return tuple(sorted(acc.items()))
+class _Fields:
+    """The packing of one operation: the k-th smallest label owns the bits
+    k*width to (k+1)*width - 1 of a key, and no exponent exceeds the bound
+    the width is made for, so adding keys never carries across fields."""
+
+    __slots__ = ("labels", "width", "mask", "offsets")
+
+    def __init__(self, labels, bound: int):
+        self.labels = sorted(labels)
+        self.width = w = max(bound, 1).bit_length()
+        self.mask = (1 << w) - 1
+        self.offsets = {label: k * w for k, label in enumerate(self.labels)}
+
+    def raw(self, *polys: JetPoly) -> Raw:
+        """The polynomials as the levels of one raw series."""
+        off = self.offsets
+        den = lcm(*(c.denominator for p in polys for _, c in p.terms))
+        return [{sum(e << off[label] for label, e in m):
+                 c.numerator * (den // c.denominator) for m, c in p.terms}
+                for p in polys], den
+
+    def seal(self, nums: dict[int, int], den: int) -> JetPoly:
+        """The JetPoly of numerators over den: keys unpacked lowest field
+        first, so each monomial comes out sorted by label."""
+        w, mask, labels = self.width, self.mask, self.labels
+        integral = den == 1  # Fraction(c) skips the gcd
+        terms = []
+        for key, c in nums.items():
+            if c:
+                m = []
+                while key:
+                    k = ((key & -key).bit_length() - 1) // w
+                    off = k * w
+                    e = key >> off & mask
+                    m.append((labels[k], e))
+                    key ^= e << off
+                terms.append((tuple(m), Fraction(c) if integral
+                               else Fraction(c, den)))
+        terms.sort(key=itemgetter(0))
+        return JetPoly(tuple(terms))
 
 
 def _mul_into(out: dict, x: dict, y: dict) -> None:
@@ -213,7 +279,7 @@ def _mul_into(out: dict, x: dict, y: dict) -> None:
     get = out.get
     for m1, c1 in x.items():
         for m2, c2 in y.items():
-            m = _mono_mul(m1, m2)
+            m = m1 + m2
             out[m] = get(m, 0) + c1 * c2
 
 
@@ -229,17 +295,46 @@ def _series_mul(a: Raw, b: Raw, r: int) -> Raw:
     return out, dx * dy
 
 
+def _square_into(out: dict, x: dict) -> None:
+    """out += x * x, in place, taking each unordered pair of terms once."""
+    get = out.get
+    items = list(x.items())
+    for k, (m1, c1) in enumerate(items):
+        m = m1 + m1
+        out[m] = get(m, 0) + c1 * c1
+        c1 += c1
+        for m2, c2 in items[k + 1:]:
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+
+
+def _series_square(a: Raw, r: int) -> Raw:
+    """a * a truncated after eps^r, taking each pair of levels once."""
+    xs, d = a
+    out = [{} for _ in range(r + 1)]
+    for i, x in enumerate(xs[:r + 1]):
+        if x:
+            if 2 * i <= r:
+                _square_into(out[2 * i], x)
+            if 2 * i < r:
+                twice = {m: 2 * c for m, c in x.items()}
+                for j, y in enumerate(xs[i + 1:r + 1 - i], start=i + 1):
+                    if y:
+                        _mul_into(out[i + j], twice, y)
+    return out, d * d
+
+
 def _series_pow(a: Raw, exponent: int, r: int) -> Raw:
     """a^exponent truncated after eps^r, by square-and-multiply."""
     if exponent < 0:
         raise ValueError("negative power of a jet polynomial")
-    out = [{(): 1}] + [{} for _ in range(r)], 1
+    out = [{0: 1}] + [{} for _ in range(r)], 1
     while exponent:
         if exponent & 1:
             out = _series_mul(out, a, r)
         exponent >>= 1
         if exponent:
-            a = _series_mul(a, a, r)
+            a = _series_square(a, r)
     return out
 
 
@@ -293,8 +388,13 @@ class JetScalar:
         if exponent < 0:
             raise ValueError("negative power in the truncated algebra")
         out = jet_scalar_const(1, self.order)
-        for _ in range(exponent):
-            out = out * self
+        base = self
+        while exponent:  # square and multiply
+            if exponent & 1:
+                out = out * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return out
 
 
@@ -390,19 +490,39 @@ def evaluate_jet(f: Expr, u: JetPoint, r: int | None = None) -> JetScalar:
 # ---------------------------------------------------------------------------
 # lifts
 
-def _generic_series(f: Expr, chart: Sequence[str], r: int) -> Raw:
-    """Coefficients of f along the generic jet up to eps^r, as a raw series."""
+def _degree(e: Expr) -> int:
+    """Total degree of a polynomial expression, counting 0 for the nodes
+    a lift rejects (it raises before its fields are used)."""
+    if isinstance(e, ex.Var):
+        return 1
+    if isinstance(e, ex.Sum):
+        return max(map(_degree, e.terms))
+    if isinstance(e, ex.Prod):
+        return sum(map(_degree, e.factors))
+    if isinstance(e, ex.Pow):
+        return max(e.exponent, 0) * _degree(e.base)
+    return 0
+
+
+def _generic_series(f: Expr, chart: Sequence[str], r: int) -> tuple[_Fields, Raw]:
+    """Coefficients of f along the generic jet up to eps^r, as a raw series
+    on fields for the slots (a, j), j <= r, of the chart."""
+    f = ex.simplify_canonical(f)
     index = {name: a for a, name in enumerate(chart)}
+    # no monomial of a coefficient has a larger total degree than f
+    fields = _Fields([(a, j) for a in range(len(chart)) for j in range(r + 1)],
+                     _degree(f))
+    offsets = fields.offsets
 
     def rec(e: Expr) -> Raw:
         if isinstance(e, ex.Const):
-            return [{(): e.value.numerator}] + [{} for _ in range(r)], \
+            return [{0: e.value.numerator}] + [{} for _ in range(r)], \
                 e.value.denominator
         if isinstance(e, ex.Var):
             if e.name not in index:
                 raise ValueError(f"variable {e.name!r} is not a chart variable")
             a = index[e.name]
-            return [{(((a, j), 1),): 1} for j in range(r + 1)], 1
+            return [{1 << offsets[(a, j)]: 1} for j in range(r + 1)], 1
         if isinstance(e, ex.Sum):
             return _series_sum([rec(t) for t in e.terms], r)
         if isinstance(e, ex.Prod):
@@ -415,7 +535,7 @@ def _generic_series(f: Expr, chart: Sequence[str], r: int) -> Raw:
             raise ValueError(f"input is not polynomial ({e.fn} head)")
         raise TypeError(f"unknown expression node {e!r}")
 
-    return rec(ex.simplify_canonical(f))
+    return fields, rec(f)
 
 
 def jet_lift(f: Expr, i: int, r: int, chart: Sequence[str]) -> JetPoly:
@@ -423,8 +543,8 @@ def jet_lift(f: Expr, i: int, r: int, chart: Sequence[str]) -> JetPoly:
     if not 0 <= i <= r:
         raise ValueError(f"lift level {i} outside 0..{r}")
     # levels above i never feed level i, so the series stops there
-    levels, den = _generic_series(f, chart, i)
-    return _seal(levels[i], den)
+    fields, (levels, den) = _generic_series(f, chart, i)
+    return fields.seal(levels[i], den)
 
 
 @dataclass(frozen=True)
@@ -456,42 +576,51 @@ def jet_vf(terms: Mapping[Label, JetPoly]) -> JetVectorField:
     return JetVectorField(tuple(cleaned))
 
 
-def _raw_field(xi: JetVectorField) -> tuple[list[tuple[Label, dict]], int]:
-    levels, den = _raw(*(c for _, c in xi.terms))
+def _raw_field(xi: JetVectorField,
+               fields: _Fields) -> tuple[list[tuple[Label, dict]], int]:
+    levels, den = fields.raw(*(c for _, c in xi.terms))
     return [(label, nums) for (label, _), nums in zip(xi.terms, levels)], den
 
 
-def _apply_into(out: dict, field: list[tuple[Label, dict]], nums: dict) -> dict:
+def _apply_into(out: dict, field: list[tuple[Label, dict]], nums: dict,
+                fields: _Fields) -> dict:
     """out += field(nums), in place; the denominators multiply."""
+    offsets, mask = fields.offsets, fields.mask
     for label, c in field:
-        # lowering one exponent keeps distinct monomials distinct
-        dp = {}
-        for m, v in nums.items():
-            for k, (l, e) in enumerate(m):
-                if l == label:
-                    dp[m[:k] + (((l, e - 1),) if e > 1 else ()) + m[k + 1:]] = v * e
-                    break
-        _mul_into(out, c, dp)
+        if label in offsets:  # else no monomial of nums has the slot
+            off = offsets[label]
+            one = 1 << off
+            # lowering one exponent keeps distinct monomials distinct
+            dp = {m - one: v * e for m, v in nums.items()
+                  if (e := m >> off & mask)}
+            _mul_into(out, c, dp)
     return out
 
 
 def jvf_apply(xi: JetVectorField, p: JetPoly) -> JetPoly:
-    field, field_den = _raw_field(xi)
-    (nums,), den = _raw(p)
-    return _seal(_apply_into({}, field, nums), field_den * den)
+    coeffs = [c for _, c in xi.terms]
+    fields = _Fields(_labels(p, *coeffs),
+                     _max_exponent(*coeffs) + _max_exponent(p))
+    field, field_den = _raw_field(xi, fields)
+    (nums,), den = fields.raw(p)
+    return fields.seal(_apply_into({}, field, nums, fields), field_den * den)
 
 
 def jet_bracket(xi: JetVectorField, eta: JetVectorField) -> JetVectorField:
     """Coordinate Lie bracket on the prolonged chart."""
-    fx, dx = _raw_field(xi)
-    fe, de = _raw_field(eta)
+    cx, ce = [c for _, c in xi.terms], [c for _, c in eta.terms]
+    fields = _Fields(_labels(*cx, *ce), _max_exponent(*cx) + _max_exponent(*ce))
+    fx, dx = _raw_field(xi, fields)
+    fe, de = _raw_field(eta, fields)
     # [xi, eta]_l = xi(eta_l) - eta(xi_l), every term over dx * de
-    acc: dict[Label, dict[Monomial, int]] = {}
+    acc: dict[Label, dict[int, int]] = {}
     for label, c in fe:
-        _apply_into(acc.setdefault(label, {}), fx, c)
+        _apply_into(acc.setdefault(label, {}), fx, c, fields)
     for label, c in fx:
-        _apply_into(acc.setdefault(label, {}), fe, {m: -v for m, v in c.items()})
-    return jet_vf({label: _seal(nums, dx * de) for label, nums in acc.items()})
+        _apply_into(acc.setdefault(label, {}), fe, {m: -v for m, v in c.items()},
+                    fields)
+    return jet_vf({label: fields.seal(nums, dx * de)
+                   for label, nums in acc.items()})
 
 
 def vf_lift(X: PolyVectorField, i: int, r: int) -> JetVectorField:
@@ -502,9 +631,9 @@ def vf_lift(X: PolyVectorField, i: int, r: int) -> JetVectorField:
     for a, coeff in enumerate(X.coeff_exprs()):
         if coeff == ex.ZERO:
             continue
-        levels, den = _generic_series(coeff, X.vars, r - i)
+        fields, (levels, den) = _generic_series(coeff, X.vars, r - i)
         for k, nums in enumerate(levels, start=i):
-            acc[(a, k)] = _seal(nums, den)
+            acc[(a, k)] = fields.seal(nums, den)
     return jet_vf(acc)
 
 
@@ -519,17 +648,21 @@ def jp_reparametrize(rows: Sequence[Sequence[JetPoly]],
     """Series of slot polynomials under eps -> Psi(eps) = sum_m psi[m-1] eps^m:
     row a of the result is sum_j rows[a][j] Psi(eps)^j up to eps^len(psi)."""
     r = len(psi)
-    levels, den = _raw(*psi)
+    values = [g for row in rows for g in row]
+    # a term is a row value times a product of at most r values of psi
+    fields = _Fields(_labels(*values, *psi),
+                     _max_exponent(*values) + r * _max_exponent(*psi))
+    levels, den = fields.raw(*psi)
     Psi = [{}] + levels, den
     powers = [_series_pow(Psi, 0, r)]
     for _ in range(r):
         powers.append(_series_mul(powers[-1], Psi, r))
     out = []
     for row in rows:
-        vals, vals_den = _raw(*row)
+        vals, vals_den = fields.raw(*row)
         levels, den = _series_sum([_series_mul(([v], vals_den), power, r)
                                    for v, power in zip(vals, powers)], r)
-        out.append([_seal(nums, den) for nums in levels])
+        out.append([fields.seal(nums, den) for nums in levels])
     return out
 
 

@@ -17,6 +17,9 @@ is exact (`poly_normal_form`) and rejects what has no finite expansion: a
 function of a designated variable, a negative power of a non-constant.  With
 a bound it is the weighted Taylor expansion up to that degree
 (`weighted_taylor`), and each power series stops once its powers are empty.
+A positive power of a base with a constant part takes one product per unit
+of the exponent either way, so that exponent is capped at
+MAX_EXPANDED_POWER.
 """
 
 from __future__ import annotations
@@ -217,6 +220,12 @@ def weighted_taylor(e: Expr, W: WeightSequence, up_to: int) -> WeightedPoly:
 # ---------------------------------------------------------------------------
 # the term-map kernel: exponent tuple -> coefficient
 
+# Largest e for which a power (c + h)^e, c a constant part and h a non-empty
+# designated part, is expanded: that takes e products, and truncation never
+# empties them, so the exponent is checked before the first one.
+MAX_EXPANDED_POWER = 1000
+
+
 def _add_into(acc: dict, terms) -> None:
     """Add (exponent, coefficient) pairs into acc, in place."""
     for s, c in terms:
@@ -284,6 +293,10 @@ def _expand(e: Expr, pvars: tuple[str, ...], w, bound) -> dict:
         if k > 0:
             if base.keys() <= {zero}:  # mul merges equal bases: same text
                 return {zero: ex.pow_(base[zero], k)} if base else {}
+            if zero in base and k > MAX_EXPANDED_POWER:
+                raise ValueError(
+                    f"exponent {k} of a base with a constant term exceeds "
+                    f"the limit MAX_EXPANDED_POWER = {MAX_EXPANDED_POWER}")
             acc = {zero: ONE}
             for _ in range(k):
                 acc = _product(acc.items(), base.items(), w, bound)

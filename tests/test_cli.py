@@ -327,3 +327,13 @@ def test_huge_power_does_not_run_all_products(argv, printed):
         [sys.executable, "-m", "weightings.cli", "happrox", *argv],
         capture_output=True, env=_child_env(), timeout=10)
     assert (result.returncode, result.stdout, result.stderr) == (0, printed, b"")
+
+
+def test_power_of_a_base_with_a_constant_term_has_an_exponent_budget():
+    result = subprocess.run(
+        [sys.executable, "-m", "weightings.cli", "happrox", "--weights", "y=1",
+         "--degree", "2", "--expr", "(1+y)^300000"],
+        capture_output=True, env=_child_env(), timeout=10)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, b"", b"error: exponent 300000 of a base with a constant term "
+                b"exceeds the limit MAX_EXPANDED_POWER = 1000\n")

@@ -394,3 +394,260 @@ def test_jp_text_fixed_renderings():
     ]
     for p, names, text in cases:
         assert jt.jp_text(p, names) == text
+
+
+# ---------------------------------------------------------------------------
+# truncated-scalar powers
+
+def test_jet_scalar_power_with_a_huge_exponent():
+    n = 10 ** 9
+    u = jet_point(("x",), [(1, 1, 0)])
+    assert evaluate_jet(parse_expr("x^1000000000"), u).coeffs == \
+        (1, n, n * (n - 1) // 2)
+    # (-1 + eps)^n = (-1)^n (1 - eps)^n, and eps^n vanishes for n > 2
+    assert jt.jet_scalar([-1, 1, 0]) ** n == jt.jet_scalar([1, -n, n * (n - 1) // 2])
+    assert jt.jet_scalar([0, 1, 0]) ** n == jt.jet_scalar([0, 0, 0])
+
+
+def test_jet_scalar_small_powers_equal_the_repeated_product():
+    rng = random.Random(1061)
+    for _ in range(20):
+        s = jt.jet_scalar([rand_rational(rng) for _ in range(rng.randint(1, 5))])
+        expected = jt.jet_scalar_const(1, s.order)
+        for e in range(10):
+            assert s ** e == expected
+            expected = expected * s
+
+
+# ---------------------------------------------------------------------------
+# packed monomials at their field boundaries, against a dict-of-tuples
+# reference: {monomial tuple: Fraction} with no zero coefficients
+
+def _ref(p):
+    return dict(p.terms)
+
+
+def _ref_clean(acc):
+    return {m: c for m, c in acc.items() if c}
+
+
+def _ref_add(*polys):
+    acc = {}
+    for p in polys:
+        for m, c in p.items():
+            acc[m] = acc.get(m, 0) + c
+    return _ref_clean(acc)
+
+
+def _ref_mul(p, q):
+    acc = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            exps = dict(m1)
+            for label, e in m2:
+                exps[label] = exps.get(label, 0) + e
+            m = tuple(sorted(exps.items()))
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return _ref_clean(acc)
+
+
+def _ref_pow(p, e):
+    out = {(): Fraction(1)}
+    for _ in range(e):
+        out = _ref_mul(out, p)
+    return out
+
+
+def _ref_diff(p, label):
+    acc = {}
+    for m, c in p.items():
+        exps = dict(m)
+        e = exps.pop(label, 0)
+        if e > 1:
+            exps[label] = e - 1
+        if e:
+            key = tuple(sorted(exps.items()))
+            acc[key] = acc.get(key, 0) + c * e
+    return _ref_clean(acc)
+
+
+def _ref_apply(field, p):
+    return _ref_add(*[_ref_mul(c, _ref_diff(p, label)) for label, c in field.items()])
+
+
+def _ref_substitute(p, mapping):
+    pieces = []
+    for m, c in p.items():
+        piece = {(): c}
+        for label, e in m:
+            factor = (_ref_pow(mapping[label], e) if label in mapping
+                      else {((label, e),): Fraction(1)})
+            piece = _ref_mul(piece, factor)
+        pieces.append(piece)
+    return _ref_add(*pieces)
+
+
+def _ref_reparametrize(rows, psi):
+    r = len(psi)
+    Psi = [{}] + psi
+
+    def series_mul(a, b):
+        out = [{} for _ in range(r + 1)]
+        for i in range(r + 1):
+            for j in range(r + 1 - i):
+                out[i + j] = _ref_add(out[i + j], _ref_mul(a[i], b[j]))
+        return out
+
+    out = []
+    for row in rows:
+        acc = [{} for _ in range(r + 1)]
+        power = [{(): Fraction(1)}] + [{} for _ in range(r)]
+        for value in row:
+            acc = [_ref_add(level, _ref_mul(value, p)) for level, p in zip(acc, power)]
+            power = series_mul(power, Psi)
+        out.append(acc)
+    return out
+
+
+# psi labels (-1, m) as jp_reparametrize takes them, and sparse labels
+BOUNDARY_LABELS = [(-1, 1), (-1, 2), (0, 0), (0, 3), (2, 5), (7, 0)]
+# every field width from 1 to 9 bits, at its largest value and one past it
+BOUNDARY_TARGETS = [t for k in range(1, 9) for t in (2 ** k - 1, 2 ** k)]
+
+
+def _split(rng, total, parts):
+    """parts non-negative ints summing to total, the first at least 1."""
+    cuts = sorted(rng.randint(0, total - 1) for _ in range(parts - 1))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [total - 1])]
+    return [sizes[0] + 1] + sizes[1:]
+
+
+def _divisor(rng, total, most):
+    return rng.choice([d for d in range(1, min(total, most) + 1) if total % d == 0])
+
+
+def _boundary_poly(rng, lead, top, terms=2):
+    """A lead term lead^top (top >= 0), plus terms whose exponents stay at
+    most max(top, 1), so the largest exponent is top (or 1)."""
+    p = {((lead, top),) if top else (): _rand_coeff(rng)}
+    for _ in range(rng.randint(0, terms)):
+        labels = rng.sample(BOUNDARY_LABELS, rng.randint(1, 2))
+        m = tuple(sorted((label, rng.randint(1, max(top, 1))) for label in labels))
+        p[m] = _rand_coeff(rng)
+    return p
+
+
+def _jp(p):
+    return jt.jetpoly(p)
+
+
+def _check(got, expected):
+    _assert_contract(got)
+    assert _ref(got) == expected
+
+
+def _boundary_mul(rng, target, lead, other, third):
+    # lead^p * lead^q reaches p + q
+    p, q = _split(rng, target, 2)
+    a, b = _boundary_poly(rng, lead, p), _boundary_poly(rng, lead, q)
+    _check(jp_mul(_jp(a), _jp(b)), _ref_mul(a, b))
+
+
+def _boundary_pow(rng, target, lead, other, third):
+    # (lead^s + ...)^e reaches e * s
+    e = _divisor(rng, target, 12)
+    a = _boundary_poly(rng, lead, target // e, terms=1)
+    _check(jt.jp_pow(_jp(a), e), _ref_pow(a, e))
+
+
+def _boundary_substitute(rng, target, lead, other, third):
+    # other^e with other -> lead^s + ... reaches e * s, beside a slot left
+    # alone and a slot mapped to zero
+    e = _divisor(rng, target, 12)
+    g = _boundary_poly(rng, lead, target // e)
+    p = {((other, e),): _rand_coeff(rng),
+         ((third, 1),): _rand_coeff(rng),
+         tuple(sorted([(other, 1), (lead, 1)])): _rand_coeff(rng)}
+    mapping = {other: g, lead: {}}
+    _check(jt.jp_substitute(_jp(p), {k: _jp(v) for k, v in mapping.items()}),
+           _ref_substitute(p, mapping))
+
+
+def _boundary_fields(rng, target, lead, other, third):
+    """xi = lead^q d/d[other] + ..., and a polynomial lead^p * other + ...,
+    so xi applied to it reaches p + q."""
+    p, q = _split(rng, target, 2)
+    field = {other: _boundary_poly(rng, lead, q),
+             third: _boundary_poly(rng, other, 1)}
+    poly = _ref_add(_ref_mul({((lead, p),): Fraction(3)},
+                             {((other, 1),): Fraction(1)}),
+                    _boundary_poly(rng, third, p))
+    return field, poly
+
+
+def _jvf(field):
+    return jt.jet_vf({label: _jp(c) for label, c in field.items()})
+
+
+def _boundary_apply(rng, target, lead, other, third):
+    field, poly = _boundary_fields(rng, target, lead, other, third)
+    _check(jt.jvf_apply(_jvf(field), _jp(poly)), _ref_apply(field, poly))
+
+
+def _boundary_bracket(rng, target, lead, other, third):
+    field, poly = _boundary_fields(rng, target, lead, other, third)
+    eta = {third: poly, lead: _boundary_poly(rng, other, 2)}
+    got = jet_bracket(_jvf(field), _jvf(eta))
+    for label in set(field) | set(eta):
+        minus = _ref_apply(eta, field.get(label, {}))
+        expected = _ref_add(_ref_apply(field, eta.get(label, {})),
+                            {m: -c for m, c in minus.items()})
+        _check(got.coefficient(label), expected)
+
+
+def _boundary_reparametrize(rng, target, lead, other, third):
+    # rows[a][r] * psi[0]^r with rows[a][r] = lead^q + ... and
+    # psi[0] = lead^s + ... reaches q + r * s
+    r = rng.randint(1, 3)
+    s = _divisor(rng, target, target // r) if target >= r else 0
+    psi = [_boundary_poly(rng, lead, s, terms=1)] + \
+        [{(((-1, m), 1),): Fraction(1)} for m in range(2, r + 1)]
+    rows = [[_boundary_poly(rng, lead, target - r * s, terms=1)
+             for _ in range(r + 1)] for _ in range(2)]
+    got = jt.jp_reparametrize([[_jp(v) for v in row] for row in rows],
+                              [_jp(v) for v in psi])
+    for got_row, expected_row in zip(got, _ref_reparametrize(rows, psi)):
+        for g, expected in zip(got_row, expected_row):
+            _check(g, expected)
+
+
+@pytest.mark.parametrize("op", [_boundary_mul, _boundary_pow,
+                                _boundary_substitute, _boundary_apply,
+                                _boundary_bracket, _boundary_reparametrize],
+                         ids=["mul", "pow", "substitute", "apply", "bracket",
+                              "reparametrize"])
+def test_packed_products_at_field_boundaries(op):
+    rng = random.Random(1063)
+    for target in BOUNDARY_TARGETS:
+        for _ in range(3):
+            op(rng, target, *rng.sample(BOUNDARY_LABELS, 3))
+
+
+# ---------------------------------------------------------------------------
+# large powers
+
+@pytest.mark.parametrize("e", [20, 40, 80])
+def test_large_power_lifts_match_the_truncated_evaluation(e):
+    # (a x + b y + c)^e at every level up to 6; with c != 0 the level-6 lift
+    # has about (e^2 / 2) * 65 terms, so c is drawn only for e = 20.
+    rng = random.Random(1069 + e)
+    a, b = rand_rational(rng, zero_ok=False), rand_rational(rng, zero_ok=False)
+    c = rand_rational(rng, zero_ok=False) if e == 20 else Fraction(0)
+    f = ex.pow_(ex.add(ex.mul(ex.const(a), ex.var("x")),
+                       ex.mul(ex.const(b), ex.var("y")), ex.const(c)), e)
+    names = ("x", "y")
+    u = _rand_point(rng, names, 6)
+    series = evaluate_jet(f, u).coeffs
+    values = u.slot_map()
+    for i in range(7):
+        assert jp_evaluate(jet_lift(f, i, 6, names), values) == series[i]
