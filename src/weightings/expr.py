@@ -17,6 +17,14 @@ Every expression handed out by this module is in *canonical form*:
   constants, products, or other powers;
 * ``sin(0)``, ``cos(0)``, ``exp(0)`` are folded to their exact values.
 
+Canonical form is an invariant of the constructors.  Expressions come from
+``const``, ``var``, ``add``, ``mul``, ``pow_``, ``app``, ``parse_expr`` and
+the operations built on them (``differentiate``, ``substitute``, ``expand``,
+the operator methods of ``Expr``); each returns a canonical tree when its
+arguments are canonical, so no caller canonicalizes a result again.  The
+node classes ``Const``, ``Var``, ``Sum``, ``Prod``, ``Pow`` and ``App`` are
+exported for inspection, not for building trees.
+
 Equal canonical forms imply equal functions.  The converse fails for
 transcendental expressions (``sin(x)^2 + cos(x)^2`` does not rewrite to 1);
 ``semantically_equal`` adds a probabilistic numeric check for such cases.
@@ -253,6 +261,7 @@ def add(*terms) -> Expr:
     total = Fraction(0)
     collected: dict = {}
     order: list = []
+    merged_sums: list = []
     for t in flat:
         coeff, core = _split_coeff(t)
         if core is None:
@@ -260,12 +269,17 @@ def add(*terms) -> Expr:
             continue
         if core in collected:
             collected[core] += coeff
+            if isinstance(core, Sum):
+                merged_sums.append(core)
         else:
             collected[core] = coeff
             order.append(core)
     out = [_with_coeff(c, core) for core in order if (c := collected[core]) != 0]
     if total != 0:
         out.append(const(total))
+    if merged_sums and any(collected[s] == 1 for s in merged_sums):
+        # c*S + (1 - c)*S collected to the sum S, whose terms are summands
+        return add(*out)
     out.sort(key=sort_key)
     if not out:
         return ZERO
@@ -466,7 +480,10 @@ def simplify_canonical(e: Expr, expand_polynomials: bool = False) -> Expr:
     """Rebuild an expression bottom-up through the canonical constructors.
 
     With ``expand_polynomials`` set, polynomial subexpressions are fully
-    multiplied out.  Idempotent in both modes.
+    multiplied out.  Every expression the constructors build is a fixed
+    point: ``simplify_canonical(e) == e`` and
+    ``simplify_canonical(e, expand_polynomials=True) == expand(e)``, so the
+    library never calls it; tests use it to check that invariant.
     """
     if isinstance(e, (Const, Var)):
         out = e
@@ -525,16 +542,14 @@ def semantically_equal(e1: Expr, e2: Expr, samples: int = 8,
     Canonical equality is sound; the fallback makes the check useful for
     transcendental identities at the usual probabilistic caveat.
     """
-    a = simplify_canonical(e1)
-    b = simplify_canonical(e2)
-    if a == b:
+    if e1 == e2:
         return True
     rng = random.Random(seed)
-    names = sorted(variables(a) | variables(b))
+    names = sorted(variables(e1) | variables(e2))
     for _ in range(samples):
         point = {n: Fraction(rng.randint(-16, 16), rng.randint(1, 8)) for n in names}
-        va = eval_numeric(a, {k: float(v) for k, v in point.items()})
-        vb = eval_numeric(b, {k: float(v) for k, v in point.items()})
+        va = eval_numeric(e1, {k: float(v) for k, v in point.items()})
+        vb = eval_numeric(e2, {k: float(v) for k, v in point.items()})
         scale = max(1.0, abs(va), abs(vb))
         if abs(va - vb) > tolerance * scale:
             return False

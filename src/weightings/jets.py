@@ -120,7 +120,7 @@ def jp_add(*polys: JetPoly) -> JetPoly:
 
 
 def jp_mul(a: JetPoly, b: JetPoly) -> JetPoly:
-    fields = _Fields(_labels(a, b), _max_exponent(a) + _max_exponent(b))
+    fields = _Fields(jp_labels(a, b), _max_exponent(a) + _max_exponent(b))
     (product,), den = _series_mul(fields.raw(a), fields.raw(b), 0)
     return fields.seal(product, den)
 
@@ -183,8 +183,8 @@ def jp_evaluate(p: JetPoly, values: Mapping[Label, Fraction]) -> Fraction:
     return out
 
 
-def jp_labels(p: JetPoly) -> set[Label]:
-    return {label for m, _ in p.terms for label, _ in m}
+def jp_labels(*polys: JetPoly) -> set[Label]:
+    return {label for p in polys for m, _ in p.terms for label, _ in m}
 
 
 def jp_weighted_degree_terms(p: JetPoly) -> set[int]:
@@ -223,10 +223,6 @@ def jp_text(p: JetPoly, names: Sequence[str] | None = None) -> str:
 
 # ---------------------------------------------------------------------------
 # the integer-first kernel
-
-def _labels(*polys: JetPoly) -> set[Label]:
-    return {label for p in polys for m, _ in p.terms for label, _ in m}
-
 
 def _max_exponent(*polys: JetPoly) -> int:
     return max((e for p in polys for m, _ in p.terms for _, e in m), default=0)
@@ -507,7 +503,6 @@ def _degree(e: Expr) -> int:
 def _generic_series(f: Expr, chart: Sequence[str], r: int) -> tuple[_Fields, Raw]:
     """Coefficients of f along the generic jet up to eps^r, as a raw series
     on fields for the slots (a, j), j <= r, of the chart."""
-    f = ex.simplify_canonical(f)
     index = {name: a for a, name in enumerate(chart)}
     # no monomial of a coefficient has a larger total degree than f
     fields = _Fields([(a, j) for a in range(len(chart)) for j in range(r + 1)],
@@ -599,7 +594,7 @@ def _apply_into(out: dict, field: list[tuple[Label, dict]], nums: dict,
 
 def jvf_apply(xi: JetVectorField, p: JetPoly) -> JetPoly:
     coeffs = [c for _, c in xi.terms]
-    fields = _Fields(_labels(p, *coeffs),
+    fields = _Fields(jp_labels(p, *coeffs),
                      _max_exponent(*coeffs) + _max_exponent(p))
     field, field_den = _raw_field(xi, fields)
     (nums,), den = fields.raw(p)
@@ -609,7 +604,7 @@ def jvf_apply(xi: JetVectorField, p: JetPoly) -> JetPoly:
 def jet_bracket(xi: JetVectorField, eta: JetVectorField) -> JetVectorField:
     """Coordinate Lie bracket on the prolonged chart."""
     cx, ce = [c for _, c in xi.terms], [c for _, c in eta.terms]
-    fields = _Fields(_labels(*cx, *ce), _max_exponent(*cx) + _max_exponent(*ce))
+    fields = _Fields(jp_labels(*cx, *ce), _max_exponent(*cx) + _max_exponent(*ce))
     fx, dx = _raw_field(xi, fields)
     fe, de = _raw_field(eta, fields)
     # [xi, eta]_l = xi(eta_l) - eta(xi_l), every term over dx * de
@@ -650,7 +645,7 @@ def jp_reparametrize(rows: Sequence[Sequence[JetPoly]],
     r = len(psi)
     values = [g for row in rows for g in row]
     # a term is a row value times a product of at most r values of psi
-    fields = _Fields(_labels(*values, *psi),
+    fields = _Fields(jp_labels(*values, *psi),
                      _max_exponent(*values) + r * _max_exponent(*psi))
     levels, den = fields.raw(*psi)
     Psi = [{}] + levels, den
@@ -701,19 +696,10 @@ def dilation(t, order: int) -> Reparametrization:
 
 def reparametrize(u: JetPoint, psi: Reparametrization) -> JetPoint:
     """Compose the jet with the reparametrization (slotwise substitution)."""
-    r = u.order
-    if psi.order != r:
+    if psi.order != u.order:
         raise ValueError("reparametrization order does not match the point")
     p = psi.of_epsilon()
-    rows = []
-    for row in u.values:
-        total = jet_scalar_const(0, r)
-        power = jet_scalar_const(1, r)
-        for j, c in enumerate(row):
-            total = total + c * power
-            power = power * p
-        rows.append(total.coeffs)
-    return jet_point(u.vars, rows)
+    return jet_point(u.vars, [_polynomial_at(row, p).coeffs for row in u.values])
 
 
 def reparam_compose(outer: Reparametrization,
@@ -725,14 +711,18 @@ def reparam_compose(outer: Reparametrization,
     """
     if outer.order != inner.order:
         raise ValueError("mixed truncation orders")
-    r = outer.order
-    p_out = outer.of_epsilon()
-    total = jet_scalar_const(0, r)
-    power = jet_scalar_const(1, r)
-    for c in (Fraction(0),) + inner.psi:
-        total = total + c * power
-        power = power * p_out
+    total = _polynomial_at((Fraction(0),) + inner.psi, outer.of_epsilon())
     return reparam(total.coeffs[1:])
+
+
+def _polynomial_at(coeffs: Sequence[Fraction], p: JetScalar) -> JetScalar:
+    """sum_j coeffs[j] * p^j in the truncated algebra of p."""
+    total = jet_scalar_const(0, p.order)
+    power = jet_scalar_const(1, p.order)
+    for c in coeffs:
+        total = total + c * power
+        power = power * p
+    return total
 
 
 def tm_translate(u: JetPoint, base: Sequence, components: Sequence) -> JetPoint:

@@ -64,8 +64,7 @@ class CoordinateChange:
 def coordinate_change(source: WeightSequence, target: WeightSequence,
                       components: Sequence[Expr]) -> CoordinateChange:
     return CoordinateChange(source, target,
-                            tuple(ex.simplify_canonical(ex.as_expr(c))
-                                  for c in components))
+                            tuple(ex.as_expr(c) for c in components))
 
 
 def check_morphism(phi: CoordinateChange) -> bool:
@@ -173,8 +172,7 @@ class DeformationField:
 
 def _def_field(W: WeightSequence, degree: int,
                comps: Mapping[str, Expr]) -> DeformationField:
-    cleaned = [(n, ex.simplify_canonical(c)) for n, c in comps.items()]
-    cleaned = [(n, c) for n, c in cleaned if c != ZERO]
+    cleaned = [(n, c) for n, c in comps.items() if c != ZERO]
     cleaned.sort(key=lambda item: item[0])
     return DeformationField(W, degree, tuple(cleaned))
 
@@ -226,8 +224,10 @@ def scaling_order_estimate(f: Expr, W: WeightSequence,
                            seed: int = 0) -> ScalingReport:
     """Least-squares slope of log|f| along the weighted dilation.
 
-    For polynomial input the slope recovers the filtration degree.  Zero
-    samples trigger a resample of the base point, up to eight times.
+    For polynomial input the slope recovers the filtration degree.  A sample
+    that is zero, a pole or not a finite float triggers a resample of the
+    base point, up to eight times; with a fixed base point, or once the
+    attempts run out, the estimate raises ValueError.
     """
     if t_grid is None:
         t_grid = [2.0 ** (-k) for k in range(4, 13)]
@@ -241,17 +241,18 @@ def scaling_order_estimate(f: Expr, W: WeightSequence,
              if base_point is not None else random_point())
     for attempt in range(attempts):
         xs, ys = [], []
-        degenerate = False
         for t in t_grid:
             assignment = {v: float(b) * (t ** w)
                           for v, w, b in zip(W.vars, W.weights, point)}
-            value = ex.eval_numeric(f, assignment)
-            if value == 0.0:
-                degenerate = True
+            try:
+                value = ex.eval_numeric(f, assignment)
+            except (ZeroDivisionError, OverflowError):
+                break
+            if value == 0.0 or not math.isfinite(value):
                 break
             xs.append(math.log(t))
             ys.append(math.log(abs(value)))
-        if not degenerate:
+        else:
             n = len(xs)
             mean_x = sum(xs) / n
             mean_y = sum(ys) / n
@@ -264,8 +265,8 @@ def scaling_order_estimate(f: Expr, W: WeightSequence,
                 for x, y in zip(xs, ys)) / n)
             return ScalingReport(slope, residual, n, point)
         point = random_point()
-    raise ValueError("all samples vanish along the dilation "
-                     "(degenerate direction)")
+    raise ValueError("samples along the dilation are zero, poles or not "
+                     "finite (degenerate direction)")
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +424,7 @@ def _collect_terms(terms: list[Term]) -> tuple[Term, ...]:
     acc: dict[Exponents, Expr] = {}
     for c, m in terms:
         acc[m] = ex.add(acc.get(m, ZERO), c)
-    cleaned = []
-    for m, c in acc.items():
-        c = ex.simplify_canonical(c)
-        if c != ZERO:
-            cleaned.append((c, m))
+    cleaned = [(c, m) for m, c in acc.items() if c != ZERO]
     cleaned.sort(key=lambda item: item[1])
     return tuple(cleaned)
 

@@ -474,7 +474,7 @@ def _frame_bracket(fr: Frame, a: int, b: int) -> tuple[tuple[int, Expr], ...]:
     target = bracket.coeff_exprs()
     n = fr.n
     matrix = [[fr.field_exprs(c)[i] for c in range(n)] for i in range(n)]
-    det = ex.simplify_canonical(_det_expr(matrix), expand_polynomials=True)
+    det = ex.expand(_det_expr(matrix))
     if not isinstance(det, ex.Const) or det.value == 0:
         raise ValueError(
             "frame brackets need a coefficient matrix with constant nonzero "
@@ -484,8 +484,7 @@ def _frame_bracket(fr: Frame, a: int, b: int) -> tuple[tuple[int, Expr], ...]:
         # Cramer: replace column c by the bracket coefficients
         replaced = [[target[i] if col == c else matrix[i][col]
                      for col in range(n)] for i in range(n)]
-        h = ex.mul(ex.const(Fraction(1) / det.value), _det_expr(replaced))
-        h = ex.simplify_canonical(h, expand_polynomials=True)
+        h = ex.expand(ex.mul(ex.const(Fraction(1) / det.value), _det_expr(replaced)))
         if h != ZERO:
             out.append((c, h))
     fr._brackets[(a, b)] = out = tuple(out)
@@ -514,7 +513,7 @@ class DiffOpStandardForm:
 def diffop(fr: Frame, terms: Mapping[tuple[int, ...], Expr]) -> DiffOpStandardForm:
     cleaned = []
     for s, f in terms.items():
-        f = ex.simplify_canonical(ex.as_expr(f))
+        f = ex.as_expr(f)
         if f != ZERO:
             cleaned.append((tuple(int(v) for v in s), f))
     cleaned.sort(key=lambda item: item[0])
@@ -549,11 +548,7 @@ def _normal_va_vs(fr: Frame, a: int, s: tuple[int, ...]) -> tuple:
     for c, h in _frame_bracket(fr, a, b):
         for u2, coeff2 in _normal_va_vs(fr, c, rest):
             accumulate(u2, ex.mul(h, coeff2))
-    cleaned = []
-    for u, coeff in acc.items():
-        coeff = ex.simplify_canonical(coeff)
-        if coeff != ZERO:
-            cleaned.append((u, coeff))
+    cleaned = [(u, coeff) for u, coeff in acc.items() if coeff != ZERO]
     fr._va_vs[(a, s)] = out = tuple(sorted(cleaned, key=lambda item: item[0]))
     return out
 
@@ -654,7 +649,7 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
     """
     W = fr.W
     n = W.n
-    y_exprs = tuple(ex.simplify_canonical(ex.as_expr(y)) for y in y_exprs)
+    y_exprs = tuple(ex.as_expr(y) for y in y_exprs)
     if y_names is None:
         y_names = tuple(f"y{a + 1}" for a in range(n))
     else:
@@ -702,8 +697,7 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
                     continue
                 piece = apply_word(s, ex.mul(coeff, y_monomial(u)))
                 total = ex.add(total, restrict_to_base(piece, W))
-            value = ex.mul(ex.const(Fraction(-1) / normalizers[s]), total)
-            value = ex.simplify_canonical(value, expand_polynomials=True)
+            value = ex.expand(ex.mul(ex.const(Fraction(-1) / normalizers[s]), total))
             if value != ZERO:
                 chi[(a, s)] = value
     x_in_chart = []
@@ -716,8 +710,8 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
                 continue
             chart = ex.add(chart, ex.mul(coeff, y_monomial(u)))
             in_y = ex.add(in_y, ex.mul(coeff, wp.monomial_expr(y_names, u)))
-        x_in_chart.append(ex.simplify_canonical(chart))
-        x_in_y.append(ex.simplify_canonical(in_y))
+        x_in_chart.append(chart)
+        x_in_y.append(in_y)
     return AdaptedChange(
         fr, y_names, tuple(x_in_chart), tuple(x_in_y),
         tuple(sorted(chi.items(), key=lambda item: item[0])),
@@ -735,6 +729,6 @@ def verify_adapted(x_exprs: Sequence[Expr], fr: Frame) -> bool:
             continue
         for s in _normal_multi_indices(W, wa, 0):
             value = restrict_to_base(apply_word(s, x_exprs[a]), W)
-            if ex.simplify_canonical(value, expand_polynomials=True) != ZERO:
+            if ex.expand(value) != ZERO:
                 return False
     return True

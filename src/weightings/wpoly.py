@@ -59,11 +59,11 @@ class WeightedPoly:
 
 
 def wpoly(pvars: Sequence[str], terms: Mapping[tuple[int, ...], Expr] | None = None) -> WeightedPoly:
-    """Canonicalize a mapping exponent->coefficient into a WeightedPoly."""
+    """The WeightedPoly of a mapping exponent->coefficient, zeros dropped."""
     pvars = tuple(pvars)
     cleaned = []
     for s, c in (terms or {}).items():
-        c = ex.simplify_canonical(ex.as_expr(c))
+        c = ex.as_expr(c)
         if c != ZERO:
             cleaned.append((tuple(int(v) for v in s), c))
     cleaned.sort(key=lambda item: item[0])
@@ -127,7 +127,7 @@ def poly_normal_form(e: Expr, positive_vars: Sequence[str]) -> WeightedPoly:
     variables are absorbed into the coefficients.
     """
     pvars = tuple(positive_vars)
-    return wpoly(pvars, _expand(ex.simplify_canonical(e), pvars, None, None))
+    return wpoly(pvars, _expand(e, pvars, None, None))
 
 
 def filtration_degree(p: WeightedPoly, W: WeightSequence):
@@ -213,8 +213,7 @@ def weighted_taylor(e: Expr, W: WeightSequence, up_to: int) -> WeightedPoly:
     if up_to < 0:
         raise ValueError("truncation degree must be nonnegative")
     pvars = W.positive_vars
-    return wpoly(pvars, _expand(ex.simplify_canonical(e), pvars,
-                                W.positive_weights, up_to))
+    return wpoly(pvars, _expand(e, pvars, W.positive_weights, up_to))
 
 
 # ---------------------------------------------------------------------------

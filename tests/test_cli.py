@@ -337,3 +337,24 @@ def test_power_of_a_base_with_a_constant_term_has_an_exponent_budget():
     assert (result.returncode, result.stdout, result.stderr) == (
         1, b"", b"error: exponent 300000 of a base with a constant term "
                 b"exceeds the limit MAX_EXPANDED_POWER = 1000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # float overflow of the power itself
+    ["--weights", "x=1", "--expr", "x^-400"],
+    # each factor is finite, their product is inf
+    ["--weights", "x=1,y=1", "--expr", "x^-80*y^-80"],
+    ["--weights", "x=1,y=1", "--expr", "x^-80*y^-80", "--json"],
+], ids=["overflow", "infinite", "infinite-json"])
+def test_scale_order_without_a_finite_sample_is_one_error_line(argv, capsys):
+    assert run(["scale-order", *argv], capsys) == (
+        1, "", "error: samples along the dilation are zero, poles or not "
+               "finite (degenerate direction)\n")
+
+
+def test_scale_order_resamples_a_base_point_at_a_pole(capsys):
+    # seed 31 draws x = 1/2 first, a pole of (x - 1/2)^-1
+    code, out, err = run(["scale-order", "--weights", "x=0,y=1", "--expr",
+                          "(x - 1/2)^-1*y", "--seed", "31", "--json"], capsys)
+    assert (code, err) == (0, "")
+    assert abs(json.loads(out)["result"]["order"] - 1) < 1e-9

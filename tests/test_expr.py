@@ -10,7 +10,7 @@ from weightings.expr import (ParseError, app, const, differentiate,
                              eval_numeric, mul, parse_expr, pow_,
                              simplify_canonical, to_text, var)
 
-from conftest import rand_expr
+from conftest import rand_expr, rand_rational
 
 
 def test_parse_sum_of_products():
@@ -87,6 +87,33 @@ def test_simplify_idempotent():
         assert simplify_canonical(once) == once
         expanded = simplify_canonical(e, expand_polynomials=True)
         assert simplify_canonical(expanded, expand_polynomials=True) == expanded
+
+
+def _collapsing_sums(seed, count=200):
+    """c*S + (1 - c)*S plus random terms, S a random sum: the coefficients of
+    S collect to exactly 1.  Some extra terms cancel summands of S."""
+    rng = random.Random(seed)
+    names = ["x", "y", "z"]
+    while count:
+        s = rand_expr(rng, names)
+        c = rand_rational(rng)
+        if not isinstance(s, ex.Sum) or c in (0, 1):
+            continue
+        terms = [mul(c, s), mul(1 - c, s)]
+        terms += [mul(-1, t) for t in s.terms if rng.random() < 0.3]
+        terms += [rand_expr(rng, names) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(terms)
+        yield ex.add(*terms)
+        count -= 1
+
+
+def test_collapsed_sum_is_flattened():
+    assert parse_expr("2*(x+y) - (x+y) - x - y") == ex.ZERO
+    assert to_text(parse_expr("2*(x+y) - (x+y) + z")) == "x + y + z"
+    for e in _collapsing_sums(13):
+        assert simplify_canonical(e) == e
+        assert parse_expr(to_text(e)) == e
+        assert simplify_canonical(e, expand_polynomials=True) == ex.expand(e)
 
 
 def test_eval_numeric():
@@ -173,8 +200,10 @@ def _random_trees(seed, count=150):
 
 def _rebuilt_shuffled(e, rng):
     """The same canonical tree, rebuilt with children in a random order."""
-    if isinstance(e, (ex.Const, ex.Var)):
-        return type(e)(*_field_tuple(e))
+    if isinstance(e, ex.Const):
+        return const(e.value)
+    if isinstance(e, ex.Var):
+        return var(e.name)
     if isinstance(e, (ex.Sum, ex.Prod)):
         parts = [_rebuilt_shuffled(c, rng) for c in _field_tuple(e)[0]]
         rng.shuffle(parts)

@@ -195,6 +195,11 @@ def test_scaling_order_estimate():
     assert abs(low.estimated_order - 1.0) < 0.05
     with pytest.raises(ValueError, match="degenerate"):
         scaling_order_estimate(ZERO, W, seed=1)
+    # a fixed base point at a pole is not resampled
+    W0 = weight_sequence({"x": 0, "y": 1}, 1)
+    with pytest.raises(ValueError, match="degenerate"):
+        scaling_order_estimate(parse_expr("(x - 1/2)^-1*y"), W0,
+                               base_point=(Fraction(1, 2), 1))
 
 
 def test_scaling_order_random_polynomials():
