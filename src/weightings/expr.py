@@ -193,12 +193,13 @@ class App(Expr):
 
 
 def const(value: RationalLike) -> Const:
-    return Const(Fraction(value))
+    return Const(value if type(value) is Fraction else Fraction(value))
 
 
 ZERO = const(0)
 ONE = const(1)
 MINUS_ONE = const(-1)
+_UNIT = ONE.value
 
 
 def as_expr(value) -> Expr:
@@ -234,7 +235,7 @@ def _split_coeff(e: Expr) -> tuple[Fraction, Expr | None]:
         rest = e.factors[1:]
         core = rest[0] if len(rest) == 1 else Prod(rest)
         return e.factors[0].value, core
-    return Fraction(1), e
+    return _UNIT, e
 
 
 def _with_coeff(coeff: Fraction, core: Expr | None) -> Expr:
@@ -258,14 +259,14 @@ def add(*terms) -> Expr:
             flat.extend(t.terms)
         else:
             flat.append(t)
-    total = Fraction(0)
+    total = None
     collected: dict = {}
     order: list = []
     merged_sums: list = []
     for t in flat:
         coeff, core = _split_coeff(t)
         if core is None:
-            total += coeff
+            total = coeff if total is None else total + coeff
             continue
         if core in collected:
             collected[core] += coeff
@@ -275,7 +276,7 @@ def add(*terms) -> Expr:
             collected[core] = coeff
             order.append(core)
     out = [_with_coeff(c, core) for core in order if (c := collected[core]) != 0]
-    if total != 0:
+    if total:
         out.append(const(total))
     if merged_sums and any(collected[s] == 1 for s in merged_sums):
         # c*S + (1 - c)*S collected to the sum S, whose terms are summands
@@ -297,12 +298,12 @@ def mul(*factors) -> Expr:
             flat.extend(f.factors)
         else:
             flat.append(f)
-    coeff = Fraction(1)
+    coeff = None
     powers: dict = {}
     order: list = []
     for f in flat:
         if isinstance(f, Const):
-            coeff *= f.value
+            coeff = f.value if coeff is None else coeff * f.value
             continue
         if isinstance(f, Pow):
             base, exp = f.base, f.exponent
@@ -313,7 +314,9 @@ def mul(*factors) -> Expr:
         else:
             powers[base] = exp
             order.append(base)
-    if coeff == 0:
+    if coeff is None:
+        coeff = _UNIT
+    elif coeff == 0:
         return ZERO
     parts: list[Expr] = []
     for base in order:
@@ -523,7 +526,9 @@ def eval_numeric(e: Expr, assignment: Mapping[str, float]) -> float:
     if isinstance(e, Pow):
         return eval_numeric(e.base, assignment) ** e.exponent
     if isinstance(e, App):
-        return _MATH_FN[e.fn](eval_numeric(e.arg, assignment))
+        x = eval_numeric(e.arg, assignment)
+        # IEEE sin and cos of an infinity are nan, where math raises ValueError
+        return math.nan if math.isinf(x) and e.fn != "exp" else _MATH_FN[e.fn](x)
     raise TypeError(f"unknown expression node {e!r}")
 
 
@@ -540,19 +545,30 @@ def semantically_equal(e1: Expr, e2: Expr, samples: int = 8,
     """Canonical equality, with a numeric fallback at random rational points.
 
     Canonical equality is sound; the fallback makes the check useful for
-    transcendental identities at the usual probabilistic caveat.
+    transcendental identities at the usual probabilistic caveat.  A point
+    where either side is a pole or not finite is drawn again, at most
+    ``samples`` extra times; ValueError if no point is usable.
     """
     if e1 == e2:
         return True
     rng = random.Random(seed)
     names = sorted(variables(e1) | variables(e2))
-    for _ in range(samples):
-        point = {n: Fraction(rng.randint(-16, 16), rng.randint(1, 8)) for n in names}
-        va = eval_numeric(e1, {k: float(v) for k, v in point.items()})
-        vb = eval_numeric(e2, {k: float(v) for k, v in point.items()})
-        scale = max(1.0, abs(va), abs(vb))
-        if abs(va - vb) > tolerance * scale:
+    usable = 0
+    for _ in range(2 * samples):
+        point = {n: rng.randint(-16, 16) / rng.randint(1, 8) for n in names}
+        try:
+            va, vb = eval_numeric(e1, point), eval_numeric(e2, point)
+        except (ZeroDivisionError, OverflowError):
+            continue
+        if not (math.isfinite(va) and math.isfinite(vb)):
+            continue
+        if abs(va - vb) > tolerance * max(1.0, abs(va), abs(vb)):
             return False
+        usable += 1
+        if usable == samples:
+            break
+    if samples and not usable:
+        raise ValueError("no sample point where both expressions are finite")
     return True
 
 

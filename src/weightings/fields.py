@@ -284,10 +284,13 @@ def nilpotent_frames(W: WeightSequence) -> GradedLieAlgebra:
     degrees = tuple(weighted_degree(s, pw) - W.weights[a] for s, a in labels)
     in_sub = tuple(any(s) for s, _ in labels)
     positions = [pvars.index(v) if v in pvars else None for v in W.vars]
+    supports = [{k for k, e in enumerate(s) if e} for s, _ in labels]
     brackets = []
     for i, (s, a) in enumerate(labels):
-        for j, (u, b) in enumerate(labels):
-            if i >= j:
+        for j in range(i + 1, len(labels)):
+            u, b = labels[j]
+            # zero unless x_a occurs in x^u or x_b occurs in x^s
+            if positions[a] not in supports[j] and positions[b] not in supports[i]:
                 continue
             expanded = _bracket_labels(s, a, positions[a], u, b, positions[b])
             entries = tuple(sorted((index[lab], coeff)

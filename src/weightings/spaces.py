@@ -231,6 +231,8 @@ def scaling_order_estimate(f: Expr, W: WeightSequence,
     """
     if t_grid is None:
         t_grid = [2.0 ** (-k) for k in range(4, 13)]
+    if len(set(t_grid)) < 2:
+        raise ValueError("t_grid needs at least two distinct values")
     rng = random.Random(seed)
 
     def random_point() -> tuple[Fraction, ...]:

@@ -362,9 +362,9 @@ def check_weighting(Q: GraphSubbundle) -> WeightingVerdict:
 class Frame:
     """Local frame with declared tangency levels, over the chart of W.
 
-    What a frame derives from its fields (their coefficient expressions, its
-    brackets and normal-ordered words) is kept on the instance, outside the
-    dataclass fields, and dies with it.
+    What a frame derives from its fields (their coefficient expressions, the
+    inverse of its coefficient matrix, its brackets and normal-ordered words)
+    is kept on the instance, outside the dataclass fields, and dies with it.
     """
 
     W: WeightSequence
@@ -386,6 +386,24 @@ class Frame:
         return tuple(f.coeff_exprs() for f in self.fields)
 
     @cached_property
+    def _inverse(self) -> tuple[Fraction, list[list[Expr]]]:
+        """(1/det, cofactor matrix) of the matrix whose column c is field c."""
+        n = self.n
+        matrix = [[self._coeff_exprs[c][i] for c in range(n)] for i in range(n)]
+        det = ex.expand(_det_expr(matrix))
+        if not isinstance(det, ex.Const) or det.value == 0:
+            raise ValueError(
+                "frame brackets need a coefficient matrix with constant nonzero "
+                f"determinant (got {ex.to_text(det)})")
+
+        def cofactor(i: int, c: int) -> Expr:
+            d = _det_expr([row[:c] + row[c + 1:]
+                           for k, row in enumerate(matrix) if k != i])
+            return -d if (i + c) % 2 else d
+
+        return 1 / det.value, [[cofactor(i, c) for c in range(n)] for i in range(n)]
+
+    @cached_property
     def _brackets(self) -> dict:
         """(a, b) -> [V_a, V_b] over the frame, filled by _frame_bracket."""
         return {}
@@ -401,7 +419,8 @@ class Frame:
 
     def apply(self, a: int, f: Expr) -> Expr:
         return ex.add(*[ex.mul(c, ex.differentiate(f, v))
-                        for v, c in zip(self.W.vars, self._coeff_exprs[a])], ZERO)
+                        for v, c in zip(self.W.vars, self._coeff_exprs[a])
+                        if c != ZERO])
 
     def apply_word(self, s: Sequence[int], f: Expr) -> Expr:
         """V^s f with V^s = V_1^{s_1} o ... o V_n^{s_n} (rightmost acts first)."""
@@ -456,6 +475,8 @@ def frame(W: WeightSequence, coeff_rows: Sequence[Sequence[Expr]]) -> Frame:
 
 def _det_expr(matrix: list[list[Expr]]) -> Expr:
     n = len(matrix)
+    if n == 0:
+        return ONE
     if n == 1:
         return matrix[0][0]
     terms = []
@@ -467,24 +488,15 @@ def _det_expr(matrix: list[list[Expr]]) -> Expr:
 
 
 def _frame_bracket(fr: Frame, a: int, b: int) -> tuple[tuple[int, Expr], ...]:
-    """[V_a, V_b] expanded over the frame, by exact adjugate inversion."""
+    """[V_a, V_b] expanded over the frame, as adj(A) target / det A."""
     if (a, b) in fr._brackets:
         return fr._brackets[(a, b)]
-    bracket = lie_bracket(fr.fields[a], fr.fields[b])
-    target = bracket.coeff_exprs()
-    n = fr.n
-    matrix = [[fr.field_exprs(c)[i] for c in range(n)] for i in range(n)]
-    det = ex.expand(_det_expr(matrix))
-    if not isinstance(det, ex.Const) or det.value == 0:
-        raise ValueError(
-            "frame brackets need a coefficient matrix with constant nonzero "
-            f"determinant (got {ex.to_text(det)})")
+    target = lie_bracket(fr.fields[a], fr.fields[b]).coeff_exprs()
+    inv_det, cofactors = fr._inverse
     out = []
-    for c in range(n):
-        # Cramer: replace column c by the bracket coefficients
-        replaced = [[target[i] if col == c else matrix[i][col]
-                     for col in range(n)] for i in range(n)]
-        h = ex.expand(ex.mul(ex.const(Fraction(1) / det.value), _det_expr(replaced)))
+    for c in range(fr.n):
+        h = ex.expand(ex.mul(ex.const(inv_det), ex.add(
+            *[ex.mul(t, row[c]) for t, row in zip(target, cofactors)])))
         if h != ZERO:
             out.append((c, h))
     fr._brackets[(a, b)] = out = tuple(out)

@@ -345,7 +345,9 @@ def test_power_of_a_base_with_a_constant_term_has_an_exponent_budget():
     # each factor is finite, their product is inf
     ["--weights", "x=1,y=1", "--expr", "x^-80*y^-80"],
     ["--weights", "x=1,y=1", "--expr", "x^-80*y^-80", "--json"],
-], ids=["overflow", "infinite", "infinite-json"])
+    # sin of an infinite argument is nan
+    ["--weights", "x=1,y=1", "--expr", "sin(x^-80*y^-80)"],
+], ids=["overflow", "infinite", "infinite-json", "sin-of-infinity"])
 def test_scale_order_without_a_finite_sample_is_one_error_line(argv, capsys):
     assert run(["scale-order", *argv], capsys) == (
         1, "", "error: samples along the dilation are zero, poles or not "

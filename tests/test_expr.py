@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -157,6 +158,22 @@ def test_semantic_equality_fallback():
     assert lhs != rhs
     assert ex.semantically_equal(lhs, rhs)
     assert not ex.semantically_equal(parse_expr("sin(x)"), parse_expr("cos(x)"))
+
+
+def test_semantic_equality_redraws_at_a_pole():
+    # the eighth point of seed 16 is x = 1/2, a pole of both sides
+    assert ex.semantically_equal(
+        parse_expr("(sin(x)^2 + cos(x)^2)*(2*x - 1)^-1"),
+        parse_expr("(2*x - 1)^-1"), seed=16)
+    with pytest.raises(ValueError, match="no sample point"):
+        ex.semantically_equal(parse_expr("exp(exp(exp(x^2 + 9)))"), ex.ONE)
+
+
+def test_eval_numeric_sin_and_cos_of_an_infinity_are_nan():
+    inf = {"x": float("inf")}
+    for text in ("sin(x)", "cos(x)", "sin(-x)"):
+        assert math.isnan(ex.eval_numeric(parse_expr(text), inf))
+    assert ex.eval_numeric(parse_expr("exp(x)"), inf) == float("inf")
 
 
 def test_parse_nesting_limit():

@@ -200,6 +200,9 @@ def test_scaling_order_estimate():
     with pytest.raises(ValueError, match="degenerate"):
         scaling_order_estimate(parse_expr("(x - 1/2)^-1*y"), W0,
                                base_point=(Fraction(1, 2), 1))
+    for grid in ([0.5], [0.5, 0.5]):
+        with pytest.raises(ValueError, match="at least two distinct values"):
+            scaling_order_estimate(parse_expr("x"), W, t_grid=grid)
 
 
 def test_scaling_order_random_polynomials():
