@@ -447,12 +447,9 @@ def jet_point(vars: Sequence[str], rows: Sequence[Sequence]) -> JetPoint:
                     tuple(tuple(Fraction(v) for v in row) for row in rows))
 
 
-def evaluate_jet(f: Expr, u: JetPoint, r: int | None = None) -> JetScalar:
+def evaluate_jet(f: Expr, u: JetPoint) -> JetScalar:
     """Evaluate a polynomial expression on a jet in the truncated algebra."""
-    if r is None:
-        r = u.order
-    if r != u.order:
-        raise ValueError("jet point order does not match requested order")
+    r = u.order
     names = {name: jet_scalar(row, r) for name, row in zip(u.vars, u.values)}
 
     def rec(e: Expr) -> JetScalar:

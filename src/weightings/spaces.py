@@ -122,12 +122,11 @@ class DeformationFunction:
         return ex.to_text(self.expression)
 
 
-def _interpolate(p: wp.WeightedPoly, shift: int, W: WeightSequence,
-                 tname: str) -> Expr:
+def _interpolate(p: wp.WeightedPoly, shift: int, W: WeightSequence) -> Expr:
     """sum of t^(s.w - shift)*c(y)*y^s over the terms c*x^s of p, renamed to y."""
     rename = _rename_map(W, deformation_names(W))
     w = list(W.positive_weights)
-    t = ex.var(tname)
+    t = ex.var("t")
     terms = []
     for s, c in p.terms:
         sw = weighted_degree(s, w)
@@ -140,11 +139,11 @@ def _interpolate(p: wp.WeightedPoly, shift: int, W: WeightSequence,
     return ex.add(*terms, ZERO)
 
 
-def def_interpolant(f: Expr, degree: int, W: WeightSequence,
-                    tname: str = "t") -> DeformationFunction:
+def def_interpolant(f: Expr, degree: int,
+                    W: WeightSequence) -> DeformationFunction:
     """The interpolant between f (t = 1) and its degree-`degree` part (t = 0)."""
     p = wp.poly_normal_form(ex.as_expr(f), W.positive_vars)
-    return DeformationFunction(W, degree, _interpolate(p, degree, W, tname))
+    return DeformationFunction(W, degree, _interpolate(p, degree, W))
 
 
 @dataclass(frozen=True)
@@ -177,21 +176,21 @@ def _def_field(W: WeightSequence, degree: int,
     return DeformationField(W, degree, tuple(cleaned))
 
 
-def def_vf_interpolant(X: PolyVectorField, degree: int, W: WeightSequence,
-                       tname: str = "t") -> DeformationField:
+def def_vf_interpolant(X: PolyVectorField, degree: int,
+                       W: WeightSequence) -> DeformationField:
     """Extension of t^(-degree) X to the deformation chart."""
     if vf_filtration_degree(X, W) < degree:
         raise ValueError(f"vector field has filtration degree below {degree}")
     names = deformation_names(W)
-    comps = {names[a]: _interpolate(coeff, degree + W.weights[a], W, tname)
+    comps = {names[a]: _interpolate(coeff, degree + W.weights[a], W)
              for a, coeff in enumerate(X.coeffs)}
     return _def_field(W, degree, comps)
 
 
-def theta_field(W: WeightSequence, tname: str = "t") -> DeformationField:
+def theta_field(W: WeightSequence) -> DeformationField:
     """The scaling generator t d/dt - sum w_a y_a d/dy_a."""
     names = deformation_names(W)
-    comps: dict[str, Expr] = {tname: ex.var(tname)}
+    comps: dict[str, Expr] = {"t": ex.var("t")}
     for a, w in enumerate(W.weights):
         if w:
             comps[names[a]] = ex.mul(ex.const(-w), ex.var(names[a]))

@@ -1,21 +1,17 @@
 """Graded subbundles of the prolonged chart, the weighting criterion, and
 adapted coordinates.
 
-A GraphSubbundle stores the subbundle in solved form: a set of constrained
-slots (a, j), each equal to a slot polynomial in the free slots that is
-homogeneous of degree j.  Membership, tangency, restriction, and the
-weighting checks all reduce to substitution into this graph.
+A GraphSubbundle, built by ``graph_subbundle``, stores the subbundle in
+solved form: a set of constrained slots (a, j), each equal to a slot
+polynomial in the free slots that is homogeneous of degree j.  Membership,
+tangency, restriction, and the weighting checks all reduce to substitution
+into this graph.
 
-``check_weighting`` runs an ordered battery:
+``check_weighting`` decides in two steps and names a rejection in a third:
 
   N1  the free-slot pattern of every variable must be a prefix of the levels
       (otherwise the induced flag is not a filtration containing the base
       tangent directions);
-  N2  constraints must not involve top-level slots, so the subbundle is
-      invariant under the translation action of the tangent bundle
-      (automatic for homogeneous graphs, verified and reported);
-  N3  invariance under a generic reparametrization with symbolic
-      coefficients, checked as polynomial identities;
   N4  filtration consistency: every nonzero right-hand side must be the
       restriction of an honest function lift.  The solver looks for a
       polynomial change of coordinates u_a = x_a - G_a, with G_a a rational
@@ -23,11 +19,16 @@ weighting checks all reduce to substitution into this graph.
       the graph into the standard one.  A right-hand side outside the span
       of monomial lifts certifies that no weighting induces the graph:
       function lifts only produce symmetric slot combinations, so an
-      antisymmetric relation can never be matched.
+      antisymmetric relation can never be matched;
+  N3  only when N4 rejects: invariance under a generic reparametrization,
+      checked as polynomial identities; a failure is reported instead.
 
-N4 suffices, so no spanning check follows: every lift u_a^(j) with j < w_a
-vanishes on the graph, so the graph lies in the standard subbundle of u, and
-both have dimension sum_a (r + 1 - w_a).
+N4 suffices: every lift u_a^(j) with j < w_a vanishes on the graph, so the
+graph lies in the standard subbundle of u; both have dimension
+sum_a (r + 1 - w_a), so they are equal and the graph passes N3.  Nor does
+translation by the tangent bundle (N2) need a check: after N1 every
+constrained level is below r, and a right-hand side of degree j reads no
+slot above j.
 
 Failures carry machine-readable reason codes and a concrete witness.
 """
@@ -49,7 +50,6 @@ from .weights import (WeightSequence, exponents_below, weight_sequence,
                       weighted_degree)
 
 FLAG_INVALID = "FLAG_INVALID"
-TM_INVARIANCE = "TM_INVARIANCE"
 LAMBDA_INVARIANCE = "LAMBDA_INVARIANCE"
 FILTRATION_MISMATCH = "FILTRATION_MISMATCH"
 UNDECIDED = "UNDECIDED"
@@ -90,6 +90,8 @@ def graph_subbundle(vars: Sequence[str], order: int,
     """Validate and canonicalize a solved-form graded subbundle."""
     vars = tuple(vars)
     n = len(vars)
+    if len(set(vars)) != n:
+        raise ValueError("duplicate variable names")
     labels = set(constraints)
     for (a, j), g in constraints.items():
         if not (0 <= a < n and 0 <= j <= order):
@@ -103,6 +105,10 @@ def graph_subbundle(vars: Sequence[str], order: int,
                 f"right-hand side for slot ({a},{j}) is not homogeneous "
                 f"of degree {j}")
         for label in jt.jp_labels(g):
+            if not (0 <= label[0] < n and label[1] >= 0):
+                raise ValueError(
+                    f"right-hand side for slot ({a},{j}) uses slot {label} "
+                    f"outside the chart")
             if label in labels:
                 raise ValueError(
                     f"right-hand side for slot ({a},{j}) uses constrained "
@@ -282,17 +288,18 @@ def _lambda_invariance_witness(Q: GraphSubbundle) -> str | None:
 
     Free slots stay as their own symbols and the reparametrization
     coefficients enter as extra symbols (-1, m), so the check is a set of
-    polynomial identities.
+    polynomial identities, run up to the highest constrained level (a
+    constraint at level j reads no slot above j).
     """
-    r = Q.order
+    top = max((j for (_a, j), _g in Q.constraints), default=0)
     cmap = Q.constraint_map()
-    rows = [[cmap.get((a, j), jt.jp_slot(a, j)) for j in range(r + 1)]
+    rows = [[cmap.get((a, j), jt.jp_slot(a, j)) for j in range(top + 1)]
             for a in range(Q.n)]
-    psi = [jt.jp_slot(-1, m) for m in range(1, r + 1)]
+    psi = [jt.jp_slot(-1, m) for m in range(1, top + 1)]
     new_vals = jt.jp_reparametrize(rows, psi)
-    free_map = {(b, k): new_vals[b][k] for (b, k) in Q.free_labels()}
+    free = {(b, k): new_vals[b][k] for b, k in Q.free_labels() if k <= top}
     for (a, j), g in Q.constraints:
-        if new_vals[a][j] != jt.jp_substitute(g, free_map):
+        if new_vals[a][j] != jt.jp_substitute(g, free):
             return (f"slot {Q.vars[a]}.{j} moves off the graph under a generic "
                     f"reparametrization")
     return None
@@ -305,19 +312,17 @@ def check_weighting(Q: GraphSubbundle) -> WeightingVerdict:
         weights = _slot_weights(Q)
     except FlagError as err:
         return WeightingVerdict(False, reason=FLAG_INVALID, witness=str(err))
-    W = weight_sequence(list(zip(Q.vars, weights)), Q.order)
-    # N2: translation invariance (top slots never constrained, nor referenced)
-    for (a, j), g in Q.constraints:
-        bad = [label for label in jt.jp_labels(g) if label[1] >= Q.order]
-        if j >= Q.order or bad:
-            return WeightingVerdict(
-                False, reason=TM_INVARIANCE,
-                witness=f"constraint at {Q.vars[a]}.{j} touches a top-level slot")
-    # N3: reparametrization invariance
-    witness = _lambda_invariance_witness(Q)
-    if witness is not None:
-        return WeightingVerdict(False, reason=LAMBDA_INVARIANCE, witness=witness)
-    # N4: filtration consistency through coordinate corrections
+    verdict = _filtration_verdict(Q, weights)
+    # N3 only names a rejection: an N4 acceptance passes it
+    witness = None if verdict.accepted else _lambda_invariance_witness(Q)
+    if witness is None:
+        return verdict
+    return WeightingVerdict(False, reason=LAMBDA_INVARIANCE, witness=witness)
+
+
+def _filtration_verdict(Q: GraphSubbundle,
+                        weights: list[int]) -> WeightingVerdict:
+    """N4: filtration consistency through coordinate corrections."""
     corrections: dict[int, Expr] = {a: ZERO for a in range(Q.n)}
     ordered = sorted(Q.constraints, key=lambda item: (item[0][1], item[0][0]))
     for _ in range(Q.order + 2):
@@ -347,12 +352,10 @@ def check_weighting(Q: GraphSubbundle) -> WeightingVerdict:
                              "graph_dim": Q.dim})
             corrections[a] = ex.add(corrections[a], correction)
         if not dirty:
-            break
-    else:
-        return WeightingVerdict(
-            False, reason=UNDECIDED,
-            witness="coordinate corrections did not stabilize")
-    return WeightingVerdict(True, weights=W)
+            W = weight_sequence(list(zip(Q.vars, weights)), Q.order)
+            return WeightingVerdict(True, weights=W)
+    return WeightingVerdict(False, reason=UNDECIDED,
+                            witness="coordinate corrections did not stabilize")
 
 
 # ---------------------------------------------------------------------------

@@ -360,3 +360,26 @@ def test_scale_order_resamples_a_base_point_at_a_pole(capsys):
                           "(x - 1/2)^-1*y", "--seed", "31", "--json"], capsys)
     assert (code, err) == (0, "")
     assert abs(json.loads(out)["result"]["order"] - 1) < 1e-9
+
+
+_LINEAR_SHEAR_200 = ("[graph]\nvars = x1, x2\norder = 200\n"
+                     "x1 0 = 0\nx2 0 = 0\nx2 1 = x1.1\n")
+
+
+@pytest.mark.parametrize("graph, code, printed", [
+    (_LINEAR_SHEAR_200, 0, b"accepted: weights x1=1,x2=2\n"),
+    ((FIXTURES / "antisymmetric_relation.prob").read_text()
+     .replace("order = 4", "order = 60"), 1,
+     b"FILTRATION_MISMATCH: witness x3 level 3 "
+     b"(reconstructed dimension 178 vs 177)\n"),
+], ids=["accepted-order-200", "antisymmetric-order-60"])
+def test_check_q_at_high_order_ends(graph, code, printed, tmp_path):
+    # Reparametrization runs only to name a rejection, and only up to the
+    # highest constrained level, so a high order costs no symbolic series.
+    path = tmp_path / "graph.prob"
+    path.write_text(graph)
+    result = subprocess.run(
+        [sys.executable, "-m", "weightings.cli", "check-q", "--file", str(path)],
+        capture_output=True, env=_child_env(), timeout=10)
+    assert (result.returncode, result.stdout, result.stderr) == (code, printed,
+                                                                 b"")

@@ -3,9 +3,11 @@ import itertools
 import random
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from weightings import cli
 from weightings import expr as ex
 from weightings import jets as jt
 from weightings import subbundle as sb
@@ -62,6 +64,26 @@ def test_standard_q_patterns():
     assert trivial.constrained_labels() == {(1, 0), (2, 0)}
     none = standard_q(weight_sequence({"x": 0, "y": 0}, 1))
     assert none.constraints == ()
+
+
+@pytest.mark.parametrize("rhs", [
+    jp_slot(5, 1),
+    jp_slot(-1, 1),
+    # degree 1, but it reads the top slot x.2
+    jp_mul(jp_slot(0, -1), jp_slot(0, 2)),
+], ids=["no-such-variable", "negative-variable", "negative-level"])
+def test_graph_subbundle_rejects_slots_outside_the_chart(rhs):
+    with pytest.raises(ValueError, match="outside the chart"):
+        graph_subbundle(("x", "y"), 2, {(0, 0): jt.JP_ZERO,
+                                        (1, 0): jt.JP_ZERO, (1, 1): rhs})
+
+
+def test_graph_subbundle_rejects_duplicate_names():
+    # refused at construction, so no verdict is read off a shared name
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        graph_subbundle(("x", "x"), 3, {(0, 0): jt.JP_ZERO, (0, 1): jt.JP_ZERO,
+                                        (0, 2): jp_mul(jp_slot(1, 1),
+                                                       jp_slot(1, 1))})
 
 
 def test_q_membership():
@@ -234,6 +256,128 @@ def test_check_weighting_undecided_on_weight0_rhs():
     verdict = check_weighting(Q)
     assert not verdict.accepted
     assert verdict.reason == UNDECIDED
+
+
+def _full_order_lambda_witness(Q):
+    """Reference N3: the reparametrization series run up to the order r."""
+    r = Q.order
+    cmap = Q.constraint_map()
+    rows = [[cmap.get((a, j), jt.jp_slot(a, j)) for j in range(r + 1)]
+            for a in range(Q.n)]
+    psi = [jt.jp_slot(-1, m) for m in range(1, r + 1)]
+    new_vals = jt.jp_reparametrize(rows, psi)
+    free_map = {(b, k): new_vals[b][k] for (b, k) in Q.free_labels()}
+    for (a, j), g in Q.constraints:
+        if new_vals[a][j] != jt.jp_substitute(g, free_map):
+            return (f"slot {Q.vars[a]}.{j} moves off the graph under a generic "
+                    f"reparametrization")
+    return None
+
+
+def _random_homogeneous(rng, level, free):
+    """A few random monomials of degree `level` in the free slots, some of
+    them times a free level-0 slot (a weight-0 variable)."""
+    base = [label for label in free if label[1] == 0]
+    g = jt.JP_ZERO
+    for _ in range(rng.randint(1, 3)):
+        term, left = jt.jp_const(rand_rational(rng, zero_ok=False)), level
+        while left:
+            options = [s for s in free if 0 < s[1] <= left]
+            if not options:
+                return g
+            label = rng.choice(options)
+            term, left = jp_mul(term, jp_slot(*label)), left - label[1]
+        if base and rng.random() < 0.3:
+            term = jp_mul(term, jp_slot(*rng.choice(base)))
+        g = jt.jp_add(g, term)
+    return g
+
+
+def _random_solved_graph(rng):
+    """A solved-form graph over a prefix pattern, orders 2-8: a shear of the
+    standard graph (a weighting), random homogeneous right-hand sides in the
+    free slots, and on some graphs an antisymmetric relation x.1*y.2 -
+    x.2*y.1 of two weight-1 variables at level 3 (invariant, no weighting)."""
+    order = rng.randint(2, 8)
+    if rng.random() < 0.2:
+        order = max(order, 4)
+        weights = rng.sample([1, 1, rng.randint(4, order)], 3)
+    else:
+        weights = [min(order, rng.choice([0, 1, 1, 2, 2, 3, 3, 4,
+                                          rng.randint(0, order)]))
+                   for _ in range(rng.randint(1, 3))]
+    n = len(weights)
+    names = tuple(f"x{a + 1}" for a in range(n))
+    constraints = {(a, j): jt.JP_ZERO for a in range(n)
+                   for j in range(weights[a])}
+    standard = graph_subbundle(names, order, constraints)
+    free = standard.free_labels()
+    for a in sorted(range(n), key=lambda a: weights[a]):
+        # u_a = x_a - G_a with G_a in unsheared variables of lower weight
+        lower = [b for b in range(n) if 0 < weights[b] < weights[a]
+                 and all(constraints[(b, j)].is_zero
+                         for j in range(weights[b]))]
+        if not lower:
+            continue
+        factors = [rng.choice(lower) for _ in range(rng.randint(1, 3))]
+        if sum(weights[b] for b in factors) > weights[a]:
+            continue
+        G = ex.mul(ex.const(rand_rational(rng, zero_ok=False)),
+                   *[var(names[b]) for b in factors])
+        for j in range(weights[a]):
+            constraints[(a, j)] = substitute_graph(
+                standard, jt.jet_lift(G, j, order, names))
+    noisy = rng.random() < 0.6
+    for (a, j) in constraints:
+        if j and rng.random() < (0.6 if noisy else 0.1):
+            constraints[(a, j)] = jt.jp_add(
+                constraints[(a, j)], _random_homogeneous(rng, j, free))
+    ones = [b for b in range(n) if weights[b] == 1]
+    tops = [a for a in range(n) if weights[a] >= 4]
+    if len(ones) >= 2 and tops and rng.random() < 0.7:
+        b, c = rng.sample(ones, 2)
+        wedge = jt.jp_add(jp_mul(jp_slot(b, 1), jp_slot(c, 2)),
+                          jp_scale(jp_mul(jp_slot(b, 2), jp_slot(c, 1)), -1))
+        a = rng.choice(tops)
+        constraints[(a, 3)] = jt.jp_add(
+            constraints[(a, 3)], jp_scale(wedge, rand_rational(rng, False)))
+    return graph_subbundle(names, order, constraints)
+
+
+def test_lambda_invariance_names_exactly_the_rejections_the_full_series_find():
+    # N3 runs only on rejection and stops its series at the highest
+    # constrained level; the verdict says LAMBDA_INVARIANCE, with the same
+    # witness, exactly when the reparametrization run to the order r fails.
+    rng = random.Random(61)
+    reasons = []
+    for _ in range(300):
+        Q = _random_solved_graph(rng)
+        verdict = check_weighting(Q)
+        expected = _full_order_lambda_witness(Q)
+        assert (verdict.reason == LAMBDA_INVARIANCE) == (expected is not None)
+        if expected is not None:
+            assert verdict.witness == expected
+        reasons.append(verdict.reason)
+    assert reasons.count(None) >= 100
+    assert reasons.count(LAMBDA_INVARIANCE) >= 50
+    assert reasons.count(FILTRATION_MISMATCH) >= 5
+    assert reasons.count(UNDECIDED) >= 3
+
+
+def test_accepted_graphs_never_run_lambda_invariance(monkeypatch, capsys):
+    # An N4 acceptance is the standard subbundle of its coordinates, so the
+    # reparametrization check only ever names a rejection.
+    def unreachable(Q):
+        raise AssertionError("N3 ran on an accepted graph")
+
+    monkeypatch.setattr(sb, "_lambda_invariance_witness", unreachable)
+    rng = random.Random(67)
+    for _ in range(20):
+        W = rand_weight_sequence(rng, max_n=4, max_order=6, min_weight=0)
+        assert check_weighting(standard_q(W)).weights == W
+    path = Path(__file__).resolve().parent / "golden" / "sheared_graph.prob"
+    assert cli.main(["check-q", "--file", str(path)]) == 0
+    assert capsys.readouterr().out == "accepted: weights x1=1,x2=3,x3=4\n"
 
 
 def _random_shear(rng):
