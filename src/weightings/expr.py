@@ -48,7 +48,7 @@ import random
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 FUNCTIONS = ("sin", "cos", "exp")
 
@@ -613,17 +613,25 @@ def _term_text(e: Expr) -> tuple[bool, str]:
     return negative, f"{_frac_text(coeff)}*{body}"
 
 
-def to_text(e: Expr) -> str:
-    """Canonical text form; parse_expr(to_text(e)) == e for canonical e."""
-    terms = e.terms if isinstance(e, Sum) else (e,)
+def _terms_text(terms: Iterable[tuple[Expr, str]]) -> str:
+    """Join summands coefficient*monomial, each monomial given as text ("" for
+    none), with the sign of each coefficient pulled in front of its summand."""
     pieces = []
-    for i, t in enumerate(terms):
-        negative, body = _term_text(t)
+    for i, (coeff, mono) in enumerate(terms):
+        negative, body = _term_text(coeff)
+        if mono:
+            body = mono if body == "1" else f"{body}*{mono}"
         if i == 0:
             pieces.append(("-" if negative else "") + body)
         else:
             pieces.append((" - " if negative else " + ") + body)
     return "".join(pieces)
+
+
+def to_text(e: Expr) -> str:
+    """Canonical text form; parse_expr(to_text(e)) == e for canonical e."""
+    terms = e.terms if isinstance(e, Sum) else (e,)
+    return _terms_text((t, "") for t in terms)
 
 
 # ---------------------------------------------------------------------------

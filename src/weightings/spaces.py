@@ -13,8 +13,11 @@ positive-weight variables are accepted; weight-zero dependence stays
 symbolic in the coefficients.
 
 Blow-up charts carry monomials with rational exponents, printed in the
-style y2^(-1/2).  They are kept as formal monomial maps; the chain rule
-d(y^q) = q y^(q-1) dy is applied formally.
+style y2^(-1/2).  A field of filtration degree 0 lifts to a chart by a
+closed form: d z_b = sum_v q_bv (z_b / y_v) dy_v, q_bv the exponent of y_v
+in z_b, and substituting the inverse chart turns t^(s.w - w_v) y^(s - e_v)
+into a monomial in z, since the inverse scales y_a by t^(-w_a) and so
+removes exactly the power t^(s.w - w_v) that the extension carries.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Mapping, Sequence
 
 from . import expr as ex
 from . import wpoly as wp
-from .expr import Expr, ZERO, ONE
+from .expr import Expr, ZERO
 from .fields import (PolyVectorField, euler_field, homogeneous_approx_vf,
                      vf_equal, vf_filtration_degree)
 from .weights import WeightSequence, weighted_degree
@@ -345,6 +348,19 @@ def compose_rational(outer: RationalMonomialMap,
     return rational_map(inner.source, outer.target, comps, outer.sign)
 
 
+def _blowup_center(W: WeightSequence, center: str, sign: str) -> int:
+    """Index of `center`; the checks a blow-up chart and its inverse share."""
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    if center not in W.vars:
+        raise KeyError(f"unknown variable {center!r}")
+    c = W.vars.index(center)
+    if W.weights[c] < 1:
+        raise ValueError(f"variable {center!r} has weight 0 and is not a "
+                         f"blow-up direction")
+    return c
+
+
 def blowup_chart(W: WeightSequence, center: str,
                  sign: str = "+") -> RationalMonomialMap:
     """Chart of the weighted blow-up over the slice where +-y_c > 0.
@@ -353,15 +369,8 @@ def blowup_chart(W: WeightSequence, center: str,
     z_a = y_a y_c^(-w_a/w_c) away from the center index and
     z_c = t y_c^(1/w_c).
     """
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    c = W.vars.index(center) if center in W.vars else -1
-    if c < 0:
-        raise KeyError(f"unknown variable {center!r}")
+    c = _blowup_center(W, center, sign)
     wc = W.weights[c]
-    if wc < 1:
-        raise ValueError(f"variable {center!r} has weight 0 and is not a "
-                         f"blow-up direction")
     ynames = deformation_names(W)
     znames = chart_names(W)
     comps: dict[str, tuple[Fraction, dict]] = {}
@@ -380,7 +389,9 @@ def blowup_chart(W: WeightSequence, center: str,
 
 def blowup_chart_inverse(W: WeightSequence, center: str,
                          sign: str = "+") -> RationalMonomialMap:
-    c = W.vars.index(center)
+    """Inverse of blowup_chart: y_c = z_c^(w_c) t^(-w_c) and
+    y_a = z_a z_c^(w_a) t^(-w_a) away from the center index."""
+    c = _blowup_center(W, center, sign)
     wc = W.weights[c]
     ynames = deformation_names(W)
     znames = chart_names(W)
@@ -413,97 +424,76 @@ class BlowupField:
     def __str__(self):
         parts = []
         for n, terms in self.components:
-            body = " + ".join(
-                (f"{ex.to_text(c)}*" if c != ONE else "") + monomial_text(Fraction(1), m)
-                if m else ex.to_text(c)
+            body = ex._terms_text(
+                (c, monomial_text(Fraction(1), m) if m else "")
                 for c, m in terms)
             parts.append(f"({body}) d/d[{n}]")
         return " + ".join(parts) if parts else "0"
 
 
-def _collect_terms(terms: list[Term]) -> tuple[Term, ...]:
-    acc: dict[Exponents, Expr] = {}
-    for c, m in terms:
-        acc[m] = ex.add(acc.get(m, ZERO), c)
-    cleaned = [(c, m) for m, c in acc.items() if c != ZERO]
-    cleaned.sort(key=lambda item: item[1])
-    return tuple(cleaned)
-
-
 def blowup_lift_vf(X: PolyVectorField, W: WeightSequence,
                    chart: RationalMonomialMap) -> BlowupField:
-    """Push the degree-0 extension of X through a blow-up chart.
+    """Push the degree-0 extension of X through a blow-up chart of W.
 
-    Only filtration degree 0 descends; the result is expressed in the chart
-    coordinates z1..zn and is checked to be free of the parameter t.
+    In the chart with center c the inverse is y_c = z_c^(w_c) t^(-w_c) and
+    y_a = z_a z_c^(w_a) t^(-w_a) for a != c, so a monomial y^m becomes z^m
+    with its z_c exponent replaced by m.w, times t^(-m.w).  A term
+    kappa(y_0) t^(s.w - w_v) y^s d/d[y_v] of the extension is pushed by
+    dz_b = sum_v q_bv (z_b / y_v) dy_v, q_bv the exponent of y_v in z_b, to
+    q_bv kappa(z_0) z_b y^(s - e_v) t^(s.w - w_v) d/d[z_b].  With m = s - e_v,
+    m.w = s.w - w_v, so the power of t cancels and the term adds
+    q_bv kappa(z_0) z^(e_b + s - e_v), its z_c exponent replaced by
+    [b = c] + s.w - w_v, to component z_b.  Filtration degree 0 makes that
+    exponent nonnegative; a field of negative degree is rejected.
     """
-    degree = vf_filtration_degree(X, W)
-    if degree < 0:
+    if vf_filtration_degree(X, W) < 0:
         raise ValueError("only fields of filtration degree 0 lift to the "
                          "blow-up")
+    c = _chart_center(W, chart)
     ynames = deformation_names(W)
-    rename = _rename_map(W, ynames)
-    w = list(W.positive_weights)
-    # coefficients of the degree-0 extension, as (coefficient, exponent) terms
-    ext: dict[str, list[tuple[Expr, dict[str, Fraction]]]] = {}
-    for a, coeff in enumerate(X.coeffs):
-        terms = []
-        for s, c in coeff.terms:
-            sw = weighted_degree(s, w)
-            exps: dict[str, Fraction] = {"t": Fraction(sw - W.weights[a])}
-            for v, e in zip(coeff.pvars, s):
-                if e:
-                    exps[ynames[W.vars.index(v)]] = Fraction(e)
-            terms.append((ex.substitute(c, rename), exps))
-        ext[ynames[a]] = terms
-    # inverse substitution y -> z expressed monomially
-    inverse = blowup_chart_inverse(W, _chart_center(W, chart), chart.sign)
-
-    def substitute_term(coeff: Expr, exps: Mapping[str, Fraction]) -> Term:
-        total: dict[str, Fraction] = {}
-        for v, q in exps.items():
-            _ic, iexps = inverse.component(v)
-            for iv, iq in iexps:
-                total[iv] = total.get(iv, Fraction(0)) + q * iq
-        zrename = {yn: ex.var(zn) for yn, zn
-                   in zip(ynames, chart_names(W))}
-        return (ex.substitute(coeff, zrename), _exps(total))
-
-    comps: dict[str, tuple[Term, ...]] = {}
-    for zname, (zc, zexps) in chart.components:
-        if zname == "t":
-            continue
-        collected: list[Term] = []
-        for v, q in zexps:
-            if v == "t":
-                continue
-            # formal chain rule: contribution q * z / y_v per unit of X(y_v)
-            for coeff, exps in ext.get(v, []):
-                merged: dict[str, Fraction] = {}
-                for vv, qq in zexps:
-                    merged[vv] = merged.get(vv, Fraction(0)) + qq
-                merged[v] = merged.get(v, Fraction(0)) - 1
-                for vv, qq in exps.items():
-                    merged[vv] = merged.get(vv, Fraction(0)) + qq
-                term_coeff = ex.mul(ex.const(q * zc), coeff)
-                collected.append(substitute_term(term_coeff, merged))
-        cleaned = _collect_terms(collected)
-        for c, m in cleaned:
-            if any(v == "t" and q != 0 for v, q in m):
-                raise ValueError("lifted field does not descend "
-                                 "(t-dependence survives)")
-        if cleaned:
-            comps[zname] = cleaned
-    ordered = tuple(sorted(comps.items()))
-    return BlowupField(chart, ordered)
-
-
-def _chart_center(W: WeightSequence, chart: RationalMonomialMap) -> str:
-    """Recover the center variable of a blow-up chart from its components."""
     znames = chart_names(W)
-    ynames = deformation_names(W)
-    for a, zn in enumerate(znames):
-        coeff, exps = chart.component(zn)
-        if any(v == "t" for v, _q in exps):
-            return W.vars[a]
+    rename = _rename_map(W, znames)
+    w = list(W.positive_weights)
+    # per y_v, its extension's terms as (s over all y, s.w - w_v, kappa(z_0))
+    ext = []
+    for v, coeff in enumerate(X.coeffs):
+        index = [W.vars.index(p) for p in coeff.pvars]
+        terms = []
+        for s, k in coeff.terms:
+            full = [0] * W.n
+            for i, e in zip(index, s):
+                full[i] = e
+            terms.append((full, weighted_degree(s, w) - W.weights[v],
+                          ex.substitute(k, rename)))
+        ext.append(terms)
+    comps: dict[str, tuple[Term, ...]] = {}
+    for b, zb in enumerate(znames):
+        acc: dict[Exponents, Expr] = {}
+        for yv, q in chart.component(zb)[1]:
+            if yv == "t":
+                continue
+            v = ynames.index(yv)
+            for s, shift, kappa in ext[v]:
+                m = list(s)
+                m[b] += 1
+                m[v] -= 1
+                m[c] = (b == c) + shift
+                key = _exps(dict(zip(znames, m)))
+                acc[key] = ex.add(acc.get(key, ZERO),
+                                  ex.mul(ex.const(q), kappa))
+        terms = sorted(((k, m) for m, k in acc.items() if k != ZERO),
+                       key=lambda item: item[1])
+        if terms:
+            comps[zb] = tuple(terms)
+    return BlowupField(chart, tuple(sorted(comps.items())))
+
+
+def _chart_center(W: WeightSequence, chart: RationalMonomialMap) -> int:
+    """Index of the center of `chart`, which must be a blow-up chart of W."""
+    comps = dict(chart.components)
+    for a, zn in enumerate(chart_names(W)):
+        if (W.weights[a] and chart.sign in ("+", "-")
+                and any(v == "t" for v, _q in comps.get(zn, (1, ()))[1])
+                and chart == blowup_chart(W, W.vars[a], chart.sign)):
+            return a
     raise ValueError("map is not a blow-up chart")

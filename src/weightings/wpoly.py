@@ -334,18 +334,4 @@ def wpoly_text(p: WeightedPoly, W: WeightSequence | None = None) -> str:
     else:
         w = [1] * len(p.pvars)
     ordered = sorted(p.terms, key=lambda item: (weighted_degree(item[0], w), item[0]))
-    pieces = []
-    for i, (s, c) in enumerate(ordered):
-        negative, ctext = ex._term_text(c)
-        mono = monomial_text(p.pvars, s)
-        if not mono:
-            body = ctext
-        elif ctext == "1":
-            body = mono
-        else:
-            body = f"{ctext}*{mono}"
-        if i == 0:
-            pieces.append(("-" if negative else "") + body)
-        else:
-            pieces.append((" - " if negative else " + ") + body)
-    return "".join(pieces)
+    return ex._terms_text((c, monomial_text(p.pvars, s)) for s, c in ordered)

@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,9 +8,10 @@ import pytest
 from weightings import expr as ex
 from weightings import wpoly as wp
 from weightings.expr import ONE, ZERO, parse_expr, var
-from weightings.fields import euler_field, vf_filtration_degree, vf_for_weights
-from weightings.spaces import (blowup_chart, blowup_chart_inverse,
-                               blowup_lift_vf, check_morphism,
+from weightings.fields import (PolyVectorField, euler_field,
+                               vf_filtration_degree, vf_for_weights)
+from weightings.spaces import (BlowupField, blowup_chart, blowup_chart_inverse,
+                               blowup_lift_vf, chart_names, check_morphism,
                                compose_rational, compose_transitions,
                                coordinate_change, def_interpolant,
                                def_vf_interpolant, deformation_names,
@@ -16,7 +19,7 @@ from weightings.spaces import (blowup_chart, blowup_chart_inverse,
                                scaling_order_estimate, theta_field)
 from weightings.weights import weight_sequence, weighted_degree
 
-from conftest import rand_rational, rand_weight_sequence, rand_wpoly
+from conftest import rand_expr, rand_rational, rand_weight_sequence, rand_wpoly
 
 
 def test_check_morphism_examples():
@@ -277,3 +280,208 @@ def test_blowup_lift_rejects_negative_degree():
     X = vf_for_weights(W, [ONE, ZERO])
     with pytest.raises(ValueError, match="degree 0"):
         blowup_lift_vf(X, W, blowup_chart(W, "y"))
+
+
+@pytest.mark.parametrize("make", [blowup_chart, blowup_chart_inverse])
+def test_blowup_charts_validate_center_and_sign(make):
+    W = weight_sequence({"a": 0, "x": 1, "y": 2}, 2)
+    with pytest.raises(KeyError, match="unknown variable 'q'"):
+        make(W, "q")
+    with pytest.raises(ValueError, match="has weight 0 and is not a blow-up "
+                                         "direction"):
+        make(W, "a")
+    with pytest.raises(ValueError, match=r"sign must be '\+' or '-'"):
+        make(W, "x", "*")
+
+
+def test_blowup_field_text_brackets_sums_and_pulls_signs():
+    W = weight_sequence({"a": 0, "x": 1, "y": 2}, 2)
+    X = vf_for_weights(W, [ZERO, parse_expr("(1 + a)*x"),
+                           parse_expr("x^2 - y")])
+    lift = blowup_lift_vf(X, W, blowup_chart(W, "x"))
+    assert str(lift) == ("((1 + z1)*z2) d/d[z2] + "
+                         "(1 + (-1 - 2*(1 + z1))*z3) d/d[z3]")
+
+
+def test_blowup_lift_rejects_a_chart_of_other_weights():
+    W = weight_sequence({"x": 1, "y": 2}, 2)
+    foreign = blowup_chart(weight_sequence({"x": 1, "y": 3}, 3), "y")
+    X = vf_for_weights(W, [var("x"), parse_expr("2*y")])
+    with pytest.raises(ValueError, match="map is not a blow-up chart"):
+        blowup_lift_vf(X, W, foreign)
+
+
+# The lift as it was computed before the closed form: the degree-0 extension
+# pushed through the chart by a formal chain rule, then the inverse chart
+# substituted term by term.  Kept as the reference for the closed form.
+
+def _ref_exps(mapping):
+    return tuple(sorted((v, Fraction(q)) for v, q in mapping.items()
+                        if Fraction(q) != 0))
+
+
+def _ref_chart_center(W, chart):
+    for a, zn in enumerate(chart_names(W)):
+        _coeff, exps = chart.component(zn)
+        if any(v == "t" for v, _q in exps):
+            return W.vars[a]
+    raise ValueError("map is not a blow-up chart")
+
+
+def _ref_collect_terms(terms):
+    acc = {}
+    for c, m in terms:
+        acc[m] = ex.add(acc.get(m, ZERO), c)
+    cleaned = [(c, m) for m, c in acc.items() if c != ZERO]
+    cleaned.sort(key=lambda item: item[1])
+    return tuple(cleaned)
+
+
+def _ref_blowup_lift_vf(X, W, chart):
+    degree = vf_filtration_degree(X, W)
+    if degree < 0:
+        raise ValueError("only fields of filtration degree 0 lift to the "
+                         "blow-up")
+    ynames = deformation_names(W)
+    rename = {v: var(name) for v, name in zip(W.vars, ynames)}
+    w = list(W.positive_weights)
+    ext = {}
+    for a, coeff in enumerate(X.coeffs):
+        terms = []
+        for s, c in coeff.terms:
+            sw = weighted_degree(s, w)
+            exps = {"t": Fraction(sw - W.weights[a])}
+            for v, e in zip(coeff.pvars, s):
+                if e:
+                    exps[ynames[W.vars.index(v)]] = Fraction(e)
+            terms.append((ex.substitute(c, rename), exps))
+        ext[ynames[a]] = terms
+    inverse = blowup_chart_inverse(W, _ref_chart_center(W, chart), chart.sign)
+
+    def substitute_term(coeff, exps):
+        total = {}
+        for v, q in exps.items():
+            _ic, iexps = inverse.component(v)
+            for iv, iq in iexps:
+                total[iv] = total.get(iv, Fraction(0)) + q * iq
+        zrename = {yn: var(zn) for yn, zn in zip(ynames, chart_names(W))}
+        return (ex.substitute(coeff, zrename), _ref_exps(total))
+
+    comps = {}
+    for zname, (zc, zexps) in chart.components:
+        if zname == "t":
+            continue
+        collected = []
+        for v, q in zexps:
+            if v == "t":
+                continue
+            for coeff, exps in ext.get(v, []):
+                merged = {}
+                for vv, qq in zexps:
+                    merged[vv] = merged.get(vv, Fraction(0)) + qq
+                merged[v] = merged.get(v, Fraction(0)) - 1
+                for vv, qq in exps.items():
+                    merged[vv] = merged.get(vv, Fraction(0)) + qq
+                term_coeff = ex.mul(ex.const(q * zc), coeff)
+                collected.append(substitute_term(term_coeff, merged))
+        cleaned = _ref_collect_terms(collected)
+        for c, m in cleaned:
+            if any(v == "t" and q != 0 for v, q in m):
+                raise ValueError("lifted field does not descend "
+                                 "(t-dependence survives)")
+        if cleaned:
+            comps[zname] = cleaned
+    return BlowupField(chart, tuple(sorted(comps.items())))
+
+
+def _rand_lift_weights(rng):
+    """1-4 variables, some of weight 0, at least one of positive weight."""
+    n = rng.randint(1, 4)
+    zeros = rng.randint(0, n - 1)
+    weights = [0] * zeros + sorted(rng.randint(1, 3) for _ in range(n - zeros))
+    names = "abcd"[:zeros] + "xyuv"[:n - zeros]
+    return weight_sequence(list(zip(names, weights)), max(weights))
+
+
+def _rand_lift_field(rng, W, negative_ok):
+    """A random field with weight-0 coefficients involving sin, exp and sums;
+    with negative_ok some terms may sit below the degree-0 bound."""
+    pvars, w = W.positive_vars, W.positive_weights
+    coeffs = []
+    for wv in W.weights:
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            s = tuple(rng.randint(0, 2) for _ in pvars)
+            below = weighted_degree(s, w) < wv
+            if below and not (negative_ok and rng.random() < 0.3):
+                continue
+            c = ex.const(rand_rational(rng, zero_ok=False))
+            if W.zero_vars and rng.random() < 0.6:
+                c = ex.mul(c, rand_expr(rng, list(W.zero_vars), depth=2))
+            terms[s] = ex.add(terms.get(s, ZERO), c)
+        coeffs.append(wp.wpoly(pvars, terms))
+    return PolyVectorField(W.vars, tuple(coeffs))
+
+
+def _lift_cases(seed, count, negative_ok):
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        W = _rand_lift_weights(rng)
+        X = _rand_lift_field(rng, W, negative_ok)
+        if X.is_zero:
+            continue
+        made += 1
+        for center in W.positive_vars:
+            for sign in "+-":
+                yield W, X, blowup_chart(W, center, sign)
+
+
+def test_blowup_lift_matches_the_chain_rule_reference():
+    lifts = rejected = 0
+    for W, X, chart in _lift_cases(71, 300, negative_ok=True):
+        try:
+            expected = _ref_blowup_lift_vf(X, W, chart)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                blowup_lift_vf(X, W, chart)
+            rejected += 1
+            continue
+        assert blowup_lift_vf(X, W, chart).components == expected.components, \
+            (W, str(X), str(chart))
+        lifts += 1
+    assert lifts >= 500 and rejected >= 100, (lifts, rejected)
+
+
+def _chart_point(chart, y):
+    """Numeric image of the point y (names y1..yn, t) under a monomial chart."""
+    return {name: float(coeff) * math.prod(y[v] ** float(q) for v, q in exps)
+            for name, (coeff, exps) in chart.components}
+
+
+def test_blowup_lift_matches_the_pushforward_numerically():
+    # Independent of both lifts: the degree-0 extension at (y, t) is
+    # t^(-w_v) X_v(t^w . y), and dz_b = sum_v q_bv (z_b / y_v) dy_v.
+    rng = random.Random(73)
+    checked = 0
+    for W, X, chart in _lift_cases(79, 120, negative_ok=False):
+        if chart.sign != "+":
+            continue
+        lift = dict(blowup_lift_vf(X, W, chart).components)
+        ynames = deformation_names(W)
+        y = {name: rng.uniform(0.5, 2.0) for name in ynames + ("t",)}
+        x = {v: y["t"] ** wv * y[yn]
+             for v, wv, yn in zip(W.vars, W.weights, ynames)}
+        ext = {yn: y["t"] ** -wv * ex.eval_numeric(wp.to_expr(c), x)
+               for yn, wv, c in zip(ynames, W.weights, X.coeffs)}
+        z = _chart_point(chart, y)
+        for zb in chart_names(W):
+            pushed = sum(float(q) * z[zb] / y[v] * ext[v]
+                         for v, q in chart.component(zb)[1] if v != "t")
+            lifted = sum(ex.eval_numeric(c, z)
+                         * math.prod(z[v] ** float(q) for v, q in m)
+                         for c, m in lift.get(zb, ()))
+            assert math.isclose(pushed, lifted, rel_tol=1e-9, abs_tol=1e-9), \
+                (W, str(X), zb, pushed, lifted)
+            checked += 1
+    assert checked >= 300, checked
