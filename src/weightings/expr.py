@@ -39,6 +39,11 @@ The grammar accepted by ``parse_expr``:
 where ``number`` is a nonnegative integer and the known functions are
 sin, cos, exp.  The leading "-" is a convenience extension.  Parentheses
 and function calls nest at most ``MAX_NESTING`` levels deep.
+
+``pow_`` folds a constant power q^k exactly, so it refuses one whose value
+would have more than ``MAX_CONSTANT_BITS`` bits, estimated before folding
+as |k| * (bit_length(max(|numerator|, denominator)) - 1); 0 and +-1 always
+fold.
 """
 
 from __future__ import annotations
@@ -238,11 +243,8 @@ def _split_coeff(e: Expr) -> tuple[Fraction, Expr | None]:
     return _UNIT, e
 
 
-def _with_coeff(coeff: Fraction, core: Expr | None) -> Expr:
-    if core is None:
-        return const(coeff)
-    if coeff == 0:
-        return ZERO
+def _with_coeff(coeff: Fraction, core: Expr) -> Expr:
+    """coeff * core for a constant-free core and a non-zero coeff."""
     if coeff == 1:
         return core
     if isinstance(core, Prod):
@@ -318,24 +320,9 @@ def mul(*factors) -> Expr:
         coeff = _UNIT
     elif coeff == 0:
         return ZERO
-    parts: list[Expr] = []
-    for base in order:
-        exp = powers[base]
-        if exp == 0:
-            continue
-        p = pow_(base, exp)
-        if isinstance(p, Const):
-            coeff *= p.value
-        elif isinstance(p, Prod):
-            # distributing a power can reintroduce a constant up front
-            for q in p.factors:
-                if isinstance(q, Const):
-                    coeff *= q.value
-                else:
-                    parts.append(q)
-        else:
-            parts.append(p)
-    if coeff == 0 or not parts:
+    # a canonical base is a Var, Sum or App, so each power is one factor
+    parts = [pow_(base, exp) for base in order if (exp := powers[base])]
+    if not parts:
         return const(coeff)
     parts.sort(key=sort_key)
     if coeff == 1:
@@ -352,9 +339,16 @@ def pow_(base, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Const):
-        if base.value == 0 and exponent < 0:
+        q = base.value
+        if q == 0 and exponent < 0:
             raise ValueError("zero raised to a negative power")
-        return const(base.value ** exponent)
+        # |exponent| * size bounds the bits of q^exponent from below
+        size = max(abs(q.numerator), q.denominator).bit_length() - 1
+        if abs(exponent) * size > MAX_CONSTANT_BITS:
+            raise ValueError(
+                f"constant power with exponent {exponent} exceeds the limit "
+                f"MAX_CONSTANT_BITS = {MAX_CONSTANT_BITS}")
+        return const(q ** exponent)
     if isinstance(base, Prod):
         return mul(*[pow_(f, exponent) for f in base.factors])
     if isinstance(base, Pow):
@@ -666,6 +660,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # Deepest parenthesis or function-call nesting parse_expr accepts; the
 # recursive-descent parser and the tree walkers recurse once per level.
 MAX_NESTING = 100
+
+# Most bits pow_ lets a folded constant power have, estimated before it is
+# computed: folding is exact, so 2^k would otherwise take time and memory
+# in k.
+MAX_CONSTANT_BITS = 100_000
 
 
 class _Parser:

@@ -244,34 +244,6 @@ class GradedLieAlgebra:
         return f"{mono} {head}" if mono else head
 
 
-def _bracket_labels(s: tuple[int, ...], a: int, a_pos: int | None,
-                    u: tuple[int, ...], b: int, b_pos: int | None) -> dict:
-    """[x^s d_a, x^u d_b] expanded over monomial-field labels.
-
-    a_pos and b_pos are the positions of x_a and x_b among the
-    positive-weight variables, or None for a weight-0 variable.
-    """
-    out: dict[tuple[tuple[int, ...], int], Fraction] = {}
-
-    def accumulate(coeff: int, exps: tuple[int, ...], direction: int):
-        if coeff == 0:
-            return
-        key = (exps, direction)
-        out[key] = out.get(key, Fraction(0)) + coeff
-        if out[key] == 0:
-            del out[key]
-
-    if a_pos is not None and u[a_pos] > 0:
-        exps = tuple(x + y for x, y in zip(s, u))
-        exps = exps[:a_pos] + (exps[a_pos] - 1,) + exps[a_pos + 1:]
-        accumulate(u[a_pos], exps, b)
-    if b_pos is not None and s[b_pos] > 0:
-        exps = tuple(x + y for x, y in zip(s, u))
-        exps = exps[:b_pos] + (exps[b_pos] - 1,) + exps[b_pos + 1:]
-        accumulate(-s[b_pos], exps, a)
-    return out
-
-
 def nilpotent_frames(W: WeightSequence) -> GradedLieAlgebra:
     """Monomial frame of the negative graded fields, with exact brackets."""
     pvars = W.positive_vars
@@ -284,19 +256,27 @@ def nilpotent_frames(W: WeightSequence) -> GradedLieAlgebra:
     degrees = tuple(weighted_degree(s, pw) - W.weights[a] for s, a in labels)
     in_sub = tuple(any(s) for s, _ in labels)
     positions = [pvars.index(v) if v in pvars else None for v in W.vars]
-    supports = [{k for k, e in enumerate(s) if e} for s, _ in labels]
+
+    def lowered(s, u, pos):
+        return tuple(x + y - (k == pos) for k, (x, y) in enumerate(zip(s, u)))
+
     brackets = []
     for i, (s, a) in enumerate(labels):
+        pa = positions[a]
         for j in range(i + 1, len(labels)):
             u, b = labels[j]
-            # zero unless x_a occurs in x^u or x_b occurs in x^s
-            if positions[a] not in supports[j] and positions[b] not in supports[i]:
-                continue
-            expanded = _bracket_labels(s, a, positions[a], u, b, positions[b])
-            entries = tuple(sorted((index[lab], coeff)
-                                   for lab, coeff in expanded.items()))
+            pb = positions[b]
+            # [x^s d_a, x^u d_b] = u_a x^(s+u-e_a) d_b - s_b x^(s+u-e_b) d_a,
+            # where a weight-0 x_a or x_b occurs in no monomial.  No label
+            # (s, a) has x_a in x^s, since s.w < w_a, so the two terms carry
+            # different labels and never cancel.
+            entries = []
+            if pa is not None and u[pa]:
+                entries.append((index[(lowered(s, u, pa), b)], Fraction(u[pa])))
+            if pb is not None and s[pb]:
+                entries.append((index[(lowered(s, u, pb), a)], Fraction(-s[pb])))
             if entries:
-                brackets.append(((i, j), entries))
+                brackets.append(((i, j), tuple(sorted(entries))))
     return GradedLieAlgebra(W, tuple(labels), degrees, in_sub, tuple(brackets))
 
 

@@ -2,8 +2,9 @@
 scaling field, blow-up charts, and the numeric order estimator.
 
 Deformation-space coordinates are named positionally y1..yn plus t, blow-up
-chart coordinates z1..zn plus t.  The interpolant of a function f of
-weighted degree at least i is
+chart coordinates z1..zn plus t.  A symbol outside the weighting named like
+one of them is refused: the result would read it as that coordinate.  The
+interpolant of a function f of weighted degree at least i is
 
     sum_s  t^(s.w - i) * chi_s(y_0) * y^s
 
@@ -44,7 +45,18 @@ def chart_names(W: WeightSequence) -> tuple[str, ...]:
     return tuple(f"z{a + 1}" for a in range(W.n))
 
 
-def _rename_map(W: WeightSequence, names: Sequence[str]) -> dict[str, Expr]:
+def _rename_map(W: WeightSequence, names: Sequence[str],
+                exprs: Sequence[Expr]) -> dict[str, Expr]:
+    """W's variables renamed to the first W.n of `names`.
+
+    A symbol of `exprs` outside W that is named like one of `names` would
+    read as that chart coordinate after the renaming, so it is refused.
+    """
+    used = frozenset().union(*map(ex.variables, exprs))
+    clash = used.intersection(names).difference(W.vars)
+    if clash:
+        raise ValueError(f"symbol {min(clash)!r} is not a variable of the "
+                         f"weighting but is named like a chart coordinate")
     return {v: ex.var(name) for v, name in zip(W.vars, names)}
 
 
@@ -91,7 +103,7 @@ def nu_transition(phi: CoordinateChange) -> tuple[Expr, ...]:
     if not check_morphism(phi):
         raise ValueError("chart map does not preserve the filtrations")
     names = deformation_names(phi.source)
-    rename = _rename_map(phi.source, names)
+    rename = _rename_map(phi.source, names, phi.components)
     out = []
     for b, component in enumerate(phi.components):
         wb = phi.target.weights[b]
@@ -127,7 +139,8 @@ class DeformationFunction:
 
 def _interpolate(p: wp.WeightedPoly, shift: int, W: WeightSequence) -> Expr:
     """sum of t^(s.w - shift)*c(y)*y^s over the terms c*x^s of p, renamed to y."""
-    rename = _rename_map(W, deformation_names(W))
+    rename = _rename_map(W, deformation_names(W) + ("t",),
+                         [c for _, c in p.terms])
     w = list(W.positive_weights)
     t = ex.var("t")
     terms = []
@@ -452,7 +465,8 @@ def blowup_lift_vf(X: PolyVectorField, W: WeightSequence,
     c = _chart_center(W, chart)
     ynames = deformation_names(W)
     znames = chart_names(W)
-    rename = _rename_map(W, znames)
+    rename = _rename_map(W, znames + ("t",),
+                         [k for coeff in X.coeffs for _, k in coeff.terms])
     w = list(W.positive_weights)
     # per y_v, its extension's terms as (s over all y, s.w - w_v, kappa(z_0))
     ext = []

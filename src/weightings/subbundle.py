@@ -35,6 +35,7 @@ Failures carry machine-readable reason codes and a concrete witness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -260,8 +261,6 @@ def _solve_as_lift(Q: GraphSubbundle, weights: Sequence[int], level: int,
              for s in candidates]
     monomials = sorted({m for p in lifts for m, _ in p.terms}
                        | {m for m, _ in target.terms})
-    if not monomials:
-        return ZERO
     index = {m: i for i, m in enumerate(monomials)}
     rows = [[Fraction(0)] * len(candidates) for _ in monomials]
     for k, p in enumerate(lifts):
@@ -661,6 +660,14 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
     sums chi_{a,u} y^u over multi-indices u with at least two entries,
     supported on the positive-weight variables, of weighted degree below the
     weight of the coordinate being corrected.
+
+    The coefficient of y^s is divided by the normalizer c_s = (V^s y^s) on
+    the base, which the preconditions fix to s! = prod_a s_a!.  By the
+    Leibniz rule V^s y^s sums over the ways to hand the |s| derivations to
+    the |s| factors of y^s.  A factor that gets none vanishes on the base,
+    so only bijections survive, and on the base a bijection gives the
+    product of its (V_a y_b) = delta_ab: 1 for each of the s! bijections
+    that pair every V_a with a factor y_a, 0 for the others.
     """
     W = fr.W
     n = W.n
@@ -694,18 +701,8 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
 
     for s in all_s:
         sw = weighted_degree(s, W.weights)
-        targets = [a for a in range(k0, n) if sw < W.weights[a]]
-        if not targets:
-            continue
-        if s not in normalizers:
-            c_s = restrict_to_base(apply_word(s, y_monomial(s)), W)
-            if not isinstance(c_s, ex.Const) or c_s.value <= 0:
-                raise ValueError(
-                    f"frame normalizer for {s} is not a positive constant "
-                    f"({ex.to_text(c_s)}); the frame does not satisfy the "
-                    f"preconditions")
-            normalizers[s] = c_s.value
-        for a in targets:
+        normalizers[s] = Fraction(math.prod(map(math.factorial, s)))
+        for a in [a for a in range(k0, n) if sw < W.weights[a]]:
             total = restrict_to_base(apply_word(s, y_exprs[a]), W)
             for (a2, u), coeff in chi.items():
                 if a2 != a or sum(u) >= sum(s):

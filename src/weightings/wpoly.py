@@ -17,9 +17,10 @@ is exact (`poly_normal_form`) and rejects what has no finite expansion: a
 function of a designated variable, a negative power of a non-constant.  With
 a bound it is the weighted Taylor expansion up to that degree
 (`weighted_taylor`), and each power series stops once its powers are empty.
-A positive power of a base with a constant part takes one product per unit
-of the exponent either way, so that exponent is capped at
-MAX_EXPANDED_POWER.
+A positive power of a one-term map is one term, (c x^s)^k = c^k x^(k s),
+dropped when it lies above the bound.  A positive power of any other base
+with a constant part takes one product per unit of the exponent either way,
+so that exponent is capped at MAX_EXPANDED_POWER.
 """
 
 from __future__ import annotations
@@ -290,8 +291,14 @@ def _expand(e: Expr, pvars: tuple[str, ...], w, bound) -> dict:
         base = _expand(e.base, pvars, w, bound)
         k = e.exponent
         if k > 0:
-            if base.keys() <= {zero}:  # mul merges equal bases: same text
-                return {zero: ex.pow_(base[zero], k)} if base else {}
+            if not base:
+                return {}
+            if len(base) == 1:  # mul merges equal bases: the text of k products
+                (s, c), = base.items()
+                s = tuple(k * x for x in s)
+                if bound is not None and weighted_degree(s, w) > bound:
+                    return {}
+                return {s: ex.pow_(c, k)}
             if zero in base and k > MAX_EXPANDED_POWER:
                 raise ValueError(
                     f"exponent {k} of a base with a constant term exceeds "

@@ -339,6 +339,29 @@ def test_power_of_a_base_with_a_constant_term_has_an_exponent_budget():
                 b"exceeds the limit MAX_EXPANDED_POWER = 1000\n")
 
 
+@pytest.mark.parametrize("expr, code, out, err", [
+    # a power of a one-term base is one term, not 99999999 products
+    ("x^99999999", 0, b"99999999\n", b""),
+    ("2^99999999999", 1, b"", b"error: constant power with exponent "
+     b"99999999999 exceeds the limit MAX_CONSTANT_BITS = 100000\n"),
+], ids=["one-term-base", "constant-bits"])
+def test_wdeg_of_a_huge_power_ends_at_once(expr, code, out, err):
+    result = subprocess.run(
+        [sys.executable, "-m", "weightings.cli", "wdeg", "--weights", "x=1",
+         "--expr", expr], capture_output=True, env=_child_env(), timeout=10)
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+
+
+def test_nu_trans_refuses_a_symbol_named_like_a_graded_coordinate(
+        tmp_path, capsys):
+    path = tmp_path / "clash.prob"
+    path.write_text("[weights]\nx = 1\ny = 1\n\n[map]\nx = x + y1*y\n"
+                    "y = y\n")
+    assert run(["nu-trans", "--file", str(path)], capsys) == (
+        1, "", "error: symbol 'y1' is not a variable of the weighting but is "
+               "named like a chart coordinate\n")
+
+
 @pytest.mark.parametrize("argv", [
     # float overflow of the power itself
     ["--weights", "x=1", "--expr", "x^-400"],

@@ -303,6 +303,52 @@ def test_blowup_field_text_brackets_sums_and_pulls_signs():
                          "(1 + (-1 - 2*(1 + z1))*z3) d/d[z3]")
 
 
+# A symbol outside W that is named like a chart coordinate would read as that
+# coordinate once W's variables are renamed, so it is refused by name.
+_XY = weight_sequence({"x": 1, "y": 1}, 2)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("y1", lambda: def_interpolant(parse_expr("y1*x"), 1, _XY)),
+    ("t", lambda: def_interpolant(parse_expr("t*x + y"), 1, _XY)),
+    ("y2", lambda: def_vf_interpolant(
+        vf_for_weights(_XY, [parse_expr("y2*x"), ZERO]), 0, _XY)),
+    ("t", lambda: def_vf_interpolant(
+        vf_for_weights(_XY, [ZERO, parse_expr("t")]), -1, _XY)),
+    ("y1", lambda: nu_transition(coordinate_change(
+        _XY, _XY, [parse_expr("x + y1*y"), var("y")]))),
+    ("z2", lambda: blowup_lift_vf(
+        vf_for_weights(_XY, [parse_expr("z2*x"), parse_expr("z2*y")]), _XY,
+        blowup_chart(_XY, "x"))),
+    ("t", lambda: blowup_lift_vf(
+        vf_for_weights(_XY, [parse_expr("t*x"), var("y")]), _XY,
+        blowup_chart(_XY, "y", "-"))),
+], ids=["interp-y", "interp-t", "vf-interp-y", "vf-interp-t", "nu-y",
+        "blowup-z", "blowup-t"])
+def test_symbols_named_like_chart_coordinates_are_refused(name, call):
+    with pytest.raises(ValueError, match=f"symbol '{name}' is not a variable "
+                                         f"of the weighting"):
+        call()
+
+
+def test_variables_of_w_named_like_chart_coordinates_keep_working():
+    W = weight_sequence({"t": 0, "y2": 1, "z1": 2}, 2)
+    assert str(def_interpolant(parse_expr("t*y2*z1"), 2, W)) == "t*y1*y2*y3"
+    X = vf_for_weights(W, [ZERO, parse_expr("t*y2"), parse_expr("2*z1")])
+    assert str(def_vf_interpolant(X, 0, W)) == \
+        "(y1*y2) d/d[y2] + (2*y3) d/d[y3]"
+    phi = coordinate_change(W, W, [var("t"), var("y2"),
+                                   parse_expr("z1 + t*y2^2")])
+    assert nu_transition(phi) == (var("y1"), var("y2"),
+                                  parse_expr("y3 + y1*y2^2"))
+    assert str(blowup_lift_vf(X, W, blowup_chart(W, "z1"))) == \
+        "((-1 + z1)*z2) d/d[z2] + (z3) d/d[z3]"
+    # nu_transition has no t coordinate, so a free t is a coefficient there
+    assert nu_transition(coordinate_change(
+        _XY, _XY, [parse_expr("x + t*y"), var("y")]))[0] == \
+        parse_expr("y1 + t*y2")
+
+
 def test_blowup_lift_rejects_a_chart_of_other_weights():
     W = weight_sequence({"x": 1, "y": 2}, 2)
     foreign = blowup_chart(weight_sequence({"x": 1, "y": 3}, 3), "y")
