@@ -37,7 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import lcm, log2
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -746,6 +746,28 @@ def jet_point_text(u: JetPoint) -> str:
     return "; ".join(chunks)
 
 
+# A decimal exponent k makes Fraction build 10^|k|, about 3.33 |k| bits,
+# before any other check: bound it by the constant limit of expr.
+_DECIMAL_EXPONENT_RE = re.compile(r"[eE]\s*([-+]?[0-9_]+)\s*$")
+
+# Highest power e^j that parse_reparametrization accepts: a term e^j
+# allocates j coefficients.
+MAX_REPARAM_ORDER = 1000
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """Fraction(text), refusing a decimal exponent above the constant limit
+    and reporting a zero denominator as a ValueError."""
+    m = _DECIMAL_EXPONENT_RE.search(text)
+    if m and abs(int(m.group(1))) * log2(10) > ex.MAX_CONSTANT_BITS:
+        raise ValueError(f"decimal exponent {m.group(1)} exceeds the limit "
+                         f"MAX_CONSTANT_BITS = {ex.MAX_CONSTANT_BITS}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+
+
 def parse_jet_point(text: str) -> JetPoint:
     names, rows = [], []
     for chunk in text.split(";"):
@@ -758,7 +780,7 @@ def parse_jet_point(text: str) -> JetPoint:
             if ":" not in piece:
                 raise ValueError(f"malformed slot {piece.strip()!r}")
             level, value = piece.split(":", 1)
-            slots[int(level)] = Fraction(value.strip())
+            slots[int(level)] = _parse_fraction(value.strip())
         if sorted(slots) != list(range(len(slots))):
             raise ValueError(f"variable {name.strip()!r} is missing slot levels")
         names.append(name.strip())
@@ -782,11 +804,14 @@ def parse_reparametrization(text: str, order: int | None = None) -> Reparametriz
         if m is None:
             raise ValueError(f"malformed reparametrization term {chunk.strip()!r}")
         raw, power = m.groups()
-        coeff = Fraction(raw) if raw not in ("", "+", "-") else \
+        coeff = _parse_fraction(raw) if raw not in ("", "+", "-") else \
             Fraction(-1 if raw == "-" else 1)
         j = int(power) if power else 1
         if j < 1:
             raise ValueError("reparametrization terms start at e^1")
+        if j > MAX_REPARAM_ORDER:
+            raise ValueError(f"term e^{j} exceeds the limit "
+                             f"MAX_REPARAM_ORDER = {MAX_REPARAM_ORDER}")
         coeffs[j] = coeffs.get(j, Fraction(0)) + coeff
     top = max(coeffs) if coeffs else 1
     if order is None:

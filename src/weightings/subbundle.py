@@ -31,10 +31,17 @@ constrained level is below r, and a right-hand side of degree j reads no
 slot above j.
 
 Failures carry machine-readable reason codes and a concrete witness.
+
+For a frame, ``adapted_coordinates`` and ``verify_adapted`` need frame words
+only on the base, (V^s f) restricted to it.  ``_base_words`` reads them off
+the ``wpoly`` term maps of f and of the field coefficients, truncated above
+total degree |s| in the positive-weight variables; ``Frame.apply_word``
+keeps the exact word on expression trees.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -451,6 +458,56 @@ def _word_applier(fr: Frame):
     return apply_word
 
 
+def _field_maps(fr: Frame, bound: int) -> list[list[tuple[str, dict]]]:
+    """Per field V_c, the (variable v, term map of its d/dv coefficient)
+    pairs, expanded in the positive-weight variables through total degree
+    bound; empty maps are left out."""
+    pvars = fr.W.positive_vars
+    ones = (1,) * len(pvars)
+    out = []
+    for a in range(fr.n):
+        row = []
+        for v, c in zip(fr.W.vars, fr.field_exprs(a)):
+            if c != ZERO and (m := wp._expand(c, pvars, ones, bound)):
+                row.append((v, m))
+        out.append(row)
+    return out
+
+
+def _base_words(fields: list[list[tuple[str, dict]]], pvars: tuple[str, ...],
+                f: dict, top: int):
+    """s -> (V^s f) on the base, for words with |s| <= top.
+
+    f is the term map of a function in the positive-weight variables, with
+    unit weights, truncated above total degree top; fields comes from
+    _field_maps with a bound of at least top - 1.  A field differentiates
+    once and multiplies by an analytic coefficient, so it lowers the
+    vanishing order along the base by at most one: V^s f is known through
+    degree top - |s|, and the terms dropped above it never reach degree 0,
+    where the value on the base is the coefficient.  Each V^s f is kept, so
+    words that share a prefix apply it once.
+    """
+    ones = (1,) * len(pvars)
+    zero = (0,) * len(pvars)
+    memo = {(0,) * len(fields): f}
+
+    def truncated(s: tuple[int, ...]) -> dict:
+        if s not in memo:
+            c = next(c for c, e in enumerate(s) if e)
+            prefix = s[:c] + (s[c] - 1,) + s[c + 1:]
+            g = truncated(prefix)
+            bound = top - sum(s)
+            acc: dict = {}
+            for v, coeff in fields[c]:
+                wp._add_into(acc, wp._product(
+                    coeff.items(), wp._partial(g.items(), pvars, v).items(),
+                    ones, bound).items())
+            memo[s] = wp._nonzero(acc)
+        return memo[s]
+
+    return lambda s: truncated(tuple(s)).get(zero, ZERO)
+
+
 def restrict_to_base(e: Expr, W: WeightSequence) -> Expr:
     return ex.substitute(e, {v: ZERO for v in W.positive_vars})
 
@@ -668,17 +725,36 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
     so only bijections survive, and on the base a bijection gives the
     product of its (V_a y_b) = delta_ab: 1 for each of the s! bijections
     that pair every V_a with a factor y_a, 0 for the others.
+
+    Only values on the base are needed, so every word is applied to term
+    maps in the positive-weight variables truncated above total degree
+    |s| (see _base_words): a frame field lowers the vanishing order along
+    the base by at most one, so no dropped term reaches degree 0.  By
+    linearity chi_{a,s} = -(V^s x_a)/s! on the base, with x_a the running
+    coordinate y_a + sum_{|u| < |s|} chi_{a,u} y^u, so each (a, s) applies
+    one word, not one per earlier chi entry.
     """
     W = fr.W
     n = W.n
+    pvars = W.positive_vars
+    ones = (1,) * len(pvars)
     y_exprs = tuple(ex.as_expr(y) for y in y_exprs)
     if y_names is None:
         y_names = tuple(f"y{a + 1}" for a in range(n))
     else:
         y_names = tuple(y_names)
+    max_w = max(W.weights)
+    all_s = _normal_multi_indices(W, max_w, 2)
+    top = max((sum(s) for s in all_s), default=1)
+    fields = _field_maps(fr, top - 1)
+    y_maps = [wp._expand(y, pvars, ones, top) for y in y_exprs]
+    first_order = [_base_words(fields, pvars, {u: c for u, c in y.items()
+                                               if sum(u) <= 1}, 1)
+                   for y in y_maps]
     for a in range(n):
+        unit = tuple(int(c == a) for c in range(n))
         for b in range(n):
-            value = restrict_to_base(fr.apply(a, y_exprs[b]), W)
+            value = first_order[b](unit)
             expected = ONE if a == b else ZERO
             if value != expected:
                 raise ValueError(
@@ -689,29 +765,39 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
         if restrict_to_base(y_exprs[a], W) != ZERO:
             raise ValueError(f"initial coordinate y_{a + 1} does not vanish "
                              f"on the base")
-    max_w = max(W.weights)
-    all_s = _normal_multi_indices(W, max_w, 2)
     chi: dict[tuple[int, tuple[int, ...]], Expr] = {}
     normalizers: dict[tuple[int, ...], Fraction] = {}
-    apply_word = _word_applier(fr)
+    # running[a] = y_a + sum of the chi_{a,u} y^u found so far, through
+    # degree top; a word of size m reads it through degree m
+    running = {a: y_maps[a] for a in range(k0, n)}
+    for m, group in itertools.groupby(all_s, key=sum):
+        words = {}
+        for s in group:
+            sw = weighted_degree(s, W.weights)
+            normalizers[s] = Fraction(math.prod(map(math.factorial, s)))
+            for a in [a for a in range(k0, n) if sw < W.weights[a]]:
+                if a not in words:
+                    f = {u: c for u, c in running[a].items() if sum(u) <= m}
+                    words[a] = _base_words(fields, pvars, f, m)
+                value = ex.expand(ex.mul(ex.const(Fraction(-1) / normalizers[s]),
+                                         words[a](s)))
+                if value != ZERO:
+                    chi[(a, s)] = value
+        for (a, u), coeff in chi.items():
+            if sum(u) == m:
+                term = {(0,) * len(pvars): coeff}
+                for b, e in enumerate(u):
+                    for _ in range(e):
+                        term = wp._product(term.items(), y_maps[b].items(),
+                                           ones, top)
+                acc = dict(running[a])
+                wp._add_into(acc, term.items())
+                running[a] = wp._nonzero(acc)
 
     def y_monomial(u: tuple[int, ...]) -> Expr:
         return ex.mul(*[ex.pow_(y_exprs[b], e) for b, e in enumerate(u) if e],
                       ONE)
 
-    for s in all_s:
-        sw = weighted_degree(s, W.weights)
-        normalizers[s] = Fraction(math.prod(map(math.factorial, s)))
-        for a in [a for a in range(k0, n) if sw < W.weights[a]]:
-            total = restrict_to_base(apply_word(s, y_exprs[a]), W)
-            for (a2, u), coeff in chi.items():
-                if a2 != a or sum(u) >= sum(s):
-                    continue
-                piece = apply_word(s, ex.mul(coeff, y_monomial(u)))
-                total = ex.add(total, restrict_to_base(piece, W))
-            value = ex.expand(ex.mul(ex.const(Fraction(-1) / normalizers[s]), total))
-            if value != ZERO:
-                chi[(a, s)] = value
     x_in_chart = []
     x_in_y = []
     for a in range(n):
@@ -733,14 +819,15 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
 def verify_adapted(x_exprs: Sequence[Expr], fr: Frame) -> bool:
     """Check (V^s x_a) vanishes on the base whenever s.w < w_a."""
     W = fr.W
-    x_exprs = tuple(ex.as_expr(x) for x in x_exprs)
-    apply_word = _word_applier(fr)
-    for a in range(W.n):
-        wa = W.weights[a]
-        if wa == 0:
-            continue
-        for s in _normal_multi_indices(W, wa, 0):
-            value = restrict_to_base(apply_word(s, x_exprs[a]), W)
-            if ex.expand(value) != ZERO:
-                return False
+    pvars = W.positive_vars
+    words = {a: _normal_multi_indices(W, W.weights[a], 0)
+             for a in range(W.n) if W.weights[a]}
+    tops = {a: max(map(sum, all_s)) for a, all_s in words.items()}
+    fields = _field_maps(fr, max(max(tops.values(), default=0) - 1, 0))
+    for a, all_s in words.items():
+        top = tops[a]
+        f = wp._expand(ex.as_expr(x_exprs[a]), pvars, (1,) * len(pvars), top)
+        on_base = _base_words(fields, pvars, f, top)
+        if any(ex.expand(on_base(s)) != ZERO for s in all_s):
+            return False
     return True

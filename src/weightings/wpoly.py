@@ -19,8 +19,9 @@ a bound it is the weighted Taylor expansion up to that degree
 (`weighted_taylor`), and each power series stops once its powers are empty.
 A positive power of a one-term map is one term, (c x^s)^k = c^k x^(k s),
 dropped when it lies above the bound.  A positive power of any other base
-with a constant part takes one product per unit of the exponent either way,
-so that exponent is capped at MAX_EXPANDED_POWER.
+takes one product per unit of the exponent, so that exponent is capped at
+MAX_EXPANDED_POWER unless a bound ends the products early: with no constant
+part, the powers of the base leave the bound after a few products.
 """
 
 from __future__ import annotations
@@ -158,16 +159,7 @@ def homogeneous_approx(p: WeightedPoly, W: WeightSequence, degree: int) -> Weigh
 
 def partial(p: WeightedPoly, name: str) -> WeightedPoly:
     """Partial derivative of a WeightedPoly by any variable."""
-    if name in p.pvars:
-        a = p.pvars.index(name)
-        acc: dict[tuple[int, ...], Expr] = {}
-        for s, c in p.terms:
-            if s[a] == 0:
-                continue
-            key = s[:a] + (s[a] - 1,) + s[a + 1:]
-            acc[key] = ex.add(acc.get(key, ZERO), ex.mul(ex.const(s[a]), c))
-        return wpoly(p.pvars, acc)
-    return wpoly(p.pvars, {s: ex.differentiate(c, name) for s, c in p.terms})
+    return wpoly(p.pvars, _partial(p.terms, p.pvars, name))
 
 
 def dilate(p: WeightedPoly, W: WeightSequence, tname: str = "t") -> Expr:
@@ -220,9 +212,9 @@ def weighted_taylor(e: Expr, W: WeightSequence, up_to: int) -> WeightedPoly:
 # ---------------------------------------------------------------------------
 # the term-map kernel: exponent tuple -> coefficient
 
-# Largest e for which a power (c + h)^e, c a constant part and h a non-empty
-# designated part, is expanded: that takes e products, and truncation never
-# empties them, so the exponent is checked before the first one.
+# Largest e for which a power of a base with two or more terms is expanded
+# when truncation cannot end its e products early: the base has a constant
+# part (truncation never empties the products), or there is no bound.
 MAX_EXPANDED_POWER = 1000
 
 
@@ -246,6 +238,18 @@ def _product(a, b, w=None, bound=None) -> dict:
                 continue
             acc[key] = ex.add(acc.get(key, ZERO), ex.mul(c, d))
     return _nonzero(acc)
+
+
+def _partial(terms, pvars: tuple[str, ...], name: str) -> dict:
+    """Term map of the partial derivative by any variable: by a designated
+    one it lowers an exponent, which no two terms share afterwards; by
+    another it differentiates the coefficients."""
+    if name not in pvars:
+        return {s: d for s, c in terms
+                if (d := ex.differentiate(c, name)) != ZERO}
+    a = pvars.index(name)
+    return {s[:a] + (s[a] - 1,) + s[a + 1:]: ex.mul(ex.const(s[a]), c)
+            for s, c in terms if s[a]}
 
 
 def _series(coeff_of, h: dict, zero: tuple, w, bound) -> dict:
@@ -299,9 +303,10 @@ def _expand(e: Expr, pvars: tuple[str, ...], w, bound) -> dict:
                 if bound is not None and weighted_degree(s, w) > bound:
                     return {}
                 return {s: ex.pow_(c, k)}
-            if zero in base and k > MAX_EXPANDED_POWER:
+            if k > MAX_EXPANDED_POWER and (zero in base or bound is None):
+                kind = "a constant term" if zero in base else "two or more terms"
                 raise ValueError(
-                    f"exponent {k} of a base with a constant term exceeds "
+                    f"exponent {k} of a base with {kind} exceeds "
                     f"the limit MAX_EXPANDED_POWER = {MAX_EXPANDED_POWER}")
             acc = {zero: ONE}
             for _ in range(k):

@@ -352,6 +352,32 @@ def test_wdeg_of_a_huge_power_ends_at_once(expr, code, out, err):
     assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
 
 
+@pytest.mark.parametrize("argv, code, out, err", [
+    # exact: each of the products would grow the polynomial
+    (["wdeg", "--expr", "(x+y)^99999999"], 1, b"",
+     b"error: exponent 99999999 of a base with two or more terms exceeds "
+     b"the limit MAX_EXPANDED_POWER = 1000\n"),
+    # truncated: with no constant part the powers leave degree 3 at once
+    (["happrox", "--degree", "3", "--expr", "(x+y)^99999999"], 0, b"0\n", b""),
+], ids=["exact", "truncated"])
+def test_huge_power_of_a_sum_without_a_constant_ends_at_once(argv, code, out,
+                                                            err):
+    result = subprocess.run(
+        [sys.executable, "-m", "weightings.cli", *argv, "--weights", "x=1,y=1"],
+        capture_output=True, env=_child_env(), timeout=10)
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+
+
+def test_adapt_refuses_a_pole_on_the_base(tmp_path, capsys):
+    path = tmp_path / "pole.prob"
+    path.write_text("[weights]\nx1 = 1\nx2 = 3\n\n[frame]\nV1 = 1, 0\n"
+                    "V2 = 0, 1\n\n[coords]\ny1 = x1\n"
+                    "y2 = x2 + x1^2 + x1^-1*x2^2\n")
+    assert run(["adapt", "--file", str(path)], capsys) == (
+        1, "", "error: negative power with vanishing constant term is not "
+               "analytic in the positive-weight variables\n")
+
+
 def test_nu_trans_refuses_a_symbol_named_like_a_graded_coordinate(
         tmp_path, capsys):
     path = tmp_path / "clash.prob"

@@ -10,11 +10,17 @@ was, and both are compared on generated inputs:
 * the two-term brackets of the monomial frame in ``nilpotent_frames``,
   against the accumulate-and-cancel expansion over labels;
 * one-term powers in the ``wpoly`` term-map walk, (c x^s)^k = c^k x^(k s),
-  against k truncated products.
+  against k truncated products;
+* ``adapted_coordinates`` and ``verify_adapted``, which read frame words on
+  the base off truncated term maps, against the words applied to Expr trees
+  and restricted to the base afterwards: the same chi, normalizers,
+  coordinates and verdicts, and the same error text when a precondition
+  fails.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -55,13 +61,24 @@ def _base_coefficient(rng, zero_vars) -> ex.Expr:
     return out
 
 
-def _positive_monomial(rng, W, min_size) -> ex.Expr:
+def _positive_monomial(rng, W, min_size, heads=False) -> ex.Expr:
+    """A product of min_size or min_size + 1 factors that vanish on the base:
+    positive-weight variables, or with heads also sin(x), exp(x) - 1 and
+    x*cos(x')."""
     pvars = W.positive_vars
     size = rng.randint(min_size, min_size + 1)
-    return ex.mul(*[ex.var(rng.choice(pvars)) for _ in range(size)])
+    if not heads:
+        return ex.mul(*[ex.var(rng.choice(pvars)) for _ in range(size)])
+    factors = []
+    for _ in range(size):
+        x = ex.var(rng.choice(pvars))
+        factors.append(rng.choice([
+            x, ex.app("sin", x), ex.add(ex.app("exp", x), ex.MINUS_ONE),
+            ex.mul(x, ex.app("cos", ex.var(rng.choice(pvars))))]))
+    return ex.mul(*factors)
 
 
-def _normalized_frame(rng):
+def _normalized_frame(rng, heads=False):
     """A frame and initial coordinates meeting the adapted_coordinates
     preconditions, built so that (V_a y_b) on the base is the identity.
 
@@ -69,7 +86,9 @@ def _normalized_frame(rng):
     triangular matrix on the positive-weight variables and h_b of size at
     least 2 in them, so the Jacobian on the base is J = 1 + l.  The frame is
     J^-1 plus entries that vanish on the base, in the positive-weight
-    columns only, so its base-tangent fields commute.
+    columns only, so its base-tangent fields commute.  With heads, h_b also
+    uses sin, exp and cos of positive-weight variables (frame entries are
+    polynomial in them).
     """
     k0 = rng.choice([1, 1, 2, 0])
     pos = sorted(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
@@ -95,7 +114,7 @@ def _normalized_frame(rng):
                      for v in range(n)])
         for _ in range(rng.randint(0, 2)):
             y = ex.add(y, ex.mul(_base_coefficient(rng, zero_vars),
-                                 _positive_monomial(rng, W, 2)))
+                                 _positive_monomial(rng, W, 2, heads)))
         y_exprs.append(y)
     rows = []
     for a in range(n):
@@ -317,3 +336,195 @@ def test_one_term_powers_match_the_truncated_products():
                 else:
                     kept += 1
     assert kept >= 400 and cut >= 300
+
+
+# ---------------------------------------------------------------------------
+# frame words on the base from truncated term maps
+
+def _reference_adapted_coordinates(fr, y_exprs, y_names=None):
+    """adapted_coordinates with every frame word applied to an Expr tree
+    and restricted to the base afterwards."""
+    W = fr.W
+    n = W.n
+    y_exprs = tuple(ex.as_expr(y) for y in y_exprs)
+    if y_names is None:
+        y_names = tuple(f"y{a + 1}" for a in range(n))
+    else:
+        y_names = tuple(y_names)
+    for a in range(n):
+        for b in range(n):
+            value = sb.restrict_to_base(fr.apply(a, y_exprs[b]), W)
+            expected = ONE if a == b else ZERO
+            if value != expected:
+                raise ValueError(
+                    f"(V_{a + 1} y_{b + 1}) on the base is {ex.to_text(value)}, "
+                    f"expected {ex.to_text(expected)}")
+    k0 = W.count(0)
+    for a in range(k0, n):
+        if sb.restrict_to_base(y_exprs[a], W) != ZERO:
+            raise ValueError(f"initial coordinate y_{a + 1} does not vanish "
+                             f"on the base")
+    max_w = max(W.weights)
+    all_s = sb._normal_multi_indices(W, max_w, 2)
+    chi = {}
+    normalizers = {}
+    apply_word = sb._word_applier(fr)
+
+    def y_monomial(u):
+        return ex.mul(*[ex.pow_(y_exprs[b], e) for b, e in enumerate(u) if e],
+                      ONE)
+
+    for s in all_s:
+        sw = weighted_degree(s, W.weights)
+        normalizers[s] = Fraction(math.prod(map(math.factorial, s)))
+        for a in [a for a in range(k0, n) if sw < W.weights[a]]:
+            total = sb.restrict_to_base(apply_word(s, y_exprs[a]), W)
+            for (a2, u), coeff in chi.items():
+                if a2 != a or sum(u) >= sum(s):
+                    continue
+                piece = apply_word(s, ex.mul(coeff, y_monomial(u)))
+                total = ex.add(total, sb.restrict_to_base(piece, W))
+            value = ex.expand(ex.mul(ex.const(Fraction(-1) / normalizers[s]), total))
+            if value != ZERO:
+                chi[(a, s)] = value
+    x_in_chart = []
+    x_in_y = []
+    for a in range(n):
+        chart = y_exprs[a]
+        in_y = ex.var(y_names[a])
+        for (a2, u), coeff in chi.items():
+            if a2 != a:
+                continue
+            chart = ex.add(chart, ex.mul(coeff, y_monomial(u)))
+            in_y = ex.add(in_y, ex.mul(coeff, wp.monomial_expr(y_names, u)))
+        x_in_chart.append(chart)
+        x_in_y.append(in_y)
+    return sb.AdaptedChange(
+        fr, y_names, tuple(x_in_chart), tuple(x_in_y),
+        tuple(sorted(chi.items(), key=lambda item: item[0])),
+        tuple(sorted(normalizers.items())))
+
+
+def _reference_verify_adapted(x_exprs, fr) -> bool:
+    W = fr.W
+    x_exprs = tuple(ex.as_expr(x) for x in x_exprs)
+    apply_word = sb._word_applier(fr)
+    for a in range(W.n):
+        wa = W.weights[a]
+        if wa == 0:
+            continue
+        for s in sb._normal_multi_indices(W, wa, 0):
+            value = sb.restrict_to_base(apply_word(s, x_exprs[a]), W)
+            if ex.expand(value) != ZERO:
+                return False
+    return True
+
+
+def _adapted_outcome(adapt, fr, y_exprs):
+    """Everything adapted_coordinates hands out, as texts, or its error;
+    and the change itself, or None."""
+    try:
+        change = adapt(fr, y_exprs)
+    except ValueError as err:
+        return ("error", str(err)), None
+    return ([(key, ex.to_text(c)) for key, c in change.chi],
+            change.normalizers,
+            [ex.to_text(e) for e in change.x_in_chart],
+            [ex.to_text(e) for e in change.x_in_y]), change
+
+
+def _spoiled(rng, fr, y_exprs):
+    """Initial coordinates that break the (V_a y_b) = identity precondition:
+    two swapped, a linear term with a weight-0 coefficient added, or one
+    multiplied by a function of a weight-0 variable."""
+    W = fr.W
+    y = list(y_exprs)
+    b = rng.randrange(W.n)
+    kind = rng.randrange(3)
+    if kind == 0 and W.n > 1:
+        c = rng.choice([c for c in range(W.n) if c != b])
+        y[b], y[c] = y[c], y[b]
+    elif kind == 1 or not W.zero_vars:
+        coeff = _base_coefficient(rng, list(W.zero_vars))
+        y[b] = ex.add(y[b], ex.mul(coeff, ex.var(rng.choice(W.vars))))
+    else:
+        z = ex.var(rng.choice(W.zero_vars))
+        y[b] = ex.mul(y[b], ex.add(ONE, rng.choice([z, ex.app("sin", z)])))
+    return y
+
+
+def _unadapted(rng, fr, x_exprs):
+    """x_exprs with one term of weighted degree below w_a added to x_a."""
+    W = fr.W
+    x = list(x_exprs)
+    a = rng.choice([a for a in range(W.n) if W.weights[a]])
+    s = rng.choice(sb._normal_multi_indices(W, W.weights[a], 0))
+    term = ex.mul(_base_coefficient(rng, list(W.zero_vars)),
+                  wp.monomial_expr(W.vars, s))
+    x[a] = ex.add(x[a], term)
+    return x
+
+
+DENSE_WEIGHTS = weight_sequence([("x1", 1), ("x2", 2), ("x3", 4)], 4)
+
+
+def _dense_fixture(rng):
+    """Weights (1, 2, 4), a frame perturbed by monomials that vanish at the
+    origin, and a third coordinate with every correction monomial, so that
+    words of size 2 and 3 leave several chi entries."""
+    x1, x2, x3 = (ex.var(v) for v in DENSE_WEIGHTS.vars)
+
+    def c():
+        return ex.const(rand_rational(rng, zero_ok=False))
+
+    rows = [[ONE + c() * x1, c() * x1, c() * x1 * x2],
+            [c() * x1, ONE, c() * x2],
+            [c() * x1, c() * x1, ONE]]
+    y_exprs = [x1, x2, x3 + c() * x1 ** 2 + c() * x1 ** 3 + c() * x1 * x2]
+    return sb.frame(DENSE_WEIGHTS, rows), y_exprs
+
+
+def _adaptation_cases(rng):
+    from test_subbundle import _perturbed_fixture
+    for i in range(480):
+        kind = i % 3
+        if kind == 0:
+            yield "weight-0 heads", _normalized_frame(rng)
+        elif kind == 1:
+            yield "positive heads", _normalized_frame(rng, heads=True)
+        else:
+            yield "perturbed", _perturbed_fixture(rng, rng.randint(2, 3))
+    for _ in range(40):
+        yield "dense", _dense_fixture(rng)
+
+
+def test_frame_words_on_the_base_match_the_expr_word_path():
+    rng = random.Random(1401)
+    counts = {"weight-0 heads": 0, "positive heads": 0, "perturbed": 0,
+              "dense": 0}
+    chi = refused = verdicts_false = verdicts_true = 0
+    for kind, (fr, y_exprs) in _adaptation_cases(rng):
+        expected, _ = _adapted_outcome(_reference_adapted_coordinates, fr,
+                                       y_exprs)
+        outcome, change = _adapted_outcome(sb.adapted_coordinates, fr, y_exprs)
+        assert outcome == expected, (kind, fr.W, [ex.to_text(y) for y in y_exprs])
+        counts[kind] += 1
+        chi += len(expected[0])
+        assert sb.verify_adapted(change.x_in_chart, fr)
+        # the Expr words on x_in_chart with positive heads cost seconds
+        adapted = [] if kind == "positive heads" else [change.x_in_chart]
+        for x in adapted + [y_exprs, _unadapted(rng, fr, change.x_in_chart)]:
+            verdict = _reference_verify_adapted(x, fr)
+            assert sb.verify_adapted(x, fr) == verdict, \
+                (kind, fr.W, [ex.to_text(e) for e in x])
+            verdicts_true += verdict
+            verdicts_false += not verdict
+        spoiled = _spoiled(rng, fr, y_exprs)
+        expected, _ = _adapted_outcome(_reference_adapted_coordinates, fr,
+                                       spoiled)
+        outcome, _ = _adapted_outcome(sb.adapted_coordinates, fr, spoiled)
+        assert outcome == expected, (kind, fr.W, [ex.to_text(y) for y in spoiled])
+        refused += expected[0] == "error"
+    assert sum(counts.values()) >= 500 and counts["dense"] >= 40
+    assert chi >= 240 and refused >= 500
+    assert verdicts_false >= 600 and verdicts_true >= 700

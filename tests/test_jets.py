@@ -243,6 +243,42 @@ def test_parse_reparametrization():
         jt.parse_reparametrization("psi=e^2 + q")
 
 
+@pytest.mark.parametrize("text, message", [
+    # Fraction would build 10^99999999 before anything else
+    ("x=0:1e99999999", "decimal exponent 99999999 exceeds the limit "
+                       "MAX_CONSTANT_BITS = 100000"),
+    ("x=0:0e-99999999", "decimal exponent -99999999 exceeds the limit "
+                        "MAX_CONSTANT_BITS = 100000"),
+    ("x=0:1/0", "zero denominator in '1/0'"),
+])
+def test_parse_jet_point_refuses_before_it_allocates(text, message):
+    with pytest.raises(ValueError) as err:
+        jt.parse_jet_point(text)
+    assert str(err.value) == message
+
+
+def test_parse_jet_point_keeps_decimal_exponents_within_the_limit():
+    assert jt.parse_jet_point("x=0:1.5e3,1:-2E-2").values == (
+        (Fraction(1500), Fraction(-1, 50)),)
+
+
+@pytest.mark.parametrize("text, message", [
+    # the order of the reparametrization is the highest power of e
+    ("e^" + "9" * 40, f"term e^{'9' * 40} exceeds the limit "
+                      f"MAX_REPARAM_ORDER = 1000"),
+    ("e^1001", "term e^1001 exceeds the limit MAX_REPARAM_ORDER = 1000"),
+    ("1/0*e", "zero denominator in '1/0'"),
+])
+def test_parse_reparametrization_refuses_before_it_allocates(text, message):
+    with pytest.raises(ValueError) as err:
+        jt.parse_reparametrization(text)
+    assert str(err.value) == message
+
+
+def test_parse_reparametrization_accepts_the_highest_order():
+    assert jt.parse_reparametrization("e^1000").order == jt.MAX_REPARAM_ORDER
+
+
 # ---------------------------------------------------------------------------
 # generated oracles for the slot-polynomial kernel
 
