@@ -5,6 +5,10 @@ problem file with INI-style sections ([weights], [map], [graph], [frame],
 [coords]).  Output is canonical text by default or a versioned JSON envelope
 with --json.  Exit codes: 0 success, 1 domain error (including a rejected
 weighting check), 2 usage error.
+
+One command table, ``_COMMANDS``, gives each subcommand its handler, help and
+option keys in ``_OPTIONS``; the parser and ``execute`` both read it.  --help
+shows this docstring up to this paragraph.
 """
 
 from __future__ import annotations
@@ -37,68 +41,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# option key -> add_argument keywords of --key, in the order a subcommand
+# lists its options; every subcommand takes --json after them
+_OPTIONS = {
+    "weights": {"help": "assignments like x=1,y=2,z=3"},
+    "vars": {"help": "chart variables, comma separated"},
+    "expr": {"help": "expression text"},
+    "coeffs": {"help": "vector field coefficients, ';' separated"},
+    "degree": {"type": int, "help": "weighted degree"},
+    "level": {"type": int, "help": "prolongation level"},
+    "order": {"type": int, "help": "truncation order r"},
+    "file": {"help": "problem file path"},
+    "center": {"help": "center variable"},
+    "sign": {"default": "+", "choices": ["+", "-"]},
+    "seed": {"type": int, "default": 0},
+    "multi": {"help": "assignments like x=(1,0),y=(0,1)"},
+}
+
+
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="weightings", description=__doc__)
+    parser = _Parser(prog="weightings",
+                     description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add(name, help_text, *, weights=False, expr=False, degree=False,
-            level=False, order=False, vars_=False, coeffs=False, file_=False,
-            extra=()):
+    for name, (_handler, help_text, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if weights:
-            p.add_argument("--weights", help="assignments like x=1,y=2,z=3")
-        if vars_:
-            p.add_argument("--vars", help="chart variables, comma separated")
-        if expr:
-            p.add_argument("--expr", help="expression text")
-        if coeffs:
-            p.add_argument("--coeffs",
-                           help="vector field coefficients, ';' separated")
-        if degree:
-            p.add_argument("--degree", type=int, help="weighted degree")
-        if level:
-            p.add_argument("--level", type=int, help="prolongation level")
-        if order:
-            p.add_argument("--order", type=int, help="truncation order r")
-        if file_:
-            p.add_argument("--file", help="problem file path")
-        for args, kwargs in extra:
-            p.add_argument(*args, **kwargs)
+        for key, kwargs in _OPTIONS.items():
+            if key in keys.split():
+                p.add_argument(f"--{key}", **kwargs)
         p.add_argument("--json", action="store_true", help="JSON output")
-        return p
-
-    add("wdeg", "filtration degree of a polynomial expression",
-        weights=True, expr=True, order=True, file_=True)
-    add("happrox", "homogeneous approximation of the given degree",
-        weights=True, expr=True, degree=True, order=True, file_=True)
-    add("gens", "minimal monomial generators of the degree ideal",
-        weights=True, degree=True, order=True, file_=True)
-    add("jet-lift", "function lift to the prolonged chart",
-        vars_=True, expr=True, level=True, order=True)
-    add("vf-lift", "vector field lift to the prolonged chart",
-        vars_=True, coeffs=True, level=True, order=True)
-    add("nu-trans", "induced map of graded coordinates", file_=True)
-    add("def-interp", "deformation interpolant of a function",
-        weights=True, expr=True, degree=True, order=True, file_=True)
-    add("theta", "scaling field on the deformation chart",
-        weights=True, order=True, file_=True)
-    add("blowup", "weighted blow-up chart", weights=True, order=True,
-        file_=True,
-        extra=((("--center",), {"help": "center variable"}),
-               (("--sign",), {"default": "+", "choices": ["+", "-"]})))
-    add("check-q", "weighting criterion for a graph subbundle", file_=True)
-    add("adapt", "adapted coordinates from a frame and initial coordinates",
-        file_=True)
-    add("euler-like", "test a field for the scaling normal form",
-        weights=True, coeffs=True, order=True, file_=True)
-    add("scale-order", "numeric scaling-order estimate",
-        weights=True, expr=True, order=True, file_=True,
-        extra=((("--seed",), {"type": int, "default": 0}),))
-    add("nilpotent", "negative nilpotent frame algebra",
-        weights=True, order=True, file_=True)
-    add("total-weight", "total weighting of a multi-weight",
-        order=True, file_=True,
-        extra=((("--multi",), {"help": "assignments like x=(1,0),y=(0,1)"}),))
     return parser
 
 
@@ -500,32 +470,46 @@ def _total_weight(options, sections):
                                     "order": W.order}
 
 
-_HANDLERS = {
-    "wdeg": _wdeg,
-    "happrox": _happrox,
-    "gens": _gens,
-    "jet-lift": _jet_lift,
-    "vf-lift": _vf_lift,
-    "nu-trans": _nu_trans,
-    "def-interp": _def_interp,
-    "theta": _theta,
-    "blowup": _blowup,
-    "check-q": _check_q,
-    "adapt": _adapt,
-    "euler-like": _euler_like,
-    "scale-order": _scale_order,
-    "nilpotent": _nilpotent,
-    "total-weight": _total_weight,
+# subcommand -> (handler, help, option keys), in the order --help lists them
+_COMMANDS = {
+    "wdeg": (_wdeg, "filtration degree of a polynomial expression",
+             "weights expr order file"),
+    "happrox": (_happrox, "homogeneous approximation of the given degree",
+                "weights expr degree order file"),
+    "gens": (_gens, "minimal monomial generators of the degree ideal",
+             "weights degree order file"),
+    "jet-lift": (_jet_lift, "function lift to the prolonged chart",
+                 "vars expr level order"),
+    "vf-lift": (_vf_lift, "vector field lift to the prolonged chart",
+                "vars coeffs level order"),
+    "nu-trans": (_nu_trans, "induced map of graded coordinates", "file"),
+    "def-interp": (_def_interp, "deformation interpolant of a function",
+                   "weights expr degree order file"),
+    "theta": (_theta, "scaling field on the deformation chart",
+              "weights order file"),
+    "blowup": (_blowup, "weighted blow-up chart",
+               "weights order file center sign"),
+    "check-q": (_check_q, "weighting criterion for a graph subbundle", "file"),
+    "adapt": (_adapt,
+              "adapted coordinates from a frame and initial coordinates",
+              "file"),
+    "euler-like": (_euler_like, "test a field for the scaling normal form",
+                   "weights coeffs order file"),
+    "scale-order": (_scale_order, "numeric scaling-order estimate",
+                    "weights expr order file seed"),
+    "nilpotent": (_nilpotent, "negative nilpotent frame algebra",
+                  "weights order file"),
+    "total-weight": (_total_weight, "total weighting of a multi-weight",
+                     "order file multi"),
 }
 
 
 def execute(cmd: Command) -> tuple[str, int, object]:
     """Run a parsed command; returns (text, exit code, json payload)."""
     sections = _sections_for(cmd.options)
-    handler = _HANDLERS.get(cmd.name)
-    if handler is None:
+    if cmd.name not in _COMMANDS:
         raise UsageError(f"unknown command {cmd.name!r}")
-    return handler(cmd.options, sections)
+    return _COMMANDS[cmd.name][0](cmd.options, sections)
 
 
 def render(text: str, payload: object, cmd: Command) -> str:

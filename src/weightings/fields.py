@@ -85,13 +85,15 @@ def homogeneous_approx_vf(X: PolyVectorField, W: WeightSequence,
 
 
 def vf_apply(X: PolyVectorField, p: WeightedPoly) -> WeightedPoly:
-    out = wp.wp_zero(p.pvars)
+    acc: dict = {}
     for v, c in zip(X.vars, X.coeffs):
-        dp = wp.partial(p, v)
-        if dp.is_zero or c.is_zero:
+        dp = wp._partial(p.terms, p.pvars, v)
+        if not dp or c.is_zero:
             continue
-        out = wp.wp_add(out, wp.wp_mul(c, dp))
-    return out
+        if c.pvars != p.pvars:
+            raise ValueError("mismatched variable splits")
+        wp._add_into(acc, wp._product(c.terms, dp.items()).items())
+    return wp.wpoly(p.pvars, acc)
 
 
 def lie_bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorField:

@@ -202,23 +202,11 @@ def jp_text(p: JetPoly, names: Sequence[str] | None = None) -> str:
         base = names[a] if names is not None else f"x{a + 1}"
         return f"{base}.{j}"
 
-    def mono_key(m: Monomial):
-        return (sum(e * j for (_, j), e in m), m)
-
-    pieces = []
-    for m, c in sorted(p.terms, key=lambda item: mono_key(item[0])):
-        factors = [f"{slot_name(l)}" + (f"^{e}" if e != 1 else "") for l, e in m]
-        if not factors:
-            body = str(abs(c))
-        else:
-            mono = "*".join(factors)
-            body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-        sign = "-" if c < 0 else "+"
-        if not pieces:
-            pieces.append(("-" if c < 0 else "") + body)
-        else:
-            pieces.append(f" {sign} {body}")
-    return "".join(pieces)
+    return ex._terms_text(
+        (ex.const(c), "*".join(slot_name(l) + (f"^{e}" if e != 1 else "")
+                               for l, e in m))
+        for m, c in sorted(p.terms, key=lambda item: (
+            sum(e * j for (_, j), e in item[0]), item[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -100,17 +100,15 @@ def nu_transition(phi: CoordinateChange) -> tuple[Expr, ...]:
     Components are returned as expressions in the positional graded
     coordinates y1..yn of the source.
     """
-    if not check_morphism(phi):
-        raise ValueError("chart map does not preserve the filtrations")
-    names = deformation_names(phi.source)
-    rename = _rename_map(phi.source, names, phi.components)
-    out = []
-    for b, component in enumerate(phi.components):
-        wb = phi.target.weights[b]
-        part = wp.homogeneous_part(
-            wp.weighted_taylor(component, phi.source, wb), phi.source, wb)
-        out.append(ex.substitute(wp.to_expr(part), rename))
-    return tuple(out)
+    W = phi.source
+    parts = []
+    for wb, component in zip(phi.target.weights, phi.components):
+        p = wp.weighted_taylor(component, W, wb)
+        if wp.filtration_degree(p, W) < wb:
+            raise ValueError("chart map does not preserve the filtrations")
+        parts.append(wp.to_expr(wp.homogeneous_part(p, W, wb)))
+    rename = _rename_map(W, deformation_names(W), phi.components)
+    return tuple(ex.substitute(e, rename) for e in parts)
 
 
 def compose_transitions(outer: Sequence[Expr], inner: Sequence[Expr],

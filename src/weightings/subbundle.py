@@ -284,9 +284,15 @@ def _solve_as_lift(Q: GraphSubbundle, weights: Sequence[int], level: int,
 
 
 def _reconstructed_dimension(Q: GraphSubbundle) -> int:
-    """Dimension of the standard graph built from induced coordinate degrees."""
-    induced = [induced_filtration_degree(Q, ex.var(v)) for v in Q.vars]
-    return Q.n * (Q.order + 1) - sum(min(d, Q.order + 1) for d in induced)
+    """Dimension of the standard graph built from induced coordinate degrees:
+    on the graph the lift x_a^(j) is the free slot (a, j) or its right-hand
+    side, so x_a has induced degree its first level whose slot is free or
+    has a non-zero right-hand side."""
+    cmap = Q.constraint_map()
+    r = Q.order
+    induced = [next((j for j in range(r + 1) if (a, j) not in cmap
+                     or not cmap[(a, j)].is_zero), r + 1) for a in range(Q.n)]
+    return Q.n * (r + 1) - sum(induced)
 
 
 def _lambda_invariance_witness(Q: GraphSubbundle) -> str | None:
@@ -460,18 +466,11 @@ def _word_applier(fr: Frame):
 
 def _field_maps(fr: Frame, bound: int) -> list[list[tuple[str, dict]]]:
     """Per field V_c, the (variable v, term map of its d/dv coefficient)
-    pairs, expanded in the positive-weight variables through total degree
-    bound; empty maps are left out."""
-    pvars = fr.W.positive_vars
-    ones = (1,) * len(pvars)
-    out = []
-    for a in range(fr.n):
-        row = []
-        for v, c in zip(fr.W.vars, fr.field_exprs(a)):
-            if c != ZERO and (m := wp._expand(c, pvars, ones, bound)):
-                row.append((v, m))
-        out.append(row)
-    return out
+    pairs through total degree bound, empty maps left out; frame() stores
+    each coefficient as a term map in the positive-weight variables."""
+    return [[(v, m) for v, c in zip(fr.W.vars, f.coeffs)
+             if (m := {s: d for s, d in c.terms if sum(s) <= bound})]
+            for f in fr.fields]
 
 
 def _base_words(fields: list[list[tuple[str, dict]]], pvars: tuple[str, ...],
@@ -591,6 +590,17 @@ def diffop(fr: Frame, terms: Mapping[tuple[int, ...], Expr]) -> DiffOpStandardFo
     return DiffOpStandardForm(fr, tuple(cleaned))
 
 
+def _compose_into(acc: dict, fr: Frame, b: int, terms) -> None:
+    """Add V_b o sum_u c_u V^u = sum_u V_b(c_u) V^u + c_u (V_b o V^u) into
+    acc, for terms the (u, c_u) pairs."""
+    for u, coeff in terms:
+        db = fr.apply(b, coeff)
+        if db != ZERO:
+            wp._add_into(acc, ((u, db),))
+        wp._add_into(acc, ((u2, ex.mul(coeff, coeff2))
+                           for u2, coeff2 in _normal_va_vs(fr, b, u)))
+
+
 def _normal_va_vs(fr: Frame, a: int, s: tuple[int, ...]) -> tuple:
     """Standard form of V_a o V^s, as ((u, coefficient) ...)."""
     n = len(s)
@@ -605,20 +615,11 @@ def _normal_va_vs(fr: Frame, a: int, s: tuple[int, ...]) -> tuple:
         return fr._va_vs[(a, s)]
     rest = tuple(e - (1 if c == b else 0) for c, e in enumerate(s))
     acc: dict[tuple[int, ...], Expr] = {}
-
-    def accumulate(u: tuple[int, ...], coeff: Expr):
-        acc[u] = ex.add(acc.get(u, ZERO), coeff)
-
     # V_a o V^s = V_b o (V_a o V^rest) + [V_a, V_b] o V^rest
-    for u, coeff in _normal_va_vs(fr, a, rest):
-        db = fr.apply(b, coeff)
-        if db != ZERO:
-            accumulate(u, db)
-        for u2, coeff2 in _normal_va_vs(fr, b, u):
-            accumulate(u2, ex.mul(coeff, coeff2))
+    _compose_into(acc, fr, b, _normal_va_vs(fr, a, rest))
     for c, h in _frame_bracket(fr, a, b):
-        for u2, coeff2 in _normal_va_vs(fr, c, rest):
-            accumulate(u2, ex.mul(h, coeff2))
+        wp._add_into(acc, ((u2, ex.mul(h, coeff2))
+                           for u2, coeff2 in _normal_va_vs(fr, c, rest)))
     cleaned = [(u, coeff) for u, coeff in acc.items() if coeff != ZERO]
     fr._va_vs[(a, s)] = out = tuple(sorted(cleaned, key=lambda item: item[0]))
     return out
@@ -631,26 +632,15 @@ def normal_order(fr: Frame, word: Sequence) -> DiffOpStandardForm:
     that frame field) or expressions (meaning multiplication); the leftmost
     item acts last.
     """
-    n = fr.n
-    terms: dict[tuple[int, ...], Expr] = {(0,) * n: ONE}
+    terms: dict[tuple[int, ...], Expr] = {(0,) * fr.n: ONE}
     for item in reversed(list(word)):
-        nxt: dict[tuple[int, ...], Expr] = {}
-
-        def accumulate(u, coeff):
-            nxt[u] = ex.add(nxt.get(u, ZERO), coeff)
-
         if isinstance(item, int):
-            for s, f in terms.items():
-                da = fr.apply(item, f)
-                if da != ZERO:
-                    accumulate(s, da)
-                for u, coeff in _normal_va_vs(fr, item, s):
-                    accumulate(u, ex.mul(f, coeff))
+            nxt: dict[tuple[int, ...], Expr] = {}
+            _compose_into(nxt, fr, item, terms.items())
+            terms = nxt
         else:
             g = ex.as_expr(item)
-            for s, f in terms.items():
-                accumulate(s, ex.mul(g, f))
-        terms = nxt
+            terms = {s: ex.mul(g, f) for s, f in terms.items()}
     return diffop(fr, terms)
 
 

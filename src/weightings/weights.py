@@ -137,26 +137,27 @@ def ideal_generators(W: WeightSequence, degree: int) -> set[tuple[int, ...]]:
     Exponent vectors run over the positive-weight variables of W.  A monomial
     x^s is a generator when s.w >= degree and decrementing any nonzero
     exponent drops the weighted degree below the threshold.
+
+    The walk runs over the head, every variable but the last, and solves for
+    the last exponent: it is the least one that reaches degree, since with
+    one more the last variable could be decremented.  A generator with a
+    nonzero head exponent s_a has s.w - w_a < degree, and a head of zeros
+    has weighted degree 0, so every head has weighted degree below
+    degree + max(head weights).
     """
     if degree < 1:
         raise ValueError("generator degree must be at least 1")
     w = W.positive_weights
     if not w:
         return set()
+    *head, last = w
     out: set[tuple[int, ...]] = set()
-
-    def walk(prefix: list[int], position: int, total: int):
-        if position == len(w):
-            if total >= degree and all(
-                    s == 0 or total - wa < degree
-                    for s, wa in zip(prefix, w)):
-                out.add(tuple(prefix))
-            return
-        bound = 0 if total >= degree else -(-(degree - total) // w[position])
-        for s in range(bound + 1):
-            walk(prefix + [s], position + 1, total + s * w[position])
-
-    walk([], 0, 0)
+    for s in exponents_below(head, degree + max(head, default=0)):
+        total = weighted_degree(s, head)
+        e = max(0, -(-(degree - total) // last))
+        total += e * last
+        if all(x == 0 or total - wa < degree for x, wa in zip(s, head)):
+            out.add(s + (e,))
     return out
 
 

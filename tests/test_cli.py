@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from weightings import wpoly as wp
-from weightings.cli import main, parse_invocation
+from weightings.cli import _build_parser, main, parse_invocation
 from weightings.expr import parse_expr
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -432,3 +433,74 @@ def test_check_q_at_high_order_ends(graph, code, printed, tmp_path):
         capture_output=True, env=_child_env(), timeout=10)
     assert (result.returncode, result.stdout, result.stderr) == (code, printed,
                                                                  b"")
+
+
+_WEIGHTS = ("--weights", None, None, None, "assignments like x=1,y=2,z=3")
+_VARS = ("--vars", None, None, None, "chart variables, comma separated")
+_EXPR = ("--expr", None, None, None, "expression text")
+_COEFFS = ("--coeffs", None, None, None,
+           "vector field coefficients, ';' separated")
+_DEGREE = ("--degree", int, None, None, "weighted degree")
+_LEVEL = ("--level", int, None, None, "prolongation level")
+_ORDER = ("--order", int, None, None, "truncation order r")
+_FILE = ("--file", None, None, None, "problem file path")
+_JSON = ("--json", None, False, None, "JSON output")
+
+# Per subcommand, its options in parser order: (option string, type,
+# default, choices, help).
+_OPTION_TABLE = {
+    "wdeg": [_WEIGHTS, _EXPR, _ORDER, _FILE, _JSON],
+    "happrox": [_WEIGHTS, _EXPR, _DEGREE, _ORDER, _FILE, _JSON],
+    "gens": [_WEIGHTS, _DEGREE, _ORDER, _FILE, _JSON],
+    "jet-lift": [_VARS, _EXPR, _LEVEL, _ORDER, _JSON],
+    "vf-lift": [_VARS, _COEFFS, _LEVEL, _ORDER, _JSON],
+    "nu-trans": [_FILE, _JSON],
+    "def-interp": [_WEIGHTS, _EXPR, _DEGREE, _ORDER, _FILE, _JSON],
+    "theta": [_WEIGHTS, _ORDER, _FILE, _JSON],
+    "blowup": [_WEIGHTS, _ORDER, _FILE,
+               ("--center", None, None, None, "center variable"),
+               ("--sign", None, "+", ["+", "-"], None), _JSON],
+    "check-q": [_FILE, _JSON],
+    "adapt": [_FILE, _JSON],
+    "euler-like": [_WEIGHTS, _COEFFS, _ORDER, _FILE, _JSON],
+    "scale-order": [_WEIGHTS, _EXPR, _ORDER, _FILE,
+                    ("--seed", int, 0, None, None), _JSON],
+    "nilpotent": [_WEIGHTS, _ORDER, _FILE, _JSON],
+    "total-weight": [_ORDER, _FILE,
+                     ("--multi", None, None, None,
+                      "assignments like x=(1,0),y=(0,1)"), _JSON],
+}
+
+
+def test_option_table_of_every_subcommand():
+    parser = _build_parser()
+    subcommands, = (action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert list(subcommands) == list(_OPTION_TABLE)
+    for name, sub in subcommands.items():
+        options = [(a.option_strings[0], a.type, a.default, a.choices, a.help)
+                   for a in sub._actions if a.option_strings != ["-h", "--help"]]
+        assert options == _OPTION_TABLE[name], name
+        assert all(len(a.option_strings) == 1 for a in sub._actions[1:])
+
+
+@pytest.mark.parametrize("command", [[], *([name] for name in _OPTION_TABLE)],
+                         ids=["top", *_OPTION_TABLE])
+def test_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: weightings")
+
+
+def test_gens_of_a_high_degree_ends():
+    # The walk visits the 100001 heads x^k and solves for the exponent of y.
+    result = subprocess.run(
+        [sys.executable, "-m", "weightings.cli", "gens", "--weights", "x=1,y=1",
+         "--degree", "100000"],
+        capture_output=True, text=True, env=_child_env(), timeout=30)
+    assert (result.returncode, result.stderr) == (0, "")
+    gens = result.stdout.rstrip("\n").split(", ")
+    assert len(gens) == 100001
+    assert result.stdout.startswith("y^100000, x*y^99999")
+    assert result.stdout.endswith("x^100000\n")

@@ -51,6 +51,20 @@ def test_nu_transition_identity_and_quadratic():
     assert nu_transition(phi) == (var("y1"), parse_expr("y2 + y1^2"))
 
 
+@pytest.mark.parametrize("components, message", [
+    (["x", "y + x"], "chart map does not preserve the filtrations"),
+    # the filtrations are checked before the symbol names
+    (["x", "y + x*y1"], "chart map does not preserve the filtrations"),
+    (["x", "y + x^2*y1"], "symbol 'y1' is not a variable of the weighting but "
+                          "is named like a chart coordinate"),
+], ids=["not-a-morphism", "not-a-morphism-with-y1", "morphism-with-y1"])
+def test_nu_transition_refusals(components, message):
+    W = weight_sequence({"x": 1, "y": 2}, 2)
+    phi = coordinate_change(W, W, [parse_expr(c) for c in components])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        nu_transition(phi)
+
+
 def _random_morphism(rng, W):
     components = []
     for b, name in enumerate(W.vars):

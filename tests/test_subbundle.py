@@ -364,6 +364,16 @@ def test_lambda_invariance_names_exactly_the_rejections_the_full_series_find():
     assert reasons.count(UNDECIDED) >= 3
 
 
+def test_reconstructed_dimension_matches_the_induced_degrees_of_the_lifts():
+    rng = random.Random(71)
+    for _ in range(320):
+        Q = _random_solved_graph(rng)
+        induced = [induced_filtration_degree(Q, var(v)) for v in Q.vars]
+        expected = Q.n * (Q.order + 1) - sum(min(d, Q.order + 1)
+                                             for d in induced)
+        assert sb._reconstructed_dimension(Q) == expected
+
+
 def test_accepted_graphs_never_run_lambda_invariance(monkeypatch, capsys):
     # An N4 acceptance is the standard subbundle of its coordinates, so the
     # reparametrization check only ever names a rejection.

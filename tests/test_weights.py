@@ -114,6 +114,35 @@ def test_ideal_generators_cover_and_antichain():
                            for gen in gens)
 
 
+def _brute_force_generators(weights, degree):
+    """Minimal exponents of weighted degree >= degree, from every tuple in
+    the box whose side for weight w is ceil(degree / w) + 1."""
+    box = [range(-(-degree // w) + 1) for w in weights]
+    return {s for s in itertools.product(*box)
+            if weighted_degree(s, weights) >= degree
+            and all(x == 0 or weighted_degree(s, weights) - w < degree
+                    for x, w in zip(s, weights))}
+
+
+def test_ideal_generators_match_brute_force():
+    rng = random.Random(23)
+    shapes = set()
+    for i in range(320):
+        n = 1 if i % 8 == 0 else rng.randint(2, 4)
+        weights = sorted(rng.randint(0 if n > 1 else 1, 4) for _ in range(n))
+        if i % 5 == 0 and n > 1:
+            weights[1] = weights[0] = max(weights[0], 1)
+        W = weight_sequence([(f"x{a}", w) for a, w in enumerate(weights)])
+        degree = rng.randint(1, 15)
+        assert ideal_generators(W, degree) == _brute_force_generators(
+            W.positive_weights, degree), (weights, degree)
+        positive = W.positive_weights
+        shapes.add("single" if len(positive) == 1 else
+                   "repeated" if len(set(positive)) < len(positive) else
+                   "distinct")
+    assert shapes == {"single", "repeated", "distinct"}
+
+
 @pytest.mark.parametrize("weights", [
     (), (0,), (2,), (1, 1, 1), (0, 1, 0, 2), (3, 1, 2), (2, 0, 2, 1), (0, 0)])
 @pytest.mark.parametrize("bound", [-2, 0, 1, 2, 5, 7])
