@@ -8,8 +8,11 @@ intrinsic grading of the prolonged space.
 
 Function lifts f^(i) pick out the eps^i coefficient of f evaluated on the
 generic jet; vector-field lifts X^(-i) shift the prolongation levels of
-their coefficients.  Only polynomial data with rational coefficients is
-accepted here, which keeps every identity bit-exact.
+their coefficients.  A polynomial is evaluated on rows, one series per chart
+variable: the generic jet's row a is sum_j (a, j) eps^j, and a graph's rows
+(``subbundle``) carry its right-hand sides in place of constrained slots.
+Only polynomial data with rational coefficients is accepted here, which
+keeps every identity bit-exact.
 
 Slot polynomials are computed by one private integer-first kernel.  A
 polynomial, or a truncated series of them, is held as dicts from packed
@@ -106,7 +109,7 @@ def jp_const(c) -> JetPoly:
 
 
 def jp_slot(a: int, j: int) -> JetPoly:
-    return jetpoly({(((a, j), 1),): Fraction(1)})
+    return JetPoly((((((a, j), 1),), Fraction(1)),))
 
 
 def jp_add(*polys: JetPoly) -> JetPoly:
@@ -485,24 +488,19 @@ def _degree(e: Expr) -> int:
     return 0
 
 
-def _generic_series(f: Expr, chart: Sequence[str], r: int) -> tuple[_Fields, Raw]:
-    """Coefficients of f along the generic jet up to eps^r, as a raw series
-    on fields for the slots (a, j), j <= r, of the chart."""
-    index = {name: a for a, name in enumerate(chart)}
-    # no monomial of a coefficient has a larger total degree than f
-    fields = _Fields([(a, j) for a in range(len(chart)) for j in range(r + 1)],
-                     _degree(f))
-    offsets = fields.offsets
+def _generic_series(f: Expr, rows: Mapping[str, Raw], r: int) -> Raw:
+    """Coefficients of f up to eps^r with each chart variable replaced by its
+    series in rows: the generic jet gives the lifts of f, the rows of a
+    graph give the lifts restricted to it."""
 
     def rec(e: Expr) -> Raw:
         if isinstance(e, ex.Const):
             return [{0: e.value.numerator}] + [{} for _ in range(r)], \
                 e.value.denominator
         if isinstance(e, ex.Var):
-            if e.name not in index:
+            if e.name not in rows:
                 raise ValueError(f"variable {e.name!r} is not a chart variable")
-            a = index[e.name]
-            return [{1 << offsets[(a, j)]: 1} for j in range(r + 1)], 1
+            return rows[e.name]
         if isinstance(e, ex.Sum):
             return _series_sum([rec(t) for t in e.terms], r)
         if isinstance(e, ex.Prod):
@@ -515,7 +513,28 @@ def _generic_series(f: Expr, chart: Sequence[str], r: int) -> tuple[_Fields, Raw
             raise ValueError(f"input is not polynomial ({e.fn} head)")
         raise TypeError(f"unknown expression node {e!r}")
 
-    return fields, rec(f)
+    return rec(f)
+
+
+def _row_fields(rows: Sequence[Sequence[JetPoly]],
+                degree: int) -> tuple[_Fields, list[Raw]]:
+    """Fields for products of at most degree row values, and each row, the
+    levels of one series, as a raw series on them."""
+    values = [g for row in rows for g in row]
+    fields = _Fields(jp_labels(*values), degree * _max_exponent(*values))
+    return fields, [fields.raw(*row) for row in rows]
+
+
+def _lift_series(f: Expr, chart: Sequence[str], r: int) -> tuple[_Fields, Raw]:
+    """f on the generic jet up to eps^r, on fields for the slots (a, j),
+    j <= r, of the chart: row a is sum_j (a, j) eps^j."""
+    # no monomial of a coefficient has a larger total degree than f
+    fields = _Fields([(a, j) for a in range(len(chart)) for j in range(r + 1)],
+                     _degree(f))
+    off = fields.offsets
+    rows = {name: ([{1 << off[(a, j)]: 1} for j in range(r + 1)], 1)
+            for a, name in enumerate(chart)}
+    return fields, _generic_series(f, rows, r)
 
 
 def jet_lift(f: Expr, i: int, r: int, chart: Sequence[str]) -> JetPoly:
@@ -523,7 +542,7 @@ def jet_lift(f: Expr, i: int, r: int, chart: Sequence[str]) -> JetPoly:
     if not 0 <= i <= r:
         raise ValueError(f"lift level {i} outside 0..{r}")
     # levels above i never feed level i, so the series stops there
-    fields, (levels, den) = _generic_series(f, chart, i)
+    fields, (levels, den) = _lift_series(f, chart, i)
     return fields.seal(levels[i], den)
 
 
@@ -611,7 +630,7 @@ def vf_lift(X: PolyVectorField, i: int, r: int) -> JetVectorField:
     for a, coeff in enumerate(X.coeff_exprs()):
         if coeff == ex.ZERO:
             continue
-        fields, (levels, den) = _generic_series(coeff, X.vars, r - i)
+        fields, (levels, den) = _lift_series(coeff, X.vars, r - i)
         for k, nums in enumerate(levels, start=i):
             acc[(a, k)] = fields.seal(nums, den)
     return jet_vf(acc)

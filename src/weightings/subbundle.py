@@ -30,6 +30,16 @@ translation by the tangent bundle (N2) need a check: after N1 every
 constrained level is below r, and a right-hand side of degree j reads no
 slot above j.
 
+N4 computes on the graph rows: row a at level k is the free slot (a, k) or
+its right-hand side, the lift x_a^(k) restricted to the graph, so a
+polynomial evaluated on the rows gives its lifts on the graph.  The series
+of each candidate x^s is kept, as x^(s - e_c) times row c, and so is the
+series of u_a = x_a - sum_s c_s x^s; a residual is one of its levels.  The
+rows of each linear system, one per packed slot monomial, come in no fixed
+order: the solution with the free columns at 0 depends on the column order
+alone, as a column is a pivot exactly when it is independent of the
+columns before it.
+
 Failures carry machine-readable reason codes and a concrete witness.
 
 For a frame, ``adapted_coordinates`` and ``verify_adapted`` need frame words
@@ -45,7 +55,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping, Sequence
 
 from . import expr as ex
@@ -54,8 +64,8 @@ from . import wpoly as wp
 from .expr import Expr, ZERO, ONE
 from .fields import PolyVectorField, lie_bracket, vf_for_weights
 from .jets import JetPoly, JetPoint, Label
-from .weights import (WeightSequence, exponents_below, weight_sequence,
-                      weighted_degree)
+from .weights import (WeightSequence, _exponent_walk, exponents_below,
+                      weight_sequence, weighted_degree)
 
 FLAG_INVALID = "FLAG_INVALID"
 LAMBDA_INVARIANCE = "LAMBDA_INVARIANCE"
@@ -153,11 +163,23 @@ def q_membership(Q: GraphSubbundle, u: JetPoint) -> bool:
 def induced_filtration_degree(Q: GraphSubbundle, f: Expr) -> int:
     """Largest i <= r+1 with all lower lifts of f vanishing on the graph."""
     r = Q.order
+    _fields, rows = jt._row_fields(_graph_rows(Q, r), jt._degree(f))
+    rows = dict(zip(Q.vars, rows))
+    # the series stops at j, as a lift does: levels past the answer can be
+    # far larger than those up to it
     for j in range(r + 1):
-        lifted = jt.jet_lift(f, j, r, Q.vars)
-        if not substitute_graph(Q, lifted).is_zero:
+        levels, _den = jt._generic_series(f, rows, j)
+        if any(levels[j].values()):
             return j
     return r + 1
+
+
+def _graph_rows(Q: GraphSubbundle, top: int) -> list[list[JetPoly]]:
+    """Row a, level k <= top: the lift x_a^(k) on the graph, which is the
+    free slot (a, k) or its right-hand side."""
+    cmap = Q.constraint_map()
+    return [[cmap.get((a, k), jt.jp_slot(a, k)) for k in range(top + 1)]
+            for a in range(Q.n)]
 
 
 def _slot_weights(Q: GraphSubbundle) -> list[int]:
@@ -258,40 +280,13 @@ def _solve_exact(rows: list[list[Fraction]],
     return x
 
 
-def _solve_as_lift(Q: GraphSubbundle, weights: Sequence[int], level: int,
-                   target: JetPoly) -> Expr | None:
-    """Express target as (sum c_s x^s)^(level) restricted to the graph."""
-    candidates = [s for s in exponents_below(weights, level + 1)
-                  if weighted_degree(s, weights) == level]
-    lifts = [substitute_graph(Q, jt.jet_lift(wp.monomial_expr(Q.vars, s),
-                                             level, Q.order, Q.vars))
-             for s in candidates]
-    monomials = sorted({m for p in lifts for m, _ in p.terms}
-                       | {m for m, _ in target.terms})
-    index = {m: i for i, m in enumerate(monomials)}
-    rows = [[Fraction(0)] * len(candidates) for _ in monomials]
-    for k, p in enumerate(lifts):
-        for m, c in p.terms:
-            rows[index[m]][k] = c
-    rhs = [Fraction(0)] * len(monomials)
-    for m, c in target.terms:
-        rhs[index[m]] = c
-    solution = _solve_exact(rows, rhs)
-    if solution is None:
-        return None
-    return ex.add(*[ex.mul(ex.const(c), wp.monomial_expr(Q.vars, s))
-                    for s, c in zip(candidates, solution) if c != 0], ZERO)
-
-
 def _reconstructed_dimension(Q: GraphSubbundle) -> int:
     """Dimension of the standard graph built from induced coordinate degrees:
-    on the graph the lift x_a^(j) is the free slot (a, j) or its right-hand
-    side, so x_a has induced degree its first level whose slot is free or
-    has a non-zero right-hand side."""
-    cmap = Q.constraint_map()
+    x_a has induced degree the first level at which its graph row, the
+    lifts of x_a on the graph, is not zero."""
     r = Q.order
-    induced = [next((j for j in range(r + 1) if (a, j) not in cmap
-                     or not cmap[(a, j)].is_zero), r + 1) for a in range(Q.n)]
+    induced = [next((j for j, g in enumerate(row) if not g.is_zero), r + 1)
+               for row in _graph_rows(Q, r)]
     return Q.n * (r + 1) - sum(induced)
 
 
@@ -304,9 +299,7 @@ def _lambda_invariance_witness(Q: GraphSubbundle) -> str | None:
     constraint at level j reads no slot above j).
     """
     top = max((j for (_a, j), _g in Q.constraints), default=0)
-    cmap = Q.constraint_map()
-    rows = [[cmap.get((a, j), jt.jp_slot(a, j)) for j in range(top + 1)]
-            for a in range(Q.n)]
+    rows = _graph_rows(Q, top)
     psi = [jt.jp_slot(-1, m) for m in range(1, top + 1)]
     new_vals = jt.jp_reparametrize(rows, psi)
     free = {(b, k): new_vals[b][k] for b, k in Q.free_labels() if k <= top}
@@ -335,24 +328,45 @@ def check_weighting(Q: GraphSubbundle) -> WeightingVerdict:
 def _filtration_verdict(Q: GraphSubbundle,
                         weights: list[int]) -> WeightingVerdict:
     """N4: filtration consistency through coordinate corrections."""
-    corrections: dict[int, Expr] = {a: ZERO for a in range(Q.n)}
     ordered = sorted(Q.constraints, key=lambda item: (item[0][1], item[0][0]))
+    top = ordered[-1][0][1] if ordered else 0
+    # a candidate x^s has s.w <= top and positive weights, so |s| <= top
+    fields, rows = jt._row_fields(_graph_rows(Q, top), top)
+
+    @cache
+    def monomial(s: tuple[int, ...]) -> jt.Raw:
+        """x^s on the graph through eps^top, as x^(s - e_c) times row c."""
+        c = next((c for c, e in enumerate(s) if e), None)
+        if c is None:
+            return [{0: 1}] + [{} for _ in range(top)], 1
+        return jt._series_mul(monomial(s[:c] + (s[c] - 1,) + s[c + 1:]),
+                              rows[c], top)
+
+    weight0 = sum(fields.mask << off for (b, _k), off in fields.offsets.items()
+                  if weights[b] == 0)
+    # u[a] = x_a - sum_s c_s x^s on the graph through eps^top, summed over
+    # the corrections c_s x^s found so far
+    u = list(rows)
     for _ in range(Q.order + 2):
         dirty = False
         for (a, j), _g in ordered:
-            corrected = ex.add(ex.var(Q.vars[a]),
-                               ex.mul(ex.MINUS_ONE, corrections[a]))
-            residual = substitute_graph(
-                Q, jt.jet_lift(corrected, j, Q.order, Q.vars))
-            if residual.is_zero:
+            levels, den = u[a]
+            residual = {m: v for m, v in levels[j].items() if v}
+            if not residual:
                 continue
             dirty = True
-            correction = _solve_as_lift(Q, weights, j, residual)
-            if correction is None:
-                zero_weight_slots = any(
-                    weights[b] == 0 for (b, _k) in jt.jp_labels(residual)
-                    if b >= 0)
-                if zero_weight_slots:
+            candidates = [s for s, total in _exponent_walk(weights, j + 1)
+                          if total == j]
+            columns = [monomial(s)[0] for s in candidates]
+            # A c = b, column s the numerators of x^s at level j and b those
+            # of the residual: u[a] - sum_s c_s x^s over den clears level j
+            keys = residual.keys() | {m for col in columns for m in col[j]}
+            matrix = [[Fraction(col[j].get(m, 0)) for col in columns]
+                      for m in keys]
+            solution = _solve_exact(matrix, [Fraction(residual.get(m, 0))
+                                             for m in keys])
+            if solution is None:
+                if any(m & weight0 for m in residual):
                     return WeightingVerdict(
                         False, reason=UNDECIDED,
                         witness=(f"constraint at {Q.vars[a]}.{j} depends on "
@@ -362,7 +376,10 @@ def _filtration_verdict(Q: GraphSubbundle,
                     witness=f"witness {Q.vars[a]} level {j}",
                     details={"reconstructed_dim": _reconstructed_dimension(Q),
                              "graph_dim": Q.dim})
-            corrections[a] = ex.add(corrections[a], correction)
+            u[a] = jt._series_sum([u[a]] + [
+                ([{m: -c.numerator * v for m, v in level.items()}
+                  for level in col], den * c.denominator)
+                for c, col in zip(solution, columns) if c], top)
         if not dirty:
             W = weight_sequence(list(zip(Q.vars, weights)), Q.order)
             return WeightingVerdict(True, weights=W)

@@ -124,11 +124,27 @@ def exponents_below(weights: Sequence[int],
 
     Positions of weight 0 carry exponent 0, so the list is finite.
     """
-    rows = [((), 0)] if bound > 0 else []
-    for w in weights:
-        rows = [(s + (k,), total + k * w) for s, total in rows
-                for k in range((bound - 1 - total) // w + 1 if w else 1)]
-    return [s for s, _ in rows]
+    return [s for s, _total in _exponent_walk(weights, bound)]
+
+
+def _exponent_walk(weights: Sequence[int], bound: int):
+    """(s, s.w) for the tuples of exponents_below, one at a time: the last
+    exponent that can grow does, and those after it return to 0."""
+    s, total = [0] * len(weights), 0
+    while bound > 0:
+        yield tuple(s), total
+        i = len(s) - 1
+        while i >= 0 and (not weights[i] or total + weights[i] >= bound):
+            total -= s[i] * weights[i]
+            s[i], i = 0, i - 1
+        if i < 0:
+            return
+        s[i] += 1
+        total += weights[i]
+
+
+# Most heads ideal_generators walks, so also most generators it returns.
+MAX_GENERATOR_CANDIDATES = 200_000
 
 
 def ideal_generators(W: WeightSequence, degree: int) -> set[tuple[int, ...]]:
@@ -143,7 +159,8 @@ def ideal_generators(W: WeightSequence, degree: int) -> set[tuple[int, ...]]:
     one more the last variable could be decremented.  A generator with a
     nonzero head exponent s_a has s.w - w_a < degree, and a head of zeros
     has weighted degree 0, so every head has weighted degree below
-    degree + max(head weights).
+    degree + max(head weights).  The walk refuses to pass
+    MAX_GENERATOR_CANDIDATES heads.
     """
     if degree < 1:
         raise ValueError("generator degree must be at least 1")
@@ -152,8 +169,12 @@ def ideal_generators(W: WeightSequence, degree: int) -> set[tuple[int, ...]]:
         return set()
     *head, last = w
     out: set[tuple[int, ...]] = set()
-    for s in exponents_below(head, degree + max(head, default=0)):
-        total = weighted_degree(s, head)
+    walk = _exponent_walk(head, degree + max(head, default=0))
+    for k, (s, total) in enumerate(walk):
+        if k == MAX_GENERATOR_CANDIDATES:
+            raise ValueError(f"degree {degree} has more candidate generators "
+                             f"than the limit MAX_GENERATOR_CANDIDATES = "
+                             f"{MAX_GENERATOR_CANDIDATES}")
         e = max(0, -(-(degree - total) // last))
         total += e * last
         if all(x == 0 or total - wa < degree for x, wa in zip(s, head)):

@@ -504,3 +504,30 @@ def test_gens_of_a_high_degree_ends():
     assert len(gens) == 100001
     assert result.stdout.startswith("y^100000, x*y^99999")
     assert result.stdout.endswith("x^100000\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    # 501501 generators: the walk stops at its 200000th head
+    (["gens", "--weights", "x=1,y=1,z=1", "--degree", "1000"],
+     "error: degree 1000 has more candidate generators than the limit "
+     "MAX_GENERATOR_CANDIDATES = 200000\n"),
+    # a few generators, but about 5e9 heads to walk
+    (["gens", "--weights", "x=1,y=1,z=1000", "--degree", "100000"],
+     "error: degree 100000 has more candidate generators than the limit "
+     "MAX_GENERATOR_CANDIDATES = 200000\n"),
+    # sin(x) to degree 100000 would not end in minutes
+    (["happrox", "--weights", "x=1", "--degree", "100000", "--expr", "sin(x)"],
+     "error: degree 100000 exceeds the limit MAX_TAYLOR_DEGREE = 1000\n"),
+    (["happrox", "--weights", "x=1", "--degree", "1001", "--expr", "x"],
+     "error: degree 1001 exceeds the limit MAX_TAYLOR_DEGREE = 1000\n"),
+], ids=["gens-output", "gens-walk", "happrox-sin", "happrox-1001"])
+def test_an_oversized_degree_ends_at_its_limit(argv, err):
+    result = subprocess.run([sys.executable, "-m", "weightings.cli", *argv],
+                            capture_output=True, text=True, env=_child_env(),
+                            timeout=10)
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", err)
+
+
+def test_happrox_at_the_degree_limit(capsys):
+    assert run(["happrox", "--weights", "x=1", "--degree", "1000", "--expr",
+                "x^1000 + sin(x)"], capsys) == (0, "x^1000\n", "")

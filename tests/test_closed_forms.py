@@ -15,23 +15,36 @@ was, and both are compared on generated inputs:
   the base off truncated term maps, against the words applied to Expr trees
   and restricted to the base afterwards: the same chi, normalizers,
   coordinates and verdicts, and the same error text when a precondition
-  fails.
+  fails;
+* N4 of ``check_weighting``, which reads each residual and each candidate
+  x^s as a series on the graph rows (the monomial series cached, each
+  corrected coordinate kept as a running series), against Expr corrections
+  lifted by ``jet_lift`` and restricted by ``substitute_graph``: the same
+  accepted flag, reason, witness, details and weights;
+* series of a function on the graph rows, level by level, and
+  ``induced_filtration_degree``, against lift-then-substitute.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
+import pytest
+
 from weightings import expr as ex
+from weightings import jets as jt
 from weightings import subbundle as sb
 from weightings import wpoly as wp
 from weightings.expr import ONE, ZERO
 from weightings.fields import nilpotent_frames
-from weightings.weights import weight_sequence, weighted_degree
+from weightings.weights import (exponents_below, weight_sequence,
+                                weighted_degree)
 
-from conftest import rand_expr, rand_rational
+from conftest import rand_expr, rand_poly_expr, rand_rational
+from test_subbundle import _random_solved_graph
 
 
 # ---------------------------------------------------------------------------
@@ -528,3 +541,195 @@ def test_frame_words_on_the_base_match_the_expr_word_path():
     assert sum(counts.values()) >= 500 and counts["dense"] >= 40
     assert chi >= 240 and refused >= 500
     assert verdicts_false >= 600 and verdicts_true >= 700
+
+
+# ---------------------------------------------------------------------------
+# N4 on the graph rows
+
+def _reference_solve_as_lift(Q, weights, level, target):
+    """Express target as (sum c_s x^s)^(level) restricted to the graph."""
+    candidates = [s for s in exponents_below(weights, level + 1)
+                  if weighted_degree(s, weights) == level]
+    lifts = [sb.substitute_graph(Q, jt.jet_lift(wp.monomial_expr(Q.vars, s),
+                                                level, Q.order, Q.vars))
+             for s in candidates]
+    monomials = sorted({m for p in lifts for m, _ in p.terms}
+                       | {m for m, _ in target.terms})
+    index = {m: i for i, m in enumerate(monomials)}
+    rows = [[Fraction(0)] * len(candidates) for _ in monomials]
+    for k, p in enumerate(lifts):
+        for m, c in p.terms:
+            rows[index[m]][k] = c
+    rhs = [Fraction(0)] * len(monomials)
+    for m, c in target.terms:
+        rhs[index[m]] = c
+    solution = sb._solve_exact(rows, rhs)
+    if solution is None:
+        return None
+    return ex.add(*[ex.mul(ex.const(c), wp.monomial_expr(Q.vars, s))
+                    for s, c in zip(candidates, solution) if c != 0], ZERO)
+
+
+def _reference_filtration_verdict(Q, weights):
+    """N4: filtration consistency through coordinate corrections."""
+    corrections = {a: ZERO for a in range(Q.n)}
+    ordered = sorted(Q.constraints, key=lambda item: (item[0][1], item[0][0]))
+    for _ in range(Q.order + 2):
+        dirty = False
+        for (a, j), _g in ordered:
+            corrected = ex.add(ex.var(Q.vars[a]),
+                               ex.mul(ex.MINUS_ONE, corrections[a]))
+            residual = sb.substitute_graph(
+                Q, jt.jet_lift(corrected, j, Q.order, Q.vars))
+            if residual.is_zero:
+                continue
+            dirty = True
+            correction = _reference_solve_as_lift(Q, weights, j, residual)
+            if correction is None:
+                zero_weight_slots = any(
+                    weights[b] == 0 for (b, _k) in jt.jp_labels(residual)
+                    if b >= 0)
+                if zero_weight_slots:
+                    return sb.WeightingVerdict(
+                        False, reason=sb.UNDECIDED,
+                        witness=(f"constraint at {Q.vars[a]}.{j} depends on "
+                                 f"weight-0 slots beyond the rational ansatz"))
+                return sb.WeightingVerdict(
+                    False, reason=sb.FILTRATION_MISMATCH,
+                    witness=f"witness {Q.vars[a]} level {j}",
+                    details={
+                        "reconstructed_dim": sb._reconstructed_dimension(Q),
+                        "graph_dim": Q.dim})
+            corrections[a] = ex.add(corrections[a], correction)
+        if not dirty:
+            W = weight_sequence(list(zip(Q.vars, weights)), Q.order)
+            return sb.WeightingVerdict(True, weights=W)
+    return sb.WeightingVerdict(
+        False, reason=sb.UNDECIDED,
+        witness="coordinate corrections did not stabilize")
+
+
+def _reference_check_weighting(Q):
+    """check_weighting with the reference N4."""
+    try:
+        weights = sb._slot_weights(Q)
+    except sb.FlagError as err:
+        return sb.WeightingVerdict(False, reason=sb.FLAG_INVALID,
+                                   witness=str(err))
+    verdict = _reference_filtration_verdict(Q, weights)
+    witness = None if verdict.accepted else sb._lambda_invariance_witness(Q)
+    if witness is None:
+        return verdict
+    return sb.WeightingVerdict(False, reason=sb.LAMBDA_INVARIANCE,
+                               witness=witness)
+
+
+def _chain_graph(rng):
+    """The graph of u_a = x_a - G_a, solved for the x-slots: each G_a is an
+    integer combination of monomials of x-weighted degree 1 to 6 in every
+    variable of lower weight, sheared ones and weight-0 ones included."""
+    weights = sorted(rng.choice([0, 1, 1, 2, 3, 4, 5, 6]) for _ in range(3))
+    weights[-1] = max(weights[-1], 2)
+    names = tuple(f"x{a + 1}" for a in range(len(weights)))
+    order = weights[-1] + rng.randint(0, 1)
+    constraints = {}
+    for a, wa in enumerate(weights):
+        lower = [b for b in range(a) if weights[b] < wa]
+        positive = [b for b in lower if weights[b]]
+        terms = []
+        for _ in range(rng.randint(0, 3) if positive else 0):
+            factors = [rng.choice(positive)]
+            while rng.random() < 0.5:
+                factors.append(rng.choice(lower))
+            if sum(weights[b] for b in factors) <= 6:
+                c = rng.choice([-3, -2, -1, 1, 2, 3])
+                terms.append(ex.mul(ex.const(c),
+                                    *[ex.var(names[b]) for b in factors]))
+        G = ex.add(*terms, ZERO)
+        for j in range(wa):
+            constraints[(a, j)] = jt.jp_substitute(
+                jt.jet_lift(G, j, order, names), constraints)
+    return sb.graph_subbundle(names, order, constraints)
+
+
+def _verdict_tuple(verdict):
+    return (verdict.accepted, verdict.reason, verdict.witness, verdict.details,
+            verdict.weights)
+
+
+def test_n4_on_the_graph_rows_matches_lift_then_substitute():
+    reasons = {}
+    graphs = [_random_solved_graph(rng) for rng in map(random.Random,
+                                                       (61, 71, 5, 9, 13))
+              for _ in range(200)]
+    rng = random.Random(1601)
+    graphs += [_chain_graph(rng) for _ in range(600)]
+    for k, Q in enumerate(graphs):
+        expected = _verdict_tuple(_reference_check_weighting(Q))
+        assert _verdict_tuple(sb.check_weighting(Q)) == expected, k
+        kind = "random" if k < 1000 else "chain"
+        reasons[(kind, expected[1])] = reasons.get((kind, expected[1]), 0) + 1
+    for reason in (None, sb.FILTRATION_MISMATCH, sb.LAMBDA_INVARIANCE,
+                   sb.UNDECIDED):
+        assert reasons.get(("random", reason), 0) >= 5
+    assert reasons.get(("chain", None), 0) >= 300
+    assert reasons.get(("chain", sb.FILTRATION_MISMATCH), 0) >= 20
+
+
+def _reference_induced_filtration_degree(Q, f):
+    """Largest i <= r+1 with all lower lifts of f vanishing on the graph."""
+    r = Q.order
+    for j in range(r + 1):
+        lifted = jt.jet_lift(f, j, r, Q.vars)
+        if not sb.substitute_graph(Q, lifted).is_zero:
+            return j
+    return r + 1
+
+
+def _graph_function(rng, Q):
+    """A polynomial in the chart variables: one variable, a random
+    polynomial, or a random polynomial times a product of variables, so the
+    induced degrees spread over the levels."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return ex.var(rng.choice(Q.vars))
+    f = rand_poly_expr(rng, Q.vars, max_degree=3, max_terms=3)
+    if kind == 1:
+        return f
+    return ex.mul(f, *[ex.var(rng.choice(Q.vars))
+                       for _ in range(rng.randint(1, 2))])
+
+
+def test_series_on_the_graph_rows_is_lift_then_substitute():
+    rng = random.Random(1602)
+    weight0 = 0
+    for _ in range(300):
+        Q = _random_solved_graph(rng)
+        f = _graph_function(rng, Q)
+        r = Q.order
+        fields, rows = jt._row_fields(sb._graph_rows(Q, r), jt._degree(f))
+        levels, den = jt._generic_series(f, dict(zip(Q.vars, rows)), r)
+        for j in range(r + 1):
+            assert fields.seal(levels[j], den) == sb.substitute_graph(
+                Q, jt.jet_lift(f, j, r, Q.vars)), (Q, ex.to_text(f), j)
+        weight0 += any((a, 0) not in Q.constrained_labels()
+                       for a in range(Q.n))
+    assert weight0 >= 40
+
+
+def test_induced_filtration_degree_is_the_first_lift_off_the_graph():
+    rng = random.Random(1603)
+    degrees = []
+    for _ in range(320):
+        Q = _random_solved_graph(rng)
+        f = _graph_function(rng, Q)
+        degrees.append(sb.induced_filtration_degree(Q, f))
+        assert degrees[-1] == _reference_induced_filtration_degree(Q, f), \
+            (Q, ex.to_text(f))
+    assert len(set(degrees)) >= 5 and degrees.count(0) <= 200
+    Q = _random_solved_graph(rng)
+    for f in (ex.app("sin", ex.var(Q.vars[0])), ex.var("nowhere")):
+        with pytest.raises(ValueError) as expected:
+            _reference_induced_filtration_degree(Q, f)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            sb.induced_filtration_degree(Q, f)

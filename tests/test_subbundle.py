@@ -114,6 +114,17 @@ def test_induced_filtration_degree():
         assert induced_filtration_degree(Qs, var(name)) == W.weight_of(name)
 
 
+def test_induced_filtration_degree_stops_at_its_answer():
+    # At order 200 the series of x1^5 through every level has millions of
+    # terms; up to level 5 it has a handful.
+    Q = graph_subbundle(("x1", "x2"), 200, {(0, 0): jt.JP_ZERO,
+                                            (1, 0): jt.JP_ZERO,
+                                            (1, 1): jp_slot(0, 1)})
+    for f, degree in [("x1^5", 5), ("x2^3 + x1", 1), ("x1^2*x2^2", 4),
+                      ("x1 - x1", 201)]:
+        assert induced_filtration_degree(Q, parse_expr(f)) == degree
+
+
 def test_derive_weights_round_trip():
     rng = random.Random(3)
     for _ in range(20):
