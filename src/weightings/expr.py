@@ -622,6 +622,13 @@ def _terms_text(terms: Iterable[tuple[Expr, str]]) -> str:
     return "".join(pieces)
 
 
+def _monomial_text(factors: Iterable[tuple[str, Fraction | int]]) -> str:
+    """Join (name, exponent) factors as name^e with "*": exponent 1 bare, a
+    positive integer plain, any other exponent in parentheses."""
+    return "*".join(v if e == 1 else f"{v}^{e}" if e > 0 and e == int(e)
+                    else f"{v}^({e})" for v, e in factors)
+
+
 def to_text(e: Expr) -> str:
     """Canonical text form; parse_expr(to_text(e)) == e for canonical e."""
     terms = e.terms if isinstance(e, Sum) else (e,)

@@ -47,6 +47,7 @@ from typing import Mapping, Sequence
 from . import expr as ex
 from .expr import Expr
 from .fields import PolyVectorField
+from .wpoly import MAX_EXPANDED_POWER
 
 Label = tuple[int, int]
 Monomial = tuple[tuple[Label, int], ...]
@@ -206,8 +207,7 @@ def jp_text(p: JetPoly, names: Sequence[str] | None = None) -> str:
         return f"{base}.{j}"
 
     return ex._terms_text(
-        (ex.const(c), "*".join(slot_name(l) + (f"^{e}" if e != 1 else "")
-                               for l, e in m))
+        (ex.const(c), ex._monomial_text((slot_name(l), e) for l, e in m))
         for m, c in sorted(p.terms, key=lambda item: (
             sum(e * j for (_, j), e in item[0]), item[0])))
 
@@ -312,9 +312,14 @@ def _series_square(a: Raw, r: int) -> Raw:
 
 
 def _series_pow(a: Raw, exponent: int, r: int) -> Raw:
-    """a^exponent truncated after eps^r, by square-and-multiply."""
+    """a^exponent truncated after eps^r, by square-and-multiply; with two
+    or more terms at level 0, never truncated, the exponent is capped."""
     if exponent < 0:
         raise ValueError("negative power of a jet polynomial")
+    if exponent > MAX_EXPANDED_POWER and sum(map(bool, a[0][0].values())) > 1:
+        raise ValueError(
+            f"exponent {exponent} of a base with two or more terms exceeds "
+            f"the limit MAX_EXPANDED_POWER = {MAX_EXPANDED_POWER}")
     out = [{0: 1}] + [{} for _ in range(r)], 1
     while exponent:
         if exponent & 1:

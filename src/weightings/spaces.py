@@ -14,11 +14,12 @@ positive-weight variables are accepted; weight-zero dependence stays
 symbolic in the coefficients.
 
 Blow-up charts carry monomials with rational exponents, printed in the
-style y2^(-1/2).  A field of filtration degree 0 lifts to a chart by a
-closed form: d z_b = sum_v q_bv (z_b / y_v) dy_v, q_bv the exponent of y_v
-in z_b, and substituting the inverse chart turns t^(s.w - w_v) y^(s - e_v)
-into a monomial in z, since the inverse scales y_a by t^(-w_a) and so
-removes exactly the power t^(s.w - w_v) that the extension carries.
+style y2^(-1/2); one builder makes each chart and its inverse.  A field of
+filtration degree 0 lifts to a chart by a closed form: d z_b = sum_v q_bv
+(z_b / y_v) dy_v, q_bv the exponent of y_v in z_b, and substituting the
+inverse chart turns t^(s.w - w_v) y^(s - e_v) into a monomial in z, since
+the inverse scales y_a by t^(-w_a) and so removes exactly the power
+t^(s.w - w_v) that the extension carries.
 """
 
 from __future__ import annotations
@@ -316,17 +317,9 @@ class RationalMonomialMap:
 
 
 def monomial_text(coeff: Fraction, exps: Exponents) -> str:
-    factors = []
-    for v, q in exps:
-        if q == 1:
-            factors.append(v)
-        elif q.denominator == 1 and q > 0:
-            factors.append(f"{v}^{q}")
-        else:
-            factors.append(f"{v}^({q})")
-    if not factors:
+    if not exps:
         return str(coeff)
-    body = "*".join(factors)
+    body = ex._monomial_text(exps)
     return body if coeff == 1 else f"{coeff}*{body}"
 
 
@@ -359,17 +352,29 @@ def compose_rational(outer: RationalMonomialMap,
     return rational_map(inner.source, outer.target, comps, outer.sign)
 
 
-def _blowup_center(W: WeightSequence, center: str, sign: str) -> int:
-    """Index of `center`; the checks a blow-up chart and its inverse share."""
+def _blowup_map(W: WeightSequence, center: str, sign: str,
+                inverse: bool) -> RationalMonomialMap:
+    """The blow-up chart of W with center `center`, or its inverse."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     if center not in W.vars:
         raise KeyError(f"unknown variable {center!r}")
     c = W.vars.index(center)
-    if W.weights[c] < 1:
+    wc = W.weights[c]
+    if wc < 1:
         raise ValueError(f"variable {center!r} has weight 0 and is not a "
                          f"blow-up direction")
-    return c
+    names = deformation_names(W), chart_names(W)
+    source, target = names[::-1] if inverse else names
+    comps = {"t": (1, {"t": 1})}
+    for a, (name, w) in enumerate(zip(source, W.weights)):
+        if inverse:  # at the center the second key replaces the first
+            comps[target[a]] = (1, {name: 1, source[c]: w, "t": -w})
+        elif a == c:
+            comps[target[a]] = (1, {"t": 1, name: Fraction(1, wc)})
+        else:
+            comps[target[a]] = (1, {name: 1, source[c]: Fraction(-w, wc)})
+    return rational_map(source + ("t",), target + ("t",), comps, sign)
 
 
 def blowup_chart(W: WeightSequence, center: str,
@@ -380,45 +385,14 @@ def blowup_chart(W: WeightSequence, center: str,
     z_a = y_a y_c^(-w_a/w_c) away from the center index and
     z_c = t y_c^(1/w_c).
     """
-    c = _blowup_center(W, center, sign)
-    wc = W.weights[c]
-    ynames = deformation_names(W)
-    znames = chart_names(W)
-    comps: dict[str, tuple[Fraction, dict]] = {}
-    for a in range(W.n):
-        if a == c:
-            comps[znames[a]] = (Fraction(1),
-                                {"t": Fraction(1), ynames[c]: Fraction(1, wc)})
-        else:
-            comps[znames[a]] = (Fraction(1),
-                                {ynames[a]: Fraction(1),
-                                 ynames[c]: Fraction(-W.weights[a], wc)})
-    comps["t"] = (Fraction(1), {"t": Fraction(1)})
-    return rational_map(tuple(ynames) + ("t",), tuple(znames) + ("t",),
-                        comps, sign)
+    return _blowup_map(W, center, sign, False)
 
 
 def blowup_chart_inverse(W: WeightSequence, center: str,
                          sign: str = "+") -> RationalMonomialMap:
     """Inverse of blowup_chart: y_c = z_c^(w_c) t^(-w_c) and
     y_a = z_a z_c^(w_a) t^(-w_a) away from the center index."""
-    c = _blowup_center(W, center, sign)
-    wc = W.weights[c]
-    ynames = deformation_names(W)
-    znames = chart_names(W)
-    comps: dict[str, tuple[Fraction, dict]] = {}
-    for a in range(W.n):
-        if a == c:
-            comps[ynames[a]] = (Fraction(1),
-                                {znames[c]: Fraction(wc), "t": Fraction(-wc)})
-        else:
-            comps[ynames[a]] = (Fraction(1),
-                                {znames[a]: Fraction(1),
-                                 znames[c]: Fraction(W.weights[a]),
-                                 "t": Fraction(-W.weights[a])})
-    comps["t"] = (Fraction(1), {"t": Fraction(1)})
-    return rational_map(tuple(znames) + ("t",), tuple(ynames) + ("t",),
-                        comps, sign)
+    return _blowup_map(W, center, sign, True)
 
 
 Term = tuple[Expr, Exponents]
@@ -435,9 +409,7 @@ class BlowupField:
     def __str__(self):
         parts = []
         for n, terms in self.components:
-            body = ex._terms_text(
-                (c, monomial_text(Fraction(1), m) if m else "")
-                for c, m in terms)
+            body = ex._terms_text((c, ex._monomial_text(m)) for c, m in terms)
             parts.append(f"({body}) d/d[{n}]")
         return " + ".join(parts) if parts else "0"
 

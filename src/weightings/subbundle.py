@@ -38,7 +38,9 @@ series of u_a = x_a - sum_s c_s x^s; a residual is one of its levels.  The
 rows of each linear system, one per packed slot monomial, come in no fixed
 order: the solution with the free columns at 0 depends on the column order
 alone, as a column is a pivot exactly when it is independent of the
-columns before it.
+columns before it.  ``check_weighting`` reads the rows up to the highest
+constrained level top, or top + 1 to find a row's first non-zero level:
+the slots above top are free, so a high order costs nothing.
 
 Failures carry machine-readable reason codes and a concrete witness.
 
@@ -285,8 +287,9 @@ def _reconstructed_dimension(Q: GraphSubbundle) -> int:
     x_a has induced degree the first level at which its graph row, the
     lifts of x_a on the graph, is not zero."""
     r = Q.order
+    top = max((j for (_a, j), _g in Q.constraints), default=0)
     induced = [next((j for j, g in enumerate(row) if not g.is_zero), r + 1)
-               for row in _graph_rows(Q, r)]
+               for row in _graph_rows(Q, min(top + 1, r))]
     return Q.n * (r + 1) - sum(induced)
 
 
@@ -302,7 +305,9 @@ def _lambda_invariance_witness(Q: GraphSubbundle) -> str | None:
     rows = _graph_rows(Q, top)
     psi = [jt.jp_slot(-1, m) for m in range(1, top + 1)]
     new_vals = jt.jp_reparametrize(rows, psi)
-    free = {(b, k): new_vals[b][k] for b, k in Q.free_labels() if k <= top}
+    constrained = Q.constrained_labels()
+    free = {(b, k): row[k] for b, row in enumerate(new_vals)
+            for k in range(top + 1) if (b, k) not in constrained}
     for (a, j), g in Q.constraints:
         if new_vals[a][j] != jt.jp_substitute(g, free):
             return (f"slot {Q.vars[a]}.{j} moves off the graph under a generic "
@@ -532,19 +537,21 @@ def frame(W: WeightSequence, coeff_rows: Sequence[Sequence[Expr]]) -> Frame:
     """Build and validate a frame from per-field coefficient expressions."""
     fields = tuple(vf_for_weights(W, row) for row in coeff_rows)
     fr = Frame(W, fields)
+    # a coefficient's value on the base is its x^0 coefficient, and the
+    # weight-0 variables come first
+    zero = (0,) * len(W.positive_vars)
     origin = {v: Fraction(0) for v in W.zero_vars}
-    at_origin = [[ex.const(ex.eval_exact(restrict_to_base(c, W), origin))
-                  for c in fr.field_exprs(a)] for a in range(W.n)]
+    at_origin = [[ex.const(ex.eval_exact(c.coefficient(zero), origin))
+                  for c in f.coeffs] for f in fields]
     if _det_expr(at_origin) == ZERO:
         raise ValueError("frame coefficient matrix is singular at the base point")
     k0 = W.count(0)
     for a in range(k0):
         for b in range(a):
             bracket = lie_bracket(fields[a], fields[b])
-            for v, c in zip(W.vars, bracket.coeff_exprs()):
-                if W.weight_of(v) == 0 and restrict_to_base(c, W) != ZERO:
-                    raise ValueError(
-                        "base-tangent frame fields do not commute on the base")
+            if any(c.coefficient(zero) != ZERO for c in bracket.coeffs[:k0]):
+                raise ValueError(
+                    "base-tangent frame fields do not commute on the base")
     return fr
 
 
@@ -665,10 +672,9 @@ def apply_diffop(D: DiffOpStandardForm, f) -> Expr:
     """Exact application sum_s f_s (V^s f); accepts Expr or WeightedPoly."""
     if isinstance(f, wp.WeightedPoly):
         f = wp.to_expr(f)
-    out = ZERO
-    for s, coeff in D.terms:
-        out = ex.add(out, ex.mul(coeff, D.frame.apply_word(s, f)))
-    return out
+    apply_word = _word_applier(D.frame)
+    return ex.add(*[ex.mul(coeff, apply_word(s, f)) for s, coeff in D.terms],
+                  ZERO)
 
 
 def coefficient_q_weight(D: DiffOpStandardForm, W: WeightSequence) -> int:
@@ -746,10 +752,8 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
     pvars = W.positive_vars
     ones = (1,) * len(pvars)
     y_exprs = tuple(ex.as_expr(y) for y in y_exprs)
-    if y_names is None:
-        y_names = tuple(f"y{a + 1}" for a in range(n))
-    else:
-        y_names = tuple(y_names)
+    y_names = (tuple(f"y{a + 1}" for a in range(n)) if y_names is None
+               else tuple(y_names))
     max_w = max(W.weights)
     all_s = _normal_multi_indices(W, max_w, 2)
     top = max((sum(s) for s in all_s), default=1)
@@ -768,8 +772,9 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
                     f"(V_{a + 1} y_{b + 1}) on the base is {ex.to_text(value)}, "
                     f"expected {ex.to_text(expected)}")
     k0 = W.count(0)
+    zero = (0,) * len(pvars)
     for a in range(k0, n):
-        if restrict_to_base(y_exprs[a], W) != ZERO:
+        if zero in y_maps[a]:
             raise ValueError(f"initial coordinate y_{a + 1} does not vanish "
                              f"on the base")
     chi: dict[tuple[int, tuple[int, ...]], Expr] = {}
@@ -792,7 +797,7 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
                     chi[(a, s)] = value
         for (a, u), coeff in chi.items():
             if sum(u) == m:
-                term = {(0,) * len(pvars): coeff}
+                term = {zero: coeff}
                 for b, e in enumerate(u):
                     for _ in range(e):
                         term = wp._product(term.items(), y_maps[b].items(),

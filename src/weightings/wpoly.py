@@ -111,9 +111,7 @@ def monomial_expr(pvars: Sequence[str], exponents: Sequence[int]) -> Expr:
 
 def monomial_text(pvars: Sequence[str], exponents: Sequence[int]) -> str:
     """Monomial display in variable order, e.g. x^2*y."""
-    parts = [v if s == 1 else f"{v}^{s}"
-             for v, s in zip(pvars, exponents) if s]
-    return "*".join(parts)
+    return ex._monomial_text((v, s) for v, s in zip(pvars, exponents) if s)
 
 
 def to_expr(p: WeightedPoly) -> Expr:

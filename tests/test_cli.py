@@ -369,6 +369,22 @@ def test_huge_power_of_a_sum_without_a_constant_ends_at_once(argv, code, out,
     assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
 
 
+@pytest.mark.parametrize("expr, level, code, out, err", [
+    # level 0 of x + 2 has two terms and is never truncated
+    ("(x+2)^100000000", "0", 1, b"", b"error: exponent 100000000 of a base "
+     b"with two or more terms exceeds the limit MAX_EXPANDED_POWER = 1000\n"),
+    # level 0 of x is one term: square-and-multiply stays small
+    ("x^1000000000", "2", 0, b"499999999500000000*x.0^999999998*x.1^2 + "
+     b"1000000000*x.0^999999999*x.2\n", b""),
+], ids=["two-term-level-0", "one-term-level-0"])
+def test_jet_lift_of_a_huge_power_ends_at_once(expr, level, code, out, err):
+    result = subprocess.run(
+        [sys.executable, "-m", "weightings.cli", "jet-lift", "--vars", "x",
+         "--expr", expr, "--level", level, "--order", level],
+        capture_output=True, env=_child_env(), timeout=10)
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+
+
 def test_adapt_refuses_a_pole_on_the_base(tmp_path, capsys):
     path = tmp_path / "pole.prob"
     path.write_text("[weights]\nx1 = 1\nx2 = 3\n\n[frame]\nV1 = 1, 0\n"
@@ -414,6 +430,8 @@ def test_scale_order_resamples_a_base_point_at_a_pole(capsys):
 
 _LINEAR_SHEAR_200 = ("[graph]\nvars = x1, x2\norder = 200\n"
                      "x1 0 = 0\nx2 0 = 0\nx2 1 = x1.1\n")
+_LAMBDA_GRAPH_1E8 = ("[graph]\nvars = x1, x2\norder = 100000000\n"
+                     "x1 0 = 0\nx2 0 = 0\nx2 1 = 0\nx2 2 = x1.2\n")
 
 
 @pytest.mark.parametrize("graph, code, printed", [
@@ -422,10 +440,18 @@ _LINEAR_SHEAR_200 = ("[graph]\nvars = x1, x2\norder = 200\n"
      .replace("order = 4", "order = 60"), 1,
      b"FILTRATION_MISMATCH: witness x3 level 3 "
      b"(reconstructed dimension 178 vs 177)\n"),
-], ids=["accepted-order-200", "antisymmetric-order-60"])
+    ((FIXTURES / "antisymmetric_relation.prob").read_text()
+     .replace("order = 4", "order = 100000000"), 1,
+     b"FILTRATION_MISMATCH: witness x3 level 3 "
+     b"(reconstructed dimension 299999998 vs 299999997)\n"),
+    (_LAMBDA_GRAPH_1E8, 1, b"LAMBDA_INVARIANCE: slot x2.2 moves off the graph "
+                           b"under a generic reparametrization\n"),
+], ids=["accepted-order-200", "antisymmetric-order-60",
+        "antisymmetric-order-1e8", "lambda-order-1e8"])
 def test_check_q_at_high_order_ends(graph, code, printed, tmp_path):
-    # Reparametrization runs only to name a rejection, and only up to the
-    # highest constrained level, so a high order costs no symbolic series.
+    # Reparametrization runs only to name a rejection, and check_weighting
+    # reads the graph rows at most one level above the highest constrained
+    # level, so a high order costs no symbolic series and no rows.
     path = tmp_path / "graph.prob"
     path.write_text(graph)
     result = subprocess.run(

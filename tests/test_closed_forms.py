@@ -22,11 +22,19 @@ was, and both are compared on generated inputs:
   lifted by ``jet_lift`` and restricted by ``substitute_graph``: the same
   accepted flag, reason, witness, details and weights;
 * series of a function on the graph rows, level by level, and
-  ``induced_filtration_degree``, against lift-then-substitute.
+  ``induced_filtration_degree``, against lift-then-substitute;
+* the one blow-up chart builder against the two chart loops it replaced,
+  and the one monomial printer against the three printers it replaced;
+* ``apply_diffop`` with one word applier per operator against one
+  ``Frame.apply_word`` per term summed pairwise;
+* ``frame()`` and the vanishing check of ``adapted_coordinates``, which
+  read values on the base off the stored term maps, against Exprs
+  restricted to the base: the same frames and the same error texts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -36,14 +44,16 @@ import pytest
 
 from weightings import expr as ex
 from weightings import jets as jt
+from weightings import spaces as sp
 from weightings import subbundle as sb
 from weightings import wpoly as wp
 from weightings.expr import ONE, ZERO
-from weightings.fields import nilpotent_frames
+from weightings.fields import lie_bracket, nilpotent_frames, vf_for_weights
 from weightings.weights import (exponents_below, weight_sequence,
                                 weighted_degree)
 
-from conftest import rand_expr, rand_poly_expr, rand_rational
+from conftest import (rand_expr, rand_poly_expr, rand_rational,
+                      rand_weight_sequence)
 from test_subbundle import _random_solved_graph
 
 
@@ -733,3 +743,331 @@ def test_induced_filtration_degree_is_the_first_lift_off_the_graph():
             _reference_induced_filtration_degree(Q, f)
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             sb.induced_filtration_degree(Q, f)
+
+
+# ---------------------------------------------------------------------------
+# one blow-up chart builder
+
+def _reference_blowup_center(W, center, sign):
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    if center not in W.vars:
+        raise KeyError(f"unknown variable {center!r}")
+    c = W.vars.index(center)
+    if W.weights[c] < 1:
+        raise ValueError(f"variable {center!r} has weight 0 and is not a "
+                         f"blow-up direction")
+    return c
+
+
+def _reference_blowup_chart(W, center, sign):
+    """The chart built in its own loop: z_c = t y_c^(1/w_c) and
+    z_a = y_a y_c^(-w_a/w_c)."""
+    c = _reference_blowup_center(W, center, sign)
+    wc = W.weights[c]
+    ynames = sp.deformation_names(W)
+    znames = sp.chart_names(W)
+    comps = {}
+    for a in range(W.n):
+        if a == c:
+            comps[znames[a]] = (Fraction(1),
+                                {"t": Fraction(1), ynames[c]: Fraction(1, wc)})
+        else:
+            comps[znames[a]] = (Fraction(1),
+                                {ynames[a]: Fraction(1),
+                                 ynames[c]: Fraction(-W.weights[a], wc)})
+    comps["t"] = (Fraction(1), {"t": Fraction(1)})
+    return sp.rational_map(tuple(ynames) + ("t",), tuple(znames) + ("t",),
+                           comps, sign)
+
+
+def _reference_blowup_chart_inverse(W, center, sign):
+    """The inverse built in its own loop: y_c = z_c^(w_c) t^(-w_c) and
+    y_a = z_a z_c^(w_a) t^(-w_a)."""
+    c = _reference_blowup_center(W, center, sign)
+    wc = W.weights[c]
+    ynames = sp.deformation_names(W)
+    znames = sp.chart_names(W)
+    comps = {}
+    for a in range(W.n):
+        if a == c:
+            comps[ynames[a]] = (Fraction(1),
+                                {znames[c]: Fraction(wc), "t": Fraction(-wc)})
+        else:
+            comps[ynames[a]] = (Fraction(1),
+                                {znames[a]: Fraction(1),
+                                 znames[c]: Fraction(W.weights[a]),
+                                 "t": Fraction(-W.weights[a])})
+    comps["t"] = (Fraction(1), {"t": Fraction(1)})
+    return sp.rational_map(tuple(znames) + ("t",), tuple(ynames) + ("t",),
+                           comps, sign)
+
+
+def _chart_outcome(build, W, center, sign):
+    """The map and its text, or the exception type and text."""
+    try:
+        chart = build(W, center, sign)
+    except (KeyError, ValueError) as err:
+        return type(err), str(err)
+    return chart, str(chart)
+
+
+def test_one_blowup_builder_matches_the_two_chart_loops():
+    outcomes = {KeyError: 0, ValueError: 0, "chart": 0}
+    for n in range(1, 5):
+        for weights in itertools.combinations_with_replacement(range(7), n):
+            W = weight_sequence(list(zip(("p", "q", "r", "s"), weights)))
+            for center in W.vars + ("u",):
+                for sign in ("+", "-", "*"):
+                    for build, reference in (
+                            (sp.blowup_chart, _reference_blowup_chart),
+                            (sp.blowup_chart_inverse,
+                             _reference_blowup_chart_inverse)):
+                        expected = _chart_outcome(reference, W, center, sign)
+                        assert _chart_outcome(build, W, center, sign) \
+                            == expected, (W, center, sign)
+                        kind = expected[0]
+                        outcomes[kind if kind in outcomes else "chart"] += 1
+    assert outcomes["chart"] >= 3000 and outcomes[KeyError] >= 1000
+    assert outcomes[ValueError] >= 3000
+
+
+# ---------------------------------------------------------------------------
+# one monomial printer
+
+def _reference_spaces_monomial_text(coeff, exps):
+    factors = []
+    for v, q in exps:
+        if q == 1:
+            factors.append(v)
+        elif q.denominator == 1 and q > 0:
+            factors.append(f"{v}^{q}")
+        else:
+            factors.append(f"{v}^({q})")
+    if not factors:
+        return str(coeff)
+    body = "*".join(factors)
+    return body if coeff == 1 else f"{coeff}*{body}"
+
+
+def _reference_wpoly_monomial_text(pvars, exponents):
+    parts = [v if s == 1 else f"{v}^{s}"
+             for v, s in zip(pvars, exponents) if s]
+    return "*".join(parts)
+
+
+def _reference_jp_text(p, names=None):
+    if p.is_zero:
+        return "0"
+
+    def slot_name(label):
+        a, j = label
+        base = names[a] if names is not None else f"x{a + 1}"
+        return f"{base}.{j}"
+
+    return ex._terms_text(
+        (ex.const(c), "*".join(slot_name(l) + (f"^{e}" if e != 1 else "")
+                               for l, e in m))
+        for m, c in sorted(p.terms, key=lambda item: (
+            sum(e * j for (_, j), e in item[0]), item[0])))
+
+
+def _rand_exponent(rng) -> Fraction:
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Fraction(rng.randint(1, 12))
+    if kind == 1:
+        return Fraction(-rng.randint(1, 12))
+    return Fraction(rng.randint(-12, 12), rng.randint(2, 5))
+
+
+def test_one_monomial_printer_matches_the_three_it_replaced():
+    rng = random.Random(1701)
+    names = ("x", "y", "z1", "t", "y2")
+    seen = {"positive": 0, "negative": 0, "fractional": 0, "empty": 0}
+    for _ in range(3000):
+        size = rng.randint(0, 4)
+        exps = tuple((v, _rand_exponent(rng)) for v in rng.sample(names, size))
+        coeff = rng.choice([Fraction(1), rand_rational(rng, zero_ok=False)])
+        assert sp.monomial_text(coeff, exps) == \
+            _reference_spaces_monomial_text(coeff, exps), (coeff, exps)
+        seen["empty"] += not exps
+        seen["positive"] += any(q > 0 and q.denominator == 1 for _, q in exps)
+        seen["negative"] += any(q < 0 for _, q in exps)
+        seen["fractional"] += any(q.denominator > 1 for _, q in exps)
+        # wpoly and jets print positive integer exponents only
+        pvars = names[:size]
+        exponents = tuple(rng.randint(0, 4) for _ in pvars)
+        assert wp.monomial_text(pvars, exponents) == \
+            _reference_wpoly_monomial_text(pvars, exponents), exponents
+        p = jt.jetpoly({tuple(sorted({(rng.randint(0, 2), rng.randint(0, 3)):
+                                      rng.randint(1, 4)
+                                      for _ in range(rng.randint(0, 3))}
+                                     .items())): rand_rational(rng)
+                        for _ in range(rng.randint(0, 4))})
+        slot_names = rng.choice([None, ("a", "b", "c")])
+        assert jt.jp_text(p, slot_names) == _reference_jp_text(p, slot_names)
+    assert min(seen.values()) >= 400, seen
+
+
+# ---------------------------------------------------------------------------
+# one word applier per operator
+
+def _reference_apply_diffop(D, f):
+    """sum_s f_s (V^s f), one Frame.apply_word per term, summed pairwise."""
+    if isinstance(f, wp.WeightedPoly):
+        f = wp.to_expr(f)
+    out = ZERO
+    for s, coeff in D.terms:
+        out = ex.add(out, ex.mul(coeff, D.frame.apply_word(s, f)))
+    return out
+
+
+BRACKET_WEIGHTS = weight_sequence({"x1": 1, "x2": 1, "x3": 2}, 2)
+
+
+def _operator(rng):
+    """A frame shaped like those of test_subbundle and an operator on it:
+    a normal-ordered word on the bracket frame V2 = d2 + x1 d3, or random
+    terms f_s V^s with |s| <= 3 on a perturbed, normalized or coordinate
+    frame."""
+    from test_subbundle import _perturbed_fixture
+    kind = rng.randrange(4)
+    if kind == 0:
+        x1 = ex.var("x1")
+        fr = sb.frame(BRACKET_WEIGHTS, [[ONE, ZERO, ZERO], [ZERO, ONE, x1],
+                                        [ZERO, ZERO, ONE]])
+        word = [rng.choice([0, 1, 2, rand_poly_expr(rng, fr.W.vars, 2, 2)])
+                for _ in range(rng.randint(1, 4))]
+        return kind, sb.normal_order(fr, word)
+    if kind == 1:
+        fr, _ = _perturbed_fixture(rng, rng.randint(2, 3))
+    elif kind == 2:
+        fr, _ = _normalized_frame(rng)
+    else:
+        W = rand_weight_sequence(rng, max_n=3, max_order=3)
+        fr = sb.frame(W, [[ONE if b == a else ZERO for b in range(W.n)]
+                          for a in range(W.n)])
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        s = [0] * fr.n
+        for _ in range(rng.randint(0, 3)):
+            s[rng.randrange(fr.n)] += 1
+        terms[tuple(s)] = rand_poly_expr(rng, fr.W.vars, 2, 2)
+    return kind, sb.diffop(fr, terms)
+
+
+def test_one_word_applier_per_operator_matches_the_per_word_sum():
+    rng = random.Random(1702)
+    kinds = [0] * 4
+    shared = 0
+    for _ in range(240):
+        kind, D = _operator(rng)
+        W = D.frame.W
+        f = rand_poly_expr(rng, W.vars, 3, 3)
+        if rng.random() < 0.3:
+            f = wp.poly_normal_form(f, W.positive_vars)
+        assert sb.apply_diffop(D, f) == _reference_apply_diffop(D, f), \
+            (kind, str(D), str(f))
+        kinds[kind] += 1
+        words = [s for s, _ in D.terms if any(s)]
+        shared += len(words) > 1
+    assert min(kinds) >= 40 and shared >= 100
+
+
+# ---------------------------------------------------------------------------
+# base values read off the stored term maps
+
+def _reference_frame(W, coeff_rows):
+    """frame() with every base value read off an Expr restricted to the
+    base."""
+    fields = tuple(vf_for_weights(W, row) for row in coeff_rows)
+    fr = sb.Frame(W, fields)
+    origin = {v: Fraction(0) for v in W.zero_vars}
+    at_origin = [[ex.const(ex.eval_exact(sb.restrict_to_base(c, W), origin))
+                  for c in fr.field_exprs(a)] for a in range(W.n)]
+    if sb._det_expr(at_origin) == ZERO:
+        raise ValueError("frame coefficient matrix is singular at the base point")
+    k0 = W.count(0)
+    for a in range(k0):
+        for b in range(a):
+            bracket = lie_bracket(fields[a], fields[b])
+            for v, c in zip(W.vars, bracket.coeff_exprs()):
+                if W.weight_of(v) == 0 and sb.restrict_to_base(c, W) != ZERO:
+                    raise ValueError(
+                        "base-tangent frame fields do not commute on the base")
+    return fr
+
+
+def _frame_outcome(build, W, rows):
+    try:
+        return build(W, rows).fields
+    except ValueError as err:
+        return "error", str(err)
+
+
+def _spoiled_rows(rng, fr):
+    """The frame's rows with one row times a function that vanishes at the
+    origin (singular there), or with a weight-0 entry of a base-tangent
+    field moved by a weight-0 variable (its brackets may not vanish)."""
+    W = fr.W
+    rows = [list(fr.field_exprs(a)) for a in range(W.n)]
+    k0 = W.count(0)
+    a = rng.randrange(W.n)
+    if k0 < 2 or rng.random() < 0.2:
+        g = ex.var(rng.choice(W.vars))
+        if W.zero_vars and rng.random() < 0.3:
+            g = ex.app("sin", ex.var(rng.choice(W.zero_vars)))
+        rows[a] = [ex.mul(g, c) for c in rows[a]]
+        return rows
+    a, b = rng.randrange(k0), rng.randrange(k0)
+    z = ex.var(rng.choice(W.zero_vars))
+    term = rng.choice([z, ex.app("sin", z), ex.mul(z, z)])
+    rows[a][b] = ex.add(rows[a][b],
+                        ex.mul(ex.const(rand_rational(rng, zero_ok=False)),
+                               term))
+    return rows
+
+
+def _frame_cases(rng):
+    from test_subbundle import _perturbed_fixture
+    for i in range(300):
+        if i % 3 == 2:
+            yield _perturbed_fixture(rng, rng.randint(2, 3))
+        else:
+            yield _normalized_frame(rng, heads=i % 3 == 1)
+
+
+def test_frame_reads_base_values_off_the_term_maps():
+    rng = random.Random(1703)
+    outcomes = {}
+    for fr, _y_exprs in _frame_cases(rng):
+        rows = [list(fr.field_exprs(a)) for a in range(fr.n)]
+        assert sb.frame(fr.W, rows).fields == fr.fields
+        for rows in (rows, _spoiled_rows(rng, fr)):
+            expected = _frame_outcome(_reference_frame, fr.W, rows)
+            assert _frame_outcome(sb.frame, fr.W, rows) == expected, \
+                (fr.W, [[ex.to_text(c) for c in row] for row in rows])
+            key = expected[1] if expected[0] == "error" else "frame"
+            outcomes[key] = outcomes.get(key, 0) + 1
+    assert outcomes["frame"] >= 310, outcomes
+    assert outcomes["frame coefficient matrix is singular at the base "
+                    "point"] >= 200, outcomes
+    assert outcomes["base-tangent frame fields do not commute on the "
+                    "base"] >= 20, outcomes
+
+
+def test_initial_coordinates_that_do_not_vanish_on_the_base_are_refused():
+    rng = random.Random(1704)
+    refused = 0
+    for fr, y_exprs in _frame_cases(rng):
+        W = fr.W
+        y = list(y_exprs)
+        b = rng.randrange(W.count(0), W.n)
+        y[b] = ex.add(y[b], ex.const(rand_rational(rng, zero_ok=False)))
+        expected, _ = _adapted_outcome(_reference_adapted_coordinates, fr, y)
+        outcome, _ = _adapted_outcome(sb.adapted_coordinates, fr, y)
+        assert outcome == expected, (W, [ex.to_text(e) for e in y])
+        refused += expected == ("error", f"initial coordinate y_{b + 1} does "
+                                         f"not vanish on the base")
+    assert refused == 300
