@@ -147,9 +147,17 @@ def _parse_slot_poly(text: str, names: Sequence[str]):
     from . import jets as jt
     from . import wpoly as wp
     mangled = _SLOT_RE.sub(lambda m: f"{m.group(1)}__L{m.group(2)}", text)
-    tree = ex.parse_expr(mangled)
-    slot_vars = sorted(ex.variables(tree))
-    poly = wp.poly_normal_form(tree, slot_vars)
+    try:
+        tree = ex.parse_expr(mangled)
+        slot_vars = sorted(ex.variables(tree))
+        poly = wp.poly_normal_form(tree, slot_vars)
+    except ValueError as err:  # slots and positions as the user wrote them
+        message = str(err).replace("__L", ".")
+        if isinstance(err, ex.ParseError):
+            shift = 2 * mangled.count("__L", 0, err.position)
+            message = message.replace(f"position {err.position}",
+                                      f"position {err.position - shift}")
+        raise ValueError(message) from None
     index = {name: a for a, name in enumerate(names)}
     terms: dict = {}
     for s, c in poly.terms:
@@ -185,6 +193,8 @@ def _graph_from_sections(sections):
             raise ValueError(f"bad graph constraint key {key!r} "
                              f"(expected 'var level')")
         label = (names.index(parts[0]), int(parts[1]))
+        if label in constraints:
+            raise ValueError(f"slot {parts[0]}.{label[1]} is constrained twice")
         constraints[label] = _parse_slot_poly(value, names)
     return sb.graph_subbundle(names, order, constraints)
 
@@ -336,10 +346,8 @@ def _nu_trans(options, sections):
         raise ValueError(f"[map] has unknown keys {sorted(extra)}")
     phi = sp.coordinate_change(W, W, components)
     out = sp.nu_transition(phi)
-    names = sp.deformation_names(W)
-    lines = [f"{n} -> {ex.to_text(c)}" for n, c in zip(names, out)]
-    payload = {n: ex.to_text(c) for n, c in zip(names, out)}
-    return "\n".join(lines), 0, payload
+    payload = {n: ex.to_text(c) for n, c in zip(sp.deformation_names(W), out)}
+    return "\n".join(f"{n} -> {t}" for n, t in payload.items()), 0, payload
 
 
 def _def_interp(options, sections):
@@ -348,16 +356,16 @@ def _def_interp(options, sections):
     W = _weights_from_sections(sections, options)
     degree = _degree_arg(options)
     F = sp.def_interpolant(_expr_arg(options, sections), degree, W)
-    return ex.to_text(F.expression), 0, {"expression": ex.to_text(F.expression),
-                                         "degree": F.degree}
+    text = ex.to_text(F.expression)
+    return text, 0, {"expression": text, "degree": F.degree}
 
 
 def _theta(options, sections):
     from . import expr as ex
     from . import spaces as sp
     W = _weights_from_sections(sections, options)
-    th = sp.theta_field(W)
-    return str(th), 0, {n: ex.to_text(c) for n, c in th.components}
+    payload = {n: ex.to_text(c) for n, c in sp.theta_field(W).components}
+    return ex._field_text((t, n) for n, t in payload.items()), 0, payload
 
 
 def _blowup(options, sections):
@@ -366,10 +374,8 @@ def _blowup(options, sections):
     if not options.get("center"):
         raise UsageError("missing --center")
     chart = sp.blowup_chart(W, options["center"], options.get("sign", "+"))
-    lines = [f"{n} = {sp.monomial_text(c, m)}"
-             for n, (c, m) in chart.components]
     payload = {n: sp.monomial_text(c, m) for n, (c, m) in chart.components}
-    return "\n".join(lines), 0, payload
+    return "\n".join(f"{n} = {t}" for n, t in payload.items()), 0, payload
 
 
 def _check_q(options, sections):
@@ -401,13 +407,6 @@ def _adapt(options, sections):
     names = list(sections["coords"])
     exprs = [ex.parse_expr(sections["coords"][n]) for n in names]
     change = sb.adapted_coordinates(fr, exprs, names)
-    lines = [f"x{a + 1} = {ex.to_text(e)}"
-             for a, e in enumerate(change.x_in_y)]
-    for (a, u), coeff in change.chi:
-        lines.append(f"chi[{a + 1}][{','.join(map(str, u))}] = "
-                     f"{ex.to_text(coeff)}")
-    for u, c in change.normalizers:
-        lines.append(f"c[{','.join(map(str, u))}] = {c}")
     payload = {
         "coordinates": [ex.to_text(e) for e in change.x_in_y],
         "chi": [{"target": a + 1, "multi_index": list(u),
@@ -415,6 +414,11 @@ def _adapt(options, sections):
                 for (a, u), coeff in change.chi],
         "normalizers": [{"multi_index": list(u), "value": str(c)}
                         for u, c in change.normalizers]}
+    lines = [f"x{a + 1} = {t}" for a, t in enumerate(payload["coordinates"])]
+    lines += [f"chi[{c['target']}][{','.join(map(str, c['multi_index']))}] = "
+              f"{c['value']}" for c in payload["chi"]]
+    lines += [f"c[{','.join(map(str, c['multi_index']))}] = {c['value']}"
+              for c in payload["normalizers"]]
     return "\n".join(lines), 0, payload
 
 

@@ -629,6 +629,11 @@ def _monomial_text(factors: Iterable[tuple[str, Fraction | int]]) -> str:
                     else f"{v}^({e})" for v, e in factors)
 
 
+def _field_text(pairs: Iterable[tuple[str, str]]) -> str:
+    """The one field printer: (c, name) pairs as (c) d/d[name] + ..., or 0."""
+    return " + ".join(f"({c}) d/d[{name}]" for c, name in pairs) or "0"
+
+
 def to_text(e: Expr) -> str:
     """Canonical text form; parse_expr(to_text(e)) == e for canonical e."""
     terms = e.terms if isinstance(e, Sum) else (e,)

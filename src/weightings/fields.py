@@ -16,7 +16,8 @@ from typing import Sequence
 from . import expr as ex
 from . import wpoly as wp
 from .expr import Expr, ZERO
-from .weights import WeightSequence, exponents_below, weighted_degree
+from .weights import (WeightSequence, _check_names, exponents_below,
+                      weighted_degree)
 from .wpoly import WeightedPoly
 
 
@@ -37,14 +38,14 @@ class PolyVectorField:
         return tuple(wp.to_expr(c) for c in self.coeffs)
 
     def __str__(self):
-        parts = [f"({wp.wpoly_text(c)}) d/d[{v}]"
-                 for v, c in zip(self.vars, self.coeffs) if not c.is_zero]
-        return " + ".join(parts) if parts else "0"
+        return ex._field_text((wp.wpoly_text(c), v) for v, c in
+                              zip(self.vars, self.coeffs) if not c.is_zero)
 
 
 def vf_from_exprs(chart: Sequence[str], coeff_exprs: Sequence[Expr],
                   positive_vars: Sequence[str]) -> PolyVectorField:
     chart = tuple(chart)
+    _check_names(chart)
     return PolyVectorField(chart, tuple(
         wp.poly_normal_form(ex.as_expr(c), positive_vars) for c in coeff_exprs))
 
@@ -85,15 +86,18 @@ def homogeneous_approx_vf(X: PolyVectorField, W: WeightSequence,
 
 
 def vf_apply(X: PolyVectorField, p: WeightedPoly) -> WeightedPoly:
-    acc: dict = {}
+    """X(p); a coefficient on another split that meets a partial is refused."""
     for v, c in zip(X.vars, X.coeffs):
-        dp = wp._partial(p.terms, p.pvars, v)
-        if not dp or c.is_zero:
-            continue
-        if c.pvars != p.pvars:
+        if c.terms and c.pvars != p.pvars and wp._partial(p.terms, p.pvars, v):
             raise ValueError("mismatched variable splits")
-        wp._add_into(acc, wp._product(c.terms, dp.items()).items())
-    return wp.wpoly(p.pvars, acc)
+    return wp.wpoly(p.pvars, wp._apply_field(
+        [(v, c.terms) for v, c in zip(X.vars, X.coeffs)], p.terms, p.pvars))
+
+
+def _apply_expr_field(pairs, f: Expr) -> Expr:
+    """The one Expr field applier: c * df/dv summed over (v, c), c != 0."""
+    return ex.add(*[ex.mul(c, ex.differentiate(f, v))
+                    for v, c in pairs if c != ZERO])
 
 
 def lie_bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorField:

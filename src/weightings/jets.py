@@ -47,6 +47,7 @@ from typing import Mapping, Sequence
 from . import expr as ex
 from .expr import Expr
 from .fields import PolyVectorField
+from .weights import _check_names
 from .wpoly import MAX_EXPANDED_POWER
 
 Label = tuple[int, int]
@@ -114,13 +115,9 @@ def jp_slot(a: int, j: int) -> JetPoly:
 
 
 def jp_add(*polys: JetPoly) -> JetPoly:
-    # a sum multiplies no monomials, so it keeps the tuple keys
-    den = lcm(*(c.denominator for p in polys for _, c in p.terms))
-    acc: dict[Monomial, int] = {}
-    for p in polys:
-        for m, c in p.terms:
-            acc[m] = acc.get(m, 0) + c.numerator * (den // c.denominator)
-    return jetpoly({m: Fraction(v, den) for m, v in acc.items() if v})
+    fields = _Fields(jp_labels(*polys), _max_exponent(*polys))
+    (total,), den = _series_sum([fields.raw(p) for p in polys], 0)
+    return fields.seal(total, den)
 
 
 def jp_mul(a: JetPoly, b: JetPoly) -> JetPoly:
@@ -141,35 +138,20 @@ def jp_pow(p: JetPoly, exponent: int) -> JetPoly:
 
 
 def jp_substitute(p: JetPoly, mapping: Mapping[Label, JetPoly]) -> JetPoly:
-    # a term through a slot mapped to zero vanishes; the rest bound the fields
-    terms, labels, top, bound = [], set(), {}, 0
-    for m, c in p.terms:
-        degree = 0
-        for label, e in m:
-            g = mapping.get(label)
-            if g is None:
-                labels.add(label)
-                degree += e
-            elif not g.terms:
-                break
-            else:
-                if label not in top:
-                    top[label] = _max_exponent(g)
-                    labels.update(jp_labels(g))
-                degree += e * top[label]
-        else:
-            terms.append((m, c))
-            bound = max(bound, degree)
-    fields = _Fields(labels, bound)
-    offsets = fields.offsets
-    values = {label: fields.raw(mapping[label]) for label in top}
+    """p with each slot in mapping replaced by its value.  The fields are
+    bounded by the largest sum of e * (largest exponent of the value) over
+    the factors label^e of a term; a term through a zero value vanishes."""
+    values = {label: mapping[label] if label in mapping else jp_slot(*label)
+              for label in jp_labels(p)}
+    top = {label: _max_exponent(g) for label, g in values.items()}
+    fields = _Fields(jp_labels(*values.values()), max(
+        (sum(e * top[label] for label, e in m) for m, _ in p.terms), default=0))
+    raw = {label: fields.raw(g) for label, g in values.items()}
     pieces = []
-    for m, c in terms:
+    for m, c in p.terms:
         piece = [{0: c.numerator}], c.denominator
         for label, e in m:
-            factor = (_series_pow(values[label], e, 0) if label in values
-                      else ([{e << offsets[label]: 1}], 1))
-            piece = _series_mul(piece, factor, 0)
+            piece = _series_mul(piece, _series_pow(raw[label], e, 0), 0)
         pieces.append(piece)
     (total,), den = _series_sum(pieces, 0)
     return fields.seal(total, den)
@@ -546,6 +528,7 @@ def jet_lift(f: Expr, i: int, r: int, chart: Sequence[str]) -> JetPoly:
     """The lift f^(i): the eps^i coefficient of f on the generic jet."""
     if not 0 <= i <= r:
         raise ValueError(f"lift level {i} outside 0..{r}")
+    _check_names(chart)
     # levels above i never feed level i, so the series stops there
     fields, (levels, den) = _lift_series(f, chart, i)
     return fields.seal(levels[i], den)
@@ -568,10 +551,8 @@ class JetVectorField:
         return JP_ZERO
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        return " + ".join(f"({jp_text(c)}) d/d[x{a + 1}.{k}]"
-                          for (a, k), c in self.terms)
+        return ex._field_text((jp_text(c), f"x{a + 1}.{k}")
+                              for (a, k), c in self.terms)
 
 
 def jet_vf(terms: Mapping[Label, JetPoly]) -> JetVectorField:

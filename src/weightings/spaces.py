@@ -33,8 +33,8 @@ from typing import Mapping, Sequence
 from . import expr as ex
 from . import wpoly as wp
 from .expr import Expr, ZERO
-from .fields import (PolyVectorField, euler_field, homogeneous_approx_vf,
-                     vf_equal, vf_filtration_degree)
+from .fields import (PolyVectorField, _apply_expr_field, euler_field,
+                     homogeneous_approx_vf, vf_equal, vf_filtration_degree)
 from .weights import WeightSequence, weighted_degree
 
 
@@ -176,12 +176,10 @@ class DeformationField:
         return ZERO
 
     def apply(self, f: Expr) -> Expr:
-        return ex.add(*[ex.mul(c, ex.differentiate(f, n))
-                        for n, c in self.components], ZERO)
+        return _apply_expr_field(self.components, f)
 
     def __str__(self):
-        parts = [f"({ex.to_text(c)}) d/d[{n}]" for n, c in self.components]
-        return " + ".join(parts) if parts else "0"
+        return ex._field_text((ex.to_text(c), n) for n, c in self.components)
 
 
 def _def_field(W: WeightSequence, degree: int,
@@ -407,11 +405,9 @@ class BlowupField:
     components: tuple[tuple[str, tuple[Term, ...]], ...]
 
     def __str__(self):
-        parts = []
-        for n, terms in self.components:
-            body = ex._terms_text((c, ex._monomial_text(m)) for c, m in terms)
-            parts.append(f"({body}) d/d[{n}]")
-        return " + ".join(parts) if parts else "0"
+        return ex._field_text(
+            (ex._terms_text((c, ex._monomial_text(m)) for c, m in terms), n)
+            for n, terms in self.components)
 
 
 def blowup_lift_vf(X: PolyVectorField, W: WeightSequence,

@@ -64,10 +64,11 @@ from . import expr as ex
 from . import jets as jt
 from . import wpoly as wp
 from .expr import Expr, ZERO, ONE
-from .fields import PolyVectorField, lie_bracket, vf_for_weights
+from .fields import (PolyVectorField, _apply_expr_field, lie_bracket,
+                     vf_for_weights)
 from .jets import JetPoly, JetPoint, Label
-from .weights import (WeightSequence, _exponent_walk, exponents_below,
-                      weight_sequence, weighted_degree)
+from .weights import (WeightSequence, _check_names, _exponent_walk,
+                      exponents_below, weight_sequence, weighted_degree)
 
 FLAG_INVALID = "FLAG_INVALID"
 LAMBDA_INVARIANCE = "LAMBDA_INVARIANCE"
@@ -110,8 +111,7 @@ def graph_subbundle(vars: Sequence[str], order: int,
     """Validate and canonicalize a solved-form graded subbundle."""
     vars = tuple(vars)
     n = len(vars)
-    if len(set(vars)) != n:
-        raise ValueError("duplicate variable names")
+    _check_names(vars)
     labels = set(constraints)
     for (a, j), g in constraints.items():
         if not (0 <= a < n and 0 <= j <= order):
@@ -119,20 +119,14 @@ def graph_subbundle(vars: Sequence[str], order: int,
         if j == 0 and not g.is_zero:
             raise ValueError("level-0 constraints must vanish "
                              "(the base is a coordinate subspace)")
-        degs = jt.jp_weighted_degree_terms(g)
-        if degs - {j}:
-            raise ValueError(
-                f"right-hand side for slot ({a},{j}) is not homogeneous "
-                f"of degree {j}")
-        for label in jt.jp_labels(g):
-            if not (0 <= label[0] < n and label[1] >= 0):
-                raise ValueError(
-                    f"right-hand side for slot ({a},{j}) uses slot {label} "
-                    f"outside the chart")
-            if label in labels:
-                raise ValueError(
-                    f"right-hand side for slot ({a},{j}) uses constrained "
-                    f"slot {label}")
+        rhs = f"right-hand side for slot {vars[a]}.{j}"
+        if jt.jp_weighted_degree_terms(g) - {j}:
+            raise ValueError(f"{rhs} is not homogeneous of degree {j}")
+        for b, k in jt.jp_labels(g):
+            if not (0 <= b < n and k >= 0):
+                raise ValueError(f"{rhs} uses slot {(b, k)} outside the chart")
+            if (b, k) in labels:
+                raise ValueError(f"{rhs} uses constrained slot {vars[b]}.{k}")
     cleaned = sorted(constraints.items(), key=lambda item: item[0])
     return GraphSubbundle(vars, order, tuple(cleaned))
 
@@ -455,9 +449,7 @@ class Frame:
         return self._coeff_exprs[a]
 
     def apply(self, a: int, f: Expr) -> Expr:
-        return ex.add(*[ex.mul(c, ex.differentiate(f, v))
-                        for v, c in zip(self.W.vars, self._coeff_exprs[a])
-                        if c != ZERO])
+        return _apply_expr_field(zip(self.W.vars, self._coeff_exprs[a]), f)
 
     def apply_word(self, s: Sequence[int], f: Expr) -> Expr:
         """V^s f with V^s = V_1^{s_1} o ... o V_n^{s_n} (rightmost acts first)."""
@@ -486,16 +478,16 @@ def _word_applier(fr: Frame):
     return apply_word
 
 
-def _field_maps(fr: Frame, bound: int) -> list[list[tuple[str, dict]]]:
-    """Per field V_c, the (variable v, term map of its d/dv coefficient)
-    pairs through total degree bound, empty maps left out; frame() stores
-    each coefficient as a term map in the positive-weight variables."""
+def _field_maps(fr: Frame, bound: int) -> list[list[tuple[str, list]]]:
+    """Per field V_c, the (variable v, terms of its d/dv coefficient) pairs
+    through total degree bound, empty ones left out; frame() stores each
+    coefficient as terms in the positive-weight variables."""
     return [[(v, m) for v, c in zip(fr.W.vars, f.coeffs)
-             if (m := {s: d for s, d in c.terms if sum(s) <= bound})]
+             if (m := [(s, d) for s, d in c.terms if sum(s) <= bound])]
             for f in fr.fields]
 
 
-def _base_words(fields: list[list[tuple[str, dict]]], pvars: tuple[str, ...],
+def _base_words(fields: list[list[tuple[str, list]]], pvars: tuple[str, ...],
                 f: dict, top: int):
     """s -> (V^s f) on the base, for words with |s| <= top.
 
@@ -515,15 +507,9 @@ def _base_words(fields: list[list[tuple[str, dict]]], pvars: tuple[str, ...],
     def truncated(s: tuple[int, ...]) -> dict:
         if s not in memo:
             c = next(c for c, e in enumerate(s) if e)
-            prefix = s[:c] + (s[c] - 1,) + s[c + 1:]
-            g = truncated(prefix)
-            bound = top - sum(s)
-            acc: dict = {}
-            for v, coeff in fields[c]:
-                wp._add_into(acc, wp._product(
-                    coeff.items(), wp._partial(g.items(), pvars, v).items(),
-                    ones, bound).items())
-            memo[s] = wp._nonzero(acc)
+            g = truncated(s[:c] + (s[c] - 1,) + s[c + 1:])
+            memo[s] = wp._apply_field(fields[c], g.items(), pvars, ones,
+                                      top - sum(s))
         return memo[s]
 
     return lambda s: truncated(tuple(s)).get(zero, ZERO)
@@ -754,6 +740,13 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
     y_exprs = tuple(ex.as_expr(y) for y in y_exprs)
     y_names = (tuple(f"y{a + 1}" for a in range(n)) if y_names is None
                else tuple(y_names))
+    _check_names(y_names)
+    symbols = set(W.zero_vars).union(*map(ex.variables, y_exprs + tuple(
+        c for f in fr.fields for p in f.coeffs for _, c in p.terms)))
+    clash = symbols.intersection(y_names).difference(W.positive_vars)
+    if clash:  # x_in_y would read the name as that symbol
+        raise ValueError(f"coordinate name {min(clash)!r} is a weight-0 "
+                         f"variable or a symbol outside the weighting")
     max_w = max(W.weights)
     all_s = _normal_multi_indices(W, max_w, 2)
     top = max((sum(s) for s in all_s), default=1)

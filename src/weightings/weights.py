@@ -23,8 +23,7 @@ class WeightSequence:
     def __post_init__(self):
         if not self.vars:
             raise ValueError("weight sequence needs at least one variable")
-        if len(set(self.vars)) != len(self.vars):
-            raise ValueError("duplicate variable names")
+        _check_names(self.vars)
         if len(self.vars) != len(self.weights):
             raise ValueError("variable and weight counts differ")
         if any(w < 0 for w in self.weights):
@@ -101,6 +100,14 @@ def weight_sequence(assignments, order: int | None = None) -> WeightSequence:
 
 
 _ASSIGN_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\d+)\s*$")
+
+
+def _check_names(names: Sequence[str]) -> None:
+    """Refuse a chart whose variable names repeat or include an empty one."""
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate variable names")
+    if "" in names:
+        raise ValueError("empty variable name")
 
 
 def parse_weight_assignments(text: str) -> list[tuple[str, int]]:

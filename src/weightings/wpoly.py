@@ -256,6 +256,16 @@ def _partial(terms, pvars: tuple[str, ...], name: str) -> dict:
             for s, c in terms if s[a]}
 
 
+def _apply_field(field, terms, pvars, w=None, bound=None) -> dict:
+    """The one term-map field applier: sum_v c_v * d(terms)/dv over the
+    (v, c_v) of field, c_v and terms as pairs, no degree above bound."""
+    acc: dict = {}
+    for v, c in field:
+        _add_into(acc, _product(c, _partial(terms, pvars, v).items(),
+                                w, bound).items())
+    return _nonzero(acc)
+
+
 def _series(coeff_of, h: dict, zero: tuple, w, bound) -> dict:
     """sum_j coeff_of(j) * h^j for h without constant term, until h^j is
     empty: past the bound, or at j = 1 when h is empty."""

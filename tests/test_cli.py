@@ -557,3 +557,79 @@ def test_an_oversized_degree_ends_at_its_limit(argv, err):
 def test_happrox_at_the_degree_limit(capsys):
     assert run(["happrox", "--weights", "x=1", "--degree", "1000", "--expr",
                 "x^1000 + sin(x)"], capsys) == (0, "x^1000\n", "")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["vf-lift", "--vars", "x,x", "--coeffs", "x;1", "--level", "0",
+      "--order", "1"], "duplicate variable names"),
+    (["jet-lift", "--vars", "x,x", "--expr", "x^2", "--level", "1",
+      "--order", "1"], "duplicate variable names"),
+    (["vf-lift", "--vars", "x,", "--coeffs", "x;1", "--level", "0",
+      "--order", "1"], "empty variable name"),
+    (["jet-lift", "--vars", "x,", "--expr", "x^2", "--level", "1",
+      "--order", "1"], "empty variable name"),
+    (["jet-lift", "--vars", "x, ,y", "--expr", "x*y", "--level", "0",
+      "--order", "1"], "empty variable name"),
+], ids=["vf-repeat", "jet-repeat", "vf-empty", "jet-empty", "jet-blank"])
+def test_lifts_refuse_repeated_or_empty_names(argv, err, capsys):
+    assert run(argv, capsys) == (1, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("keys", [("y 2", "y 02"), ("y 02", "y 2"),
+                                  ("y 2", "y  2")])
+def test_check_q_refuses_a_slot_constrained_twice(keys, tmp_path, capsys):
+    path = tmp_path / "twice.prob"
+    first, second = keys
+    path.write_text("[graph]\nvars = x, y\norder = 2\nx 0 = 0\ny 0 = 0\n"
+                    f"y 1 = 0\n{first} = x.2\n{second} = 2*x.2\n")
+    assert run(["check-q", "--file", str(path)], capsys) == (
+        1, "", "error: slot y.2 is constrained twice\n")
+
+
+@pytest.mark.parametrize("rhs, err", [
+    ("x.1^-1", "not polynomial in designated variables: x.1^-1"),
+    ("sin(x.1)", "not polynomial in designated variables: sin(x.1)"),
+    ("y.1", "right-hand side for slot y.1 uses constrained slot y.1"),
+    ("x.2", "right-hand side for slot y.1 is not homogeneous of degree 1"),
+    ("x.1 x.1", "unexpected trailing input 'x.1' (at position 4)"),
+    ("x.1 + $", "unexpected character '$' (at position 5)"),
+    ("z.1", "unknown slot 'z.1'"),
+])
+def test_check_q_names_slots_as_written(rhs, err, tmp_path, capsys):
+    path = tmp_path / "graph.prob"
+    path.write_text(f"[graph]\nvars = x, y\norder = 2\ny 1 = {rhs}\n")
+    assert run(["check-q", "--file", str(path)], capsys) == (
+        1, "", f"error: {err}\n")
+
+
+ADAPT_CLASH = """[weights]
+s = 0
+x = 1
+y = 3
+order = 3
+
+[frame]
+V1 = 1, 0, 0
+V2 = 0, 1, 0
+V3 = 0, 0, 1
+
+[coords]
+{} = s
+{} = x
+{} = y + s*x^2
+"""
+
+
+def test_adapt_refuses_a_coordinate_named_like_a_symbol(tmp_path, capsys):
+    path = tmp_path / "clash.prob"
+    path.write_text(ADAPT_CLASH.format("x", "s", "y"))
+    assert run(["adapt", "--file", str(path)], capsys) == (
+        1, "", "error: coordinate name 's' is a weight-0 variable or a "
+               "symbol outside the weighting\n")
+    path.write_text(ADAPT_CLASH.format("a", "b", "c"))
+    code, out, _err = run(["adapt", "--file", str(path)], capsys)
+    assert code == 0 and "x3 = c - s*b^2" in out.splitlines()
+    # an empty [coords] key printed "x3 = c - s*^2"
+    path.write_text(ADAPT_CLASH.format("a", "", "c"))
+    assert run(["adapt", "--file", str(path)], capsys) == (
+        1, "", "error: empty variable name\n")

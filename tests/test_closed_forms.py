@@ -29,7 +29,16 @@ was, and both are compared on generated inputs:
   ``Frame.apply_word`` per term summed pairwise;
 * ``frame()`` and the vanishing check of ``adapted_coordinates``, which
   read values on the base off the stored term maps, against Exprs
-  restricted to the base: the same frames and the same error texts.
+  restricted to the base: the same frames and the same error texts;
+* ``jp_substitute`` and ``jp_add`` on the jet kernel's packing and sums,
+  against the per-term walk (zero skip, bound loop) and the tuple-keyed
+  accumulator;
+* the one field printer ``expr._field_text`` against the four joins of
+  ``PolyVectorField``, ``DeformationField``, ``BlowupField`` and
+  ``JetVectorField``; the one Expr field applier against the loops of
+  ``Frame.apply`` and ``DeformationField.apply``; and the one term-map
+  field applier ``wpoly._apply_field`` against the loops of ``vf_apply``
+  (with its split error) and ``_base_words``.
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ from weightings.weights import (exponents_below, weight_sequence,
                                 weighted_degree)
 
 from conftest import (rand_expr, rand_poly_expr, rand_rational,
-                      rand_weight_sequence)
+                      rand_weight_sequence, rand_wpoly)
 from test_subbundle import _random_solved_graph
 
 
@@ -1071,3 +1080,267 @@ def test_initial_coordinates_that_do_not_vanish_on_the_base_are_refused():
         refused += expected == ("error", f"initial coordinate y_{b + 1} does "
                                          f"not vanish on the base")
     assert refused == 300
+
+
+# ---------------------------------------------------------------------------
+# JetPoly substitution and sums on the jet kernel's own rules
+
+def _reference_jp_substitute(p, mapping):
+    """The per-term walk: a term through a slot mapped to zero is dropped,
+    and the walk gathers the labels and the exponent bound as it goes."""
+    terms, labels, top, bound = [], set(), {}, 0
+    for m, c in p.terms:
+        degree = 0
+        for label, e in m:
+            g = mapping.get(label)
+            if g is None:
+                labels.add(label)
+                degree += e
+            elif not g.terms:
+                break
+            else:
+                if label not in top:
+                    top[label] = jt._max_exponent(g)
+                    labels.update(jt.jp_labels(g))
+                degree += e * top[label]
+        else:
+            terms.append((m, c))
+            bound = max(bound, degree)
+    fields = jt._Fields(labels, bound)
+    offsets = fields.offsets
+    values = {label: fields.raw(mapping[label]) for label in top}
+    pieces = []
+    for m, c in terms:
+        piece = [{0: c.numerator}], c.denominator
+        for label, e in m:
+            factor = (jt._series_pow(values[label], e, 0) if label in values
+                      else ([{e << offsets[label]: 1}], 1))
+            piece = jt._series_mul(piece, factor, 0)
+        pieces.append(piece)
+    (total,), den = jt._series_sum(pieces, 0)
+    return fields.seal(total, den)
+
+
+def _reference_jp_add(*polys):
+    """The sum on a tuple-keyed accumulator."""
+    den = math.lcm(*(c.denominator for p in polys for _, c in p.terms))
+    acc = {}
+    for p in polys:
+        for m, c in p.terms:
+            acc[m] = acc.get(m, 0) + c.numerator * (den // c.denominator)
+    return jt.jetpoly({m: Fraction(v, den) for m, v in acc.items() if v})
+
+
+# slot labels (a, j), with the psi labels (-1, m) of the N3 substitution
+JET_LABELS = [(a, j) for a in range(-1, 3) for j in range(4)]
+
+
+def _rand_jetpoly(rng, labels=JET_LABELS, max_terms=4, max_exponent=6):
+    return jt.jetpoly({
+        tuple(sorted({label: rng.randint(1, max_exponent)
+                      for label in rng.sample(labels, rng.randint(0, 3))}
+                     .items())): rand_rational(rng)
+        for _ in range(rng.randint(0, max_terms))})
+
+
+def test_jp_substitute_and_jp_add_match_the_walks_they_replaced():
+    rng = random.Random(1801)
+    seen = {"zero": 0, "psi": 0, "unmapped": 0, "rational": 0, "high": 0}
+    for _ in range(600):
+        p = _rand_jetpoly(rng)
+        labels = sorted(jt.jp_labels(p))
+        mapping = {}
+        for label in labels + rng.sample(JET_LABELS, 2):
+            kind = rng.randrange(4)
+            if kind == 0:
+                mapping[label] = jt.JP_ZERO
+            elif kind < 3:
+                mapping[label] = _rand_jetpoly(rng, max_terms=3,
+                                               max_exponent=3)
+        assert jt.jp_substitute(p, mapping) == \
+            _reference_jp_substitute(p, mapping), (str(p), mapping)
+        mapped = set(labels) & set(mapping)
+        seen["zero"] += any(mapping[l].is_zero for l in mapped)
+        seen["psi"] += any(a == -1 for a, _ in labels)
+        seen["unmapped"] += bool(set(labels) - set(mapping))
+        seen["rational"] += any(c.denominator > 1 for _, c in p.terms)
+        seen["high"] += jt._max_exponent(p) == 6
+        polys = [_rand_jetpoly(rng) for _ in range(rng.randint(0, 4))]
+        if polys and rng.random() < 0.3:
+            polys.append(jt.jp_scale(polys[0], -1))
+        assert jt.jp_add(*polys) == _reference_jp_add(*polys)
+    assert min(seen.values()) >= 100, seen
+
+
+# ---------------------------------------------------------------------------
+# one field printer, one Expr field applier, one term-map field applier
+
+def _reference_pvf_text(X):
+    parts = [f"({wp.wpoly_text(c)}) d/d[{v}]"
+             for v, c in zip(X.vars, X.coeffs) if not c.is_zero]
+    return " + ".join(parts) if parts else "0"
+
+
+def _reference_def_field_text(F):
+    parts = [f"({ex.to_text(c)}) d/d[{n}]" for n, c in F.components]
+    return " + ".join(parts) if parts else "0"
+
+
+def _reference_blowup_field_text(B):
+    parts = []
+    for n, terms in B.components:
+        body = ex._terms_text((c, ex._monomial_text(m)) for c, m in terms)
+        parts.append(f"({body}) d/d[{n}]")
+    return " + ".join(parts) if parts else "0"
+
+
+def _reference_jet_field_text(xi):
+    if xi.is_zero:
+        return "0"
+    return " + ".join(f"({jt.jp_text(c)}) d/d[x{a + 1}.{k}]"
+                      for (a, k), c in xi.terms)
+
+
+def _rand_field(rng, W, zeros=0.3):
+    return vf_for_weights(W, [ZERO if rng.random() < zeros
+                              else rand_poly_expr(rng, W.vars, 3, 3)
+                              for _ in W.vars])
+
+
+def _rand_def_field(rng, W):
+    names = sp.deformation_names(W) + ("t",)
+    return sp.DeformationField(W, 0, tuple(
+        (n, rng.choice([ZERO, rand_expr(rng, names, 2)]))
+        for n in sorted(rng.sample(names, rng.randint(0, len(names))))))
+
+
+def test_one_field_printer_matches_the_four_joins():
+    rng = random.Random(1802)
+    empty = 0
+    for _ in range(300):
+        W = rand_weight_sequence(rng, max_n=3, max_order=3, min_weight=0)
+        X = _rand_field(rng, W, zeros=rng.choice([0.3, 1.0]))
+        assert str(X) == _reference_pvf_text(X)
+        def_fields = [_rand_def_field(rng, W), sp.theta_field(W)]
+        if not X.is_zero:
+            def_fields.append(sp.def_vf_interpolant(X, -W.order, W))
+        for F in def_fields:
+            assert str(F) == _reference_def_field_text(F)
+        chart = sp.blowup_chart(W, W.vars[-1], rng.choice("+-")) \
+            if W.weights[-1] else None
+        if chart is not None:
+            znames = sp.chart_names(W)
+            B = sp.BlowupField(chart, tuple(
+                (n, tuple((ex.const(rand_rational(rng, zero_ok=False)),
+                           tuple((v, _rand_exponent(rng))
+                                 for v in rng.sample(znames, min(W.n, 2))))
+                          for _ in range(rng.randint(1, 3))))
+                for n in sorted(rng.sample(znames, rng.randint(0, W.n)))))
+            assert str(B) == _reference_blowup_field_text(B)
+        xi = jt.jet_vf({(a, k): _rand_jetpoly(rng, max_exponent=2)
+                        for a, k in rng.sample(JET_LABELS[4:], 3)})
+        assert str(xi) == _reference_jet_field_text(xi)
+        xi = jt.vf_lift(X, rng.randint(0, 1), 2)
+        assert str(xi) == _reference_jet_field_text(xi)
+        empty += X.is_zero
+    assert empty >= 50
+
+
+def _reference_vf_apply(X, p):
+    acc = {}
+    for v, c in zip(X.vars, X.coeffs):
+        dp = wp._partial(p.terms, p.pvars, v)
+        if not dp or c.is_zero:
+            continue
+        if c.pvars != p.pvars:
+            raise ValueError("mismatched variable splits")
+        wp._add_into(acc, wp._product(c.terms, dp.items()).items())
+    return wp.wpoly(p.pvars, acc)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return "error", str(err)
+
+
+def test_vf_apply_matches_the_loop_it_replaced():
+    from weightings.fields import vf_apply
+    rng = random.Random(1803)
+    errors = 0
+    for _ in range(400):
+        W = rand_weight_sequence(rng, max_n=3, max_order=3,
+                                 min_weight=rng.choice([0, 1]))
+        X = _rand_field(rng, W)
+        p = rand_wpoly(rng, W)
+        if rng.random() < 0.3:  # p on another variable split
+            pvars = tuple(rng.sample(W.vars, rng.randint(0, W.n)))
+            p = wp.poly_normal_form(rand_poly_expr(rng, W.vars, 3, 3), pvars)
+        expected = _outcome(_reference_vf_apply, X, p)
+        assert _outcome(vf_apply, X, p) == expected, (str(X), str(p))
+        errors += isinstance(expected, tuple)
+    assert errors >= 40
+
+
+def _reference_frame_apply(fr, a, f):
+    return ex.add(*[ex.mul(c, ex.differentiate(f, v))
+                    for v, c in zip(fr.W.vars, fr.field_exprs(a))
+                    if c != ZERO])
+
+
+def _reference_def_field_apply(F, f):
+    return ex.add(*[ex.mul(c, ex.differentiate(f, n))
+                    for n, c in F.components], ZERO)
+
+
+def test_one_expr_field_applier_matches_the_two_loops():
+    rng = random.Random(1804)
+    for _ in range(120):
+        fr, _y = _normalized_frame(rng, heads=rng.random() < 0.5)
+        f = rand_expr(rng, fr.W.vars)
+        for a in range(fr.n):
+            assert fr.apply(a, f) == _reference_frame_apply(fr, a, f)
+        F = _rand_def_field(rng, fr.W)
+        g = rand_expr(rng, sp.deformation_names(fr.W) + ("t",))
+        assert F.apply(g) == _reference_def_field_apply(F, g)
+
+
+def _reference_base_words(fields, pvars, f, top):
+    """The _base_words loop over dict coefficient maps."""
+    ones = (1,) * len(pvars)
+    zero = (0,) * len(pvars)
+    memo = {(0,) * len(fields): f}
+
+    def truncated(s):
+        if s not in memo:
+            c = next(c for c, e in enumerate(s) if e)
+            g = truncated(s[:c] + (s[c] - 1,) + s[c + 1:])
+            acc = {}
+            for v, coeff in fields[c]:
+                wp._add_into(acc, wp._product(
+                    coeff.items(), wp._partial(g.items(), pvars, v).items(),
+                    ones, top - sum(s)).items())
+            memo[s] = wp._nonzero(acc)
+        return memo[s]
+
+    return lambda s: truncated(tuple(s)).get(zero, ZERO)
+
+
+def test_frame_words_on_the_base_match_the_dict_loop():
+    rng = random.Random(1805)
+    words = 0
+    for _, (fr, y_exprs) in itertools.islice(_adaptation_cases(rng), 150):
+        W = fr.W
+        pvars = W.positive_vars
+        top = rng.randint(1, 3)
+        fields = sb._field_maps(fr, top - 1)
+        dict_fields = [[(v, dict(m)) for v, m in row] for row in fields]
+        f = wp._expand(rng.choice(y_exprs), pvars, (1,) * len(pvars), top)
+        on_base = sb._base_words(fields, pvars, f, top)
+        reference = _reference_base_words(dict_fields, pvars, f, top)
+        for s in itertools.product(range(top + 1), repeat=W.n):
+            if sum(s) <= top:
+                assert on_base(s) == reference(s), (W, s)
+                words += 1
+    assert words >= 1500

@@ -205,3 +205,13 @@ def test_subalgebra_closed_under_bracket():
         for (i, j), entries in g.brackets:
             if g.in_subalgebra[i] and g.in_subalgebra[j]:
                 assert all(g.in_subalgebra[k] for k, _ in entries)
+
+
+@pytest.mark.parametrize("chart, message", [
+    (("x", "x"), "duplicate variable names"),
+    (("", "y"), "empty variable name"),
+])
+def test_vf_from_exprs_refuses_repeated_or_empty_names(chart, message):
+    from weightings.fields import vf_from_exprs
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        vf_from_exprs(chart, [parse_expr("x"), ex.ONE], chart)

@@ -11,7 +11,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from weightings.cli import parse_problem_file
+from weightings.cli import _COMMANDS, parse_problem_file
 from weightings.expr import parse_expr
 from weightings.jets import parse_jet_point, parse_reparametrization
 
@@ -58,6 +58,18 @@ reparam_texts = st.one_of(st.lists(_REPARAM_TERMS, max_size=4).map(" + ".join),
                           st.lists(_REPARAM_TOKENS, max_size=30).map("".join),
                           st.text(max_size=30))
 
+_GRAPH_KEYS = st.sampled_from([
+    "x 0", "y 0", "x 1", "y 1", "y 2", "y 02", "y  2", "z 1", "y", "x -1",
+])
+_SLOT_TOKENS = st.sampled_from([
+    "x.0", "x.1", "x.2", "y.1", "y.2", "z.1", "x.01", "x", "2", "1/2", "+",
+    "-", "*", "/", "^", "^-1", "(", ")", "sin(", "exp(", " ", "$", ".",
+])
+graph_texts = st.lists(
+    st.tuples(_GRAPH_KEYS, st.lists(_SLOT_TOKENS, max_size=8).map("".join))
+    .map(" = ".join), max_size=4).map(
+        lambda lines: "[graph]\nvars = x, y\norder = 2\n" + "\n".join(lines))
+
 FUZZ = settings(max_examples=250, deadline=1000, database=None)
 
 
@@ -95,3 +107,14 @@ def test_parse_reparametrization_returns_or_raises_value_error(text):
         parse_reparametrization(text)
     except (ValueError, KeyError):
         pass
+
+
+@FUZZ
+@given(graph_texts)
+def test_check_q_names_slots_as_written(text):
+    check_q = _COMMANDS["check-q"][0]
+    try:
+        out, _code, _payload = check_q({}, parse_problem_file(text))
+    except (ValueError, KeyError) as err:
+        out = str(err)
+    assert "__L" not in out, (text, out)

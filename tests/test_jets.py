@@ -687,3 +687,13 @@ def test_large_power_lifts_match_the_truncated_evaluation(e):
     values = u.slot_map()
     for i in range(7):
         assert jp_evaluate(jet_lift(f, i, 6, names), values) == series[i]
+
+
+@pytest.mark.parametrize("chart, message", [
+    (("x", "x"), "duplicate variable names"),
+    (("x", "y", "x"), "duplicate variable names"),
+    (("x", ""), "empty variable name"),
+])
+def test_jet_lift_refuses_repeated_or_empty_names(chart, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        jt.jet_lift(parse_expr("x^2"), 1, 1, chart)

@@ -1,6 +1,8 @@
 """The package's public surface: the names `weightings` exports, by module."""
 
+import ast
 import importlib
+import pathlib
 import sys
 
 import pytest
@@ -74,3 +76,66 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(weightings, "cached_property")
     with pytest.raises(ImportError):
         exec("from weightings import no_such_name", {})
+
+
+# ---------------------------------------------------------------------------
+# leftovers of replaced paths, found on the syntax trees of src/weightings
+
+SRC = pathlib.Path(weightings.__file__).parent
+TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+         for path in sorted(SRC.glob("*.py"))}
+
+
+def _referenced(tree, skip=None) -> set:
+    """Every name loaded in tree, and every attribute read, outside skip."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for module, tree in TREES.items():
+        used = _referenced(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{module}: {name}")
+    assert unused == []
+
+
+def test_every_private_function_has_a_caller():
+    uncalled = []
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")
+                    and not any(node.name in _referenced(other, skip=node)
+                                for other in TREES.values())):
+                uncalled.append(f"{module}: {node.name}")
+    assert uncalled == []
+
+
+def test_the_leftover_checks_see_a_leftover():
+    tree = ast.parse("import os\nfrom math import lcm\n\n"
+                     "def _gone():\n    return _gone()\n\n"
+                     "def _kept():\n    return lcm(1)\n\nprint(_kept)\n")
+    used = _referenced(tree)
+    assert "os" not in used and "lcm" in used
+    gone, kept = tree.body[2], tree.body[3]
+    assert "_gone" not in _referenced(tree, skip=gone)
+    assert "_kept" in _referenced(tree, skip=kept)

@@ -822,3 +822,62 @@ def test_frame_used_by_normal_order_is_collected():
     del fr, D
     gc.collect()
     assert ref() is None
+
+
+def test_graph_messages_name_slots_by_variable():
+    x2 = jt.jetpoly({(((0, 2), 1),): 1})
+    with pytest.raises(ValueError, match=r"^right-hand side for slot y\.1 "
+                                         r"is not homogeneous of degree 1$"):
+        graph_subbundle(("x", "y"), 2, {(1, 1): x2})
+    with pytest.raises(ValueError, match=r"^right-hand side for slot y\.2 "
+                                         r"uses constrained slot x\.1$"):
+        graph_subbundle(("x", "y"), 2, {(0, 1): jt.JP_ZERO,
+                                        (1, 2): jp_slot(0, 1) * jp_slot(0, 1)})
+    with pytest.raises(ValueError, match="^empty variable name$"):
+        graph_subbundle(("x", ""), 2, {})
+
+
+def _clash_frame(zero_name="s"):
+    W = weight_sequence([(zero_name, 0), ("x", 1), ("y", 3)], 3)
+    return frame(W, [[ONE if b == a else ZERO for b in range(3)]
+                     for a in range(3)])
+
+
+@pytest.mark.parametrize("zero_name, coords, names, clash", [
+    # a weight-0 variable of W
+    ("s", ["s", "x", "y + s*x^2"], ["x", "s", "y"], "s"),
+    # the default names y1..yn against a weight-0 variable
+    ("y2", ["y2", "x", "y + y2*x^2"], None, "y2"),
+    # a symbol of the initial coordinates outside W
+    ("s", ["s", "x", "y + c*x^2"], ["c", "b", "a"], "c"),
+])
+def test_adapted_coordinates_refuse_a_name_that_reads_as_a_symbol(
+        zero_name, coords, names, clash):
+    fr = _clash_frame(zero_name)
+    with pytest.raises(ValueError, match=(
+            f"^coordinate name '{clash}' is a weight-0 variable or a "
+            f"symbol outside the weighting$")):
+        adapted_coordinates(fr, [parse_expr(c) for c in coords], names)
+    # positive-weight names and fresh names are fine
+    change = adapted_coordinates(fr, [parse_expr(c) for c in coords],
+                                 ["x", "p", "q"] if clash == "c" else
+                                 ["a", "x", "y"])
+    assert change.y_names in (("x", "p", "q"), ("a", "x", "y"))
+
+
+def test_adapted_coordinates_refuse_repeated_names():
+    fr = _clash_frame()
+    coords = [parse_expr(c) for c in ("s", "x", "y + s*x^2")]
+    with pytest.raises(ValueError, match="^duplicate variable names$"):
+        adapted_coordinates(fr, coords, ["a", "b", "a"])
+
+
+def test_adapted_coordinates_refuse_a_name_of_a_frame_symbol():
+    W = weight_sequence([("s", 0), ("x", 1), ("y", 3)], 3)
+    fr = frame(W, [[ONE, ZERO, parse_expr("k*x")], [ZERO, ONE, ZERO],
+                   [ZERO, ZERO, ONE]])
+    coords = [parse_expr(c) for c in ("s", "x", "y + x^2")]
+    with pytest.raises(ValueError, match="^coordinate name 'k' is"):
+        adapted_coordinates(fr, coords, ["k", "b", "c"])
+    assert adapted_coordinates(fr, coords, ["a", "b", "c"]).y_names == \
+        ("a", "b", "c")
