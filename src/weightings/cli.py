@@ -199,9 +199,17 @@ def _graph_from_sections(sections):
     return sb.graph_subbundle(names, order, constraints)
 
 
+def _parse_entry(section: str, key: str, text: str):
+    """The expression of one problem-file entry; its errors name the entry."""
+    from . import expr as ex
+    try:
+        return ex.parse_expr(text)
+    except ValueError as err:
+        raise ValueError(f"[{section}] {key}: {err}") from None
+
+
 def _frame_from_sections(sections, W):
     """The Frame of the [frame] section, one row V1 ... Vn per variable of W."""
-    from . import expr as ex
     from . import subbundle as sb
     if "frame" not in sections:
         raise UsageError("adapt needs a [frame] section")
@@ -211,7 +219,7 @@ def _frame_from_sections(sections, W):
         key = f"V{a + 1}"
         if key not in body:
             raise ValueError(f"[frame] is missing {key}")
-        row = [ex.parse_expr(chunk) for chunk in body[key].split(",")]
+        row = [_parse_entry("frame", key, chunk) for chunk in body[key].split(",")]
         if len(row) != W.n:
             raise ValueError(f"{key} needs {W.n} coefficients")
         rows.append(row)
@@ -340,7 +348,7 @@ def _nu_trans(options, sections):
     for v in W.vars:
         if v not in sections["map"]:
             raise ValueError(f"[map] is missing component for {v!r}")
-        components.append(ex.parse_expr(sections["map"][v]))
+        components.append(_parse_entry("map", v, sections["map"][v]))
     extra = set(sections["map"]) - set(W.vars)
     if extra:
         raise ValueError(f"[map] has unknown keys {sorted(extra)}")
@@ -405,7 +413,7 @@ def _adapt(options, sections):
     if "coords" not in sections:
         raise UsageError("adapt needs a [coords] section")
     names = list(sections["coords"])
-    exprs = [ex.parse_expr(sections["coords"][n]) for n in names]
+    exprs = [_parse_entry("coords", n, sections["coords"][n]) for n in names]
     change = sb.adapted_coordinates(fr, exprs, names)
     payload = {
         "coordinates": [ex.to_text(e) for e in change.x_in_y],
@@ -448,18 +456,18 @@ def _nilpotent(options, sections):
     from . import fields as fl
     W = _weights_from_sections(sections, options)
     g = fl.nilpotent_frames(W)
+    basis = [g.label_text(i) for i in range(g.dim)]
     lines = [f"dim k = {g.dim}, dim l = {g.dim_sub}"]
-    for i in range(g.dim):
+    for i, label in enumerate(basis):
         marker = " (in l)" if g.in_subalgebra[i] else ""
-        lines.append(f"  b{i + 1} = {g.label_text(i)}  "
-                     f"degree {g.degrees[i]}{marker}")
+        lines.append(f"  b{i + 1} = {label}  degree {g.degrees[i]}{marker}")
     for (i, j), entries in g.brackets:
         body = " + ".join(
             (f"{c}*b{k + 1}" if c != 1 else f"b{k + 1}")
             for k, c in entries)
         lines.append(f"  [b{i + 1}, b{j + 1}] = {body}")
     payload = {"dim": g.dim, "dim_sub": g.dim_sub,
-               "basis": [g.label_text(i) for i in range(g.dim)],
+               "basis": basis,
                "degrees": list(g.degrees)}
     return "\n".join(lines), 0, payload
 

@@ -25,13 +25,14 @@ largest exponents for a product, ...); the field width is the bit length of
 that bound, so no field ever carries into the next.  A monomial product is
 then one int addition, and a partial derivative lowers one field by a
 subtraction.  Sums rescale by the lcm of the denominators, products
-multiply them and accumulate in place, and powers square and multiply.  A
-result is sealed into a JetPoly once: each key is unpacked into a monomial
-and each numerator becomes one Fraction, so the inner loops do plain int
-arithmetic (lifts of integer polynomials stay integral) and Fraction's gcd
-normalisation is paid per output term only.  A JetPoly keeps its terms
-sorted by monomial, each exponent positive and each coefficient a non-zero
-Fraction, so equal polynomials compare equal.
+multiply them and accumulate in place, and powers square and multiply left
+to right.  Levels are built on demand: asked for levels lo and up, a sum
+passes lo to its terms, a product to its last product and a power to its
+last step; other operands keep all their levels.  A result is sealed into
+a JetPoly once, one Fraction per distinct numerator, so the inner loops do
+plain int arithmetic (lifts of integer polynomials stay integral).  A
+JetPoly keeps its terms sorted by monomial, each exponent positive and each
+coefficient a non-zero Fraction, so equal polynomials compare equal.
 """
 
 from __future__ import annotations
@@ -146,15 +147,20 @@ def jp_substitute(p: JetPoly, mapping: Mapping[Label, JetPoly]) -> JetPoly:
     top = {label: _max_exponent(g) for label, g in values.items()}
     fields = _Fields(jp_labels(*values.values()), max(
         (sum(e * top[label] for label, e in m) for m, _ in p.terms), default=0))
-    raw = {label: fields.raw(g) for label, g in values.items()}
+    return fields.seal(*_substitute_raw(
+        p, {label: fields.raw(g) for label, g in values.items()}))
+
+
+def _substitute_raw(p: JetPoly, raw_values: Mapping[Label, Raw]):
+    """p with each of its slots replaced by its raw value: (nums, den)."""
     pieces = []
     for m, c in p.terms:
         piece = [{0: c.numerator}], c.denominator
         for label, e in m:
-            piece = _series_mul(piece, _series_pow(raw[label], e, 0), 0)
+            piece = _series_mul(piece, _series_pow(raw_values[label], e, 0), 0)
         pieces.append(piece)
     (total,), den = _series_sum(pieces, 0)
-    return fields.seal(total, den)
+    return total, den
 
 
 def jp_evaluate(p: JetPoly, values: Mapping[Label, Fraction]) -> Fraction:
@@ -224,9 +230,10 @@ class _Fields:
 
     def seal(self, nums: dict[int, int], den: int) -> JetPoly:
         """The JetPoly of numerators over den: keys unpacked lowest field
-        first, so each monomial comes out sorted by label."""
+        first, so each monomial comes out sorted by label, and one Fraction
+        per distinct numerator."""
         w, mask, labels = self.width, self.mask, self.labels
-        integral = den == 1  # Fraction(c) skips the gcd
+        fractions = {c: Fraction(c, den) for c in set(nums.values()) if c}
         terms = []
         for key, c in nums.items():
             if c:
@@ -237,8 +244,7 @@ class _Fields:
                     e = key >> off & mask
                     m.append((labels[k], e))
                     key ^= e << off
-                terms.append((tuple(m), Fraction(c) if integral
-                               else Fraction(c, den)))
+                terms.append((tuple(m), fractions[c]))
         terms.sort(key=itemgetter(0))
         return JetPoly(tuple(terms))
 
@@ -252,14 +258,14 @@ def _mul_into(out: dict, x: dict, y: dict) -> None:
             out[m] = get(m, 0) + c1 * c2
 
 
-def _series_mul(a: Raw, b: Raw, r: int) -> Raw:
-    """The product truncated after eps^r."""
+def _series_mul(a: Raw, b: Raw, r: int, lo: int = 0) -> Raw:
+    """The product from eps^lo to eps^r; lower levels stay empty."""
     (xs, dx), (ys, dy) = a, b
     out = [{} for _ in range(r + 1)]
     for i, x in enumerate(xs[:r + 1]):
         if x:
             for j, y in enumerate(ys[:r + 1 - i]):
-                if y:
+                if y and i + j >= lo:
                     _mul_into(out[i + j], x, y)
     return out, dx * dy
 
@@ -277,48 +283,50 @@ def _square_into(out: dict, x: dict) -> None:
             out[m] = get(m, 0) + c1 * c2
 
 
-def _series_square(a: Raw, r: int) -> Raw:
-    """a * a truncated after eps^r, taking each pair of levels once."""
+def _series_square(a: Raw, r: int, lo: int = 0) -> Raw:
+    """a * a from eps^lo to eps^r, taking each pair of levels once."""
     xs, d = a
     out = [{} for _ in range(r + 1)]
     for i, x in enumerate(xs[:r + 1]):
         if x:
-            if 2 * i <= r:
+            if lo <= 2 * i <= r:
                 _square_into(out[2 * i], x)
             if 2 * i < r:
                 twice = {m: 2 * c for m, c in x.items()}
                 for j, y in enumerate(xs[i + 1:r + 1 - i], start=i + 1):
-                    if y:
+                    if y and i + j >= lo:
                         _mul_into(out[i + j], twice, y)
     return out, d * d
 
 
-def _series_pow(a: Raw, exponent: int, r: int) -> Raw:
-    """a^exponent truncated after eps^r, by square-and-multiply; with two
-    or more terms at level 0, never truncated, the exponent is capped."""
+def _series_pow(a: Raw, exponent: int, r: int, lo: int = 0) -> Raw:
+    """a^exponent from eps^lo to eps^r, squaring and multiplying left to
+    right; for exponent 1 it is a itself.  With two or more terms at level
+    0, never truncated, the exponent is capped."""
     if exponent < 0:
         raise ValueError("negative power of a jet polynomial")
     if exponent > MAX_EXPANDED_POWER and sum(map(bool, a[0][0].values())) > 1:
         raise ValueError(
             f"exponent {exponent} of a base with two or more terms exceeds "
             f"the limit MAX_EXPANDED_POWER = {MAX_EXPANDED_POWER}")
-    out = [{0: 1}] + [{} for _ in range(r)], 1
-    while exponent:
-        if exponent & 1:
-            out = _series_mul(out, a, r)
-        exponent >>= 1
-        if exponent:
-            a = _series_square(a, r)
+    if not exponent:
+        return [{0: 1}] + [{} for _ in range(r)], 1
+    bits, out = bin(exponent)[3:], a
+    for k, bit in enumerate(bits, start=1):
+        last = lo if k == len(bits) else 0
+        out = _series_square(out, r, 0 if bit == "1" else last)
+        if bit == "1":
+            out = _series_mul(out, a, r, last)
     return out
 
 
-def _series_sum(parts: Sequence[Raw], r: int) -> Raw:
-    """The sum truncated after eps^r, over the lcm of the denominators."""
+def _series_sum(parts: Sequence[Raw], r: int, lo: int = 0) -> Raw:
+    """The sum from eps^lo to eps^r, over the lcm of the denominators."""
     den = lcm(*(d for _, d in parts))
     acc = [{} for _ in range(r + 1)]
     for levels, d in parts:
         k = den // d
-        for out, level in zip(acc, levels):
+        for out, level in zip(acc[lo:], levels[lo:]):
             for m, c in level.items():
                 out[m] = out.get(m, 0) + k * c
     return acc, den
@@ -348,12 +356,9 @@ class JetScalar:
         r = self.order
         out = [Fraction(0)] * (r + 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > r:
-                    break
-                out[i + j] += a * b
+            if a:
+                for j, b in enumerate(other.coeffs[:r + 1 - i]):
+                    out[i + j] += a * b
         return JetScalar(tuple(out))
 
     __rmul__ = __mul__
@@ -362,13 +367,8 @@ class JetScalar:
         if exponent < 0:
             raise ValueError("negative power in the truncated algebra")
         out = jet_scalar_const(1, self.order)
-        base = self
-        while exponent:  # square and multiply
-            if exponent & 1:
-                out = out * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
+        for bit in bin(exponent)[2:]:  # square and multiply, left to right
+            out = out * out * self if bit == "1" else out * out
         return out
 
 
@@ -475,12 +475,13 @@ def _degree(e: Expr) -> int:
     return 0
 
 
-def _generic_series(f: Expr, rows: Mapping[str, Raw], r: int) -> Raw:
-    """Coefficients of f up to eps^r with each chart variable replaced by its
-    series in rows: the generic jet gives the lifts of f, the rows of a
-    graph give the lifts restricted to it."""
+def _generic_series(f: Expr, rows: Mapping[str, Raw], r: int,
+                    lo: int = 0) -> Raw:
+    """Coefficients of f from eps^lo to eps^r with each chart variable
+    replaced by its series in rows: the generic jet gives the lifts of f,
+    the rows of a graph give the lifts restricted to it."""
 
-    def rec(e: Expr) -> Raw:
+    def rec(e: Expr, lo: int = 0) -> Raw:
         if isinstance(e, ex.Const):
             return [{0: e.value.numerator}] + [{} for _ in range(r)], \
                 e.value.denominator
@@ -489,18 +490,20 @@ def _generic_series(f: Expr, rows: Mapping[str, Raw], r: int) -> Raw:
                 raise ValueError(f"variable {e.name!r} is not a chart variable")
             return rows[e.name]
         if isinstance(e, ex.Sum):
-            return _series_sum([rec(t) for t in e.terms], r)
+            return _series_sum([rec(t, lo) for t in e.terms], r, lo)
         if isinstance(e, ex.Prod):
-            return reduce(lambda x, y: _series_mul(x, y, r), map(rec, e.factors))
+            *head, last = map(rec, e.factors)
+            return _series_mul(reduce(lambda x, y: _series_mul(x, y, r), head),
+                               last, r, lo)
         if isinstance(e, ex.Pow):
             if e.exponent < 0:
                 raise ValueError("input is not polynomial (negative power)")
-            return _series_pow(rec(e.base), e.exponent, r)
+            return _series_pow(rec(e.base), e.exponent, r, lo)
         if isinstance(e, ex.App):
             raise ValueError(f"input is not polynomial ({e.fn} head)")
         raise TypeError(f"unknown expression node {e!r}")
 
-    return rec(f)
+    return rec(f, lo)
 
 
 def _row_fields(rows: Sequence[Sequence[JetPoly]],
@@ -512,16 +515,15 @@ def _row_fields(rows: Sequence[Sequence[JetPoly]],
     return fields, [fields.raw(*row) for row in rows]
 
 
-def _lift_series(f: Expr, chart: Sequence[str], r: int) -> tuple[_Fields, Raw]:
-    """f on the generic jet up to eps^r, on fields for the slots (a, j),
-    j <= r, of the chart: row a is sum_j (a, j) eps^j."""
-    # no monomial of a coefficient has a larger total degree than f
+def _jet_rows(chart: Sequence[str], r: int,
+              degree: int) -> tuple[_Fields, dict[str, Raw]]:
+    """Fields for products of at most degree slots (a, j), j <= r, of the
+    chart, and the generic jet's rows on them: row a is sum_j (a, j) eps^j."""
     fields = _Fields([(a, j) for a in range(len(chart)) for j in range(r + 1)],
-                     _degree(f))
+                     degree)
     off = fields.offsets
-    rows = {name: ([{1 << off[(a, j)]: 1} for j in range(r + 1)], 1)
-            for a, name in enumerate(chart)}
-    return fields, _generic_series(f, rows, r)
+    return fields, {name: ([{1 << off[(a, j)]: 1} for j in range(r + 1)], 1)
+                    for a, name in enumerate(chart)}
 
 
 def jet_lift(f: Expr, i: int, r: int, chart: Sequence[str]) -> JetPoly:
@@ -529,8 +531,9 @@ def jet_lift(f: Expr, i: int, r: int, chart: Sequence[str]) -> JetPoly:
     if not 0 <= i <= r:
         raise ValueError(f"lift level {i} outside 0..{r}")
     _check_names(chart)
-    # levels above i never feed level i, so the series stops there
-    fields, (levels, den) = _lift_series(f, chart, i)
+    # no monomial of a lift has a larger total degree than f
+    fields, rows = _jet_rows(chart, i, _degree(f))
+    levels, den = _generic_series(f, rows, i, i)
     return fields.seal(levels[i], den)
 
 
@@ -609,14 +612,25 @@ def jet_bracket(xi: JetVectorField, eta: JetVectorField) -> JetVectorField:
 
 
 def vf_lift(X: PolyVectorField, i: int, r: int) -> JetVectorField:
-    """The lift X^(-i): coefficients f_a^(k-i) on d/d[x_a^(k)], k = i..r."""
+    """The lift X^(-i): coefficients f_a^(k-i) on d/d[x_a^(k)], k = i..r,
+    with f_a = sum_s c_s x^s lifted as sum_s c_s * prod_v row_v^(s_v)."""
     if not 0 <= i <= r:
         raise ValueError(f"lift level {i} outside 0..{r}")
     acc: dict[Label, JetPoly] = {}
-    for a, coeff in enumerate(X.coeff_exprs()):
-        if coeff == ex.ZERO:
-            continue
-        fields, (levels, den) = _lift_series(coeff, X.vars, r - i)
+    fields, rows = _jet_rows(X.vars, r - i, max(
+        (sum(s) + _degree(c) for p in X.coeffs for s, c in p.terms), default=0))
+    for a, coeff in enumerate(X.coeffs):
+        pieces = []
+        for s, c in coeff.terms:
+            piece = _generic_series(c, rows, r - i)
+            for v, e in zip(coeff.pvars, s):
+                if e:
+                    if v not in rows:
+                        raise ValueError(f"variable {v!r} is not a chart variable")
+                    piece = _series_mul(piece, _series_pow(rows[v], e, r - i),
+                                        r - i)
+            pieces.append(piece)
+        levels, den = _series_sum(pieces, r - i)
         for k, nums in enumerate(levels, start=i):
             acc[(a, k)] = fields.seal(nums, den)
     return jet_vf(acc)
@@ -632,11 +646,19 @@ def jp_reparametrize(rows: Sequence[Sequence[JetPoly]],
                      psi: Sequence[JetPoly]) -> list[list[JetPoly]]:
     """Series of slot polynomials under eps -> Psi(eps) = sum_m psi[m-1] eps^m:
     row a of the result is sum_j rows[a][j] Psi(eps)^j up to eps^len(psi)."""
+    fields, out = _reparametrize_raw(rows, psi)
+    return [[fields.seal(nums, den) for nums in levels] for levels, den in out]
+
+
+def _reparametrize_raw(rows: Sequence[Sequence[JetPoly]], psi: Sequence[JetPoly],
+                       degree: int = 1) -> tuple[_Fields, list[Raw]]:
+    """The rows of jp_reparametrize as raw series, on fields for products of
+    at most degree of their values."""
     r = len(psi)
     values = [g for row in rows for g in row]
     # a term is a row value times a product of at most r values of psi
-    fields = _Fields(jp_labels(*values, *psi),
-                     _max_exponent(*values) + r * _max_exponent(*psi))
+    fields = _Fields(jp_labels(*values, *psi), max(degree, 1) * (
+        _max_exponent(*values) + r * _max_exponent(*psi)))
     levels, den = fields.raw(*psi)
     Psi = [{}] + levels, den
     powers = [_series_pow(Psi, 0, r)]
@@ -645,10 +667,9 @@ def jp_reparametrize(rows: Sequence[Sequence[JetPoly]],
     out = []
     for row in rows:
         vals, vals_den = fields.raw(*row)
-        levels, den = _series_sum([_series_mul(([v], vals_den), power, r)
-                                   for v, power in zip(vals, powers)], r)
-        out.append([fields.seal(nums, den) for nums in levels])
-    return out
+        out.append(_series_sum([_series_mul(([v], vals_den), power, r)
+                                for v, power in zip(vals, powers)], r))
+    return fields, out
 
 
 # ---------------------------------------------------------------------------

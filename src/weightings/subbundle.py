@@ -162,9 +162,9 @@ def induced_filtration_degree(Q: GraphSubbundle, f: Expr) -> int:
     _fields, rows = jt._row_fields(_graph_rows(Q, r), jt._degree(f))
     rows = dict(zip(Q.vars, rows))
     # the series stops at j, as a lift does: levels past the answer can be
-    # far larger than those up to it
+    # far larger than those up to it, and those below j are not read
     for j in range(r + 1):
-        levels, _den = jt._generic_series(f, rows, j)
+        levels, _den = jt._generic_series(f, rows, j, j)
         if any(levels[j].values()):
             return j
     return r + 1
@@ -293,17 +293,21 @@ def _lambda_invariance_witness(Q: GraphSubbundle) -> str | None:
     Free slots stay as their own symbols and the reparametrization
     coefficients enter as extra symbols (-1, m), so the check is a set of
     polynomial identities, run up to the highest constrained level (a
-    constraint at level j reads no slot above j).
+    constraint at level j reads no slot above j), on raw series.
     """
     top = max((j for (_a, j), _g in Q.constraints), default=0)
     rows = _graph_rows(Q, top)
     psi = [jt.jp_slot(-1, m) for m in range(1, top + 1)]
-    new_vals = jt.jp_reparametrize(rows, psi)
+    _fields, new_rows = jt._reparametrize_raw(rows, psi, max(
+        (sum(e for _, e in m) for _, g in Q.constraints for m, _ in g.terms),
+        default=0))
     constrained = Q.constrained_labels()
-    free = {(b, k): row[k] for b, row in enumerate(new_vals)
+    free = {(b, k): ([levels[k]], den) for b, (levels, den) in enumerate(new_rows)
             for k in range(top + 1) if (b, k) not in constrained}
     for (a, j), g in Q.constraints:
-        if new_vals[a][j] != jt.jp_substitute(g, free):
+        (levels, den), (nums, g_den) = new_rows[a], jt._substitute_raw(g, free)
+        if {m: v * g_den for m, v in levels[j].items() if v} != \
+                {m: v * den for m, v in nums.items() if v}:
             return (f"slot {Q.vars[a]}.{j} moves off the graph under a generic "
                     f"reparametrization")
     return None

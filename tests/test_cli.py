@@ -633,3 +633,52 @@ def test_adapt_refuses_a_coordinate_named_like_a_symbol(tmp_path, capsys):
     path.write_text(ADAPT_CLASH.format("a", "", "c"))
     assert run(["adapt", "--file", str(path)], capsys) == (
         1, "", "error: empty variable name\n")
+
+
+BAD_ENTRY = """[weights]
+x = 1
+y = 3
+
+[map]
+x = {map_x}
+y = y
+
+[frame]
+V1 = 1, 0
+V2 = {frame_v2}
+
+[coords]
+y1 = x
+y2 = {coords_y2}
+"""
+
+
+@pytest.mark.parametrize("command, entry, text, err", [
+    ("nu-trans", "map_x", "x + $", "[map] x: unexpected character '$' "
+                                   "(at position 3)"),
+    ("nu-trans", "map_x", "sin(x", "[map] x: expected ')' (at position 5)"),
+    ("adapt", "frame_v2", "0, (1", "[frame] V2: expected ')' (at position 3)"),
+    ("adapt", "frame_v2", "0, 1 1",
+     "[frame] V2: unexpected trailing input '1' (at position 3)"),
+    ("adapt", "coords_y2", "y + *", "[coords] y2: unexpected token '*' "
+                                    "(at position 4)"),
+    ("adapt", "coords_y2", "foo(x)",
+     "[coords] y2: unknown function 'foo' (at position 0)"),
+], ids=["map-char", "map-paren", "frame-paren", "frame-trailing",
+        "coords-token", "coords-function"])
+def test_a_problem_file_parse_error_names_its_section_and_key(
+        command, entry, text, err, tmp_path, capsys):
+    values = {"map_x": "x", "frame_v2": "0, 1", "coords_y2": "y", entry: text}
+    path = tmp_path / "bad.prob"
+    path.write_text(BAD_ENTRY.format(**values))
+    assert run([command, "--file", str(path)], capsys) == (
+        1, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("coeffs, err", [
+    ("sin(t)*x;x", "not polynomial in designated variables: sin(t)"),
+    ("x;t^-1", "not polynomial in designated variables: t^-1"),
+])
+def test_vf_lift_refuses_a_non_polynomial_coefficient(coeffs, err, capsys):
+    assert run(["vf-lift", "--vars", "t,x", "--coeffs", coeffs, "--level", "1",
+                "--order", "2"], capsys) == (1, "", f"error: {err}\n")

@@ -38,7 +38,14 @@ was, and both are compared on generated inputs:
   ``JetVectorField``; the one Expr field applier against the loops of
   ``Frame.apply`` and ``DeformationField.apply``; and the one term-map
   field applier ``wpoly._apply_field`` against the loops of ``vf_apply``
-  (with its split error) and ``_base_words``.
+  (with its split error) and ``_base_words``;
+* the jet kernel's levels on demand (``lo``) and left-to-right powers,
+  against the full-level series and the right-to-left powers from 1, at
+  every level from lo on; ``seal`` with one Fraction per distinct
+  numerator against one per term; N3 on raw series against the loop over
+  sealed JetPolys (``jp_reparametrize`` and ``jp_substitute``); and
+  ``vf_lift`` off the stored term maps against the lift of each
+  coefficient's canonical Expr, error texts included.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -1344,3 +1352,291 @@ def test_frame_words_on_the_base_match_the_dict_loop():
                 assert on_base(s) == reference(s), (W, s)
                 words += 1
     assert words >= 1500
+
+
+# ---------------------------------------------------------------------------
+# the jet kernel computes only what is read
+
+def _reference_series_mul(a, b, r):
+    """The product truncated after eps^r, every level."""
+    (xs, dx), (ys, dy) = a, b
+    out = [{} for _ in range(r + 1)]
+    for i, x in enumerate(xs[:r + 1]):
+        if x:
+            for j, y in enumerate(ys[:r + 1 - i]):
+                if y:
+                    jt._mul_into(out[i + j], x, y)
+    return out, dx * dy
+
+
+def _reference_series_square(a, r):
+    """a * a truncated after eps^r, every level."""
+    xs, d = a
+    out = [{} for _ in range(r + 1)]
+    for i, x in enumerate(xs[:r + 1]):
+        if x:
+            if 2 * i <= r:
+                jt._square_into(out[2 * i], x)
+            if 2 * i < r:
+                twice = {m: 2 * c for m, c in x.items()}
+                for j, y in enumerate(xs[i + 1:r + 1 - i], start=i + 1):
+                    if y:
+                        jt._mul_into(out[i + j], twice, y)
+    return out, d * d
+
+
+def _reference_series_pow(a, exponent, r):
+    """Right-to-left square-and-multiply from the series 1, every level."""
+    if exponent < 0:
+        raise ValueError("negative power of a jet polynomial")
+    if exponent > wp.MAX_EXPANDED_POWER and \
+            sum(map(bool, a[0][0].values())) > 1:
+        raise ValueError(
+            f"exponent {exponent} of a base with two or more terms exceeds "
+            f"the limit MAX_EXPANDED_POWER = {wp.MAX_EXPANDED_POWER}")
+    out = [{0: 1}] + [{} for _ in range(r)], 1
+    while exponent:
+        if exponent & 1:
+            out = _reference_series_mul(out, a, r)
+        exponent >>= 1
+        if exponent:
+            a = _reference_series_square(a, r)
+    return out
+
+
+def _reference_series_sum(parts, r):
+    """The sum truncated after eps^r, every level."""
+    den = math.lcm(*(d for _, d in parts))
+    acc = [{} for _ in range(r + 1)]
+    for levels, d in parts:
+        k = den // d
+        for out, level in zip(acc, levels):
+            for m, c in level.items():
+                out[m] = out.get(m, 0) + k * c
+    return acc, den
+
+
+def _reference_generic_series(f, rows, r):
+    """Every level of every node of f on the rows."""
+
+    def rec(e):
+        if isinstance(e, ex.Const):
+            return [{0: e.value.numerator}] + [{} for _ in range(r)], \
+                e.value.denominator
+        if isinstance(e, ex.Var):
+            if e.name not in rows:
+                raise ValueError(f"variable {e.name!r} is not a chart variable")
+            return rows[e.name]
+        if isinstance(e, ex.Sum):
+            return _reference_series_sum([rec(t) for t in e.terms], r)
+        if isinstance(e, ex.Prod):
+            out = rec(e.factors[0])
+            for factor in e.factors[1:]:
+                out = _reference_series_mul(out, rec(factor), r)
+            return out
+        if isinstance(e, ex.Pow):
+            if e.exponent < 0:
+                raise ValueError("input is not polynomial (negative power)")
+            return _reference_series_pow(rec(e.base), e.exponent, r)
+        if isinstance(e, ex.App):
+            raise ValueError(f"input is not polynomial ({e.fn} head)")
+        raise TypeError(f"unknown expression node {e!r}")
+
+    return rec(f)
+
+
+def _reference_seal(fields, nums, den):
+    """One Fraction per term."""
+    w, mask, labels = fields.width, fields.mask, fields.labels
+    integral = den == 1  # Fraction(c) skips the gcd
+    terms = []
+    for key, c in nums.items():
+        if c:
+            m = []
+            while key:
+                k = ((key & -key).bit_length() - 1) // w
+                off = k * w
+                e = key >> off & mask
+                m.append((labels[k], e))
+                key ^= e << off
+            terms.append((tuple(m), Fraction(c) if integral
+                          else Fraction(c, den)))
+    terms.sort(key=lambda item: item[0])
+    return jt.JetPoly(tuple(terms))
+
+
+def _levels_from(series, lo, r):
+    """Levels lo to r of a raw series, each as monomial -> Fraction."""
+    levels, den = series
+    return [{m: Fraction(v, den) for m, v in level.items() if v}
+            for level in levels[lo:r + 1]]
+
+
+def _series_tree(rng, names, depth=3):
+    """A polynomial tree of rational constants, chart variables, sums,
+    products and powers with exponents 0 to 6."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.3:
+            return ex.const(rand_rational(rng))
+        return ex.var(rng.choice(names))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return ex.add(*[_series_tree(rng, names, depth - 1)
+                        for _ in range(rng.randint(2, 3))])
+    if kind == 1:
+        return ex.mul(*[_series_tree(rng, names, depth - 1)
+                        for _ in range(rng.randint(2, 3))])
+    return ex.pow_(_series_tree(rng, names, depth - 1), rng.randint(0, 6))
+
+
+def _series_case(rng):
+    """A tree of total degree at most 6, an order r and rows for its chart
+    variables: the generic jet's, or rows of random slot polynomials, on
+    fields wide enough for a sixth power of the tree's series."""
+    names = ("x1", "x2", "x3")[:rng.randint(1, 3)]
+    f = _series_tree(rng, names)
+    while jt._degree(f) > 6:
+        f = _series_tree(rng, names)
+    r = rng.randint(0, 4)
+    degree = 6 * max(jt._degree(f), 1)
+    if rng.random() < 0.5:
+        return f, r, jt._jet_rows(names, r, degree)
+    values = [[_rand_jetpoly(rng, max_terms=2, max_exponent=2)
+               for _ in range(r + 1)] for _ in names]
+    fields, rows = jt._row_fields(values, degree)
+    return f, r, (fields, dict(zip(names, rows)))
+
+
+def test_levels_on_demand_match_the_full_level_series():
+    rng = random.Random(1901)
+    nodes = {ex.Sum: 0, ex.Prod: 0, ex.Pow: 0, ex.Const: 0}
+    exponents = set()
+    for _ in range(320):
+        f, r, (fields, rows) = _series_case(rng)
+        expected = _reference_generic_series(f, rows, r)
+        for lo in range(r + 1):
+            got = jt._generic_series(f, rows, r, lo)
+            assert _levels_from(got, lo, r) == _levels_from(expected, lo, r), \
+                (ex.to_text(f), r, lo)
+        # a power of the tree's series (a sum of many terms) or of one row
+        base = expected if jt._degree(f) <= 1 else rows[rng.choice(list(rows))]
+        e = rng.randint(0, 6)
+        expected = _reference_series_pow(base, e, r)
+        for lo in range(r + 1):
+            got = jt._series_pow(base, e, r, lo)
+            assert _levels_from(got, lo, r) == _levels_from(expected, lo, r), \
+                (ex.to_text(f), e, r, lo)
+        assert fields.seal(expected[0][r], expected[1]) == \
+            _reference_seal(fields, expected[0][r], expected[1])
+        exponents.add(e)
+        stack = [f]
+        while stack:
+            node = stack.pop()
+            nodes[type(node)] = nodes.get(type(node), 0) + 1
+            stack.extend(getattr(node, "terms", ()) + getattr(
+                node, "factors", ()) + ((node.base,) if isinstance(
+                    node, ex.Pow) else ()))
+    assert exponents == set(range(7))
+    assert min(nodes[k] for k in (ex.Sum, ex.Prod, ex.Pow, ex.Const)) >= 100
+
+
+def test_seal_builds_one_fraction_per_distinct_numerator():
+    rng = random.Random(1902)
+    for _ in range(300):
+        p = _rand_jetpoly(rng, max_terms=8, max_exponent=3)
+        fields = jt._Fields(jt.jp_labels(p), 3)
+        (nums,), den = fields.raw(p)
+        nums = {m: rng.choice([0, 1, -2, 3]) * v for m, v in nums.items()}
+        den *= rng.choice([1, 1, 2, 6])
+        sealed = fields.seal(nums, den)
+        assert sealed == _reference_seal(fields, nums, den)
+        assert len({id(c) for _, c in sealed.terms}) == \
+            len({c for _, c in sealed.terms})
+
+
+def _reference_lambda_invariance_witness(Q):
+    """N3 on sealed JetPolys: reparametrize the rows, substitute the free
+    values into each right-hand side and compare."""
+    top = max((j for (_a, j), _g in Q.constraints), default=0)
+    rows = sb._graph_rows(Q, top)
+    psi = [jt.jp_slot(-1, m) for m in range(1, top + 1)]
+    new_vals = jt.jp_reparametrize(rows, psi)
+    constrained = Q.constrained_labels()
+    free = {(b, k): row[k] for b, row in enumerate(new_vals)
+            for k in range(top + 1) if (b, k) not in constrained}
+    for (a, j), g in Q.constraints:
+        if new_vals[a][j] != jt.jp_substitute(g, free):
+            return (f"slot {Q.vars[a]}.{j} moves off the graph under a generic "
+                    f"reparametrization")
+    return None
+
+
+def _fixture_graphs():
+    from weightings import cli
+    root = Path(__file__).resolve().parent
+    paths = [root.parent / "fixtures" / "antisymmetric_relation.prob",
+             root.parent / "fixtures" / "flag_gap.prob",
+             root / "golden" / "sheared_graph.prob",
+             root / "golden" / "zero_repeated.prob"]
+    return [cli._graph_from_sections(cli.parse_problem_file(p.read_text()))
+            for p in paths]
+
+
+def test_lambda_invariance_on_raw_series_matches_the_jetpoly_loop():
+    rng = random.Random(61)
+    graphs = [_random_solved_graph(rng) for _ in range(300)]
+    graphs += _fixture_graphs()
+    rng = random.Random(1903)
+    graphs += [_chain_graph(rng) for _ in range(100)]
+    witnesses = 0
+    for k, Q in enumerate(graphs):
+        expected = _reference_lambda_invariance_witness(Q)
+        assert sb._lambda_invariance_witness(Q) == expected, k
+        witnesses += expected is not None
+    assert witnesses >= 50 and len(graphs) - witnesses >= 100
+
+
+def _reference_vf_lift(X, i, r):
+    """The lift of the canonical Expr of each coefficient on the generic
+    jet, every level of every node."""
+    acc = {}
+    for a, coeff in enumerate(X.coeff_exprs()):
+        if coeff == ZERO:
+            continue
+        fields = jt._Fields([(b, j) for b in range(len(X.vars))
+                             for j in range(r - i + 1)], jt._degree(coeff))
+        off = fields.offsets
+        rows = {name: ([{1 << off[(b, j)]: 1} for j in range(r - i + 1)], 1)
+                for b, name in enumerate(X.vars)}
+        levels, den = _reference_generic_series(coeff, rows, r - i)
+        for k, nums in enumerate(levels, start=i):
+            acc[(a, k)] = _reference_seal(fields, nums, den)
+    return jt.jet_vf(acc)
+
+
+def test_vf_lift_off_the_term_maps_matches_the_expr_route():
+    rng = random.Random(1904)
+    seen = {"weight0": 0, "error": 0, "zero": 0}
+    for _ in range(300):
+        weights = sorted(rng.choice([0, 0, 1, 2, 3])
+                         for _ in range(rng.randint(1, 3)))
+        W = weight_sequence([(f"x{a + 1}", w) for a, w in enumerate(weights)],
+                            max(weights + [1]) + rng.randint(0, 1))
+        exprs = [rand_poly_expr(rng, W.vars, max_degree=3, max_terms=3)
+                 if rng.random() < 0.85 else ZERO for _ in W.vars]
+        if W.zero_vars and rng.random() < 0.2:  # one non-polynomial term
+            t = ex.var(rng.choice(W.zero_vars))
+            bad = rng.choice([ex.app("sin", t), ex.pow_(t, -1),
+                              ex.pow_(ex.add(t, ONE), -2)])
+            exprs[rng.randrange(W.n)] = ex.add(
+                ex.mul(bad, ex.var(rng.choice(W.vars))), ONE)
+        X = vf_for_weights(W, exprs)
+        i = rng.randint(0, W.order)
+        expected = _outcome(_reference_vf_lift, X, i, W.order)
+        assert _outcome(jt.vf_lift, X, i, W.order) == expected, str(X)
+        seen["error"] += isinstance(expected, tuple)
+        seen["zero"] += any(c.is_zero for c in X.coeffs)
+        seen["weight0"] += any(ex.variables(c) & set(W.zero_vars)
+                               for p in X.coeffs for _, c in p.terms)
+    assert seen["weight0"] >= 80 and seen["error"] >= 10, seen
+    assert seen["zero"] >= 30, seen

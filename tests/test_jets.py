@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -697,3 +698,20 @@ def test_large_power_lifts_match_the_truncated_evaluation(e):
 def test_jet_lift_refuses_repeated_or_empty_names(chart, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         jt.jet_lift(parse_expr("x^2"), 1, 1, chart)
+
+
+@pytest.mark.parametrize("coeff, message", [
+    ("sin(t)*x", "input is not polynomial (sin head)"),
+    ("x^2 + exp(t)", "input is not polynomial (exp head)"),
+    ("t^-1*x", "input is not polynomial (negative power)"),
+    ("3*x + (t + 1)^-2", "input is not polynomial (negative power)"),
+])
+def test_vf_lift_refuses_a_non_polynomial_weight_zero_coefficient(coeff,
+                                                                  message):
+    # t has weight 0, so the term maps keep sin(t) or t^-1 as a coefficient
+    # c_s and the lift meets it when it lifts c_s
+    W = weight_sequence([("t", 0), ("x", 1)], 3)
+    X = vf_for_weights(W, [parse_expr("x*t^2"), parse_expr(coeff)])
+    assert X.coeffs[1].pvars == ("x",)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        vf_lift(X, 1, 3)
