@@ -238,12 +238,11 @@ def _frame_from_sections(sections, W):
 
 def _expr_arg(options, sections):
     from . import expr as ex
-    text = options.get("expr")
-    if text is None and "map" in sections and len(sections["map"]) == 1:
-        text = next(iter(sections["map"].values()))
-    if text is None:
-        raise UsageError("missing --expr")
-    return ex.parse_expr(text)
+    if options.get("expr") is not None:
+        return ex.parse_expr(options["expr"])
+    if "map" in sections and len(sections["map"]) == 1:
+        return _parse_entry("map", *next(iter(sections["map"].items())))
+    raise UsageError("missing --expr")
 
 
 def _vars_arg(options) -> tuple[str, ...]:

@@ -254,6 +254,9 @@ def _with_coeff(coeff: Fraction, core: Expr) -> Expr:
 
 def add(*terms) -> Expr:
     """Canonical sum of expressions."""
+    if len(terms) == 2 and type(terms[0]) is type(terms[1]) is Const:
+        v = terms[0].value + terms[1].value
+        return Const(v) if v else ZERO
     flat: list[Expr] = []
     for t in terms:
         t = as_expr(t)
@@ -293,6 +296,9 @@ def add(*terms) -> Expr:
 
 def mul(*factors) -> Expr:
     """Canonical product of expressions."""
+    if len(factors) == 2 and type(factors[0]) is type(factors[1]) is Const:
+        v = factors[0].value * factors[1].value
+        return Const(v) if v else ZERO
     flat: list[Expr] = []
     for f in factors:
         f = as_expr(f)
@@ -655,7 +661,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
+            raise ParseError(f"unexpected character {stripped[0]!r}",
+                             len(text) - len(stripped))
         number, ident, op = m.groups()
         start = m.start(1) if number else m.start(2) if ident else m.start(3)
         if number:

@@ -290,8 +290,8 @@ Exponents = tuple[tuple[str, Fraction], ...]
 
 
 def _exps(mapping: Mapping[str, Fraction | int]) -> Exponents:
-    return tuple(sorted((v, Fraction(q)) for v, q in mapping.items()
-                        if Fraction(q) != 0))
+    return tuple(sorted((v, f) for v, q in mapping.items()
+                        if (f := Fraction(q))))
 
 
 @dataclass(frozen=True)
@@ -448,7 +448,7 @@ def blowup_lift_vf(X: PolyVectorField, W: WeightSequence,
         ext.append(terms)
     comps: dict[str, tuple[Term, ...]] = {}
     for b, zb in enumerate(znames):
-        acc: dict[Exponents, Expr] = {}
+        acc: dict[tuple[int, ...], Expr] = {}
         for yv, q in chart.component(zb)[1]:
             if yv == "t":
                 continue
@@ -458,10 +458,11 @@ def blowup_lift_vf(X: PolyVectorField, W: WeightSequence,
                 m[b] += 1
                 m[v] -= 1
                 m[c] = (b == c) + shift
-                key = _exps(dict(zip(znames, m)))
-                acc[key] = ex.add(acc.get(key, ZERO),
-                                  ex.mul(ex.const(q), kappa))
-        terms = sorted(((k, m) for m, k in acc.items() if k != ZERO),
+                key, qk = tuple(m), ex.mul(ex.const(q), kappa)
+                acc[key] = ex.add(acc[key], qk) if key in acc else qk
+        # m -> _exps is one-to-one, so the keys need not be _exps until here
+        terms = sorted(((k, _exps(dict(zip(znames, m))))
+                        for m, k in acc.items() if k != ZERO),
                        key=lambda item: item[1])
         if terms:
             comps[zb] = tuple(terms)

@@ -11,17 +11,21 @@ operation; the polynomial itself only knows its variable split.
 
 All arithmetic runs on one private kernel of term maps (exponent tuple ->
 coefficient): an in-place sum, a product that drops the terms above an
-optional weighted-degree bound, and one expression walk, `_expand`; each
-operation drops zero coefficients once, at its end.  With no bound the walk
-is exact (`poly_normal_form`) and rejects what has no finite expansion: a
-function of a designated variable, a negative power of a non-constant.  With
-a bound it is the weighted Taylor expansion up to that degree
-(`weighted_taylor`), and each power series stops once its powers are empty.
-A positive power of a one-term map is one term, (c x^s)^k = c^k x^(k s),
-dropped when it lies above the bound.  A positive power of any other base
-takes one product per unit of the exponent, so that exponent is capped at
-MAX_EXPANDED_POWER unless a bound ends the products early: with no constant
-part, the powers of the base leave the bound after a few products.
+optional weighted-degree bound, and one expression walk, `_expand`.  Sums
+are formed only where two terms meet, so a coefficient that lands on a new
+exponent is stored as it is; each operation drops zero coefficients once,
+at its end.  A product takes the weighted degree of each term of its
+factors once, not once per pair.  With no bound the walk is exact
+(`poly_normal_form`) and rejects what has no finite expansion: a function
+of a designated variable, a negative power of a non-constant.  With a bound
+it is the weighted Taylor expansion up to that degree (`weighted_taylor`),
+and each power series stops once its powers are empty.  A product of
+factors starts from its first factor.  A positive power of a one-term map
+is one term, (c x^s)^k = c^k x^(k s), dropped when it lies above the bound.
+A positive power of any other base takes k - 1 products starting from the
+base, so k is capped at MAX_EXPANDED_POWER unless a bound ends the products
+early: with no constant part, the powers of the base leave the bound after
+a few products.
 """
 
 from __future__ import annotations
@@ -225,7 +229,7 @@ MAX_TAYLOR_DEGREE = 1000
 def _add_into(acc: dict, terms) -> None:
     """Add (exponent, coefficient) pairs into acc, in place."""
     for s, c in terms:
-        acc[s] = ex.add(acc.get(s, ZERO), c)
+        acc[s] = ex.add(acc[s], c) if s in acc else c
 
 
 def _nonzero(acc: dict) -> dict:
@@ -233,14 +237,17 @@ def _nonzero(acc: dict) -> dict:
 
 
 def _product(a, b, w=None, bound=None) -> dict:
-    """Product of two pair sequences without terms of weighted degree > bound."""
+    """Product of two pair sequences without terms of weighted degree > bound,
+    the degree of each term taken once (the degree of s + u is their sum)."""
+    b = [(u, d, 0 if bound is None else weighted_degree(u, w)) for u, d in b]
     acc: dict = {}
     for s, c in a:
-        for u, d in b:
-            key = tuple(x + y for x, y in zip(s, u))
-            if bound is not None and weighted_degree(key, w) > bound:
-                continue
-            acc[key] = ex.add(acc.get(key, ZERO), ex.mul(c, d))
+        room = 0 if bound is None else bound - weighted_degree(s, w)
+        for u, d, deg in b:
+            if deg <= room:
+                key = tuple(x + y for x, y in zip(s, u))
+                cd = ex.mul(c, d)
+                acc[key] = ex.add(acc[key], cd) if key in acc else cd
     return _nonzero(acc)
 
 
@@ -269,9 +276,8 @@ def _apply_field(field, terms, pvars, w=None, bound=None) -> dict:
 def _series(coeff_of, h: dict, zero: tuple, w, bound) -> dict:
     """sum_j coeff_of(j) * h^j for h without constant term, until h^j is
     empty: past the bound, or at j = 1 when h is empty."""
-    acc: dict = {}
-    hj = {zero: ONE}
-    j = 0
+    acc = {zero: coeff_of(0)}
+    hj, j = h, 1
     while hj:
         coeff = coeff_of(j)
         if coeff != ZERO:
@@ -300,8 +306,9 @@ def _expand(e: Expr, pvars: tuple[str, ...], w, bound) -> dict:
             _add_into(acc, _expand(t, pvars, w, bound).items())
         return _nonzero(acc)
     if isinstance(e, ex.Prod):
-        acc = {zero: ONE}
-        for f in e.factors:
+        first, *rest = e.factors
+        acc = _expand(first, pvars, w, bound)
+        for f in rest:
             acc = _product(acc.items(), _expand(f, pvars, w, bound).items(),
                            w, bound)
         return acc
@@ -322,8 +329,8 @@ def _expand(e: Expr, pvars: tuple[str, ...], w, bound) -> dict:
                 raise ValueError(
                     f"exponent {k} of a base with {kind} exceeds "
                     f"the limit MAX_EXPANDED_POWER = {MAX_EXPANDED_POWER}")
-            acc = {zero: ONE}
-            for _ in range(k):
+            acc = base
+            for _ in range(k - 1):
                 acc = _product(acc.items(), base.items(), w, bound)
                 if not acc:
                     break

@@ -592,7 +592,7 @@ def test_check_q_refuses_a_slot_constrained_twice(keys, tmp_path, capsys):
     ("y.1", "right-hand side for slot y.1 uses constrained slot y.1"),
     ("x.2", "right-hand side for slot y.1 is not homogeneous of degree 1"),
     ("x.1 x.1", "unexpected trailing input 'x.1' (at position 4)"),
-    ("x.1 + $", "unexpected character '$' (at position 5)"),
+    ("x.1 + $", "unexpected character '$' (at position 6)"),
     ("z.1", "unknown slot 'z.1'"),
 ])
 def test_check_q_names_slots_as_written(rhs, err, tmp_path, capsys):
@@ -655,7 +655,7 @@ y2 = {coords_y2}
 
 @pytest.mark.parametrize("command, entry, text, err", [
     ("nu-trans", "map_x", "x + $", "[map] x: unexpected character '$' "
-                                   "(at position 3)"),
+                                   "(at position 4)"),
     ("nu-trans", "map_x", "sin(x", "[map] x: expected ')' (at position 5)"),
     ("adapt", "frame_v2", "0, (1", "[frame] V2: expected ')' (at position 3)"),
     ("adapt", "frame_v2", "0, 1 1",
@@ -673,6 +673,18 @@ def test_a_problem_file_parse_error_names_its_section_and_key(
     path.write_text(BAD_ENTRY.format(**values))
     assert run([command, "--file", str(path)], capsys) == (
         1, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["wdeg"], ["happrox", "--degree", "1"], ["def-interp", "--degree", "1"],
+    ["scale-order"],
+])
+def test_the_single_map_entry_names_itself_when_it_fails_to_parse(
+        command, tmp_path, capsys):
+    path = tmp_path / "f.prob"
+    path.write_text("[map]\nf = x + $\n")
+    assert run(command + ["--weights", "x=1", "--file", str(path)], capsys) == (
+        1, "", "error: [map] f: unexpected character '$' (at position 4)\n")
 
 
 @pytest.mark.parametrize("coeffs, err", [

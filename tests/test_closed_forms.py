@@ -45,7 +45,14 @@ was, and both are compared on generated inputs:
   numerator against one per term; N3 on raw series against the loop over
   sealed JetPolys (``jp_reparametrize`` and ``jp_substitute``); and
   ``vf_lift`` off the stored term maps against the lift of each
-  coefficient's canonical Expr, error texts included.
+  coefficient's canonical Expr, error texts included;
+* the term-map kernel, which adds only where two terms meet, takes each
+  term's degree once and starts products at their first factor, against
+  the kernel as it was (every sum from ZERO, the degree per key, every
+  product from {zero: ONE}): the walk ``_expand``, the field applier
+  ``_apply_field`` and ``blowup_lift_vf``, whose sums were keyed by
+  ``_exps``; and the fold of two ``Const``s in ``add`` and ``mul`` against
+  the general path.
 """
 
 from __future__ import annotations
@@ -65,7 +72,8 @@ from weightings import spaces as sp
 from weightings import subbundle as sb
 from weightings import wpoly as wp
 from weightings.expr import ONE, ZERO
-from weightings.fields import lie_bracket, nilpotent_frames, vf_for_weights
+from weightings.fields import (lie_bracket, nilpotent_frames, vf_for_weights,
+                               vf_filtration_degree)
 from weightings.weights import (exponents_below, weight_sequence,
                                 weighted_degree)
 
@@ -244,7 +252,47 @@ def test_nilpotent_brackets_match_the_label_expansion():
 
 
 # ---------------------------------------------------------------------------
-# one-term powers in the term-map walk
+# one-term powers in the term-map walk, on the term-map kernel as it was:
+# every sum starts from ZERO, the degree is taken per key, and every product
+# of factors, power and series starts from {zero: ONE}
+
+def _reference_add_into(acc, terms) -> None:
+    for s, c in terms:
+        acc[s] = ex.add(acc.get(s, ZERO), c)
+
+
+def _reference_product(a, b, w=None, bound=None) -> dict:
+    acc = {}
+    for s, c in a:
+        for u, d in b:
+            key = tuple(x + y for x, y in zip(s, u))
+            if bound is not None and weighted_degree(key, w) > bound:
+                continue
+            acc[key] = ex.add(acc.get(key, ZERO), ex.mul(c, d))
+    return wp._nonzero(acc)
+
+
+def _reference_series(coeff_of, h, zero, w, bound) -> dict:
+    acc = {}
+    hj = {zero: ONE}
+    j = 0
+    while hj:
+        coeff = coeff_of(j)
+        if coeff != ZERO:
+            _reference_add_into(acc, ((s, ex.mul(coeff, c))
+                                      for s, c in hj.items()))
+        hj = _reference_product(hj.items(), h.items(), w, bound)
+        j += 1
+    return wp._nonzero(acc)
+
+
+def _reference_apply_field(field, terms, pvars, w=None, bound=None) -> dict:
+    acc = {}
+    for v, c in field:
+        _reference_add_into(acc, _reference_product(
+            c, wp._partial(terms, pvars, v).items(), w, bound).items())
+    return wp._nonzero(acc)
+
 
 def _reference_expand(e, pvars, w, bound) -> dict:
     """The term-map walk with every positive power as k truncated products."""
@@ -261,14 +309,15 @@ def _reference_expand(e, pvars, w, bound) -> dict:
     if isinstance(e, ex.Sum):
         acc: dict = {}
         for t in e.terms:
-            wp._add_into(acc, _reference_expand(t, pvars, w, bound).items())
+            _reference_add_into(acc, _reference_expand(t, pvars, w,
+                                                       bound).items())
         return wp._nonzero(acc)
     if isinstance(e, ex.Prod):
         acc = {zero: ONE}
         for f in e.factors:
-            acc = wp._product(acc.items(),
-                              _reference_expand(f, pvars, w, bound).items(),
-                              w, bound)
+            acc = _reference_product(
+                acc.items(), _reference_expand(f, pvars, w, bound).items(),
+                w, bound)
         return acc
     if isinstance(e, ex.Pow):
         base = _reference_expand(e.base, pvars, w, bound)
@@ -282,7 +331,7 @@ def _reference_expand(e, pvars, w, bound) -> dict:
                     f"the limit MAX_EXPANDED_POWER = {wp.MAX_EXPANDED_POWER}")
             acc = {zero: ONE}
             for _ in range(k):
-                acc = wp._product(acc.items(), base.items(), w, bound)
+                acc = _reference_product(acc.items(), base.items(), w, bound)
                 if not acc:
                     break
             return acc
@@ -293,9 +342,9 @@ def _reference_expand(e, pvars, w, bound) -> dict:
         if a0 == ZERO:
             raise ValueError("negative power with vanishing constant term is "
                              "not analytic in the positive-weight variables")
-        return wp._series(lambda j: ex.mul(ex.const(wp._binom(k, j)),
-                                           ex.pow_(a0, k - j)),
-                          base, zero, w, bound)
+        return _reference_series(lambda j: ex.mul(ex.const(wp._binom(k, j)),
+                                                  ex.pow_(a0, k - j)),
+                                 base, zero, w, bound)
     if isinstance(e, ex.App):
         if bound is None:
             if ex.variables(e.arg) & set(pvars):
@@ -304,8 +353,8 @@ def _reference_expand(e, pvars, w, bound) -> dict:
             return {zero: e}
         h = _reference_expand(e.arg, pvars, w, bound)
         a0 = h.pop(zero, ZERO)
-        return wp._series(lambda j: wp._maclaurin_coeff(e.fn, a0, j),
-                          h, zero, w, bound)
+        return _reference_series(lambda j: wp._maclaurin_coeff(e.fn, a0, j),
+                                 h, zero, w, bound)
     raise TypeError(f"unknown expression node {e!r}")
 
 
@@ -338,13 +387,13 @@ def _power_case(rng) -> ex.Expr:
     return e
 
 
-def _expansion(walk, e, bound):
+def _term_map(walk, e, bound):
     pvars = POWER_WEIGHTS.positive_vars
     try:
-        p = wp.wpoly(pvars, walk(e, pvars, POWER_WEIGHTS.positive_weights, bound))
+        m = walk(e, pvars, POWER_WEIGHTS.positive_weights, bound)
     except ValueError as err:
         return "error", str(err)
-    return p, wp.wpoly_text(p, POWER_WEIGHTS)
+    return m, wp.wpoly_text(wp.wpoly(pvars, m), POWER_WEIGHTS)
 
 
 def _powers(e):
@@ -362,8 +411,8 @@ def test_one_term_powers_match_the_truncated_products():
     for _ in range(2200):
         e = _power_case(rng)
         bound = rng.choice([None, None, 0, 1, 2, 3, 4, 5, 7])
-        expected = _expansion(_reference_expand, e, bound)
-        assert _expansion(wp._expand, e, bound) == expected, (ex.to_text(e), bound)
+        expected = _term_map(_reference_expand, e, bound)
+        assert _term_map(wp._expand, e, bound) == expected, (ex.to_text(e), bound)
         for f in _powers(e):
             try:
                 base = _reference_expand(f.base, pvars, w, bound)
@@ -1262,7 +1311,8 @@ def _reference_vf_apply(X, p):
             continue
         if c.pvars != p.pvars:
             raise ValueError("mismatched variable splits")
-        wp._add_into(acc, wp._product(c.terms, dp.items()).items())
+        _reference_add_into(acc, _reference_product(c.terms,
+                                                    dp.items()).items())
     return wp.wpoly(p.pvars, acc)
 
 
@@ -1326,7 +1376,7 @@ def _reference_base_words(fields, pvars, f, top):
             g = truncated(s[:c] + (s[c] - 1,) + s[c + 1:])
             acc = {}
             for v, coeff in fields[c]:
-                wp._add_into(acc, wp._product(
+                _reference_add_into(acc, _reference_product(
                     coeff.items(), wp._partial(g.items(), pvars, v).items(),
                     ones, top - sum(s)).items())
             memo[s] = wp._nonzero(acc)
@@ -1640,3 +1690,160 @@ def test_vf_lift_off_the_term_maps_matches_the_expr_route():
                                for p in X.coeffs for _, c in p.terms)
     assert seen["weight0"] >= 80 and seen["error"] >= 10, seen
     assert seen["zero"] >= 30, seen
+
+
+# ---------------------------------------------------------------------------
+# the term-map kernel adds only where two terms meet
+
+def _kernel_case(rng) -> ex.Expr:
+    """A tree of every node kind over weight-0 (a, b) and designated (x, y)
+    variables, sometimes inside a product or a power of two to five."""
+    names = POWER_WEIGHTS.vars
+    e = rand_expr(rng, names, depth=rng.randint(1, 3))
+    if rng.random() < 0.3:
+        e = ex.mul(e, rand_expr(rng, names, depth=2))
+    if rng.random() < 0.3:
+        e = ex.pow_(ex.add(e, rand_poly_expr(rng, names, 2, 2)),
+                    rng.randint(2, 5))
+    return e
+
+
+def test_the_term_map_walk_matches_the_kernel_it_replaced():
+    rng = random.Random(2001)
+    kinds = {"error": 0, "zero": 0, "terms": 0}
+    for _ in range(800):
+        e = _kernel_case(rng)
+        bound = rng.choice([None, None, 0, 1, 2, 3, 4, 5, 6, 7])
+        expected = _term_map(_reference_expand, e, bound)
+        assert _term_map(wp._expand, e, bound) == expected, (ex.to_text(e), bound)
+        kinds["error" if expected[0] == "error" else
+              "terms" if expected[0] else "zero"] += 1
+    assert kinds["error"] >= 50 and kinds["zero"] >= 30
+    assert kinds["terms"] >= 500
+
+
+def test_the_field_applier_matches_the_kernel_it_replaced():
+    rng = random.Random(2002)
+    nonzero = 0
+    for _ in range(500):
+        W = rand_weight_sequence(rng, max_n=3, max_order=3,
+                                 min_weight=rng.choice([0, 1]))
+        X = _rand_field(rng, W)
+        field = [(v, c.terms) for v, c in zip(X.vars, X.coeffs)]
+        terms = rand_wpoly(rng, W, max_degree=5).terms
+        pvars = W.positive_vars
+        bound = rng.choice([None, 0, 1, 2, 3, 5, 7])
+        w = None if bound is None else W.positive_weights
+        expected = _reference_apply_field(field, terms, pvars, w, bound)
+        assert wp._apply_field(field, terms, pvars, w, bound) == expected, \
+            (str(X), terms, bound)
+        nonzero += bool(expected)
+    assert nonzero >= 220
+
+
+def _reference_exps(mapping):
+    return tuple(sorted((v, Fraction(q)) for v, q in mapping.items()
+                        if Fraction(q) != 0))
+
+
+def _reference_blowup_lift_vf(X, W, chart):
+    """blowup_lift_vf with its sums keyed by _exps and started from ZERO."""
+    if vf_filtration_degree(X, W) < 0:
+        raise ValueError("only fields of filtration degree 0 lift to the "
+                         "blow-up")
+    c = sp._chart_center(W, chart)
+    ynames = sp.deformation_names(W)
+    znames = sp.chart_names(W)
+    rename = sp._rename_map(W, znames + ("t",),
+                            [k for coeff in X.coeffs for _, k in coeff.terms])
+    w = list(W.positive_weights)
+    ext = []
+    for v, coeff in enumerate(X.coeffs):
+        index = [W.vars.index(p) for p in coeff.pvars]
+        terms = []
+        for s, k in coeff.terms:
+            full = [0] * W.n
+            for i, e in zip(index, s):
+                full[i] = e
+            terms.append((full, weighted_degree(s, w) - W.weights[v],
+                          ex.substitute(k, rename)))
+        ext.append(terms)
+    comps = {}
+    for b, zb in enumerate(znames):
+        acc = {}
+        for yv, q in chart.component(zb)[1]:
+            if yv == "t":
+                continue
+            v = ynames.index(yv)
+            for s, shift, kappa in ext[v]:
+                m = list(s)
+                m[b] += 1
+                m[v] -= 1
+                m[c] = (b == c) + shift
+                key = _reference_exps(dict(zip(znames, m)))
+                acc[key] = ex.add(acc.get(key, ZERO),
+                                  ex.mul(ex.const(q), kappa))
+        terms = sorted(((k, m) for m, k in acc.items() if k != ZERO),
+                       key=lambda item: item[1])
+        if terms:
+            comps[zb] = tuple(terms)
+    return sp.BlowupField(chart, tuple(sorted(comps.items())))
+
+
+def _degree_zero_field(rng, W):
+    """A generated field with its terms of degree below 0 dropped, half the
+    time plus a diagonal sum c_a x_a d/dx_a, whose terms meet in every
+    chart; one field in ten is left whole, and most of those are refused."""
+    X = _rand_field(rng, W, zeros=0.2)
+    if rng.random() < 0.1:
+        return X
+    diagonal = rng.random() < 0.5
+    coeffs = []
+    for v, c in zip(X.vars, X.coeffs):
+        w = [W.weight_of(p) for p in c.pvars]
+        kept = wp.wpoly(c.pvars, {s: k for s, k in c.terms
+                                  if weighted_degree(s, w) >= W.weight_of(v)})
+        coeffs.append(ex.add(wp.to_expr(kept), ex.mul(
+            ex.const(rand_rational(rng) if diagonal else 0), ex.var(v))))
+    return vf_for_weights(W, coeffs)
+
+
+def test_the_blowup_lift_matches_the_exps_keyed_sums():
+    rng = random.Random(2003)
+    charts = lifted = refused = 0
+    for _ in range(80):
+        W = rand_weight_sequence(rng, max_n=3, max_order=3,
+                                 min_weight=rng.choice([0, 1]))
+        X = _degree_zero_field(rng, W)
+        for center in W.vars:
+            if not W.weight_of(center):
+                continue
+            for sign in "+-":
+                chart = sp.blowup_chart(W, center, sign)
+                expected = _outcome(_reference_blowup_lift_vf, X, W, chart)
+                got = _outcome(sp.blowup_lift_vf, X, W, chart)
+                assert got == expected, (str(X), W, center, sign)
+                charts += 1
+                if isinstance(expected, tuple):
+                    refused += 1
+                else:
+                    assert str(got) == str(expected)
+                    lifted += expected.components != ()
+    assert charts >= 250 and lifted >= 200 and refused >= 20
+
+
+def test_two_constants_fold_to_the_node_of_the_general_path():
+    rng = random.Random(2004)
+    zeros = 0
+    for _ in range(600):
+        a = ex.const(rand_rational(rng))
+        b = ex.const(-a.value if rng.random() < 0.2 else rand_rational(rng))
+        for fold, general in ((ex.add(a, b), ex.add(a, b, ZERO)),
+                              (ex.mul(a, b), ex.mul(a, b, ONE))):
+            assert type(fold) is type(general) is ex.Const
+            assert type(fold.value) is type(general.value) is Fraction
+            assert fold == general and hash(fold) == hash(general)
+            assert repr(fold) == repr(general)
+            assert (fold is ZERO) == (general is ZERO) == (fold.value == 0)
+            zeros += fold is ZERO
+    assert zeros >= 150

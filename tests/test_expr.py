@@ -41,6 +41,15 @@ def test_parse_errors_carry_position():
         parse_expr("x + * y")
 
 
+@pytest.mark.parametrize("text, position", [
+    ("x + $", 4), ("x +  $", 5), ("x +   \t$", 7), ("$", 0), ("  $ + x", 2),
+])
+def test_an_unexpected_character_is_reported_at_the_character(text, position):
+    with pytest.raises(ParseError, match="unexpected character '\\$'") as info:
+        parse_expr(text)
+    assert info.value.position == position == text.index("$")
+
+
 def test_differentiate_power_rule():
     assert differentiate(parse_expr("x^3"), "x") == parse_expr("3*x^2")
 
