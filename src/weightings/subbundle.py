@@ -15,11 +15,10 @@ into this graph.
   N4  filtration consistency: every nonzero right-hand side must be the
       restriction of an honest function lift.  The solver looks for a
       polynomial change of coordinates u_a = x_a - G_a, with G_a a rational
-      combination of monomials of the matching weighted degree, that turns
-      the graph into the standard one.  A right-hand side outside the span
-      of monomial lifts certifies that no weighting induces the graph:
-      function lifts only produce symmetric slot combinations, so an
-      antisymmetric relation can never be matched;
+      combination of monomials u^s in the coordinates already corrected,
+      s.w < w_a, that turns the graph into the standard one.  A residual
+      outside the span of the candidates' lifts rejects the graph (see
+      below for why that is complete for positive weights);
   N3  only when N4 rejects: invariance under a generic reparametrization,
       checked as polynomial identities; a failure is reported instead.
 
@@ -33,11 +32,23 @@ slot above j.
 N4 computes on the graph rows: row a at level k is the free slot (a, k) or
 its right-hand side, the lift x_a^(k) restricted to the graph, so a
 polynomial evaluated on the rows gives its lifts on the graph.  The series
-of each candidate x^s is kept, as x^(s - e_c) times row c, and so is the
-series of u_a = x_a - sum_s c_s x^s; a residual is one of its levels.  The
-rows of each linear system, one per packed slot monomial, come in no fixed
-order: the solution with the free columns at 0 depends on the column order
-alone, as a column is a pivot exactly when it is independent of the
+of u_a = x_a - sum_s c_s u^s is kept, and so is that of each candidate u^s,
+as u^(s - e_c) times u_c; a residual is one level of u_a.  One pass by
+(level, variable) suffices.  A candidate at level j has s.w = j, so it reads
+only u_b with 0 < w_b <= j, whose constraints all sit below j and are
+already cleared: a cached u^s stays valid.  Such a u^s has filtration
+degree at least j, so its correction clears level j of u_a and moves no
+lower level.
+
+FILTRATION_MISMATCH is then complete for positive weights, by an argument
+checked on generated weightings but not proved: a different choice at an
+earlier level differs by a function of at least the same filtration
+degree, and the systems are linear with rational data, so if a real
+solution exists, a rational one does.
+
+The rows of each linear system, one per packed slot monomial, come in no
+fixed order: the solution with the free columns at 0 depends on the column
+order alone, as a column is a pivot exactly when it is independent of the
 columns before it.  ``check_weighting`` reads the rows up to the highest
 constrained level top, or top + 1 to find a row's first non-zero level:
 the slots above top are free, so a high order costs nothing.
@@ -333,61 +344,55 @@ def _filtration_verdict(Q: GraphSubbundle,
     """N4: filtration consistency through coordinate corrections."""
     ordered = sorted(Q.constraints, key=lambda item: (item[0][1], item[0][0]))
     top = ordered[-1][0][1] if ordered else 0
-    # a candidate x^s has s.w <= top and positive weights, so |s| <= top
+    # level k of a row, u_c or u^s has slot exponents <= k * the rows' max
     fields, rows = jt._row_fields(_graph_rows(Q, top), top)
+    # u[a] = x_a - sum_s c_s u^s on the graph through eps^top, summed over
+    # the corrections c_s u^s found so far
+    u = list(rows)
 
     @cache
     def monomial(s: tuple[int, ...]) -> jt.Raw:
-        """x^s on the graph through eps^top, as x^(s - e_c) times row c."""
+        """u^s on the graph through eps^top, as u^(s - e_c) times u_c."""
         c = next((c for c, e in enumerate(s) if e), None)
         if c is None:
             return [{0: 1}] + [{} for _ in range(top)], 1
         return jt._series_mul(monomial(s[:c] + (s[c] - 1,) + s[c + 1:]),
-                              rows[c], top)
+                              u[c], top)
 
     weight0 = sum(fields.mask << off for (b, _k), off in fields.offsets.items()
                   if weights[b] == 0)
-    # u[a] = x_a - sum_s c_s x^s on the graph through eps^top, summed over
-    # the corrections c_s x^s found so far
-    u = list(rows)
-    for _ in range(Q.order + 2):
-        dirty = False
-        for (a, j), _g in ordered:
-            levels, den = u[a]
-            residual = {m: v for m, v in levels[j].items() if v}
-            if not residual:
-                continue
-            dirty = True
-            candidates = [s for s, total in _exponent_walk(weights, j + 1)
-                          if total == j]
-            columns = [monomial(s)[0] for s in candidates]
-            # A c = b, column s the numerators of x^s at level j and b those
-            # of the residual: u[a] - sum_s c_s x^s over den clears level j
-            keys = residual.keys() | {m for col in columns for m in col[j]}
-            matrix = [[Fraction(col[j].get(m, 0)) for col in columns]
-                      for m in keys]
-            solution = _solve_exact(matrix, [Fraction(residual.get(m, 0))
-                                             for m in keys])
-            if solution is None:
-                if any(m & weight0 for m in residual):
-                    return WeightingVerdict(
-                        False, reason=UNDECIDED,
-                        witness=(f"constraint at {Q.vars[a]}.{j} depends on "
-                                 f"weight-0 slots beyond the rational ansatz"))
+    for (a, j), _g in ordered:
+        levels, den = u[a]
+        residual = {m: v for m, v in levels[j].items() if v}
+        if not residual:
+            continue
+        candidates = [s for s, total in _exponent_walk(weights, j + 1)
+                      if total == j]
+        columns = [monomial(s)[0] for s in candidates]
+        # A c = b, column s the numerators of u^s at level j and b those
+        # of the residual: u[a] - sum_s c_s u^s over den clears level j
+        keys = residual.keys() | {m for col in columns for m in col[j]}
+        matrix = [[Fraction(col[j].get(m, 0)) for col in columns]
+                  for m in keys]
+        solution = _solve_exact(matrix, [Fraction(residual.get(m, 0))
+                                         for m in keys])
+        if solution is None:
+            if any(m & weight0 for m in residual):
                 return WeightingVerdict(
-                    False, reason=FILTRATION_MISMATCH,
-                    witness=f"witness {Q.vars[a]} level {j}",
-                    details={"reconstructed_dim": _reconstructed_dimension(Q),
-                             "graph_dim": Q.dim})
-            u[a] = jt._series_sum([u[a]] + [
-                ([{m: -c.numerator * v for m, v in level.items()}
-                  for level in col], den * c.denominator)
-                for c, col in zip(solution, columns) if c], top)
-        if not dirty:
-            W = weight_sequence(list(zip(Q.vars, weights)), Q.order)
-            return WeightingVerdict(True, weights=W)
-    return WeightingVerdict(False, reason=UNDECIDED,
-                            witness="coordinate corrections did not stabilize")
+                    False, reason=UNDECIDED,
+                    witness=(f"constraint at {Q.vars[a]}.{j} depends on "
+                             f"weight-0 slots beyond the rational ansatz"))
+            return WeightingVerdict(
+                False, reason=FILTRATION_MISMATCH,
+                witness=f"witness {Q.vars[a]} level {j}",
+                details={"reconstructed_dim": _reconstructed_dimension(Q),
+                         "graph_dim": Q.dim})
+        u[a] = jt._series_sum([u[a]] + [
+            ([{m: -c.numerator * v for m, v in level.items()}
+              for level in col], den * c.denominator)
+            for c, col in zip(solution, columns) if c], top)
+    return WeightingVerdict(True, weights=weight_sequence(
+        list(zip(Q.vars, weights)), Q.order))
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,10 @@ def test_check_q_fixtures(capsys):
     envelope = json.loads(out)
     assert envelope["result"]["verdict"] == "rejected"
     assert envelope["result"]["reason"] == "FILTRATION_MISMATCH"
+    code, out, _err = run(["check-q", "--file",
+                           str(FIXTURES / "chain_shear.prob")], capsys)
+    assert code == 0
+    assert out == "accepted: weights x1=1,x2=3,x3=5\n"
 
 
 def test_check_q_accepts_standard(tmp_path, capsys):

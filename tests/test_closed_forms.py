@@ -738,18 +738,38 @@ def test_n4_on_the_graph_rows_matches_lift_then_substitute():
     graphs = [_random_solved_graph(rng) for rng in map(random.Random,
                                                        (61, 71, 5, 9, 13))
               for _ in range(200)]
-    rng = random.Random(1601)
-    graphs += [_chain_graph(rng) for _ in range(600)]
     for k, Q in enumerate(graphs):
         expected = _verdict_tuple(_reference_check_weighting(Q))
         assert _verdict_tuple(sb.check_weighting(Q)) == expected, k
-        kind = "random" if k < 1000 else "chain"
-        reasons[(kind, expected[1])] = reasons.get((kind, expected[1]), 0) + 1
+        reasons[expected[1]] = reasons.get(expected[1], 0) + 1
     for reason in (None, sb.FILTRATION_MISMATCH, sb.LAMBDA_INVARIANCE,
                    sb.UNDECIDED):
-        assert reasons.get(("random", reason), 0) >= 5
-    assert reasons.get(("chain", None), 0) >= 300
-    assert reasons.get(("chain", sb.FILTRATION_MISMATCH), 0) >= 20
+        assert reasons.get(reason, 0) >= 5
+    # the reference's x-monomial candidates reject genuine chain weightings,
+    # so these are judged by their answer by construction: a weighting with
+    # the generating weights (x_a is constrained below w_a).  The one
+    # abstention is the weight-0 UNDECIDED, at the first constraint whose
+    # right-hand side reads a weight-0 slot, where a weight-0 factor of a
+    # G_a survives on the graph.
+    rng = random.Random(1601)
+    outcomes = {True: 0, False: 0}
+    for k in range(600):
+        Q = _chain_graph(rng)
+        weights = [sum(b == a for (b, _j), _g in Q.constraints)
+                   for a in range(Q.n)]
+        verdict = sb.check_weighting(Q)
+        weight0 = sorted((j, a) for (a, j), g in Q.constraints
+                         if any(weights[b] == 0 for b, _k in jt.jp_labels(g)))
+        if weight0:
+            j, a = weight0[0]
+            assert (verdict.reason, verdict.witness) == (
+                sb.UNDECIDED, f"constraint at {Q.vars[a]}.{j} depends on "
+                              f"weight-0 slots beyond the rational ansatz"), k
+        else:
+            assert verdict.accepted, (k, str(verdict))
+            assert verdict.weights.weights == tuple(weights), k
+        outcomes[not weight0] += 1
+    assert outcomes[True] >= 300 and outcomes[False] >= 20, outcomes
 
 
 def _reference_induced_filtration_degree(Q, f):

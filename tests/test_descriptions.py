@@ -1,17 +1,19 @@
-"""One generated weighting, two descriptions that must agree.
+"""One generated weighting, three descriptions that must agree.
 
-Each case draws weighted coordinates u = x - G on a chart x1..xn: sorted
-weights 1-5, order 6, and a triangular shear, G_a a polynomial without
-constant term in the x_b with b < a.  The graph Q of the weighting is
-built here from its definition, not by a library helper: a jet lies on Q
-when u_a vanishes to order w_a along it, so the slot (a, j), j < w_a, is
-the lift G_a^(j) restricted to the slots already solved.
+Each case draws weighted coordinates u = x - G on a chart x1..xn (n is 1-3
+unless a test asks for more): sorted weights 1-5, order 6, and a triangular
+shear, G_a a polynomial without constant term in the x_b with b < a.  The
+graph Q of the weighting is built here from its definition, not by a
+library helper: a jet lies on Q when u_a vanishes to order w_a along it, so
+the slot (a, j), j < w_a, is the lift G_a^(j) restricted to the slots
+already solved.
 
 * Functions: ``induced_filtration_degree(Q, f)`` (the jet kernel) equals
   the weighted order of f(x(u)) from ``weighted_taylor`` in u (the term-map
   kernel), capped at r + 1.
 * Vector fields: ``k_membership(Q, X, i)`` equals
   ``vf_filtration_degree(X written in u) >= -i``.
+* The graph: ``check_weighting(Q)`` accepts it with the weights of u.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from weightings import jets as jt
 from weightings import wpoly as wp
 from weightings.fields import (vf_filtration_degree, vf_for_weights,
                                vf_from_exprs)
-from weightings.subbundle import (graph_subbundle, induced_filtration_degree,
-                                  k_membership)
+from weightings.subbundle import (check_weighting, graph_subbundle,
+                                  induced_filtration_degree, k_membership)
 from weightings.weights import weight_sequence
 
 from conftest import rand_rational
@@ -38,9 +40,10 @@ def _monomial(rng, names, max_size):
                     for _ in range(rng.randint(1, max_size))])
 
 
-def _weighting(rng):
-    """(chart, Q, u_a as Exprs in x, x_a as Exprs in u, weights in u)."""
-    n = rng.choice([1, 2, 3, 3])
+def _weighting(rng, n=None):
+    """(chart, Q, u_a as Exprs in x, x_a as Exprs in u, weights in u), on n
+    variables or on 1-3 drawn."""
+    n = rng.choice([1, 2, 3, 3]) if n is None else n
     weights = sorted(rng.randint(1, 5) for _ in range(n))
     xs = [f"x{a + 1}" for a in range(n)]
     us = [f"u{a + 1}" for a in range(n)]
@@ -116,3 +119,17 @@ def test_k_membership_is_the_filtration_degree_in_u():
             assert member == (degree >= -i), (str(Q), str(X), i)
             seen[member] += 1
     assert min(seen.values()) >= 150, seen
+
+
+def test_check_weighting_accepts_the_graph_with_the_weights_of_u():
+    rng = random.Random(5)
+    cases = [_weighting(rng) for _ in range(600)]
+    rng = random.Random(7)
+    cases += [_weighting(rng, rng.randint(4, 6)) for _ in range(300)]
+    sheared = 0
+    for _xs, Q, _u_in_x, _x_in_u, Wu in cases:
+        verdict = check_weighting(Q)
+        assert verdict.accepted, (str(Q), str(verdict))
+        assert verdict.weights.weights == Wu.weights, str(Q)
+        sheared += any(not g.is_zero for _, g in Q.constraints)
+    assert sheared >= 500, sheared

@@ -55,6 +55,7 @@ _BASE = (
     ("check-q", "--file", "fixtures/antisymmetric_relation.prob"),
     ("check-q", "--file", "fixtures/flag_gap.prob"),
     ("check-q", "--file", "tests/golden/sheared_graph.prob"),
+    ("check-q", "--file", "fixtures/chain_shear.prob"),
     ("adapt",) + _W13,
     ("adapt", "--file", "tests/golden/adapt_frame.prob"),
     ("euler-like",) + _INTRO + ("--coeffs", "x;2*y;3*z + x^3"),
