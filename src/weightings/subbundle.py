@@ -344,7 +344,8 @@ def _filtration_verdict(Q: GraphSubbundle,
     """N4: filtration consistency through coordinate corrections."""
     ordered = sorted(Q.constraints, key=lambda item: (item[0][1], item[0][0]))
     top = ordered[-1][0][1] if ordered else 0
-    # level k of a row, u_c or u^s has slot exponents <= k * the rows' max
+    # u^s multiplies only positive-weight u_c, cleared below w_c >= 1, so
+    # level k of u^s has slot exponents <= k * the rows' max <= top * max
     fields, rows = jt._row_fields(_graph_rows(Q, top), top)
     # u[a] = x_a - sum_s c_s u^s on the graph through eps^top, summed over
     # the corrections c_s u^s found so far
