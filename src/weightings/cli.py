@@ -59,11 +59,13 @@ _OPTIONS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(only: str | None = None) -> _Parser:
+    """The parser of every subcommand, or of the subcommand `only` alone."""
     parser = _Parser(prog="weightings",
                      description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, (_handler, help_text, keys) in _COMMANDS.items():
+    commands = _COMMANDS if only is None else {only: _COMMANDS[only]}
+    for name, (_handler, help_text, keys) in commands.items():
         p = sub.add_parser(name, help=help_text)
         for key, kwargs in _OPTIONS.items():
             if key in keys.split():
@@ -73,8 +75,10 @@ def _build_parser() -> _Parser:
 
 
 def parse_invocation(argv: Sequence[str]) -> Command:
-    parser = _build_parser()
-    namespace = parser.parse_args(list(argv))
+    argv = list(argv)
+    # a named subcommand parses, helps and fails in its own subparser only
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    namespace = parser.parse_args(argv)
     if namespace.command is None:
         raise UsageError("a command is required")
     return Command(namespace.command, vars(namespace))

@@ -51,9 +51,10 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
+
+from .weights import record
 
 FUNCTIONS = ("sin", "cos", "exp")
 
@@ -111,18 +112,15 @@ class Expr:
 
 
 def _node(cls):
-    """Frozen, slotted dataclass whose hash is computed once per instance.
+    """Frozen, slotted record whose hash is computed once per instance.
 
-    The cached value is the dataclass hash of the field tuple, so dict and
-    set order are those of an uncached node.  Pickled state holds the fields
-    only (the dataclass ``__getstate__`` of a frozen slotted class), never
-    ``_h``, which depends on the process's string-hash seed.
-
-    Every attribute assignment or deletion raises FrozenInstanceError.  The
-    dataclass-generated methods would call ``super()`` with the class that
-    ``slots=True`` replaced, a TypeError for any name that is not a field.
+    The cached value is the hash of the field tuple, so dict and set order
+    are those of an uncached node.  Pickled state holds the fields only,
+    never ``_h``, which depends on the process's string-hash seed.  Every
+    attribute assignment or deletion raises FrozenInstanceError.  Nodes are
+    built in every kernel loop, so each writes its own ``__init__``.
     """
-    cls = dataclass(frozen=True, slots=True, repr=False)(cls)
+    cls = record(cls, slots=True)
     field_hash = cls.__hash__
 
     def __hash__(self):
@@ -134,22 +132,17 @@ def _node(cls):
             return h
 
     cls.__hash__ = __hash__
-    cls.__setattr__ = _frozen_setattr
-    cls.__delattr__ = _frozen_delattr
     return cls
-
-
-def _frozen_setattr(self, name, value):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _frozen_delattr(self, name):
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @_node
 class Const(Expr):
+    """A rational constant."""
+
     value: Fraction
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
 
     def __repr__(self):
         return f"Const({self.value})"
@@ -157,7 +150,12 @@ class Const(Expr):
 
 @_node
 class Var(Expr):
+    """A named variable."""
+
     name: str
+
+    def __init__(self, name):
+        object.__setattr__(self, "name", name)
 
     def __repr__(self):
         return f"Var({self.name})"
@@ -165,7 +163,12 @@ class Var(Expr):
 
 @_node
 class Sum(Expr):
+    """A sum of canonical terms."""
+
     terms: tuple
+
+    def __init__(self, terms):
+        object.__setattr__(self, "terms", terms)
 
     def __repr__(self):
         return "Sum(" + ", ".join(map(repr, self.terms)) + ")"
@@ -173,7 +176,12 @@ class Sum(Expr):
 
 @_node
 class Prod(Expr):
+    """A product of canonical factors."""
+
     factors: tuple
+
+    def __init__(self, factors):
+        object.__setattr__(self, "factors", factors)
 
     def __repr__(self):
         return "Prod(" + ", ".join(map(repr, self.factors)) + ")"
@@ -181,8 +189,14 @@ class Prod(Expr):
 
 @_node
 class Pow(Expr):
+    """An integer power, exponent not 0 or 1, of a non-constant base."""
+
     base: Expr
     exponent: int
+
+    def __init__(self, base, exponent):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
     def __repr__(self):
         return f"Pow({self.base!r}, {self.exponent})"
@@ -190,8 +204,14 @@ class Pow(Expr):
 
 @_node
 class App(Expr):
+    """A known function (sin, cos, exp) applied to an argument."""
+
     fn: str
     arg: Expr
+
+    def __init__(self, fn, arg):
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "arg", arg)
 
     def __repr__(self):
         return f"App({self.fn}, {self.arg!r})"

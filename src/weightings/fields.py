@@ -9,20 +9,21 @@ use the standard coordinate formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import expr as ex
 from . import wpoly as wp
 from .expr import Expr, ZERO
-from .weights import (WeightSequence, _check_names, exponents_below,
+from .weights import (WeightSequence, _check_names, exponents_below, record,
                       weighted_degree)
 from .wpoly import WeightedPoly
 
 
-@dataclass(frozen=True)
+@record
 class PolyVectorField:
+    """sum_a coeffs[a] d/d vars[a], one WeightedPoly per chart variable."""
+
     vars: tuple[str, ...]
     coeffs: tuple[WeightedPoly, ...]
 
@@ -115,8 +116,10 @@ def vf_equal(X: PolyVectorField, Y: PolyVectorField) -> bool:
 # ---------------------------------------------------------------------------
 # differential forms
 
-@dataclass(frozen=True)
+@record
 class DifferentialFormPoly:
+    """sum_I c_I dx_I over increasing index tuples I of length degree."""
+
     vars: tuple[str, ...]
     degree: int
     terms: tuple[tuple[tuple[int, ...], WeightedPoly], ...]
@@ -216,7 +219,7 @@ def form_filtration_degree(alpha: DifferentialFormPoly, W: WeightSequence):
 # ---------------------------------------------------------------------------
 # nilpotent frames of negative polynomial vector fields on the graded model
 
-@dataclass(frozen=True)
+@record
 class GradedLieAlgebra:
     """Structure constants for the bundle of negative polynomial fields.
 

@@ -38,7 +38,6 @@ coefficient a non-zero Fraction, so equal polynomials compare equal.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm, log2
@@ -48,7 +47,7 @@ from typing import Mapping, Sequence
 from . import expr as ex
 from .expr import Expr
 from .fields import PolyVectorField
-from .weights import _check_names
+from .weights import _check_names, record
 from .wpoly import MAX_EXPANDED_POWER
 
 Label = tuple[int, int]
@@ -58,11 +57,14 @@ Monomial = tuple[tuple[Label, int], ...]
 Raw = tuple[list[dict[int, int]], int]
 
 
-@dataclass(frozen=True)
+@record
 class JetPoly:
     """Polynomial with rational coefficients in slot variables (a, j)."""
 
     terms: tuple[tuple[Monomial, Fraction], ...]
+
+    def __init__(self, terms):
+        object.__setattr__(self, "terms", terms)
 
     @property
     def is_zero(self) -> bool:
@@ -335,7 +337,7 @@ def _series_sum(parts: Sequence[Raw], r: int, lo: int = 0) -> Raw:
 # ---------------------------------------------------------------------------
 # truncated scalars and chart points
 
-@dataclass(frozen=True)
+@record
 class JetScalar:
     """Element of R[eps]/(eps^{r+1}) with rational coefficients."""
 
@@ -391,7 +393,7 @@ def as_jetscalar(value, order: int) -> JetScalar:
     return jet_scalar_const(Fraction(value), order)
 
 
-@dataclass(frozen=True)
+@record
 class JetPoint:
     """A chart point of the order-r tangent bundle: slots per variable."""
 
@@ -537,7 +539,7 @@ def jet_lift(f: Expr, i: int, r: int, chart: Sequence[str]) -> JetPoly:
     return fields.seal(levels[i], den)
 
 
-@dataclass(frozen=True)
+@record
 class JetVectorField:
     """Vector field on the prolonged chart: slot (a, k) -> coefficient."""
 
@@ -675,7 +677,7 @@ def _reparametrize_raw(rows: Sequence[Sequence[JetPoly]], psi: Sequence[JetPoly]
 # ---------------------------------------------------------------------------
 # reparametrization and the tangent-space translation
 
-@dataclass(frozen=True)
+@record
 class Reparametrization:
     """Algebra endomorphism of the truncated algebra, eps -> sum psi_j eps^j."""
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -35,7 +34,7 @@ from . import wpoly as wp
 from .expr import Expr, ZERO
 from .fields import (PolyVectorField, _apply_expr_field, euler_field,
                      homogeneous_approx_vf, vf_equal, vf_filtration_degree)
-from .weights import WeightSequence, weighted_degree
+from .weights import WeightSequence, record, weighted_degree
 
 
 def deformation_names(W: WeightSequence) -> tuple[str, ...]:
@@ -64,7 +63,7 @@ def _rename_map(W: WeightSequence, names: Sequence[str],
 # ---------------------------------------------------------------------------
 # morphisms and the graded transition
 
-@dataclass(frozen=True)
+@record
 class CoordinateChange:
     """Components of a chart map, expressions in the source variables."""
 
@@ -123,8 +122,10 @@ def compose_transitions(outer: Sequence[Expr], inner: Sequence[Expr],
 # ---------------------------------------------------------------------------
 # deformation-space interpolants
 
-@dataclass(frozen=True)
+@record
 class DeformationFunction:
+    """Deformation interpolant of a function of the given weighted degree."""
+
     weights: WeightSequence
     degree: int
     expression: Expr  # in y1..yn and t
@@ -161,7 +162,7 @@ def def_interpolant(f: Expr, degree: int,
     return DeformationFunction(W, degree, _interpolate(p, degree, W))
 
 
-@dataclass(frozen=True)
+@record
 class DeformationField:
     """Vector field on the deformation chart: name -> coefficient."""
 
@@ -222,8 +223,10 @@ def euler_like_check(X: PolyVectorField, W: WeightSequence) -> bool:
 # ---------------------------------------------------------------------------
 # numeric scaling-order estimation
 
-@dataclass(frozen=True)
+@record
 class ScalingReport:
+    """Slope, residual and sample count of a scaling-order estimate."""
+
     estimated_order: float
     residual: float
     samples: int
@@ -294,7 +297,7 @@ def _exps(mapping: Mapping[str, Fraction | int]) -> Exponents:
                         if (f := Fraction(q))))
 
 
-@dataclass(frozen=True)
+@record
 class RationalMonomialMap:
     """Chart map whose components are single monomials with rational exponents."""
 
@@ -396,7 +399,7 @@ def blowup_chart_inverse(W: WeightSequence, center: str,
 Term = tuple[Expr, Exponents]
 
 
-@dataclass(frozen=True)
+@record
 class BlowupField:
     """Vector field on a blow-up chart; coefficients are sums of
     rational-exponent monomials with symbolic weight-zero coefficients."""

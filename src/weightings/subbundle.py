@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Mapping, Sequence
@@ -79,7 +78,8 @@ from .fields import (PolyVectorField, _apply_expr_field, lie_bracket,
                      vf_for_weights)
 from .jets import JetPoly, JetPoint, Label
 from .weights import (WeightSequence, _check_names, _exponent_walk,
-                      exponents_below, weight_sequence, weighted_degree)
+                      exponents_below, record, weight_sequence,
+                      weighted_degree)
 
 FLAG_INVALID = "FLAG_INVALID"
 LAMBDA_INVARIANCE = "LAMBDA_INVARIANCE"
@@ -91,8 +91,10 @@ class FlagError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class GraphSubbundle:
+    """Graph subbundle: constrained slots as JetPolys in the free slots."""
+
     vars: tuple[str, ...]
     order: int
     constraints: tuple[tuple[Label, JetPoly], ...]
@@ -238,8 +240,10 @@ def quotient_to_normal(Q: GraphSubbundle, u: JetPoint) -> tuple[Fraction, ...]:
     return tuple(u.slot(a, weights[a]) for a in range(Q.n))
 
 
-@dataclass
+@record(frozen=False)
 class WeightingVerdict:
+    """Outcome of check_weighting: the weights, or a reason and a witness."""
+
     accepted: bool
     weights: WeightSequence | None = None
     reason: str | None = None
@@ -399,7 +403,7 @@ def _filtration_verdict(Q: GraphSubbundle,
 # ---------------------------------------------------------------------------
 # frames, differential operators, adapted coordinates
 
-@dataclass(frozen=True)
+@record
 class Frame:
     """Local frame with declared tangency levels, over the chart of W.
 
@@ -581,7 +585,7 @@ def _frame_bracket(fr: Frame, a: int, b: int) -> tuple[tuple[int, Expr], ...]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class DiffOpStandardForm:
     """Normal-ordered differential operator sum_s f_s V^s over a frame."""
 
@@ -690,7 +694,7 @@ def coefficient_q_weight(D: DiffOpStandardForm, W: WeightSequence) -> int:
     return int(min(best, 0))
 
 
-@dataclass(frozen=True)
+@record
 class AdaptedChange:
     """Result of the adapted-coordinates recursion."""
 

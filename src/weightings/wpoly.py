@@ -31,23 +31,26 @@ a few products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import expr as ex
 from .expr import Expr, ZERO, ONE
-from .weights import WeightSequence, weighted_degree
+from .weights import WeightSequence, record, weighted_degree
 
 
-@dataclass(frozen=True)
+@record
 class WeightedPoly:
+    """sum_s c_s(z) x^s over the designated variables pvars."""
+
     pvars: tuple[str, ...]
     terms: tuple[tuple[tuple[int, ...], Expr], ...]
 
-    def __post_init__(self):
-        for s, c in self.terms:
-            if len(s) != len(self.pvars):
+    def __init__(self, pvars, terms):
+        object.__setattr__(self, "pvars", pvars)
+        object.__setattr__(self, "terms", terms)
+        for s, c in terms:
+            if len(s) != len(pvars):
                 raise ValueError("exponent length does not match variables")
 
     def coefficient(self, exponents: tuple[int, ...]) -> Expr:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from weightings import wpoly as wp
+from weightings import cli, wpoly as wp
 from weightings.cli import _build_parser, main, parse_invocation
 from weightings.expr import parse_expr
 
@@ -502,10 +502,15 @@ _OPTION_TABLE = {
 }
 
 
+def _subcommands(parser):
+    """Subcommand name -> subparser of a parser from _build_parser."""
+    choices, = (action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+    return choices
+
+
 def test_option_table_of_every_subcommand():
-    parser = _build_parser()
-    subcommands, = (action.choices for action in parser._actions
-                    if isinstance(action, argparse._SubParsersAction))
+    subcommands = _subcommands(_build_parser())
     assert list(subcommands) == list(_OPTION_TABLE)
     for name, sub in subcommands.items():
         options = [(a.option_strings[0], a.type, a.default, a.choices, a.help)
@@ -698,3 +703,58 @@ def test_the_single_map_entry_names_itself_when_it_fails_to_parse(
 def test_vf_lift_refuses_a_non_polynomial_coefficient(coeffs, err, capsys):
     assert run(["vf-lift", "--vars", "t,x", "--coeffs", coeffs, "--level", "1",
                 "--order", "2"], capsys) == (1, "", f"error: {err}\n")
+
+
+# ---------------------------------------------------------------------------
+# a named subcommand builds its own subparser only
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv), which --help exits."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _parser_calls(monkeypatch, build):
+    """Route cli._build_parser(only) to build(only), recording each only."""
+    calls = []
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda only=None: calls.append(only) or build(only))
+    return calls
+
+
+@pytest.mark.parametrize("name", list(_OPTION_TABLE))
+def test_a_named_subcommand_reads_as_with_every_parser(name, capsys,
+                                                       monkeypatch):
+    assert list(_subcommands(_build_parser(name))) == [name]
+    argv = _SUCCESS_INVOCATIONS[name]
+    calls = _parser_calls(monkeypatch, _build_parser)
+    cmd = parse_invocation(argv)
+    assert calls == [name]
+    full = _build_parser().parse_args(argv)
+    assert (cmd.name, cmd.options) == (name, vars(full))
+    int_options = [option for option, kind, *_ in _OPTION_TABLE[name]
+                   if kind is int]
+    cases = [[name, "--help"], _USAGE_INVOCATIONS[name], [name, "--bogus"],
+             *([name, option, "x"] for option in int_options[:1])]
+    on_demand = [_outcome(argv, capsys) for argv in cases]
+    assert all(code == 2 for code, _out, _err in on_demand[1:])
+    _parser_calls(monkeypatch, lambda only: _build_parser())
+    assert [_outcome(argv, capsys) for argv in cases] == on_demand
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--help"], ["-h", "wdeg"]],
+                         ids=["bare", "unknown", "help", "help-first"])
+def test_without_a_named_subcommand_every_subparser_is_built(argv, capsys,
+                                                             monkeypatch):
+    calls = _parser_calls(monkeypatch, _build_parser)
+    code, out, err = _outcome(argv, capsys)
+    assert calls == [None]
+    if not argv:
+        assert (code, out, err) == (
+            2, "", "usage error: a command is required\n")
+    else:  # help lists every subcommand, and so does an invalid choice
+        assert all(name in out + err for name in _OPTION_TABLE)

@@ -1,0 +1,260 @@
+"""The record contract: every record class behaves as its dataclass twin.
+
+``weights.record`` installs methods compiled with the package in place of
+those ``dataclass`` compiles with ``exec``.  Each record class is compared,
+on instances the library builds, with a twin that
+``dataclasses.make_dataclass`` builds from the same fields and flags.
+"""
+
+import copy
+import dataclasses
+import inspect
+import json
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+from weightings import cli
+from weightings import expr as ex
+from weightings import fields as fl
+from weightings import jets as jt
+from weightings import spaces as sp
+from weightings import subbundle as sb
+from weightings import weights as wt
+from weightings import wpoly as wp
+from weightings.expr import ONE, ZERO, parse_expr
+
+MODULES = (wt, ex, wp, fl, jt, sp, sb)
+RECORDS = [cls for module in MODULES for cls in vars(module).values()
+           if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+           and cls.__module__ == module.__name__]
+MUTABLE = {sb.WeightingVerdict}
+PER_CLASS = 12
+
+
+def _slotted(cls):
+    return issubclass(cls, ex.Expr)
+
+
+@cache
+def _twin(cls):
+    spec = [(f.name, f.type, dataclasses.field(default=f.default))
+            for f in dataclasses.fields(cls)]
+    return dataclasses.make_dataclass(cls.__name__, spec,
+                                      frozen=cls not in MUTABLE,
+                                      slots=_slotted(cls))
+
+
+def _values(obj):
+    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+
+
+def _fixture_graph(name):
+    path = Path(__file__).resolve().parent.parent / "fixtures" / name
+    return cli._graph_from_sections(cli.parse_problem_file(path.read_text()))
+
+
+def _library_outputs():
+    W = wt.weight_sequence({"t": 0, "x": 1, "y": 2}, 3)
+    W2 = wt.weight_sequence({"x": 1, "y": 2}, 2)
+    f = parse_expr("sin(t)*x^2 + (1 + t)^-1*y - 3/2*x*y^2 + exp(x)")
+    p = wp.poly_normal_form(parse_expr("t*x^2 + y - x*y"), W.positive_vars)
+    X = fl.vf_for_weights(W, [ZERO, parse_expr("x"), parse_expr("(t^2 + 1)*x^2")])
+    X2 = fl.vf_for_weights(W2, [parse_expr("x"), parse_expr("2*y + x^2")])
+    u = jt.jet_point(["x", "y"], [[1, Fraction(1, 2), 3], [2, 0, -1]])
+    x1 = jt.jetpoly({(((0, 1), 2),): Fraction(1)})
+    Q = sb.graph_subbundle(["x", "y"], 2, {(0, 0): jt.JP_ZERO,
+                                           (1, 0): jt.JP_ZERO,
+                                           (1, 1): jt.JP_ZERO, (1, 2): x1})
+    fr = sb.frame(W2, [[ONE, ZERO], [ZERO, ONE]])
+    return [
+        W, W2, wt.parse_multiweight("x=(1,0),y=(0,1)"), f, p, X,
+        fl.d_poly(p, W.positive_vars), fl.nilpotent_frames(W2),
+        jt.jet_lift(parse_expr("x^2*y + 1/3*y"), 1, 2, ["x", "y"]), u,
+        jt.evaluate_jet(parse_expr("x*y + 2"), u), jt.vf_lift(X, 1, 3),
+        jt.reparam([1, 2]),
+        sp.coordinate_change(W2, W2, [parse_expr("x"), parse_expr("y + x^2")]),
+        sp.def_interpolant(parse_expr("sin(t)*x^2 + x*y"), 2, W), sp.theta_field(W),
+        sp.scaling_order_estimate(parse_expr("x^2 + y"), W2),
+        sp.blowup_lift_vf(X2, W2, sp.blowup_chart(W2, "y", "-")),
+        Q, sb.check_weighting(Q),
+        sb.check_weighting(_fixture_graph("antisymmetric_relation.prob")),
+        sb.normal_order(fr, [1, 0, 1]),
+        sb.adapted_coordinates(fr, [parse_expr("x"), parse_expr("y + x^2")]),
+    ]
+
+
+def _walk(value, found):
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        found.setdefault(type(value), []).append(value)
+        value = _values(value)
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            _walk(item, found)
+
+
+@cache
+def _instances():
+    """Record class -> up to PER_CLASS distinct instances the library built."""
+    found = {}
+    _walk(_library_outputs(), found)
+    out = {}
+    for cls, objs in found.items():
+        distinct = []
+        for obj in objs:
+            if len(distinct) < PER_CLASS and all(obj is not d and obj != d
+                                                 for d in distinct):
+                distinct.append(obj)
+        out[cls] = distinct
+    return out
+
+
+def test_the_library_builds_every_record_class():
+    assert len(RECORDS) == 28
+    assert set(_instances()) == set(RECORDS)
+
+
+def test_every_record_method_is_compiled_with_the_package():
+    package = str(Path(wt.__file__).parent)
+    for cls in RECORDS:
+        for name in ("__init__", "__eq__", "__hash__", "__repr__",
+                     "__setattr__", "__delattr__"):
+            method = getattr(cls, name)
+            code = getattr(method, "__code__", None)
+            assert code is None or code.co_filename.startswith(package), \
+                (cls, name)
+        # with no docstring, dataclass writes one through inspect.signature
+        assert cls.__doc__ and not cls.__doc__.startswith(cls.__name__ + "(")
+
+
+_COUNT_GENERATED = """\
+import dataclasses, json
+calls = []
+if hasattr(dataclasses, "_create_fn"):
+    create = dataclasses._create_fn
+    dataclasses._create_fn = lambda *a, **k: calls.append(a[0]) or create(*a, **k)
+else:
+    add = dataclasses._FuncBuilder.add_fn
+    dataclasses._FuncBuilder.add_fn = (
+        lambda self, *a, **k: calls.append(a[0]) or add(self, *a, **k))
+import weightings.cli, weightings.subbundle, weightings.spaces
+print(json.dumps(calls))
+"""
+
+
+def test_importing_the_library_generates_no_dataclass_method():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", _COUNT_GENERATED],
+                            capture_output=True, text=True, env=env,
+                            timeout=60, check=True)
+    assert json.loads(result.stdout) == []
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_a_record_reads_as_its_dataclass_twin(cls):
+    twin = _twin(cls)
+    assert inspect.signature(cls) == inspect.signature(twin)
+    own_repr = cls.__repr__.__qualname__.startswith(cls.__qualname__ + ".")
+    objs = _instances()[cls]
+    twins = [twin(*_values(obj)) for obj in objs]
+    for obj, double in zip(objs, twins):
+        names = [f.name for f in dataclasses.fields(cls)]
+        for again in (cls(*_values(obj)),
+                      cls(**dict(zip(names, _values(obj)))),
+                      pickle.loads(pickle.dumps(obj)), copy.copy(obj),
+                      copy.deepcopy(obj)):
+            assert type(again) is cls and _values(again) == _values(obj)
+            assert again == obj and repr(again) == repr(obj)
+        if not own_repr:
+            assert repr(obj) == repr(double)
+        assert (obj == double) is False and (obj != double) is True
+        if cls in MUTABLE:
+            assert cls.__hash__ is None is twin.__hash__
+        else:
+            assert hash(obj) == hash(double)
+    for a, da in zip(objs, twins):
+        for b, db in zip(objs, twins):
+            assert (a == b, a != b) == (da == db, da != db)
+
+
+def test_keyword_and_default_construction():
+    chart = sp.blowup_chart(wt.weight_sequence({"x": 1, "y": 2}), "y")
+    plus = sp.RationalMonomialMap(chart.source, chart.target, chart.components)
+    assert plus == chart and plus.sign == "+"
+    minus = sp.RationalMonomialMap(components=chart.components, sign="-",
+                                   target=chart.target, source=chart.source)
+    assert minus.sign == "-" and minus != plus
+    verdict = sb.WeightingVerdict(True)
+    assert (verdict.weights, verdict.reason, verdict.witness,
+            verdict.details) == (None, None, None, None)
+    assert sb.WeightingVerdict(accepted=False, reason="R") == \
+        sb.WeightingVerdict(False, None, "R")
+    assert wt.WeightSequence(order=2, weights=(1, 2), vars=("x", "y")) == \
+        wt.weight_sequence({"x": 1, "y": 2})
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_a_missing_or_unknown_argument_is_a_type_error(cls):
+    values = _values(_instances()[cls][0])
+    first = dataclasses.fields(cls)[0].name
+    required = sum(f.default is dataclasses.MISSING
+                   for f in dataclasses.fields(cls))
+    for args, kwargs in (((), {}), (values[:required - 1], {}),
+                         (values, {"bogus": 1}),
+                         ((*values, values[-1]), {}),
+                         (values, {first: values[0]})):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: wt.WeightSequence((), (), 1), "at least one variable"),
+    (lambda: wt.WeightSequence(("x", "y"), (2, 1), 2), "nondecreasing"),
+    (lambda: wt.MultiWeight(("x", "y"), ((1,), (1, 0))), "one dimension"),
+    (lambda: wp.WeightedPoly(("x",), (((1, 2), ONE),)), "exponent length"),
+    (lambda: fl.PolyVectorField(("x", "y"), ()), "one coefficient"),
+    (lambda: fl.DifferentialFormPoly(("x", "y"), 2, (((1, 0), None),)),
+     "strictly increasing"),
+    (lambda: jt.JetPoint(("x",), ((1, 2), (3, 4))), "one slot vector"),
+    (lambda: sp.CoordinateChange(wt.weight_sequence({"x": 1}),
+                                 wt.weight_sequence({"x": 1}), ()),
+     "one component"),
+    (lambda: sb.Frame(wt.weight_sequence({"x": 1}), ()), "one field"),
+], ids=["empty", "decreasing", "dimensions", "wpoly", "field", "form",
+        "jet-point", "change", "frame"])
+def test_post_init_checks_still_raise(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("cls", [cls for cls in RECORDS if cls not in MUTABLE],
+                         ids=lambda cls: cls.__name__)
+def test_a_frozen_record_refuses_assignment_and_deletion(cls):
+    obj = _instances()[cls][0]
+    for name in (dataclasses.fields(cls)[0].name, "foo"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+    assert _values(obj) == _values(copy.copy(obj))
+
+
+def test_a_verdict_stays_mutable_and_unhashable():
+    verdict = sb.WeightingVerdict(True)
+    verdict.reason = "R"
+    del verdict.witness
+    verdict.witness = "w"
+    assert (verdict.reason, verdict.witness) == ("R", "w")
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(verdict)

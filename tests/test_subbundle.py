@@ -401,17 +401,18 @@ def test_accepted_graphs_never_run_lambda_invariance(monkeypatch, capsys):
     assert capsys.readouterr().out == "accepted: weights x1=1,x2=3,x3=4\n"
 
 
-def _random_shear(rng):
+def _random_shear(rng, chain=False):
     """Weights W and shears G of coordinates u_a = x_a - G_a, triangular by
     weight: each G_a is a polynomial of weighted degree at most w_a in
-    unsheared variables of smaller positive weight, so x_b = u_b in G_a."""
+    variables of smaller positive weight, unsheared ones only (x_b = u_b in
+    G_a) unless chain."""
     weights = sorted(rng.randint(0, 4) for _ in range(rng.randint(2, 4)))
     W = weight_sequence([(f"x{a + 1}", w) for a, w in enumerate(weights)],
                         max(1, weights[-1]) + rng.randint(0, 1))
     shears = [ZERO] * W.n
     for a, wa in enumerate(weights):
-        lower = [b for b in range(a)
-                 if 0 < weights[b] < wa and shears[b] == ZERO]
+        lower = [b for b in range(a) if 0 < weights[b] < wa
+                 and (chain or shears[b] == ZERO)]
         if not lower or rng.random() < 0.2:
             continue
         terms = []
@@ -424,32 +425,60 @@ def _random_shear(rng):
     return W, shears
 
 
+def _shear_draws(rng, chain, count):
+    """count draws of _random_shear; with chain, only those in which a
+    shear reads a sheared variable."""
+    while count:
+        W, shears = _random_shear(rng, chain)
+        sheared = {W.vars[b] for b, G in enumerate(shears) if G != ZERO}
+        if not chain or any(ex.variables(G) & sheared for G in shears):
+            count -= 1
+            yield W, shears
+
+
 def _graph_of_shear(W, shears):
-    """The subbundle u_a^(j) = 0 (j < w_a), solved for the x-slots."""
-    standard = standard_q(W)
-    return graph_subbundle(W.vars, W.order, {
-        (a, j): substitute_graph(standard,
-                                 jt.jet_lift(shears[a], j, W.order, W.vars))
-        for a in range(W.n) for j in range(W.weights[a])})
+    """The subbundle u_a^(j) = 0 (j < w_a), solved for the x-slots in weight
+    order: x_a^(j) = G_a^(j) with the x_b-slots solved before it put in."""
+    constraints = {}
+    for a in range(W.n):
+        for j in range(W.weights[a]):
+            constraints[(a, j)] = jt.jp_substitute(
+                jt.jet_lift(shears[a], j, W.order, W.vars), constraints)
+    return graph_subbundle(W.vars, W.order, constraints)
 
 
-def test_generating_frame_of_a_shear_spans_its_graph():
+def _dx_du(W, shears):
+    """[c][a] -> dx_c/du_a of the inverse of u = x - G, a polynomial in x.
+
+    From x_c = u_c + G_c(x), dx_c/du_a = delta_ca + sum_b (dG_c/dx_b)
+    dx_b/du_a over the x_b of lower weight that G_c reads, so row c needs
+    only the rows before it.
+    """
+    rows = []
+    for c, G in enumerate(shears):
+        rows.append([ex.add(ONE if c == a else ZERO,
+                            *[ex.mul(ex.differentiate(G, W.vars[b]),
+                                     rows[b][a]) for b in range(c)])
+                     for a in range(W.n)])
+    return rows
+
+
+@pytest.mark.parametrize("chain, seed", [(False, 41), (True, 43)],
+                         ids=["plain", "chain"])
+def test_generating_frame_of_a_shear_spans_its_graph(chain, seed):
     # The spanning condition holds by the dimension count once the
     # coordinate corrections are found: d/du_a, the generating frame, is
     # tangent at level w_a to every accepted shear graph.
-    rng = random.Random(41)
     sheared = plain_fails = 0
-    for _ in range(100):
-        W, shears = _random_shear(rng)
+    for W, shears in _shear_draws(random.Random(seed), chain, 100):
         Q = _graph_of_shear(W, shears)
         verdict = check_weighting(Q)
         assert verdict.accepted and verdict.weights == W, (W, shears)
         sheared += Q != standard_q(W)
+        dx_du = _dx_du(W, shears)
         for a, name in enumerate(W.vars):
-            # d/du_a = d_a + sum_c (dG_c/dx_a) d_c
-            coeffs = [ex.add(ONE if c == a else ZERO,
-                             ex.differentiate(shears[c], name))
-                      for c in range(W.n)]
+            # d/du_a = sum_c (dx_c/du_a) d_c
+            coeffs = [dx_du[c][a] for c in range(W.n)]
             assert k_membership(Q, vf_for_weights(W, coeffs), W.weights[a]), \
                 (W, shears, name)
             plain_fails += not k_membership(Q, coordinate_field(W, name),
