@@ -88,7 +88,7 @@ def parse_invocation(argv: Sequence[str]) -> Command:
 # problem files
 
 _SECTIONS = ("weights", "map", "graph", "frame", "coords")
-_SLOT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\.(\d+)")
+_SLOT_RE = r"([A-Za-z_][A-Za-z0-9_]*)\.(\d+)"
 
 
 def parse_problem_file(text: str) -> dict[str, dict]:
@@ -150,7 +150,7 @@ def _parse_slot_poly(text: str, names: Sequence[str]):
     from . import expr as ex
     from . import jets as jt
     from . import wpoly as wp
-    mangled = _SLOT_RE.sub(lambda m: f"{m.group(1)}__L{m.group(2)}", text)
+    mangled = re.sub(_SLOT_RE, lambda m: f"{m.group(1)}__L{m.group(2)}", text)
     try:
         tree = ex.parse_expr(mangled)
         slot_vars = sorted(ex.variables(tree))

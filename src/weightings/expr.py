@@ -49,16 +49,15 @@ fold.
 from __future__ import annotations
 
 import math
-import random
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
 
 from .weights import record
 
 FUNCTIONS = ("sin", "cos", "exp")
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 
 class ParseError(ValueError):
@@ -114,11 +113,12 @@ class Expr:
 def _node(cls):
     """Frozen, slotted record whose hash is computed once per instance.
 
-    The cached value is the hash of the field tuple, so dict and set order
-    are those of an uncached node.  Pickled state holds the fields only,
-    never ``_h``, which depends on the process's string-hash seed.  Every
-    attribute assignment or deletion raises FrozenInstanceError.  Nodes are
-    built in every kernel loop, so each writes its own ``__init__``.
+    ``record`` makes the fields slots beside ``Expr``'s ``_h``, which caches
+    the hash of the field tuple, so dict and set order are those of an
+    uncached node.  Pickled state holds the fields only, never ``_h``, which
+    depends on the process's string-hash seed.  Every attribute assignment
+    or deletion raises ``dataclasses.FrozenInstanceError``, imported then.
+    Nodes are built in every kernel loop, so each writes its own ``__init__``.
     """
     cls = record(cls, slots=True)
     field_hash = cls.__hash__
@@ -571,6 +571,7 @@ def semantically_equal(e1: Expr, e2: Expr, samples: int = 8,
     """
     if e1 == e2:
         return True
+    import random
     rng = random.Random(seed)
     names = sorted(variables(e1) | variables(e2))
     usable = 0
@@ -669,14 +670,15 @@ def to_text(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()]))")
+_TOKEN_RE = r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()]))"
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     pos = 0
+    match = re.compile(_TOKEN_RE).match
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = match(text, pos)
         if m is None:
             stripped = text[pos:].lstrip()
             if not stripped:

@@ -9,8 +9,8 @@ use the standard coordinate formulas.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import expr as ex
 from . import wpoly as wp

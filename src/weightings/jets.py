@@ -38,11 +38,11 @@ coefficient a non-zero Fraction, so equal polynomials compare equal.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
 from math import lcm, log2
 from operator import itemgetter
-from typing import Mapping, Sequence
 
 from . import expr as ex
 from .expr import Expr
@@ -764,7 +764,7 @@ def jet_point_text(u: JetPoint) -> str:
 
 # A decimal exponent k makes Fraction build 10^|k|, about 3.33 |k| bits,
 # before any other check: bound it by the constant limit of expr.
-_DECIMAL_EXPONENT_RE = re.compile(r"[eE]\s*([-+]?[0-9_]+)\s*$")
+_DECIMAL_EXPONENT_RE = r"[eE]\s*([-+]?[0-9_]+)\s*$"
 
 # Highest power e^j that parse_reparametrization accepts: a term e^j
 # allocates j coefficients.
@@ -774,7 +774,7 @@ MAX_REPARAM_ORDER = 1000
 def _parse_fraction(text: str) -> Fraction:
     """Fraction(text), refusing a decimal exponent above the constant limit
     and reporting a zero denominator as a ValueError."""
-    m = _DECIMAL_EXPONENT_RE.search(text)
+    m = re.search(_DECIMAL_EXPONENT_RE, text)
     if m and abs(int(m.group(1))) * log2(10) > ex.MAX_CONSTANT_BITS:
         raise ValueError(f"decimal exponent {m.group(1)} exceeds the limit "
                          f"MAX_CONSTANT_BITS = {ex.MAX_CONSTANT_BITS}")
@@ -804,8 +804,7 @@ def parse_jet_point(text: str) -> JetPoint:
     return jet_point(names, rows)
 
 
-_PSI_TERM_RE = re.compile(
-    r"^\s*([+-]?[0-9/]*)\s*\*?\s*e(?:\^(\d+))?\s*$")
+_PSI_TERM_RE = r"^\s*([+-]?[0-9/]*)\s*\*?\s*e(?:\^(\d+))?\s*$"
 
 
 def parse_reparametrization(text: str, order: int | None = None) -> Reparametrization:
@@ -813,10 +812,11 @@ def parse_reparametrization(text: str, order: int | None = None) -> Reparametriz
     body = text.split("=", 1)[1] if "=" in text else text
     body = body.replace(" ", "").replace("-", "+-")
     coeffs: dict[int, Fraction] = {}
+    match = re.compile(_PSI_TERM_RE).match
     for chunk in body.split("+"):
         if not chunk.strip():
             continue
-        m = _PSI_TERM_RE.match(chunk)
+        m = match(chunk)
         if m is None:
             raise ValueError(f"malformed reparametrization term {chunk.strip()!r}")
         raw, power = m.groups()

@@ -25,9 +25,8 @@ t^(s.w - w_v) that the extension carries.
 from __future__ import annotations
 
 import math
-import random
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from . import expr as ex
 from . import wpoly as wp
@@ -248,6 +247,7 @@ def scaling_order_estimate(f: Expr, W: WeightSequence,
         t_grid = [2.0 ** (-k) for k in range(4, 13)]
     if len(set(t_grid)) < 2:
         raise ValueError("t_grid needs at least two distinct values")
+    import random
     rng = random.Random(seed)
 
     def random_point() -> tuple[Fraction, ...]:

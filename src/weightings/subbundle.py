@@ -66,9 +66,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Mapping, Sequence
 
 from . import expr as ex
 from . import jets as jt

@@ -6,21 +6,32 @@ nondecreasing weight (stable within equal weights, so user input order is
 preserved and output is deterministic).
 
 Every record class of the package is declared with ``record``, here since
-``weights`` imports no other module.  ``dataclass`` compiles each method it
-makes with ``exec``: 159 calls, about 20 of the 30 ms a CLI process took to
-import the library (Python 3.11, 2 vCPUs).  ``record`` takes only the field
-bookkeeping from ``dataclass`` (``fields``, ``is_dataclass``, ``replace``
-and ``__match_args__`` work) and installs methods compiled with this module.
+``weights`` imports no other module.  ``record`` makes the class that
+``dataclass`` makes without importing ``dataclasses``, whose import (with
+``inspect``) took about 10 of the 20-29 ms a CLI process spent importing
+the library (Python 3.11, 2 vCPUs): what ``dataclasses`` and ``inspect``
+read of a record is built on its first lookup.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
-from inspect import Parameter, Signature
+from collections.abc import Mapping, Sequence
 from operator import attrgetter
-from typing import Mapping, Sequence
+
+
+class _OnFirstLookup:
+    """Class attribute ``name``: its first lookup stores on the class every
+    attribute ``make()`` returns, ``name`` among them."""
+
+    def __init__(self, name, make):
+        self.name, self.make = name, make
+
+    def __get__(self, obj, owner):
+        for name, value in self.make().items():
+            setattr(owner, name, value)
+        return getattr(owner, self.name)
 
 
 def record(cls=None, *, frozen=True, slots=False):
@@ -31,21 +42,36 @@ def record(cls=None, *, frozen=True, slots=False):
     """
     if cls is None:
         return lambda cls: record(cls, frozen=frozen, slots=slots)
-    cls = dataclass(init=False, repr=False, eq=False, slots=slots)(cls)
-    names = tuple(f.name for f in fields(cls))
-    defaults = {f.name: f.default for f in fields(cls)
-                if f.default is not MISSING}
-    cls.__signature__ = Signature(
-        [Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
-                   default=defaults.get(f.name, Parameter.empty))
-         for f in fields(cls)], return_annotation=None)
+    annotations, missing = cls.__annotations__, object()
+    names = tuple(annotations)  # the fields
+    defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+    if slots:  # a new class, as dataclass makes it
+        body = {key: value for key, value in vars(cls).items()
+                if key not in (*names, "__dict__", "__weakref__")}
+        cls = type(cls)(cls.__name__, cls.__bases__, {
+            **body, "__slots__": names, "__qualname__": cls.__qualname__})
     get, one = attrgetter(*names), len(names) == 1
+
+    def view():  # what dataclasses and inspect read, from a dataclass twin
+        from dataclasses import dataclass
+        from inspect import Parameter, Signature
+        twin = dataclass(init=False, repr=False, eq=False, frozen=frozen,
+                         slots=slots)(type(cls.__name__, (), {
+                             "__module__": cls.__module__,
+                             "__annotations__": annotations, **defaults}))
+        return {"__dataclass_fields__": twin.__dataclass_fields__,
+                "__dataclass_params__": twin.__dataclass_params__,
+                "__signature__": Signature(
+                    [Parameter(name, Parameter.POSITIONAL_OR_KEYWORD,
+                               annotation=annotations[name],
+                               default=defaults.get(name, Parameter.empty))
+                     for name in names], return_annotation=None)}
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(names):
-            args += tuple(kwargs.pop(name, defaults.get(name, MISSING))
+            args += tuple(kwargs.pop(name, defaults.get(name, missing))
                           for name in names[len(args):])
-            if kwargs or len(args) > len(names) or MISSING in args:
+            if kwargs or len(args) > len(names) or missing in args:
                 raise TypeError(f"arguments of {cls.__name__}() do not match "
                                 f"its fields {', '.join(names)}")
         for name, value in zip(names, args):
@@ -67,10 +93,15 @@ def record(cls=None, *, frozen=True, slots=False):
         return (f"{self.__class__.__qualname__}("
                 + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)) + ")")
 
+    def __replace__(self, /, **changes):
+        return self.__class__(**{n: getattr(self, n) for n in names} | changes)
+
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __setstate__(self, state):
@@ -78,9 +109,13 @@ def record(cls=None, *, frozen=True, slots=False):
             object.__setattr__(self, name, value)
 
     post_init = getattr(cls, "__post_init__", None)
+    cls.__match_args__ = names
+    for name in ("__dataclass_fields__", "__dataclass_params__",
+                 "__signature__"):
+        setattr(cls, name, _OnFirstLookup(name, view))
     if "__init__" not in cls.__dict__:
         cls.__init__ = __init__
-    cls.__eq__ = __eq__
+    cls.__eq__, cls.__replace__ = __eq__, __replace__
     cls.__hash__ = __hash__ if frozen else None
     if "__repr__" not in cls.__dict__:
         cls.__repr__ = __repr__
@@ -179,7 +214,7 @@ def weight_sequence(assignments, order: int | None = None) -> WeightSequence:
                           tuple(int(w) for _, w in pairs), int(order))
 
 
-_ASSIGN_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\d+)\s*$")
+_ASSIGN_RE = r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\d+)\s*$"
 
 
 def _check_names(names: Sequence[str]) -> None:
@@ -192,9 +227,9 @@ def _check_names(names: Sequence[str]) -> None:
 
 def parse_weight_assignments(text: str) -> list[tuple[str, int]]:
     """Parse "x=1,y=2,z=3" into ordered (name, weight) pairs."""
-    pairs = []
+    pairs, match = [], re.compile(_ASSIGN_RE).match
     for chunk in text.split(","):
-        m = _ASSIGN_RE.match(chunk)
+        m = match(chunk)
         if m is None:
             raise ValueError(f"malformed weight assignment {chunk.strip()!r}")
         pairs.append((m.group(1), int(m.group(2))))
@@ -297,14 +332,14 @@ class MultiWeight:
         return self.weights[self.vars.index(name)]
 
 
-_MULTI_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*\(([0-9,\s]*)\)\s*$")
+_MULTI_RE = r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*\(([0-9,\s]*)\)\s*$"
 
 
 def parse_multiweight(text: str) -> MultiWeight:
     """Parse "x=(1,0),y=(0,1)" into a MultiWeight."""
-    names, vectors = [], []
+    names, vectors, match = [], [], re.compile(_MULTI_RE).match
     for chunk in re.split(r",(?![^()]*\))", text):
-        m = _MULTI_RE.match(chunk)
+        m = match(chunk)
         if m is None:
             raise ValueError(f"malformed multi-weight assignment {chunk.strip()!r}")
         names.append(m.group(1))

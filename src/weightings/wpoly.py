@@ -31,8 +31,8 @@ a few products.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from . import expr as ex
 from .expr import Expr, ZERO, ONE

@@ -275,17 +275,20 @@ def _child_env():
 
 _LOADED_BY_MAIN = """\
 import contextlib, io, json, sys
+before = set(sys.modules)
 from weightings import cli
 with contextlib.redirect_stdout(io.StringIO()), \\
         contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.startswith("weightings."))]))
+print(json.dumps([code, sorted(
+    m for m in sys.modules if m.startswith("weightings.")
+    or (m in ("dataclasses", "inspect") and m not in before))]))
 """
 
 
 def _loaded_by_main(argv):
-    """(exit code, weightings.* modules loaded) of main(argv) in a child."""
+    """(exit code, modules loaded) of main(argv) in a child: the weightings
+    modules, and dataclasses and inspect when main loaded them."""
     result = subprocess.run([sys.executable, "-c", _LOADED_BY_MAIN, *argv],
                             capture_output=True, text=True, env=_child_env(),
                             cwd=FIXTURES.parent, timeout=60, check=True)
@@ -304,6 +307,18 @@ def test_cli_loads_only_what_the_subcommand_runs():
                                     "fixtures/transition_sin_exp.prob"])
     assert code == 0 and "spaces" in loaded
     assert not loaded & {"jets", "subbundle"}
+
+
+def test_no_subcommand_loads_dataclasses_or_inspect():
+    golden = Path(__file__).resolve().parent / "golden" / "cli.json"
+    first = {}
+    for case in json.loads(golden.read_text()):
+        first.setdefault(case["argv"][0], case)
+    assert set(first) == set(cli._COMMANDS)
+    for case in first.values():
+        code, loaded = _loaded_by_main(case["argv"])
+        assert code == case["code"]
+        assert not loaded & {"dataclasses", "inspect"}, case["argv"]
 
 
 def test_closed_stdout_ends_in_one_error_line():

@@ -1,8 +1,9 @@
 """The record contract: every record class behaves as its dataclass twin.
 
 ``weights.record`` installs methods compiled with the package in place of
-those ``dataclass`` compiles with ``exec``.  Each record class is compared,
-on instances the library builds, with a twin that
+those ``dataclass`` compiles with ``exec``, and builds what ``dataclasses``
+and ``inspect`` read of a record on its first lookup.  Each record class is
+compared, on instances the library builds, with a twin that
 ``dataclasses.make_dataclass`` builds from the same fields and flags.
 """
 
@@ -126,7 +127,7 @@ def test_every_record_method_is_compiled_with_the_package():
     package = str(Path(wt.__file__).parent)
     for cls in RECORDS:
         for name in ("__init__", "__eq__", "__hash__", "__repr__",
-                     "__setattr__", "__delattr__"):
+                     "__replace__", "__setattr__", "__delattr__"):
             method = getattr(cls, name)
             code = getattr(method, "__code__", None)
             assert code is None or code.co_filename.startswith(package), \
@@ -135,30 +136,121 @@ def test_every_record_method_is_compiled_with_the_package():
         assert cls.__doc__ and not cls.__doc__.startswith(cls.__name__ + "(")
 
 
-_COUNT_GENERATED = """\
-import dataclasses, json
-calls = []
-if hasattr(dataclasses, "_create_fn"):
-    create = dataclasses._create_fn
-    dataclasses._create_fn = lambda *a, **k: calls.append(a[0]) or create(*a, **k)
-else:
-    add = dataclasses._FuncBuilder.add_fn
-    dataclasses._FuncBuilder.add_fn = (
-        lambda self, *a, **k: calls.append(a[0]) or add(self, *a, **k))
+_FIRST_LOOKUP = """\
+import sys
 import weightings.cli, weightings.subbundle, weightings.spaces
-print(json.dumps(calls))
+import weightings.fields, weightings.jets, weightings.wpoly
+import copy, pickle
+records = pickle.loads(sys.stdin.buffer.read())
+assert not {"dataclasses", "inspect"} & set(sys.modules), "imported"
+for cls, *_ in records:
+    assert not isinstance(vars(cls)["__dataclass_fields__"], dict), cls
+    assert not hasattr(vars(cls)["__signature__"], "parameters"), cls
+
+
+def refusals(objs):
+    found = []
+    for obj in objs:
+        for change in (lambda: setattr(obj, obj.__match_args__[0], None),
+                       lambda: delattr(obj, "foo")):
+            try:
+                change()
+            except AttributeError as err:  # FrozenInstanceError is one
+                found.append(type(err))
+    return found
+
+
+first = sys.argv[1]
+refused = {cls: refusals(objs) for cls, _, frozen, _, objs in records
+           if frozen and first == "frozen"}
+import dataclasses, inspect
+
+
+def values(obj):
+    return tuple(getattr(obj, name) for name in obj.__match_args__)
+
+
+def field(f):
+    return (f.name, f.type, f.default, f.default_factory, f.init, f.repr,
+            f.hash, f.compare, dict(f.metadata), f.kw_only, f._field_type)
+
+
+def check(kind, cls, twin, objs, doubles):
+    if kind == "is_dataclass":
+        assert all(map(dataclasses.is_dataclass, objs))
+    elif kind == "fields":
+        assert ([*map(field, dataclasses.fields(cls))]
+                == [*map(field, dataclasses.fields(twin))])
+    elif kind == "params":
+        for flag in ("frozen", "slots"):
+            assert (getattr(cls.__dataclass_params__, flag, None)
+                    == getattr(twin.__dataclass_params__, flag, None))
+    elif kind == "signature":
+        assert inspect.signature(cls) == inspect.signature(twin)
+    elif kind == "asdict":
+        assert ([*map(dataclasses.asdict, objs)]
+                == [*map(dataclasses.asdict, doubles)])
+    elif kind in ("replace", "copy.replace"):
+        replace = getattr(dataclasses if kind == "replace" else copy,
+                          "replace", None)
+        for obj, double in zip(objs, doubles) if replace else ():
+            rest = {name: getattr(obj, name) for name in obj.__match_args__[1:]}
+            again = replace(obj, **rest)
+            assert type(again) is cls and again == obj and again is not obj
+            assert values(again) == values(replace(double, **rest))
+    elif kind == "frozen" and twin.__dataclass_params__.frozen:
+        got = refused.pop(cls, None) or refusals(objs)
+        assert got == [dataclasses.FrozenInstanceError] * (2 * len(objs))
+
+
+twins = []
+for cls, spec, frozen, slotted, objs in records:
+    twin = dataclasses.make_dataclass(
+        cls.__name__, [(name, kind, dataclasses.field(default=default[0]))
+                       if default else (name, kind)
+                       for name, kind, *default in spec],
+        frozen=frozen, slots=slotted)
+    twins.append((cls, twin, slotted, objs,
+                  [twin(*values(obj)) for obj in objs]))
+for kind in [first, *sys.argv[2:]]:
+    for cls, twin, _, objs, doubles in twins:
+        try:
+            check(kind, cls, twin, objs, doubles)
+        except AssertionError:
+            raise AssertionError(f"{kind} of {cls.__qualname__}")
+for cls, twin, _, objs, _ in (twin for twin in twins if twin[2]):
+    assert getattr(sys.modules[cls.__module__], cls.__qualname__) is cls
+    assert cls.__slots__ == twin.__slots__ == cls.__match_args__, cls
+    for obj in objs:
+        assert not hasattr(obj, "__dict__"), cls
+        for again in (pickle.loads(pickle.dumps(obj)), copy.copy(obj),
+                      copy.deepcopy(obj)):
+            assert type(again) is cls and values(again) == values(obj), cls
+print("ok")
 """
+FIRST_LOOKUPS = ("is_dataclass", "fields", "params", "replace", "asdict",
+                 "signature", "copy.replace", "frozen")
 
 
-def test_importing_the_library_generates_no_dataclass_method():
+def test_a_fresh_process_builds_the_dataclass_view_on_first_lookup():
+    """The library loads neither dataclasses nor inspect; whichever lookup
+    comes first, each record class then reads as its dataclass twin."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-c", _COUNT_GENERATED],
-                            capture_output=True, text=True, env=env,
-                            timeout=60, check=True)
-    assert json.loads(result.stdout) == []
+    payload = pickle.dumps([
+        (cls, [(f.name, f.type) + ((f.default,) if f.default
+                                    is not dataclasses.MISSING else ())
+               for f in dataclasses.fields(cls)],
+         cls not in MUTABLE, _slotted(cls), _instances()[cls])
+        for cls in RECORDS])
+    for first in FIRST_LOOKUPS:
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", _FIRST_LOOKUP, first, *FIRST_LOOKUPS],
+            input=payload, capture_output=True, env=env, timeout=60)
+        assert (result.returncode, result.stdout) == (0, b"ok\n"), \
+            (first, result.stderr.decode()[-2000:])
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
