@@ -7,13 +7,17 @@ with --json.  Exit codes: 0 success, 1 domain error (including a rejected
 weighting check), 2 usage error.
 
 One command table, ``_COMMANDS``, gives each subcommand its handler, help and
-option keys in ``_OPTIONS``; the parser and ``execute`` both read it.  --help
+option keys in ``_OPTIONS``; the parser and ``execute`` both read it.  A
+process enters through ``run()``, which freezes the heap after ``main()`` so
+that the collection at interpreter exit, milliseconds of a short run, skips
+it; ``main()``, the in-process API, leaves the collector alone.  --help
 shows this docstring up to this paragraph.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import re
 import sys
@@ -568,5 +572,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     return code
 
 
+def run() -> int:
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

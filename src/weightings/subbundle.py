@@ -294,11 +294,12 @@ def _solve_exact(rows: list[list[Fraction]],
 def _reconstructed_dimension(Q: GraphSubbundle) -> int:
     """Dimension of the standard graph built from induced coordinate degrees:
     x_a has induced degree the first level at which its graph row, the
-    lifts of x_a on the graph, is not zero."""
+    lifts of x_a on the graph, is not zero: a free slot, or a constrained
+    one with a non-zero right-hand side."""
     r = Q.order
-    top = max((j for (_a, j), _g in Q.constraints), default=0)
-    induced = [next((j for j, g in enumerate(row) if not g.is_zero), r + 1)
-               for row in _graph_rows(Q, min(top + 1, r))]
+    cmap = Q.constraint_map()
+    induced = [next((j for j in range(r + 1) if (a, j) not in cmap
+                     or not cmap[a, j].is_zero), r + 1) for a in range(Q.n)]
     return Q.n * (r + 1) - sum(induced)
 
 

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -333,6 +334,42 @@ def test_closed_stdout_ends_in_one_error_line():
     err = child.stderr.read()
     assert child.wait(timeout=60) == 1
     assert err == b"error: output closed by the reader\n"
+
+
+_FROZEN_AT_EXIT = """\
+import atexit, gc, runpy, sys
+start = gc.get_freeze_count()
+atexit.register(lambda: sys.stderr.write(str(gc.get_freeze_count() - start)))
+runpy.run_module("weightings.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gens", "--weights", "x=1,y=2", "--degree", "3"],
+    ["check-q", "--file", "fixtures/antisymmetric_relation.prob"],
+    ["wdeg", "--nope"],
+    ["gens", "--help"],
+], ids=["exit-0", "exit-1", "exit-2", "help"])
+def test_a_process_exits_with_its_heap_frozen(argv, capsys, monkeypatch):
+    # as `python -m weightings.cli`, with an atexit probe of the objects it
+    # froze (3.12 starts with some frozen)
+    result = subprocess.run([sys.executable, "-c", _FROZEN_AT_EXIT, *argv],
+                            capture_output=True, text=True, env=_child_env(),
+                            cwd=FIXTURES.parent, timeout=60)
+    err, newline, frozen = result.stderr.rpartition("\n")
+    assert int(frozen) > 0
+    monkeypatch.chdir(FIXTURES.parent)
+    before = gc.get_freeze_count()
+    in_process = _outcome(argv, capsys)
+    assert gc.get_freeze_count() == before
+    assert (result.returncode, result.stdout, err + newline) == in_process
+
+
+def test_the_weightings_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = FIXTURES.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"weightings": "weightings.cli:run"}
 
 
 @pytest.mark.parametrize("argv, printed", [
