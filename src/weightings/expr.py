@@ -315,10 +315,19 @@ def add(*terms) -> Expr:
 
 
 def mul(*factors) -> Expr:
-    """Canonical product of expressions."""
-    if len(factors) == 2 and type(factors[0]) is type(factors[1]) is Const:
-        v = factors[0].value * factors[1].value
-        return Const(v) if v else ZERO
+    """Canonical product of expressions.
+
+    A constant q times one canonical node c*e (c its leading coefficient, 1
+    if it has none) is (q*c)*e, found without flattening or sorting.
+    """
+    if len(factors) == 2:
+        q, e = factors if type(factors[0]) is Const else factors[::-1]
+        if type(q) is Const and isinstance(e, Expr):
+            coeff, core = _split_coeff(e)
+            coeff *= q.value
+            if not coeff:
+                return ZERO
+            return Const(coeff) if core is None else _with_coeff(coeff, core)
     flat: list[Expr] = []
     for f in factors:
         f = as_expr(f)

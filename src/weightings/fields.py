@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from operator import add
 
 from . import expr as ex
 from . import wpoly as wp
@@ -96,9 +97,9 @@ def vf_apply(X: PolyVectorField, p: WeightedPoly) -> WeightedPoly:
 
 
 def _apply_expr_field(pairs, f: Expr) -> Expr:
-    """The one Expr field applier: c * df/dv summed over (v, c), c != 0."""
-    return ex.add(*[ex.mul(c, ex.differentiate(f, v))
-                    for v, c in pairs if c != ZERO])
+    """The one Expr field applier: non-zero c * df/dv summed over (v, c)."""
+    return ex.add(*[ex.mul(c, d) for v, c in pairs
+                    if c != ZERO and (d := ex.differentiate(f, v)) != ZERO])
 
 
 def lie_bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorField:
@@ -267,7 +268,9 @@ def nilpotent_frames(W: WeightSequence) -> GradedLieAlgebra:
     positions = [pvars.index(v) if v in pvars else None for v in W.vars]
 
     def lowered(s, u, pos):
-        return tuple(x + y - (k == pos) for k, (x, y) in enumerate(zip(s, u)))
+        m = list(map(add, s, u))
+        m[pos] -= 1
+        return tuple(m)
 
     brackets = []
     for i, (s, a) in enumerate(labels):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Mapping, Sequence
-from operator import attrgetter
+from operator import attrgetter, mul
 
 
 class _OnFirstLookup:
@@ -115,7 +115,9 @@ def record(cls=None, *, frozen=True, slots=False):
         setattr(cls, name, _OnFirstLookup(name, view))
     if "__init__" not in cls.__dict__:
         cls.__init__ = __init__
-    cls.__eq__, cls.__replace__ = __eq__, __replace__
+    if "__eq__" not in cls.__dict__:
+        cls.__eq__ = __eq__
+    cls.__replace__ = __replace__
     cls.__hash__ = __hash__ if frozen else None
     if "__repr__" not in cls.__dict__:
         cls.__repr__ = __repr__
@@ -237,7 +239,7 @@ def parse_weight_assignments(text: str) -> list[tuple[str, int]]:
 
 
 def weighted_degree(exponents: Sequence[int], weights: Sequence[int]) -> int:
-    return sum(s * w for s, w in zip(exponents, weights))
+    return sum(map(mul, exponents, weights))
 
 
 def exponents_below(weights: Sequence[int],

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from operator import add
 
 from . import expr as ex
 from .expr import Expr, ZERO, ONE
@@ -248,7 +249,7 @@ def _product(a, b, w=None, bound=None) -> dict:
         room = 0 if bound is None else bound - weighted_degree(s, w)
         for u, d, deg in b:
             if deg <= room:
-                key = tuple(x + y for x, y in zip(s, u))
+                key = tuple(map(add, s, u))
                 cd = ex.mul(c, d)
                 acc[key] = ex.add(acc[key], cd) if key in acc else cd
     return _nonzero(acc)

@@ -52,7 +52,11 @@ was, and both are compared on generated inputs:
   product from {zero: ONE}): the walk ``_expand``, the field applier
   ``_apply_field`` and ``blowup_lift_vf``, whose sums were keyed by
   ``_exps``; and the fold of two ``Const``s in ``add`` and ``mul`` against
-  the general path.
+  the general path;
+* ``mul`` of a constant and one node, which rescales the node's leading
+  coefficient, against the general path; and the Expr field applier, which
+  drops zero derivatives before it multiplies, against the comprehension
+  that multiplied every one.
 """
 
 from __future__ import annotations
@@ -72,7 +76,8 @@ from weightings import spaces as sp
 from weightings import subbundle as sb
 from weightings import wpoly as wp
 from weightings.expr import ONE, ZERO
-from weightings.fields import (lie_bracket, nilpotent_frames, vf_for_weights,
+from weightings.fields import (_apply_expr_field, lie_bracket,
+                               nilpotent_frames, vf_for_weights,
                                vf_filtration_degree)
 from weightings.weights import (exponents_below, weight_sequence,
                                 weighted_degree)
@@ -1867,3 +1872,60 @@ def test_two_constants_fold_to_the_node_of_the_general_path():
             assert (fold is ZERO) == (general is ZERO) == (fold.value == 0)
             zeros += fold is ZERO
     assert zeros >= 150
+
+
+def _node_of_each_class(rng) -> dict:
+    """Generated canonical nodes by class; a Prod with a leading constant is
+    "Prod*", one without it "Prod"."""
+    names = ("x", "y", "z")
+    nodes: dict = {}
+    while min(map(len, nodes.values()), default=0) < 40 or len(nodes) < 7:
+        e = rand_expr(rng, names)
+        kind = type(e).__name__
+        if kind == "Prod" and type(e.factors[0]) is ex.Const:
+            kind = "Prod*"
+        nodes.setdefault(kind, []).append(e)
+    return nodes
+
+
+def test_a_constant_times_a_node_is_the_node_of_the_general_path():
+    rng = random.Random(2505)
+    nodes = _node_of_each_class(rng)
+    assert set(nodes) == {"Const", "Var", "Sum", "Prod", "Prod*", "Pow", "App"}
+    cancelled = 0
+    for kind, es in nodes.items():
+        for e in es:
+            lead = ex._split_coeff(e)[0]
+            for q in (ZERO, ONE, ex.const(rand_rational(rng)),
+                      ex.const(1 / lead) if lead else ONE):
+                general = ex.mul(q, e, ONE)
+                for fast in (ex.mul(q, e), ex.mul(e, q)):
+                    assert type(fast) is type(general)
+                    assert fast == general and hash(fast) == hash(general)
+                    assert repr(fast) == repr(general)
+                    assert (fast is ZERO) == (general is ZERO)
+                cancelled += kind == "Prod*" and q.value * lead == 1
+    assert cancelled >= 10
+
+
+def _reference_apply_expr_field(pairs, f):
+    """The Expr field applier as it was: every derivative multiplied."""
+    return ex.add(*[ex.mul(c, ex.differentiate(f, v))
+                    for v, c in pairs if c != ZERO])
+
+
+def test_the_expr_field_applier_matches_the_comprehension_it_replaced():
+    rng = random.Random(2506)
+    names = ("x", "y", "z", "w")
+    constant = 0
+    for _ in range(600):
+        pairs = [(v, ZERO if rng.random() < 0.25 else rand_expr(rng, names))
+                 for v in rng.sample(names, rng.randint(1, 3))]
+        # half the time f lies in variables the field does not touch
+        unused = [v for v in names if v not in dict(pairs)] or ["u"]
+        f = rand_expr(rng, unused if rng.random() < 0.5 else names)
+        got = _apply_expr_field(pairs, f)
+        expected = _reference_apply_expr_field(pairs, f)
+        assert got == expected and repr(got) == repr(expected)
+        constant += all(ex.differentiate(f, v) == ZERO for v, _c in pairs)
+    assert constant >= 200

@@ -350,3 +350,25 @@ def test_a_verdict_stays_mutable_and_unhashable():
     assert (verdict.reason, verdict.witness) == ("R", "w")
     with pytest.raises(TypeError, match="unhashable"):
         hash(verdict)
+
+
+@pytest.mark.parametrize("slots", [False, True], ids=["plain", "slotted"])
+def test_an_eq_in_the_class_body_is_kept_as_dataclass_keeps_it(slots):
+    def body(decorate):
+        @decorate
+        class Mod10:
+            """Equal when the last digits agree."""
+
+            n: int
+
+            def __eq__(self, other):
+                return type(other) is type(self) and self.n % 10 == other.n % 10
+
+        return Mod10
+
+    ours = body(wt.record(slots=slots))
+    twin = body(dataclasses.dataclass(frozen=True, slots=slots))
+    for cls in (ours, twin):
+        assert cls(1) == cls(11) and not cls(1) != cls(11)
+        assert cls(1) != cls(2)
+        assert hash(cls(1)) == hash((1,)) != hash(cls(11))
