@@ -34,7 +34,7 @@ its right-hand side, the lift x_a^(k) restricted to the graph, so a
 polynomial evaluated on the rows gives its lifts on the graph.  The series
 of u_a = x_a - sum_s c_s u^s is kept, and so is that of each candidate u^s,
 as u^(s - e_c) times u_c; a residual is one level of u_a.  One pass by
-(level, variable) suffices.  A candidate at level j has s.w = j, so it reads
+level suffices.  A candidate at level j has s.w = j, so it reads
 only u_b with 0 < w_b <= j, whose constraints all sit below j and are
 already cleared: a cached u^s stays valid.  Such a u^s has filtration
 degree at least j, so its correction clears level j of u_a and moves no
@@ -46,12 +46,13 @@ earlier level differs by a function of at least the same filtration
 degree, and the systems are linear with rational data, so if a real
 solution exists, a rational one does.
 
-The rows of each linear system, one per packed slot monomial, come in no
-fixed order: the solution with the free columns at 0 depends on the column
-order alone, as a column is a pivot exactly when it is independent of the
-columns before it.  ``check_weighting`` reads the rows up to the highest
-constrained level top, or top + 1 to find a row's first non-zero level:
-the slots above top are free, so a high order costs nothing.
+Each level solves one integer system: a row per packed slot monomial, a
+column per candidate u^s, and each non-zero residual of the level as a
+right-hand side (a residual changes only through its own correction).
+``_eliminate`` reduces it fraction-free (Bareiss); in any row order the
+solution with the free columns at 0 is the same, as a column is a pivot
+exactly when it is independent of the columns before it.  N4 reads rows
+up to the highest constrained level top: the slots above top are free.
 
 Failures carry machine-readable reason codes and a concrete witness.
 
@@ -125,6 +126,8 @@ def graph_subbundle(vars: Sequence[str], order: int,
     vars = tuple(vars)
     n = len(vars)
     _check_names(vars)
+    if order < 0:
+        raise ValueError(f"order {order} is negative")
     labels = set(constraints)
     for (a, j), g in constraints.items():
         if not (0 <= a < n and 0 <= j <= order):
@@ -259,36 +262,26 @@ class WeightingVerdict:
         return text
 
 
-def _solve_exact(rows: list[list[Fraction]],
-                 rhs: list[Fraction]) -> list[Fraction] | None:
-    """One exact solution of A x = b, or None when inconsistent."""
-    m = len(rows)
-    cols = len(rows[0]) if rows else 0
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, m) if aug[r][col] != 0), None)
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[int, list[int]]:
+    """Fraction-free Gauss-Jordan on the first ncols columns, in place.
+
+    Row i < len(pivots) ends with the common pivot d at column pivots[i] and
+    0 at the other pivot columns; the rows after them are 0 there.  Each
+    step divides by the previous pivot, exactly (Bareiss)."""
+    d, pivots = 1, []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        scale = aug[rank][col]
-        aug[rank] = [v / scale for v in aug[rank]]
-        for r in range(m):
-            if r != rank and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[rank])]
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top, p = rows[rank], rows[rank][col]
+        rows[:] = [row if row is top else
+                   [(p * v - row[col] * t) // d for v, t in zip(row, top)]
+                   for row in rows]
+        d = p
         pivots.append(col)
-        rank += 1
-        if rank == m:
-            break
-    for r in range(rank, m):
-        if aug[r][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][cols]
-    return x
+    return d, pivots
 
 
 def _reconstructed_dimension(Q: GraphSubbundle) -> int:
@@ -367,36 +360,38 @@ def _filtration_verdict(Q: GraphSubbundle,
 
     weight0 = sum(fields.mask << off for (b, _k), off in fields.offsets.items()
                   if weights[b] == 0)
-    for (a, j), _g in ordered:
-        levels, den = u[a]
-        residual = {m: v for m, v in levels[j].items() if v}
-        if not residual:
+    for j, group in itertools.groupby(ordered, key=lambda item: item[0][1]):
+        residuals = {a: residual for (a, _j), _g in group
+                     if (residual := {m: v for m, v in u[a][0][j].items() if v})}
+        if not residuals:
             continue
         candidates = [s for s, total in _exponent_walk(weights, j + 1)
                       if total == j]
         columns = [monomial(s)[0] for s in candidates]
-        # A c = b, column s the numerators of u^s at level j and b those
-        # of the residual: u[a] - sum_s c_s u^s over den clears level j
-        keys = residual.keys() | {m for col in columns for m in col[j]}
-        matrix = [[Fraction(col[j].get(m, 0)) for col in columns]
+        # A c = b for each residual b, column s the numerators of u^s at
+        # level j: c = row[k] / d on the pivots, 0 on the free columns, and
+        # u[a] - sum_s c_s u^s over den clears level j
+        keys = {m for col in columns for m in col[j]}.union(*residuals.values())
+        matrix = [[col[j].get(m, 0) for col in columns]
+                  + [residual.get(m, 0) for residual in residuals.values()]
                   for m in keys]
-        solution = _solve_exact(matrix, [Fraction(residual.get(m, 0))
-                                         for m in keys])
-        if solution is None:
-            if any(m & weight0 for m in residual):
+        d, pivots = _eliminate(matrix, len(columns))
+        for k, (a, residual) in enumerate(residuals.items(), len(columns)):
+            if any(row[k] for row in matrix[len(pivots):]):
+                if any(m & weight0 for m in residual):
+                    return WeightingVerdict(
+                        False, reason=UNDECIDED,
+                        witness=(f"constraint at {Q.vars[a]}.{j} depends on "
+                                 f"weight-0 slots beyond the rational ansatz"))
                 return WeightingVerdict(
-                    False, reason=UNDECIDED,
-                    witness=(f"constraint at {Q.vars[a]}.{j} depends on "
-                             f"weight-0 slots beyond the rational ansatz"))
-            return WeightingVerdict(
-                False, reason=FILTRATION_MISMATCH,
-                witness=f"witness {Q.vars[a]} level {j}",
-                details={"reconstructed_dim": _reconstructed_dimension(Q),
-                         "graph_dim": Q.dim})
-        u[a] = jt._series_sum([u[a]] + [
-            ([{m: -c.numerator * v for m, v in level.items()}
-              for level in col], den * c.denominator)
-            for c, col in zip(solution, columns) if c], top)
+                    False, reason=FILTRATION_MISMATCH,
+                    witness=f"witness {Q.vars[a]} level {j}",
+                    details={"reconstructed_dim": _reconstructed_dimension(Q),
+                             "graph_dim": Q.dim})
+            u[a] = jt._series_sum([u[a]] + [
+                ([{m: -row[k] * v for m, v in level.items()}
+                  for level in columns[p]], u[a][1] * d)
+                for row, p in zip(matrix, pivots) if row[k]], top)
     return WeightingVerdict(True, weights=weight_sequence(
         list(zip(Q.vars, weights)), Q.order))
 
@@ -755,6 +750,10 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
     y_exprs = tuple(ex.as_expr(y) for y in y_exprs)
     y_names = (tuple(f"y{a + 1}" for a in range(n)) if y_names is None
                else tuple(y_names))
+    for what, given in (("initial coordinates", y_exprs),
+                        ("coordinate names", y_names)):
+        if len(given) != n:
+            raise ValueError(f"expected {n} {what}, got {len(given)}")
     _check_names(y_names)
     symbols = set(W.zero_vars).union(*map(ex.variables, y_exprs + tuple(
         c for f in fr.fields for p in f.coeffs for _, c in p.terms)))

@@ -451,6 +451,29 @@ def test_adapt_refuses_a_pole_on_the_base(tmp_path, capsys):
                "analytic in the positive-weight variables\n")
 
 
+@pytest.mark.parametrize("coords, err", [
+    # one coordinate for two variables ended in an IndexError traceback
+    ("y1 = x1\n", "error: expected 2 initial coordinates, got 1\n"),
+    # a third coordinate for two variables was dropped
+    ("y1 = x1\ny2 = x2 + x1^2\ny3 = x1\n",
+     "error: expected 2 initial coordinates, got 3\n"),
+], ids=["too-few", "too-many"])
+def test_adapt_refuses_a_coordinate_count_other_than_the_variables(
+        coords, err, tmp_path, capsys):
+    path = tmp_path / "count.prob"
+    path.write_text("[weights]\nx1 = 1\nx2 = 3\n\n[frame]\nV1 = 1, 0\n"
+                    "V2 = 0, 1\n\n[coords]\n" + coords)
+    assert run(["adapt", "--file", str(path)], capsys) == (1, "", err)
+
+
+def test_check_q_refuses_a_negative_order(tmp_path, capsys):
+    # it was judged FLAG_INVALID: variable 'x' has every slot constrained
+    path = tmp_path / "negative.prob"
+    path.write_text("[graph]\nvars = x\norder = -1\n")
+    assert run(["check-q", "--file", str(path)], capsys) == (
+        1, "", "error: order -1 is negative\n")
+
+
 def test_nu_trans_refuses_a_symbol_named_like_a_graded_coordinate(
         tmp_path, capsys):
     path = tmp_path / "clash.prob"

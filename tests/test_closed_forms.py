@@ -21,6 +21,12 @@ was, and both are compared on generated inputs:
   corrected coordinate kept as a running series), against Expr corrections
   lifted by ``jet_lift`` and restricted by ``substitute_graph``: the same
   accepted flag, reason, witness, details and weights;
+* the level's one fraction-free integer elimination ``_eliminate``, with
+  every residual of the level as a right-hand side, against the
+  Gauss-Jordan ``_solve_exact`` on Fractions it replaced, run once per
+  right-hand side: the same consistency and the same solution with the free
+  columns at 0, on generated systems with dependent columns, zero rows and
+  inconsistent right-hand sides;
 * series of a function on the graph rows, level by level, and
   ``induced_filtration_degree``, against lift-then-substitute;
 * the one blow-up chart builder against the two chart loops it replaced,
@@ -627,6 +633,91 @@ def test_frame_words_on_the_base_match_the_expr_word_path():
 # ---------------------------------------------------------------------------
 # N4 on the graph rows
 
+def _solve_exact(rows: list[list[Fraction]],
+                 rhs: list[Fraction]) -> list[Fraction] | None:
+    """One exact solution of A x = b, or None when inconsistent."""
+    m = len(rows)
+    cols = len(rows[0]) if rows else 0
+    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
+    pivots = []
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, m) if aug[r][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        scale = aug[rank][col]
+        aug[rank] = [v / scale for v in aug[rank]]
+        for r in range(m):
+            if r != rank and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == m:
+            break
+    for r in range(rank, m):
+        if aug[r][cols] != 0:
+            return None
+    x = [Fraction(0)] * cols
+    for r, col in enumerate(pivots):
+        x[col] = aug[r][cols]
+    return x
+
+
+def _random_level_system(rng):
+    """An integer m x ncols matrix of rank at most r, as B C, with some rows
+    zeroed, and right-hand sides: A x for a random x, or random."""
+    m, ncols = rng.randint(1, 7), rng.randint(0, 6)
+    r = rng.randint(0, min(m, ncols))
+    B = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(m)]
+    C = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(r)]
+    A = [[sum(b * C[i][c] for i, b in enumerate(row)) for c in range(ncols)]
+         for row in B]
+    for i in rng.sample(range(m), rng.randint(0, m // 2)):
+        A[i] = [0] * ncols
+    rhs = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            x = [rng.randint(-3, 3) for _ in range(ncols)]
+            rhs.append([sum(a * v for a, v in zip(row, x)) for row in A])
+        else:
+            rhs.append([rng.randint(-3, 3) for _ in range(m)])
+    return A, rhs
+
+
+def test_eliminate_matches_solve_exact_on_every_right_hand_side():
+    rng = random.Random(2601)
+    seen = {"rank_deficient": 0, "zero_row": 0, "consistent": 0,
+            "inconsistent": 0, "several": 0}
+    for k in range(3000):
+        A, rhs = _random_level_system(rng)
+        ncols = len(A[0])
+        rows = [row + [b[i] for b in rhs] for i, row in enumerate(A)]
+        d, pivots = sb._eliminate(rows, ncols)
+        rank = len(pivots)
+        for i, row in enumerate(rows):
+            assert [row[p] for p in pivots] == [
+                d * (i == q) for q in range(rank)], k
+        for i, b in enumerate(rhs):
+            expected = _solve_exact([list(map(Fraction, row)) for row in A],
+                                    list(map(Fraction, b)))
+            column = ncols + i
+            if any(row[column] for row in rows[rank:]):
+                assert expected is None, k
+                seen["inconsistent"] += 1
+                continue
+            x = [Fraction(0)] * ncols
+            for row, p in zip(rows, pivots):
+                x[p] = Fraction(row[column], d)
+            assert x == expected, k
+            seen["consistent"] += 1
+        seen["rank_deficient"] += rank < ncols
+        seen["zero_row"] += any(not any(row) for row in A)
+        seen["several"] += len(rhs) > 1
+    assert min(seen.values()) >= 500, seen
+
+
 def _reference_solve_as_lift(Q, weights, level, target):
     """Express target as (sum c_s x^s)^(level) restricted to the graph."""
     candidates = [s for s in exponents_below(weights, level + 1)
@@ -644,7 +735,7 @@ def _reference_solve_as_lift(Q, weights, level, target):
     rhs = [Fraction(0)] * len(monomials)
     for m, c in target.terms:
         rhs[index[m]] = c
-    solution = sb._solve_exact(rows, rhs)
+    solution = _solve_exact(rows, rhs)
     if solution is None:
         return None
     return ex.add(*[ex.mul(ex.const(c), wp.monomial_expr(Q.vars, s))
@@ -738,7 +829,17 @@ def _verdict_tuple(verdict):
             verdict.weights)
 
 
-def test_n4_on_the_graph_rows_matches_lift_then_substitute():
+def test_n4_on_the_graph_rows_matches_lift_then_substitute(monkeypatch):
+    # one elimination per level with a residual, and some levels solve for
+    # several residuals at once
+    residual_counts = []
+
+    def eliminate(rows, ncols):
+        residual_counts.append(len(rows[0]) - ncols)
+        return real_eliminate(rows, ncols)
+
+    real_eliminate = sb._eliminate
+    monkeypatch.setattr(sb, "_eliminate", eliminate)
     reasons = {}
     graphs = [_random_solved_graph(rng) for rng in map(random.Random,
                                                        (61, 71, 5, 9, 13))
@@ -775,6 +876,7 @@ def test_n4_on_the_graph_rows_matches_lift_then_substitute():
             assert verdict.weights.weights == tuple(weights), k
         outcomes[not weight0] += 1
     assert outcomes[True] >= 300 and outcomes[False] >= 20, outcomes
+    assert sum(k >= 2 for k in residual_counts) >= 100, residual_counts
 
 
 def _reference_induced_filtration_degree(Q, f):

@@ -78,6 +78,11 @@ def test_graph_subbundle_rejects_slots_outside_the_chart(rhs):
                                         (1, 0): jt.JP_ZERO, (1, 1): rhs})
 
 
+def test_graph_subbundle_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="^order -1 is negative$"):
+        graph_subbundle(("x",), -1, {})
+
+
 def test_graph_subbundle_rejects_duplicate_names():
     # refused at construction, so no verdict is read off a shared name
     with pytest.raises(ValueError, match="duplicate variable names"):
@@ -604,6 +609,19 @@ def test_adapted_coordinates_fixture():
     assert change.x_in_chart == (parse_expr("x1"), parse_expr("x2"))
     assert verify_adapted(change.x_in_chart, fr)
     assert not verify_adapted([parse_expr("x1"), parse_expr("x2 + x1^2")], fr)
+
+
+@pytest.mark.parametrize("y_exprs, y_names, message", [
+    (["x1"], None, "expected 2 initial coordinates, got 1"),
+    (["x1", "x2", "x1"], None, "expected 2 initial coordinates, got 3"),
+    (["x1", "x2"], ["a"], "expected 2 coordinate names, got 1"),
+    (["x1", "x2"], ["a", "b", "c"], "expected 2 coordinate names, got 3"),
+], ids=["few-coordinates", "many-coordinates", "few-names", "many-names"])
+def test_adapted_coordinates_needs_one_coordinate_and_name_per_variable(
+        y_exprs, y_names, message):
+    fr = _coordinate_frame(weight_sequence({"x1": 1, "x2": 3}, 3))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        adapted_coordinates(fr, [parse_expr(y) for y in y_exprs], y_names)
 
 
 def test_adapted_coordinates_already_adapted():
