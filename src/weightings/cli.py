@@ -133,11 +133,12 @@ def _weights_from_sections(sections, options):
     if "weights" in sections:
         body = dict(sections["weights"])
         order = body.pop("order", None)
-        pairs = [(name, int(value)) for name, value in body.items()]
+        pairs = [(name, _parse_int("weights", name, value))
+                 for name, value in body.items()]
         if not pairs:
             raise ValueError("[weights] section has no assignments")
-        order = int(order) if order is not None else options.get("order")
-        return wt.weight_sequence(pairs, order)
+        return wt.weight_sequence(pairs, options.get("order") if order is None
+                                  else _parse_int("weights", "order", order))
     raise UsageError("missing --weights (or a [weights] file section)")
 
 
@@ -193,11 +194,12 @@ def _graph_from_sections(sections):
     if "vars" not in body or "order" not in body:
         raise ValueError("[graph] needs 'vars' and 'order' keys")
     names = tuple(v.strip() for v in body.pop("vars").split(","))
-    order = int(body.pop("order"))
+    order = _parse_int("graph", "order", body.pop("order"))
     constraints: dict = {}
     for key, value in body.items():
         parts = key.split()
-        if len(parts) != 2 or parts[0] not in names or not parts[1].isdigit():
+        if (len(parts) != 2 or parts[0] not in names
+                or not parts[1].isdecimal()):
             raise ValueError(f"bad graph constraint key {key!r} "
                              f"(expected 'var level')")
         label = (names.index(parts[0]), int(parts[1]))
@@ -214,6 +216,14 @@ def _parse_entry(section: str, key: str, text: str):
         return ex.parse_expr(text)
     except ValueError as err:
         raise ValueError(f"[{section}] {key}: {err}") from None
+
+
+def _parse_int(section: str, key: str, text: str) -> int:
+    """The integer of one entry: decimal digits as --weights reads them, and
+    a minus sign the library refuses by name; the error names the entry."""
+    if not text.removeprefix("-").isdecimal():
+        raise ValueError(f"[{section}] {key}: malformed integer {text!r}")
+    return int(text)
 
 
 def _frame_from_sections(sections, W):

@@ -69,7 +69,7 @@ import itertools
 import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 
 from . import expr as ex
 from . import jets as jt
@@ -349,14 +349,9 @@ def _filtration_verdict(Q: GraphSubbundle,
     # the corrections c_s u^s found so far
     u = list(rows)
 
-    @cache
-    def monomial(s: tuple[int, ...]) -> jt.Raw:
-        """u^s on the graph through eps^top, as u^(s - e_c) times u_c."""
-        c = next((c for c, e in enumerate(s) if e), None)
-        if c is None:
-            return [{0: 1}] + [{} for _ in range(top)], 1
-        return jt._series_mul(monomial(s[:c] + (s[c] - 1,) + s[c + 1:]),
-                              u[c], top)
+    # u^s on the graph through eps^top, as u^(s - e_c) times u_c
+    monomial = _by_first_index(lambda c, _s, g: jt._series_mul(g, u[c], top),
+                               ([{0: 1}] + [{} for _ in range(top)], 1))
 
     weight0 = sum(fields.mask << off for (b, _k), off in fields.offsets.items()
                   if weights[b] == 0)
@@ -466,24 +461,31 @@ class Frame:
         return _word_applier(self)(tuple(s), f)
 
 
-def _word_applier(fr: Frame):
-    """V^s f as V_c (V^(s - e_c) f), c the first index with s_c > 0.
-
-    The returned function keeps every V^s f it computes, so words that
-    share a prefix apply it once.  It belongs to one computation; the frame
-    keeps nothing.
-    """
+def _by_first_index(step, start):
+    """s -> step(c, s, value at s - e_c), c the first index with s_c > 0,
+    and start at s = 0.  Every value is kept, so multi-indices that share a
+    prefix compute it once; the function belongs to one computation."""
     memo: dict = {}
 
+    def value(s: tuple[int, ...]):
+        if s not in memo:
+            c = next((c for c, e in enumerate(s) if e), None)
+            memo[s] = start if c is None else step(
+                c, s, value(s[:c] + (s[c] - 1,) + s[c + 1:]))
+        return memo[s]
+
+    return value
+
+
+def _word_applier(fr: Frame):
+    """V^s f as V_c (V^(s - e_c) f), c the first index with s_c > 0, with
+    one _by_first_index per f; the frame keeps nothing."""
+    words: dict = {}
+
     def apply_word(s: tuple[int, ...], f: Expr) -> Expr:
-        c = next((c for c, e in enumerate(s) if e), None)
-        if c is None:
-            return f
-        key = (s, f)
-        if key not in memo:
-            prefix = s[:c] + (s[c] - 1,) + s[c + 1:]
-            memo[key] = fr.apply(c, apply_word(prefix, f))
-        return memo[key]
+        if f not in words:
+            words[f] = _by_first_index(lambda c, _s, g: fr.apply(c, g), f)
+        return words[f](s)
 
     return apply_word
 
@@ -512,16 +514,8 @@ def _base_words(fields: list[list[tuple[str, list]]], pvars: tuple[str, ...],
     """
     ones = (1,) * len(pvars)
     zero = (0,) * len(pvars)
-    memo = {(0,) * len(fields): f}
-
-    def truncated(s: tuple[int, ...]) -> dict:
-        if s not in memo:
-            c = next(c for c, e in enumerate(s) if e)
-            g = truncated(s[:c] + (s[c] - 1,) + s[c + 1:])
-            memo[s] = wp._apply_field(fields[c], g.items(), pvars, ones,
-                                      top - sum(s))
-        return memo[s]
-
+    truncated = _by_first_index(lambda c, s, g: wp._apply_field(
+        fields[c], g.items(), pvars, ones, top - sum(s)), f)
     return lambda s: truncated(tuple(s)).get(zero, ZERO)
 
 

@@ -220,11 +220,16 @@ _ASSIGN_RE = r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\d+)\s*$"
 
 
 def _check_names(names: Sequence[str]) -> None:
-    """Refuse a chart whose variable names repeat or include an empty one."""
+    """Refuse a chart whose variable names repeat, include an empty one, or
+    include one that is not an ASCII identifier, which an expression could
+    not name."""
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names")
     if "" in names:
         raise ValueError("empty variable name")
+    for name in names:
+        if not (name.isascii() and name.isidentifier()):
+            raise ValueError(f"variable name {name!r} is not an ASCII identifier")
 
 
 def parse_weight_assignments(text: str) -> list[tuple[str, int]]:
@@ -267,7 +272,7 @@ def _exponent_walk(weights: Sequence[int], bound: int):
         total += weights[i]
 
 
-# Most heads ideal_generators walks, so also most generators it returns.
+# Most generators ideal_generators returns.
 MAX_GENERATOR_CANDIDATES = 200_000
 
 
@@ -278,31 +283,24 @@ def ideal_generators(W: WeightSequence, degree: int) -> set[tuple[int, ...]]:
     x^s is a generator when s.w >= degree and decrementing any nonzero
     exponent drops the weighted degree below the threshold.
 
-    The walk runs over the head, every variable but the last, and solves for
-    the last exponent: it is the least one that reaches degree, since with
-    one more the last variable could be decremented.  A generator with a
-    nonzero head exponent s_a has s.w - w_a < degree, and a head of zeros
-    has weighted degree 0, so every head has weighted degree below
-    degree + max(head weights).  The walk refuses to pass
-    MAX_GENERATOR_CANDIDATES heads.
+    Each generator is solved from its first variable i.  The weights are
+    nondecreasing, so the conditions read degree <= s.w < degree + w_i: the
+    tail after i has weighted degree T < degree, and s_i is
+    ceil((degree - T) / w_i).  Conversely each (i, tail) is a generator.
+    The walk refuses to return more than MAX_GENERATOR_CANDIDATES of them.
     """
     if degree < 1:
         raise ValueError("generator degree must be at least 1")
     w = W.positive_weights
-    if not w:
-        return set()
-    *head, last = w
     out: set[tuple[int, ...]] = set()
-    walk = _exponent_walk(head, degree + max(head, default=0))
-    for k, (s, total) in enumerate(walk):
-        if k == MAX_GENERATOR_CANDIDATES:
-            raise ValueError(f"degree {degree} has more candidate generators "
-                             f"than the limit MAX_GENERATOR_CANDIDATES = "
-                             f"{MAX_GENERATOR_CANDIDATES}")
-        e = max(0, -(-(degree - total) // last))
-        total += e * last
-        if all(x == 0 or total - wa < degree for x, wa in zip(s, head)):
-            out.add(s + (e,))
+    for i, wi in enumerate(w):
+        for s, total in _exponent_walk(w[i + 1:], degree):
+            if len(out) == MAX_GENERATOR_CANDIDATES:
+                raise ValueError(
+                    f"degree {degree} has more candidate generators than the "
+                    f"limit MAX_GENERATOR_CANDIDATES = "
+                    f"{MAX_GENERATOR_CANDIDATES}")
+            out.add((0,) * i + (-(-(degree - total) // wi),) + s)
     return out
 
 
@@ -341,8 +339,8 @@ def parse_multiweight(text: str) -> MultiWeight:
     """Parse "x=(1,0),y=(0,1)" into a MultiWeight."""
     names, vectors, match = [], [], re.compile(_MULTI_RE).match
     for chunk in re.split(r",(?![^()]*\))", text):
-        m = match(chunk)
-        if m is None:
+        m = match(chunk)  # and no empty entry, as in "x=()" or "x=(1,,2)"
+        if m is None or not all(c.strip() for c in m.group(2).split(",")):
             raise ValueError(f"malformed multi-weight assignment {chunk.strip()!r}")
         names.append(m.group(1))
         vectors.append(tuple(int(c) for c in m.group(2).split(",")))

@@ -604,7 +604,8 @@ def test_help_exits_0(command, capsys):
 
 
 def test_gens_of_a_high_degree_ends():
-    # The walk visits the 100001 heads x^k and solves for the exponent of y.
+    # The walk visits the 100000 tails y^k, k < 100000, after x and the
+    # empty tail after y, and solves for the exponent of the first variable.
     result = subprocess.run(
         [sys.executable, "-m", "weightings.cli", "gens", "--weights", "x=1,y=1",
          "--degree", "100000"],
@@ -617,11 +618,11 @@ def test_gens_of_a_high_degree_ends():
 
 
 @pytest.mark.parametrize("argv, err", [
-    # 501501 generators: the walk stops at its 200000th head
+    # 501501 generators: the walk stops at its 200000th generator
     (["gens", "--weights", "x=1,y=1,z=1", "--degree", "1000"],
      "error: degree 1000 has more candidate generators than the limit "
      "MAX_GENERATOR_CANDIDATES = 200000\n"),
-    # a few generators, but about 5e9 heads to walk
+    # about 5.05 million generators
     (["gens", "--weights", "x=1,y=1,z=1000", "--degree", "100000"],
      "error: degree 100000 has more candidate generators than the limit "
      "MAX_GENERATOR_CANDIDATES = 200000\n"),
@@ -833,3 +834,116 @@ def test_without_a_named_subcommand_every_subparser_is_built(argv, capsys,
             2, "", "usage error: a command is required\n")
     else:  # help lists every subcommand, and so does an invalid choice
         assert all(name in out + err for name in _OPTION_TABLE)
+
+
+# ---------------------------------------------------------------------------
+# one rule for names and numbers, wherever they come from
+
+_FRAME = "[weights]\nx1 = 1\nx2 = 3\n\n[frame]\nV1 = 1, 0\nV2 = 0, 1\n\n"
+
+
+@pytest.mark.parametrize("argv, text, err", [
+    # printed "x, 2^2"
+    (["gens", "--degree", "2"], "[weights]\nx = 1\n2 = 1\n",
+     "variable name '2' is not an ASCII identifier"),
+    # printed 0: the expression x-y reads no variable of the chart
+    (["wdeg", "--expr", "x-y"], "[weights]\nx-y = 1\n",
+     "variable name 'x-y' is not an ASCII identifier"),
+    # printed "x1 = 2"
+    (["adapt"], _FRAME + "[coords]\n2 = x1\ny2 = x2 + x1^2\n",
+     "variable name '2' is not an ASCII identifier"),
+    (["check-q"], "[graph]\nvars = x, y z\norder = 1\n",
+     "variable name 'y z' is not an ASCII identifier"),
+    (["jet-lift", "--vars", "x-y,z", "--expr", "z", "--level", "0",
+      "--order", "1"], None, "variable name 'x-y' is not an ASCII identifier"),
+    (["vf-lift", "--vars", "x,é", "--coeffs", "x;1", "--level", "0",
+      "--order", "1"], None, "variable name 'é' is not an ASCII identifier"),
+    # int() read "+1" and "1_0", which --weights refuses
+    (["gens", "--degree", "2"], "[weights]\nx = +1\n",
+     "[weights] x: malformed integer '+1'"),
+    (["gens", "--degree", "2"], "[weights]\nx = 1_0\n",
+     "[weights] x: malformed integer '1_0'"),
+    # printed "invalid literal for int() with base 10: 'a'"
+    (["gens", "--degree", "2"], "[weights]\nx = a\n",
+     "[weights] x: malformed integer 'a'"),
+    (["gens", "--degree", "2"], "[weights]\nx = 1\norder = +3\n",
+     "[weights] order: malformed integer '+3'"),
+    (["check-q"], "[graph]\nvars = x\norder = 1_0\n",
+     "[graph] order: malformed integer '1_0'"),
+    # printed "invalid literal for int() with base 10: '²'"
+    (["check-q"], "[graph]\nvars = x,y\norder = 2\ny \u00b2 = x.1\n",
+     "bad graph constraint key 'y \u00b2' (expected 'var level')"),
+    # a negative number is read, and the library refuses it by name
+    (["gens", "--degree", "2"], "[weights]\nx = -1\n",
+     "weight of 'x' must be a nonnegative integer"),
+    # both printed "invalid literal for int() with base 10: ''"
+    (["total-weight", "--multi", "x=()"], None,
+     "malformed multi-weight assignment 'x=()'"),
+    (["total-weight", "--multi", "y=(1),x=(1,,2)"], None,
+     "malformed multi-weight assignment 'x=(1,,2)'"),
+], ids=["weights-digit", "weights-minus", "coords-digit", "graph-space",
+        "vars-minus", "vars-non-ascii", "weights-plus", "weights-underscore",
+        "weights-letter", "weights-order", "graph-order", "graph-level",
+        "weights-negative",
+        "multi-empty", "multi-gap"])
+def test_names_and_numbers_follow_one_rule(argv, text, err, tmp_path, capsys):
+    if text is not None:
+        path = tmp_path / "bad.prob"
+        path.write_text(text)
+        argv = [*argv, "--file", str(path)]
+    assert run(argv, capsys) == (1, "", f"error: {err}\n")
+
+
+def test_multi_weight_entries_may_carry_spaces(capsys):
+    assert run(["total-weight", "--multi", "x=( 1 , 2 ),y=(0,1)"], capsys) == (
+        0, "y=1,x=3\n", "")
+
+
+# ---------------------------------------------------------------------------
+# the refusals of malformed sections and missing options
+
+@pytest.mark.parametrize("argv, text, code, err", [
+    (["gens", "--degree", "2"], "[weights]\norder = 2\n", 1,
+     "error: [weights] section has no assignments\n"),
+    (["check-q"], "[graph]\nvars = x\n", 1,
+     "error: [graph] needs 'vars' and 'order' keys\n"),
+    (["adapt"], "[weights]\nx1 = 1\nx2 = 3\n\n[frame]\nV1 = 1, 0\n", 1,
+     "error: [frame] is missing V2\n"),
+    (["adapt"], "[weights]\nx1 = 1\nx2 = 3\n\n[frame]\nV1 = 1\nV2 = 0, 1\n",
+     1, "error: V1 needs 2 coefficients\n"),
+    (["adapt"], _FRAME + "V3 = 1, 1\n", 1,
+     "error: [frame] has unknown keys ['V3']\n"),
+    (["nu-trans"], "[weights]\nx = 1\ny = 1\n\n[map]\nx = x\n", 1,
+     "error: [map] is missing component for 'y'\n"),
+    (["nu-trans"], "[weights]\nx = 1\ny = 1\n\n[map]\nx = x\ny = y\nz = x\n",
+     1, "error: [map] has unknown keys ['z']\n"),
+    (["check-q"], "[graph]\nvars = x,y\norder = 1\ny 1 = sin(1)*x.1\n", 1,
+     "error: non-rational coefficient 'sin(1)' in slot polynomial\n"),
+    (["adapt"], _FRAME, 2, "usage error: adapt needs a [coords] section\n"),
+    (["vf-lift", "--vars", "x,y", "--coeffs", "x", "--level", "0", "--order",
+      "1"], None, 2, "usage error: expected 2 coefficients, got 1\n"),
+    (["jet-lift", "--vars", "x,y", "--expr", "x", "--order", "1"], None, 2,
+     "usage error: jet-lift needs --level and --order\n"),
+    (["vf-lift", "--vars", "x,y", "--coeffs", "x;y", "--level", "1"], None, 2,
+     "usage error: vf-lift needs --level and --order\n"),
+], ids=["weights-empty", "graph-keys", "frame-missing", "frame-row",
+        "frame-extra", "map-missing", "map-extra", "graph-coefficient",
+        "coords-missing", "vf-coeffs", "jet-level", "vf-order"])
+def test_a_malformed_input_is_one_error_line(argv, text, code, err, tmp_path,
+                                             capsys):
+    if text is not None:
+        path = tmp_path / "bad.prob"
+        path.write_text(text)
+        argv = [*argv, "--file", str(path)]
+    assert run(argv, capsys) == (code, "", err)
+
+
+def test_gens_answers_a_degree_with_few_generators_and_many_heads(capsys):
+    # the walk over every head but z passed 200000 heads before it
+    # returned; solving from the first variable walks one tail per generator
+    code, out, err = run(["gens", "--weights", "x=1,y=1,z=100", "--degree",
+                          "1000"], capsys)
+    assert (code, err) == (0, "")
+    assert len(out.rstrip("\n").split(", ")) == 5511
+    assert out.startswith("z^10, y^100*z^9, y^200*z^8, ")
+    assert out.endswith(", x^999*y, x^1000\n")

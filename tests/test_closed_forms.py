@@ -62,7 +62,10 @@ was, and both are compared on generated inputs:
 * ``mul`` of a constant and one node, which rescales the node's leading
   coefficient, against the general path; and the Expr field applier, which
   drops zero derivatives before it multiplies, against the comprehension
-  that multiplied every one.
+  that multiplied every one;
+* ``ideal_generators``, which solves each generator from its first
+  variable and walks one tail per generator, against the walk over every
+  head but the last variable with its minimality filter.
 """
 
 from __future__ import annotations
@@ -85,8 +88,8 @@ from weightings.expr import ONE, ZERO
 from weightings.fields import (_apply_expr_field, lie_bracket,
                                nilpotent_frames, vf_for_weights,
                                vf_filtration_degree)
-from weightings.weights import (exponents_below, weight_sequence,
-                                weighted_degree)
+from weightings.weights import (exponents_below, ideal_generators,
+                                weight_sequence, weighted_degree)
 
 from conftest import (rand_expr, rand_poly_expr, rand_rational,
                       rand_weight_sequence, rand_wpoly)
@@ -2031,3 +2034,43 @@ def test_the_expr_field_applier_matches_the_comprehension_it_replaced():
         assert got == expected and repr(got) == repr(expected)
         constant += all(ex.differentiate(f, v) == ZERO for v, _c in pairs)
     assert constant >= 200
+
+
+# ---------------------------------------------------------------------------
+# ideal generators solved from their first variable
+
+def _reference_ideal_generators(W, degree):
+    """The head walk: every exponent tuple of the variables but the last,
+    below degree + max(head), with the last exponent solved and a
+    minimality filter."""
+    w = W.positive_weights
+    if not w:
+        return set()
+    *head, last = w
+    out = set()
+    for s in exponents_below(head, degree + max(head, default=0)):
+        total = weighted_degree(s, head)
+        e = max(0, -(-(degree - total) // last))
+        total += e * last
+        if all(x == 0 or total - wa < degree for x, wa in zip(s, head)):
+            out.add(s + (e,))
+    return out
+
+
+def test_ideal_generators_match_the_head_walk():
+    rng = random.Random(2701)
+    positive, largest = set(), 0
+    for _ in range(2400):
+        n = rng.randint(1, 5)
+        # weight spreads up to 40 and degrees up to 300; the head walk
+        # passes about degree^(n-1) / prod(head) heads, so the degree
+        # shrinks as the chart grows
+        weights = sorted(rng.randint(0, rng.choice((3, 9, 40)))
+                         for _ in range(n))
+        degree = rng.randint(1, (300, 300, 80, 32, 18)[n - 1])
+        W = weight_sequence([(f"x{a}", w) for a, w in enumerate(weights)])
+        expected = _reference_ideal_generators(W, degree)
+        assert ideal_generators(W, degree) == expected, (weights, degree)
+        positive.add(len(W.positive_weights))
+        largest = max(largest, len(expected))
+    assert positive == set(range(6)) and largest > 1000

@@ -14,6 +14,10 @@ already solved.
 * Vector fields: ``k_membership(Q, X, i)`` equals
   ``vf_filtration_degree(X written in u) >= -i``.
 * The graph: ``check_weighting(Q)`` accepts it with the weights of u.
+* Euler-like fields: for shears that keep the weighting (every monomial of
+  G_a of weighted degree >= w_a in the weights of x), the Euler field
+  sum_a w_a u_a d/du_a of u, written in x, passes ``euler_like_check``,
+  and adding x_a d/dx_a or d/dx_a to it fails.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ import random
 from weightings import expr as ex
 from weightings import jets as jt
 from weightings import wpoly as wp
-from weightings.fields import (vf_filtration_degree, vf_for_weights,
-                               vf_from_exprs)
+from weightings.fields import (euler_field, vf_equal, vf_filtration_degree,
+                               vf_for_weights, vf_from_exprs)
+from weightings.spaces import euler_like_check
 from weightings.subbundle import (check_weighting, graph_subbundle,
                                   induced_filtration_degree, k_membership)
 from weightings.weights import weight_sequence
@@ -133,3 +138,52 @@ def test_check_weighting_accepts_the_graph_with_the_weights_of_u():
         assert verdict.weights.weights == Wu.weights, str(Q)
         sheared += any(not g.is_zero for _, g in Q.constraints)
     assert sheared >= 500, sheared
+
+
+def _same_weighting(rng):
+    """(weights W of x, u_a as Exprs in x, x_a as Exprs in u) for u = x - G,
+    G_a a sum of monomials in the x_b, b < a, each of weighted degree at
+    least w_a, so that u is a coordinate system of the weighting of x."""
+    n = rng.randint(1, 4)
+    weights = sorted(rng.randint(1, 5) for _ in range(n))
+    xs = [f"x{a + 1}" for a in range(n)]
+    shears = []
+    for a in range(n):
+        monomials = []
+        for _ in range(rng.randint(0, 2) if a else 0):
+            factors, degree = [], 0
+            while degree < weights[a] or rng.random() < 0.2:
+                b = rng.randrange(a)
+                factors.append(ex.var(xs[b]))
+                degree += weights[b]
+            monomials.append(ex.mul(ex.const(rand_rational(rng, zero_ok=False)),
+                                    *factors))
+        shears.append(ex.add(*monomials))
+    x_in_u = {}
+    for a, G in enumerate(shears):
+        x_in_u[xs[a]] = ex.add(ex.var(f"u{a + 1}"), ex.substitute(G, x_in_u))
+    u_in_x = [ex.add(ex.var(x), ex.mul(ex.const(-1), G))
+              for x, G in zip(xs, shears)]
+    return weight_sequence(list(zip(xs, weights)), ORDER), u_in_x, x_in_u
+
+
+def test_the_euler_field_of_u_is_euler_like_and_a_perturbed_one_is_not():
+    rng = random.Random(2703)
+    sheared = 0
+    for _ in range(300):
+        W, u_in_x, x_in_u = _same_weighting(rng)
+        us = {f"u{a + 1}": u for a, u in enumerate(u_in_x)}
+        # E(x_b) = sum_a w_a u_a dx_b/du_a, written in x
+        coeffs = [ex.substitute(ex.add(*[
+            ex.mul(ex.const(w), ex.var(u), ex.differentiate(x_in_u[x], u))
+            for u, w in zip(us, W.weights)]), us) for x in W.vars]
+        E = vf_for_weights(W, coeffs)
+        assert euler_like_check(E, W), str(E)
+        a = rng.randrange(W.n)
+        for extra in (ex.var(W.vars[a]), ex.ONE):
+            perturbed = [ex.add(c, extra) if b == a else c
+                         for b, c in enumerate(coeffs)]
+            assert not euler_like_check(vf_for_weights(W, perturbed), W)
+        # a shear with a monomial above w_a moves E off the Euler field of x
+        sheared += not vf_equal(E, euler_field(W))
+    assert sheared >= 100, sheared
