@@ -45,6 +45,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag by the rule of ``_parse_int``, refused as int() is."""
+    if not text.removeprefix("-").isdecimal():
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 # option key -> add_argument keywords of --key, in the order a subcommand
 # lists its options; every subcommand takes --json after them
 _OPTIONS = {
@@ -52,13 +59,13 @@ _OPTIONS = {
     "vars": {"help": "chart variables, comma separated"},
     "expr": {"help": "expression text"},
     "coeffs": {"help": "vector field coefficients, ';' separated"},
-    "degree": {"type": int, "help": "weighted degree"},
-    "level": {"type": int, "help": "prolongation level"},
-    "order": {"type": int, "help": "truncation order r"},
+    "degree": {"type": _int_flag, "help": "weighted degree"},
+    "level": {"type": _int_flag, "help": "prolongation level"},
+    "order": {"type": _int_flag, "help": "truncation order r"},
     "file": {"help": "problem file path"},
     "center": {"help": "center variable"},
     "sign": {"default": "+", "choices": ["+", "-"]},
-    "seed": {"type": int, "default": 0},
+    "seed": {"type": _int_flag, "default": 0},
     "multi": {"help": "assignments like x=(1,0),y=(0,1)"},
 }
 

@@ -28,11 +28,15 @@ subtraction.  Sums rescale by the lcm of the denominators, products
 multiply them and accumulate in place, and powers square and multiply left
 to right.  Levels are built on demand: asked for levels lo and up, a sum
 passes lo to its terms, a product to its last product and a power to its
-last step; other operands keep all their levels.  A result is sealed into
-a JetPoly once, one Fraction per distinct numerator, so the inner loops do
-plain int arithmetic (lifts of integer polynomials stay integral).  A
-JetPoly keeps its terms sorted by monomial, each exponent positive and each
-coefficient a non-zero Fraction, so equal polynomials compare equal.
+last step; other operands keep all their levels.  A leading constant scales
+the product of the other factors, one expression's terms share each power
+node's series, and a field's applier skips slots no key holds.  A result is
+sealed into a JetPoly once, one Fraction per distinct numerator, so the
+inner loops do plain int arithmetic (lifts of integer polynomials stay
+integral); the seal peels each key from its top field, which its bit length
+names.  A JetPoly keeps its terms sorted by monomial, each exponent
+positive and each coefficient a non-zero Fraction, so equal polynomials
+compare equal.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
 from math import lcm, log2
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from . import expr as ex
 from .expr import Expr
@@ -214,13 +218,17 @@ class _Fields:
     k*width to (k+1)*width - 1 of a key, and no exponent exceeds the bound
     the width is made for, so adding keys never carries across fields."""
 
-    __slots__ = ("labels", "width", "mask", "offsets")
+    __slots__ = ("labels", "width", "mask", "offsets", "peel")
 
     def __init__(self, labels, bound: int):
         self.labels = sorted(labels)
         self.width = w = max(bound, 1).bit_length()
         self.mask = (1 << w) - 1
         self.offsets = {label: k * w for k, label in enumerate(self.labels)}
+        # peel[b]: label, offset and low mask of the field holding bit b - 1
+        self.peel = [None]
+        for label, off in self.offsets.items():
+            self.peel += [(label, off, (1 << off) - 1)] * w
 
     def raw(self, *polys: JetPoly) -> Raw:
         """The polynomials as the levels of one raw series."""
@@ -231,21 +239,21 @@ class _Fields:
                 for p in polys], den
 
     def seal(self, nums: dict[int, int], den: int) -> JetPoly:
-        """The JetPoly of numerators over den: keys unpacked lowest field
-        first, so each monomial comes out sorted by label, and one Fraction
-        per distinct numerator."""
-        w, mask, labels = self.width, self.mask, self.labels
-        fractions = {c: Fraction(c, den) for c in set(nums.values()) if c}
+        """The JetPoly of numerators over den: each key peeled from its top
+        field down and reversed, so each monomial comes out sorted by label,
+        and one Fraction per distinct numerator."""
+        peel = self.peel
+        fraction = Fraction if den == 1 else lambda c: Fraction(c, den)
+        fractions = {c: fraction(c) for c in set(nums.values()) if c}
         terms = []
         for key, c in nums.items():
             if c:
                 m = []
                 while key:
-                    k = ((key & -key).bit_length() - 1) // w
-                    off = k * w
-                    e = key >> off & mask
-                    m.append((labels[k], e))
-                    key ^= e << off
+                    label, off, low = peel[key.bit_length()]
+                    m.append((label, key >> off))
+                    key &= low
+                m.reverse()
                 terms.append((tuple(m), fractions[c]))
         terms.sort(key=itemgetter(0))
         return JetPoly(tuple(terms))
@@ -266,8 +274,9 @@ def _series_mul(a: Raw, b: Raw, r: int, lo: int = 0) -> Raw:
     out = [{} for _ in range(r + 1)]
     for i, x in enumerate(xs[:r + 1]):
         if x:
-            for j, y in enumerate(ys[:r + 1 - i]):
-                if y and i + j >= lo:
+            start = lo - i if lo > i else 0
+            for j, y in enumerate(ys[start:r + 1 - i], start):
+                if y:
                     _mul_into(out[i + j], x, y)
     return out, dx * dy
 
@@ -293,10 +302,11 @@ def _series_square(a: Raw, r: int, lo: int = 0) -> Raw:
         if x:
             if lo <= 2 * i <= r:
                 _square_into(out[2 * i], x)
-            if 2 * i < r:
+            start = lo - i if lo > 2 * i else i + 1
+            if start <= r - i:
                 twice = {m: 2 * c for m, c in x.items()}
-                for j, y in enumerate(xs[i + 1:r + 1 - i], start=i + 1):
-                    if y and i + j >= lo:
+                for j, y in enumerate(xs[start:r + 1 - i], start):
+                    if y:
                         _mul_into(out[i + j], twice, y)
     return out, d * d
 
@@ -483,6 +493,8 @@ def _generic_series(f: Expr, rows: Mapping[str, Raw], r: int,
     replaced by its series in rows: the generic jet gives the lifts of f,
     the rows of a graph give the lifts restricted to it."""
 
+    powers: dict[Expr, Raw] = {}  # the full-level series of each Pow node
+
     def rec(e: Expr, lo: int = 0) -> Raw:
         if isinstance(e, ex.Const):
             return [{0: e.value.numerator}] + [{} for _ in range(r)], \
@@ -494,13 +506,22 @@ def _generic_series(f: Expr, rows: Mapping[str, Raw], r: int,
         if isinstance(e, ex.Sum):
             return _series_sum([rec(t, lo) for t in e.terms], r, lo)
         if isinstance(e, ex.Prod):
+            c, *rest = e.factors
+            if isinstance(c, ex.Const):  # the constant scales the rest
+                levels, den = rec(ex.Prod(tuple(rest)) if rest[1:] else
+                                  rest[0], lo)
+                return [{m: c.value.numerator * v for m, v in level.items()}
+                        for level in levels], den * c.value.denominator
             *head, last = map(rec, e.factors)
             return _series_mul(reduce(lambda x, y: _series_mul(x, y, r), head),
                                last, r, lo)
         if isinstance(e, ex.Pow):
             if e.exponent < 0:
                 raise ValueError("input is not polynomial (negative power)")
-            return _series_pow(rec(e.base), e.exponent, r, lo)
+            out = powers.get(e) or _series_pow(rec(e.base), e.exponent, r, lo)
+            if not lo:
+                powers[e] = out
+            return out
         if isinstance(e, ex.App):
             raise ValueError(f"input is not polynomial ({e.fn} head)")
         raise TypeError(f"unknown expression node {e!r}")
@@ -576,8 +597,9 @@ def _apply_into(out: dict, field: list[tuple[Label, dict]], nums: dict,
                 fields: _Fields) -> dict:
     """out += field(nums), in place; the denominators multiply."""
     offsets, mask = fields.offsets, fields.mask
+    support = reduce(or_, nums, 0)  # a slot's field is 0 where no key has it
     for label, c in field:
-        if label in offsets:  # else no monomial of nums has the slot
+        if label in offsets and support >> offsets[label] & mask:
             off = offsets[label]
             one = 1 << off
             # lowering one exponent keeps distinct monomials distinct

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from weightings import cli, wpoly as wp
-from weightings.cli import _build_parser, main, parse_invocation
+from weightings.cli import _build_parser, _int_flag, main, parse_invocation
 from weightings.expr import parse_expr
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -545,9 +545,9 @@ _VARS = ("--vars", None, None, None, "chart variables, comma separated")
 _EXPR = ("--expr", None, None, None, "expression text")
 _COEFFS = ("--coeffs", None, None, None,
            "vector field coefficients, ';' separated")
-_DEGREE = ("--degree", int, None, None, "weighted degree")
-_LEVEL = ("--level", int, None, None, "prolongation level")
-_ORDER = ("--order", int, None, None, "truncation order r")
+_DEGREE = ("--degree", _int_flag, None, None, "weighted degree")
+_LEVEL = ("--level", _int_flag, None, None, "prolongation level")
+_ORDER = ("--order", _int_flag, None, None, "truncation order r")
 _FILE = ("--file", None, None, None, "problem file path")
 _JSON = ("--json", None, False, None, "JSON output")
 
@@ -569,7 +569,7 @@ _OPTION_TABLE = {
     "adapt": [_FILE, _JSON],
     "euler-like": [_WEIGHTS, _COEFFS, _ORDER, _FILE, _JSON],
     "scale-order": [_WEIGHTS, _EXPR, _ORDER, _FILE,
-                    ("--seed", int, 0, None, None), _JSON],
+                    ("--seed", _int_flag, 0, None, None), _JSON],
     "nilpotent": [_WEIGHTS, _ORDER, _FILE, _JSON],
     "total-weight": [_ORDER, _FILE,
                      ("--multi", None, None, None,
@@ -813,7 +813,7 @@ def test_a_named_subcommand_reads_as_with_every_parser(name, capsys,
     full = _build_parser().parse_args(argv)
     assert (cmd.name, cmd.options) == (name, vars(full))
     int_options = [option for option, kind, *_ in _OPTION_TABLE[name]
-                   if kind is int]
+                   if kind is _int_flag]
     cases = [[name, "--help"], _USAGE_INVOCATIONS[name], [name, "--bogus"],
              *([name, option, "x"] for option in int_options[:1])]
     on_demand = [_outcome(argv, capsys) for argv in cases]
@@ -892,6 +892,38 @@ def test_names_and_numbers_follow_one_rule(argv, text, err, tmp_path, capsys):
         path.write_text(text)
         argv = [*argv, "--file", str(path)]
     assert run(argv, capsys) == (1, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    # int() read these as 10, 3, 4, 7, 0 and 10
+    (["gens", "--weights", "x=1,y=2"], "--degree", "1_0"),
+    (["gens", "--weights", "x=1,y=2", "--degree", "4"], "--order", "+3"),
+    (["gens", "--weights", "x=1,y=2"], "--degree", " 4"),
+    (["jet-lift", "--vars", "x", "--expr", "x", "--level", "0"], "--order",
+     "7 "),
+    (["jet-lift", "--vars", "x", "--expr", "x", "--order", "1"], "--level",
+     "+0"),
+    (["scale-order", "--weights", "x=1", "--expr", "x"], "--seed", "1_0"),
+    (["gens", "--weights", "x=1,y=2"], "--degree", "a"),
+], ids=["degree-underscore", "order-plus", "degree-space", "order-space",
+        "level-plus", "seed-underscore", "degree-letter"])
+def test_integer_flags_read_digits_after_an_optional_minus(argv, option,
+                                                            value, capsys):
+    assert run([*argv, option, value], capsys) == (
+        2, "", f"usage error: argument {option}: invalid int value: "
+               f"{value!r}\n")
+
+
+def test_a_negative_integer_flag_is_refused_by_the_library(capsys):
+    assert run(["gens", "--weights", "x=1,y=2", "--degree", "-1"],
+               capsys) == (1, "", "error: generator degree must be at least "
+                                  "1\n")
+    assert run(["jet-lift", "--vars", "x", "--expr", "x", "--level", "-1",
+                "--order", "1"], capsys) == (
+        1, "", "error: lift level -1 outside 0..1\n")
+    assert run(["gens", "--weights", "x=1,y=2", "--degree", "4", "--order",
+                "-3"], capsys) == (1, "", "error: order -3 below maximum "
+                                          "weight 2\n")
 
 
 def test_multi_weight_entries_may_carry_spaces(capsys):

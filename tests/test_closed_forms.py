@@ -65,13 +65,21 @@ was, and both are compared on generated inputs:
   that multiplied every one;
 * ``ideal_generators``, which solves each generator from its first
   variable and walks one tail per generator, against the walk over every
-  head but the last variable with its minimality filter.
+  head but the last variable with its minimality filter;
+* the jet kernel's seal, which peels each key from its top field down,
+  against the unpacking from the lowest field up, and the field applier
+  ``_apply_into``, which skips a slot no key holds, against the applier
+  that differentiated by every label of the packing; and the generic
+  series, whose products scale by a leading constant and whose terms
+  share each power node's series, against the full-level reference.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -1626,7 +1634,8 @@ def _reference_generic_series(f, rows, r):
 
 
 def _reference_seal(fields, nums, den):
-    """One Fraction per term."""
+    """Keys unpacked from the lowest field up, as seal did before it peeled
+    them from the top field down, and one Fraction per term."""
     w, mask, labels = fields.width, fields.mask, fields.labels
     integral = den == 1  # Fraction(c) skips the gcd
     terms = []
@@ -1654,15 +1663,21 @@ def _levels_from(series, lo, r):
 
 def _series_tree(rng, names, depth=3):
     """A polynomial tree of rational constants, chart variables, sums,
-    products and powers with exponents 0 to 6."""
+    products and powers with exponents 0 to 6; some sums multiply each of
+    their terms by one square (x + k)^2."""
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.3:
             return ex.const(rand_rational(rng))
         return ex.var(rng.choice(names))
     kind = rng.randrange(3)
     if kind == 0:
-        return ex.add(*[_series_tree(rng, names, depth - 1)
-                        for _ in range(rng.randint(2, 3))])
+        terms = [_series_tree(rng, names, depth - 1)
+                 for _ in range(rng.randint(2, 3))]
+        if rng.random() < 0.4:  # one power node in every term
+            power = ex.pow_(ex.add(ex.var(rng.choice(names)),
+                                   ex.const(rng.randint(1, 3))), 2)
+            terms = [ex.mul(power, term) for term in terms]
+        return ex.add(*terms)
     if kind == 1:
         return ex.mul(*[_series_tree(rng, names, depth - 1)
                         for _ in range(rng.randint(2, 3))])
@@ -1690,6 +1705,7 @@ def _series_case(rng):
 def test_levels_on_demand_match_the_full_level_series():
     rng = random.Random(1901)
     nodes = {ex.Sum: 0, ex.Prod: 0, ex.Pow: 0, ex.Const: 0}
+    shapes = {"const-prod": 0, "const-var": 0, "shared-pow": 0}
     exponents = set()
     for _ in range(320):
         f, r, (fields, rows) = _series_case(rng)
@@ -1713,11 +1729,24 @@ def test_levels_on_demand_match_the_full_level_series():
         while stack:
             node = stack.pop()
             nodes[type(node)] = nodes.get(type(node), 0) + 1
+            if isinstance(node, ex.Prod) and \
+                    isinstance(node.factors[0], ex.Const):
+                shapes["const-prod"] += 1
+                shapes["const-var"] += len(node.factors) == 2 and \
+                    isinstance(node.factors[1], ex.Var)
+            if isinstance(node, ex.Sum):
+                powers = [{g for g in getattr(t, "factors", (t,))
+                           if isinstance(g, ex.Pow)} for t in node.terms]
+                shapes["shared-pow"] += bool(set.intersection(*powers))
             stack.extend(getattr(node, "terms", ()) + getattr(
                 node, "factors", ()) + ((node.base,) if isinstance(
                     node, ex.Pow) else ()))
     assert exponents == set(range(7))
     assert min(nodes[k] for k in (ex.Sum, ex.Prod, ex.Pow, ex.Const)) >= 100
+    # a leading Const scales the rest of a product, and the terms of a sum
+    # share one series per power node
+    assert shapes["const-prod"] >= 100 and shapes["const-var"] >= 30 and \
+        shapes["shared-pow"] >= 30, shapes
 
 
 def test_seal_builds_one_fraction_per_distinct_numerator():
@@ -1732,6 +1761,72 @@ def test_seal_builds_one_fraction_per_distinct_numerator():
         assert sealed == _reference_seal(fields, nums, den)
         assert len({id(c) for _, c in sealed.terms}) == \
             len({c for _, c in sealed.terms})
+
+
+def _reference_apply_into(out, field, nums, fields):
+    """out += field(nums), differentiating by every label of the packing."""
+    offsets, mask = fields.offsets, fields.mask
+    for label, c in field:
+        if label in offsets:  # else no monomial of nums has the slot
+            off = offsets[label]
+            one = 1 << off
+            dp = {m - one: v * e for m, v in nums.items()
+                  if (e := m >> off & mask)}
+            jt._mul_into(out, c, dp)
+    return out
+
+
+_PACKING_LABELS = [(a, j) for a in range(3) for j in range(4)]
+
+
+def _packed(rng, fields, labels, top):
+    """A key holding exponents 0 to top, often 0 or top, in the labels."""
+    return sum(rng.choice([0, 1, top, rng.randint(0, top)])
+               << fields.offsets[label] for label in labels)
+
+
+def test_top_down_seal_and_masked_applier_match_the_kernel_they_replaced():
+    rng = random.Random(1903)
+    seen = {"empty": 0, "at-bound": 0, "full-field": 0, "one-label": 0,
+            "den-1": 0, "den>1": 0, "absent": 0, "skipped": 0, "outside": 0}
+    for _ in range(1500):
+        labels = rng.sample(_PACKING_LABELS, rng.randint(1, 5))
+        # the bounds 1, 3, 7 and 15 fill their fields
+        bound = rng.choice([1, 2, 3, 6, 7, 10, 15])
+        fields = jt._Fields(labels, bound)
+        used = rng.sample(labels, rng.randint(1, len(labels)))
+        nums = {_packed(rng, fields, used, bound):
+                rng.choice([0, 1, -1, rng.randint(-40, 40)])
+                for _ in range(rng.randint(0, 8))}
+        den = rng.choice([1, 1, 2, 6, rng.randint(1, 30)])
+        sealed = fields.seal(nums, den)
+        assert sealed == _reference_seal(fields, nums, den), (labels, nums)
+        seen["empty"] += any(not m for m, _ in sealed.terms)
+        exponents = {e for m, _ in sealed.terms for _, e in m}
+        seen["at-bound"] += bound in exponents
+        seen["full-field"] += fields.mask in exponents
+        seen["one-label"] += len(labels) == 1 and bool(sealed.terms)
+        seen["den-1" if den == 1 else "den>1"] += 1
+        # a field of labels, some outside the packing, applied to numerators
+        # of exponents at most half the bound, so its products stay within it
+        top = bound // 2
+        nums = {_packed(rng, fields, used, top): rng.randint(-9, 9)
+                for _ in range(rng.randint(0, 6))}
+        field = [(label, {_packed(rng, fields, used, top): rng.randint(-9, 9)
+                          for _ in range(rng.randint(1, 3))})
+                 for label in rng.sample(_PACKING_LABELS, 4)]
+        out = {_packed(rng, fields, used, bound): rng.randint(-9, 9)}
+        expected = _reference_apply_into(dict(out), field, nums, fields)
+        assert jt._apply_into(out, field, nums, fields) is out
+        assert out == expected, (labels, field, nums)
+        support = functools.reduce(operator.or_, nums, 0)
+        for label, _c in field:
+            if label not in fields.offsets:
+                seen["outside"] += 1
+            elif not support >> fields.offsets[label] & fields.mask:
+                seen["skipped"] += 1
+        seen["absent"] += len(used) < len(labels)
+    assert min(seen.values()) >= 100, seen
 
 
 def _reference_lambda_invariance_witness(Q):
