@@ -87,13 +87,19 @@ def homogeneous_approx_vf(X: PolyVectorField, W: WeightSequence,
         for v, c in zip(X.vars, X.coeffs)))
 
 
+def _apply(X: PolyVectorField, p: WeightedPoly) -> dict:
+    """The term map of vf_apply(X, p)."""
+    terms = wp._values(p.terms)
+    for v, c in zip(X.vars, X.coeffs):
+        if c.terms and c.pvars != p.pvars and wp._partial(terms, p.pvars, v):
+            raise ValueError("mismatched variable splits")
+    return wp._apply_field([(v, wp._values(c.terms)) for v, c in
+                            zip(X.vars, X.coeffs)], terms, p.pvars)
+
+
 def vf_apply(X: PolyVectorField, p: WeightedPoly) -> WeightedPoly:
     """X(p); a coefficient on another split that meets a partial is refused."""
-    for v, c in zip(X.vars, X.coeffs):
-        if c.terms and c.pvars != p.pvars and wp._partial(p.terms, p.pvars, v):
-            raise ValueError("mismatched variable splits")
-    return wp.wpoly(p.pvars, wp._apply_field(
-        [(v, c.terms) for v, c in zip(X.vars, X.coeffs)], p.terms, p.pvars))
+    return wp.wpoly(p.pvars, _apply(X, p))
 
 
 def _apply_expr_field(pairs, f: Expr) -> Expr:
@@ -105,9 +111,14 @@ def _apply_expr_field(pairs, f: Expr) -> Expr:
 def lie_bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorField:
     if X.vars != Y.vars:
         raise ValueError("vector fields live on different charts")
-    coeffs = tuple(wp.wp_add(vf_apply(X, yc), wp.wp_scale(vf_apply(Y, xc), -1))
-                   for xc, yc in zip(X.coeffs, Y.coeffs))
-    return PolyVectorField(X.vars, coeffs)
+    coeffs = []
+    for xc, yc in zip(X.coeffs, Y.coeffs):
+        acc, minus = _apply(X, yc), _apply(Y, xc)
+        if xc.pvars != yc.pvars:
+            raise ValueError("mismatched variable splits")
+        wp._add_into(acc, ((s, wp._mul(ex.MINUS_ONE.value, c)) for s, c in minus.items()))
+        coeffs.append(wp.wpoly(yc.pvars, acc))
+    return PolyVectorField(X.vars, tuple(coeffs))
 
 
 def vf_equal(X: PolyVectorField, Y: PolyVectorField) -> bool:

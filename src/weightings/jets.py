@@ -225,10 +225,7 @@ class _Fields:
         self.width = w = max(bound, 1).bit_length()
         self.mask = (1 << w) - 1
         self.offsets = {label: k * w for k, label in enumerate(self.labels)}
-        # peel[b]: label, offset and low mask of the field holding bit b - 1
-        self.peel = [None]
-        for label, off in self.offsets.items():
-            self.peel += [(label, off, (1 << off) - 1)] * w
+        self.peel = None
 
     def raw(self, *polys: JetPoly) -> Raw:
         """The polynomials as the levels of one raw series."""
@@ -243,6 +240,10 @@ class _Fields:
         field down and reversed, so each monomial comes out sorted by label,
         and one Fraction per distinct numerator."""
         peel = self.peel
+        if peel is None:  # peel[b]: (label, offset, low mask) of bit b - 1
+            self.peel = peel = [None]
+            for label, off in self.offsets.items():
+                peel += [(label, off, (1 << off) - 1)] * self.width
         fraction = Fraction if den == 1 else lambda c: Fraction(c, den)
         fractions = {c: fraction(c) for c in set(nums.values()) if c}
         terms = []

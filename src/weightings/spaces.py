@@ -447,11 +447,11 @@ def blowup_lift_vf(X: PolyVectorField, W: WeightSequence,
             for i, e in zip(index, s):
                 full[i] = e
             terms.append((full, weighted_degree(s, w) - W.weights[v],
-                          ex.substitute(k, rename)))
+                          wp._value(ex.substitute(k, rename))))
         ext.append(terms)
     comps: dict[str, tuple[Term, ...]] = {}
     for b, zb in enumerate(znames):
-        acc: dict[tuple[int, ...], Expr] = {}
+        acc: dict = {}
         for yv, q in chart.component(zb)[1]:
             if yv == "t":
                 continue
@@ -461,11 +461,11 @@ def blowup_lift_vf(X: PolyVectorField, W: WeightSequence,
                 m[b] += 1
                 m[v] -= 1
                 m[c] = (b == c) + shift
-                key, qk = tuple(m), ex.mul(ex.const(q), kappa)
-                acc[key] = ex.add(acc[key], qk) if key in acc else qk
+                key, qk = tuple(m), wp._mul(q, kappa)
+                acc[key] = wp._add(acc[key], qk) if key in acc else qk
         # m -> _exps is one-to-one, so the keys need not be _exps until here
-        terms = sorted(((k, _exps(dict(zip(znames, m))))
-                        for m, k in acc.items() if k != ZERO),
+        terms = sorted(((ex.as_expr(k), _exps(dict(zip(znames, m))))
+                        for m, k in acc.items() if k),
                        key=lambda item: item[1])
         if terms:
             comps[zb] = tuple(terms)
@@ -473,11 +473,16 @@ def blowup_lift_vf(X: PolyVectorField, W: WeightSequence,
 
 
 def _chart_center(W: WeightSequence, chart: RationalMonomialMap) -> int:
-    """Index of the center of `chart`, which must be a blow-up chart of W."""
-    comps = dict(chart.components)
-    for a, zn in enumerate(chart_names(W)):
-        if (W.weights[a] and chart.sign in ("+", "-")
-                and any(v == "t" for v, _q in comps.get(zn, (1, ()))[1])
-                and chart == blowup_chart(W, W.vars[a], chart.sign)):
-            return a
+    """Index c of the center of `chart`, which must be blowup_chart(W,
+    W.vars[c], sign), checked against that chart's closed form."""
+    y, z = deformation_names(W), chart_names(W)
+    comps, names = dict(chart.components), (y + ("t",), z + ("t",))
+    for c, wc in enumerate(W.weights):
+        if wc and comps.get(z[c]) == (1, (("t", 1), (y[c], Fraction(1, wc)))):
+            closed = {"t": (1, (("t", 1),)), z[c]: comps[z[c]]}
+            closed.update((z[a], (1, _exps({y[a]: 1, y[c]: Fraction(-w, wc)})))
+                          for a, w in enumerate(W.weights) if a != c)
+            if chart.sign in ("+", "-") and (chart.source, chart.target) == names \
+                    and chart.components == tuple(sorted(closed.items())):
+                return c
     raise ValueError("map is not a blow-up chart")

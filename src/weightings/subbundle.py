@@ -495,7 +495,7 @@ def _field_maps(fr: Frame, bound: int) -> list[list[tuple[str, list]]]:
     through total degree bound, empty ones left out; frame() stores each
     coefficient as terms in the positive-weight variables."""
     return [[(v, m) for v, c in zip(fr.W.vars, f.coeffs)
-             if (m := [(s, d) for s, d in c.terms if sum(s) <= bound])]
+             if (m := wp._values(t for t in c.terms if sum(t[0]) <= bound))]
             for f in fr.fields]
 
 
@@ -516,7 +516,7 @@ def _base_words(fields: list[list[tuple[str, list]]], pvars: tuple[str, ...],
     zero = (0,) * len(pvars)
     truncated = _by_first_index(lambda c, s, g: wp._apply_field(
         fields[c], g.items(), pvars, ones, top - sum(s)), f)
-    return lambda s: truncated(tuple(s)).get(zero, ZERO)
+    return lambda s: ex.as_expr(truncated(tuple(s)).get(zero, 0))
 
 
 def restrict_to_base(e: Expr, W: WeightSequence) -> Expr:
@@ -610,9 +610,9 @@ def _compose_into(acc: dict, fr: Frame, b: int, terms) -> None:
     for u, coeff in terms:
         db = fr.apply(b, coeff)
         if db != ZERO:
-            wp._add_into(acc, ((u, db),))
+            wp._add_into(acc, ((u, db),), ex.add)
         wp._add_into(acc, ((u2, ex.mul(coeff, coeff2))
-                           for u2, coeff2 in _normal_va_vs(fr, b, u)))
+                           for u2, coeff2 in _normal_va_vs(fr, b, u)), ex.add)
 
 
 def _normal_va_vs(fr: Frame, a: int, s: tuple[int, ...]) -> tuple:
@@ -633,7 +633,7 @@ def _normal_va_vs(fr: Frame, a: int, s: tuple[int, ...]) -> tuple:
     _compose_into(acc, fr, b, _normal_va_vs(fr, a, rest))
     for c, h in _frame_bracket(fr, a, b):
         wp._add_into(acc, ((u2, ex.mul(h, coeff2))
-                           for u2, coeff2 in _normal_va_vs(fr, c, rest)))
+                           for u2, coeff2 in _normal_va_vs(fr, c, rest)), ex.add)
     cleaned = [(u, coeff) for u, coeff in acc.items() if coeff != ZERO]
     fr._va_vs[(a, s)] = out = tuple(sorted(cleaned, key=lambda item: item[0]))
     return out
@@ -798,7 +798,7 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
                     chi[(a, s)] = value
         for (a, u), coeff in chi.items():
             if sum(u) == m:
-                term = {zero: coeff}
+                term = {zero: wp._value(coeff)}
                 for b, e in enumerate(u):
                     for _ in range(e):
                         term = wp._product(term.items(), y_maps[b].items(),

@@ -10,22 +10,25 @@ The weighted degree of a term is s.w for the weights supplied by the calling
 operation; the polynomial itself only knows its variable split.
 
 All arithmetic runs on one private kernel of term maps (exponent tuple ->
-coefficient): an in-place sum, a product that drops the terms above an
-optional weighted-degree bound, and one expression walk, `_expand`.  Sums
-are formed only where two terms meet, so a coefficient that lands on a new
-exponent is stored as it is; each operation drops zero coefficients once,
-at its end.  A product takes the weighted degree of each term of its
-factors once, not once per pair.  With no bound the walk is exact
-(`poly_normal_form`) and rejects what has no finite expansion: a function
-of a designated variable, a negative power of a non-constant.  With a bound
-it is the weighted Taylor expansion up to that degree (`weighted_taylor`),
-and each power series stops once its powers are empty.  A product of
-factors starts from its first factor.  A positive power of a one-term map
-is one term, (c x^s)^k = c^k x^(k s), dropped when it lies above the bound.
-A positive power of any other base takes k - 1 products starting from the
-base, so k is capped at MAX_EXPANDED_POWER unless a bound ends the products
-early: with no constant part, the powers of the base leave the bound after
-a few products.
+value: the Fraction of a constant coefficient, the canonical Expr of any
+other): an in-place sum, a product that drops the terms above an optional
+weighted-degree bound, and one expression walk, `_expand`.  Two Fractions
+add and multiply as Fractions; any other pair goes through expr's add and
+mul, a Const result becoming its Fraction, and a Const is built only where a
+map leaves the kernel.  Sums are formed only where two terms meet, so a
+coefficient that lands on a new exponent is stored as it is; each operation
+drops zero coefficients once, at its end.  A product takes the weighted
+degree of each term of its factors once, not once per pair.  With no bound
+the walk is exact (`poly_normal_form`) and rejects what has no finite
+expansion: a function of a designated variable, a negative power of a
+non-constant.  With a bound it is the weighted Taylor expansion up to that
+degree (`weighted_taylor`), and each power series stops once its powers are
+empty.  A product of factors starts from its first factor.  A positive power
+of a one-term map is one term, (c x^s)^k = c^k x^(k s), dropped when it lies
+above the bound.  A positive power of any other base takes k - 1 products
+starting from the base, so k is capped at MAX_EXPANDED_POWER unless a bound
+ends the products early: with no constant part, the powers of the base leave
+the bound after a few products.
 """
 
 from __future__ import annotations
@@ -97,14 +100,14 @@ def wp_add(*polys: WeightedPoly) -> WeightedPoly:
     for p in polys:
         if p.pvars != pvars:
             raise ValueError("mismatched variable splits")
-        _add_into(acc, p.terms)
+        _add_into(acc, _values(p.terms))
     return wpoly(pvars, acc)
 
 
 def wp_mul(a: WeightedPoly, b: WeightedPoly) -> WeightedPoly:
     if a.pvars != b.pvars:
         raise ValueError("mismatched variable splits")
-    return wpoly(a.pvars, _product(a.terms, b.terms))
+    return wpoly(a.pvars, _product(_values(a.terms), _values(b.terms)))
 
 
 def wp_scale(p: WeightedPoly, factor) -> WeightedPoly:
@@ -165,7 +168,7 @@ def homogeneous_approx(p: WeightedPoly, W: WeightSequence, degree: int) -> Weigh
 
 def partial(p: WeightedPoly, name: str) -> WeightedPoly:
     """Partial derivative of a WeightedPoly by any variable."""
-    return wpoly(p.pvars, _partial(p.terms, p.pvars, name))
+    return wpoly(p.pvars, _partial(_values(p.terms), p.pvars, name))
 
 
 def dilate(p: WeightedPoly, W: WeightSequence, tname: str = "t") -> Expr:
@@ -230,14 +233,35 @@ MAX_EXPANDED_POWER = 1000
 MAX_TAYLOR_DEGREE = 1000
 
 
-def _add_into(acc: dict, terms) -> None:
-    """Add (exponent, coefficient) pairs into acc, in place."""
+def _value(c: Expr):
+    """The kernel value of a canonical Expr: the Fraction of a Const."""
+    return c.value if type(c) is ex.Const else c
+
+
+def _values(terms) -> list:
+    """Kernel pairs of (exponent, canonical Expr) pairs."""
+    return [(s, c.value if type(c) is ex.Const else c) for s, c in terms]
+
+
+def _add(a, b):
+    """a + b of kernel values, through ex.add unless both are Fractions."""
+    return a + b if type(a) is type(b) is Fraction else _value(ex.add(a, b))
+
+
+def _mul(a, b):
+    """a * b of kernel values as _add, a Fraction passed as its Const."""
+    return (a * b if type(a) is type(b) is Fraction
+            else _value(ex.mul(ex.as_expr(a), ex.as_expr(b))))
+
+
+def _add_into(acc: dict, terms, plus=_add) -> None:
+    """Add (key, value) pairs into acc in place, by plus where keys meet."""
     for s, c in terms:
-        acc[s] = ex.add(acc[s], c) if s in acc else c
+        acc[s] = plus(acc[s], c) if s in acc else c
 
 
 def _nonzero(acc: dict) -> dict:
-    return {s: c for s, c in acc.items() if c != ZERO}
+    return {s: c for s, c in acc.items() if c}
 
 
 def _product(a, b, w=None, bound=None) -> dict:
@@ -250,8 +274,8 @@ def _product(a, b, w=None, bound=None) -> dict:
         for u, d, deg in b:
             if deg <= room:
                 key = tuple(map(add, s, u))
-                cd = ex.mul(c, d)
-                acc[key] = ex.add(acc[key], cd) if key in acc else cd
+                cd = _mul(c, d)
+                acc[key] = _add(acc[key], cd) if key in acc else cd
     return _nonzero(acc)
 
 
@@ -260,10 +284,10 @@ def _partial(terms, pvars: tuple[str, ...], name: str) -> dict:
     one it lowers an exponent, which no two terms share afterwards; by
     another it differentiates the coefficients."""
     if name not in pvars:
-        return {s: d for s, c in terms
-                if (d := ex.differentiate(c, name)) != ZERO}
+        return {s: d for s, c in terms if type(c) is not Fraction
+                and (d := _value(ex.differentiate(c, name)))}
     a = pvars.index(name)
-    return {s[:a] + (s[a] - 1,) + s[a + 1:]: ex.mul(ex.const(s[a]), c)
+    return {s[:a] + (s[a] - 1,) + s[a + 1:]: _mul(Fraction(s[a]), c)
             for s, c in terms if s[a]}
 
 
@@ -284,8 +308,8 @@ def _series(coeff_of, h: dict, zero: tuple, w, bound) -> dict:
     hj, j = h, 1
     while hj:
         coeff = coeff_of(j)
-        if coeff != ZERO:
-            _add_into(acc, ((s, ex.mul(coeff, c)) for s, c in hj.items()))
+        if coeff:
+            _add_into(acc, ((s, _mul(coeff, c)) for s, c in hj.items()))
         hj = _product(hj.items(), h.items(), w, bound)
         j += 1
     return _nonzero(acc)
@@ -296,14 +320,14 @@ def _expand(e: Expr, pvars: tuple[str, ...], w, bound) -> dict:
     exact when bound is None."""
     zero = (0,) * len(pvars)
     if isinstance(e, ex.Const):
-        return {zero: e} if e != ZERO else {}
+        return {zero: e.value} if e.value else {}
     if isinstance(e, ex.Var):
         if e.name not in pvars:
             return {zero: e}
         a = pvars.index(e.name)
         if bound is not None and w[a] > bound:
             return {}
-        return {zero[:a] + (1,) + zero[a + 1:]: ONE}
+        return {zero[:a] + (1,) + zero[a + 1:]: ONE.value}
     if isinstance(e, ex.Sum):
         acc: dict = {}
         for t in e.terms:
@@ -327,7 +351,7 @@ def _expand(e: Expr, pvars: tuple[str, ...], w, bound) -> dict:
                 s = tuple(k * x for x in s)
                 if bound is not None and weighted_degree(s, w) > bound:
                     return {}
-                return {s: ex.pow_(c, k)}
+                return {s: _value(ex.pow_(c, k))}
             if k > MAX_EXPANDED_POWER and (zero in base or bound is None):
                 kind = "a constant term" if zero in base else "two or more terms"
                 raise ValueError(
@@ -339,15 +363,14 @@ def _expand(e: Expr, pvars: tuple[str, ...], w, bound) -> dict:
                 if not acc:
                     break
             return acc
-        a0 = base.pop(zero, ZERO)
-        if bound is None and (base or a0 == ZERO):
+        a0 = base.pop(zero, 0)
+        if bound is None and (base or not a0):
             raise ValueError(
                 f"not polynomial in designated variables: {ex.to_text(e)}")
-        if a0 == ZERO:
+        if not a0:
             raise ValueError("negative power with vanishing constant term is "
                              "not analytic in the positive-weight variables")
-        return _series(lambda j: ex.mul(ex.const(_binom(k, j)),
-                                        ex.pow_(a0, k - j)),
+        return _series(lambda j: _mul(_binom(k, j), _value(ex.pow_(a0, k - j))),
                        base, zero, w, bound)
     if isinstance(e, ex.App):
         if bound is None:  # no series: the head must be constant in pvars
@@ -357,7 +380,7 @@ def _expand(e: Expr, pvars: tuple[str, ...], w, bound) -> dict:
             return {zero: e}
         h = _expand(e.arg, pvars, w, bound)
         a0 = h.pop(zero, ZERO)
-        return _series(lambda j: _maclaurin_coeff(e.fn, a0, j),
+        return _series(lambda j: _value(_maclaurin_coeff(e.fn, a0, j)),
                        h, zero, w, bound)
     raise TypeError(f"unknown expression node {e!r}")
 

@@ -71,7 +71,13 @@ was, and both are compared on generated inputs:
   ``_apply_into``, which skips a slot no key holds, against the applier
   that differentiated by every label of the packing; and the generic
   series, whose products scale by a leading constant and whose terms
-  share each power node's series, against the full-level reference.
+  share each power node's series, against the full-level reference;
+* the term-map kernel, whose values are the Fraction of a constant
+  coefficient and the canonical Expr of any other, against the kernel on
+  Expr coefficients as it was: the same keys and values from ``_expand``,
+  ``_partial``, ``_product`` and ``_apply_field``, no value a ``Const``,
+  and the same ``weighted_taylor``, ``poly_normal_form``, ``lie_bracket``
+  and ``blowup_lift_vf``, refusals included.
 """
 
 from __future__ import annotations
@@ -93,14 +99,15 @@ from weightings import spaces as sp
 from weightings import subbundle as sb
 from weightings import wpoly as wp
 from weightings.expr import ONE, ZERO
-from weightings.fields import (_apply_expr_field, lie_bracket,
-                               nilpotent_frames, vf_for_weights,
+from weightings.fields import (PolyVectorField, _apply_expr_field,
+                               lie_bracket, nilpotent_frames, vf_for_weights,
                                vf_filtration_degree)
 from weightings.weights import (exponents_below, ideal_generators,
                                 weight_sequence, weighted_degree)
 
 from conftest import (rand_expr, rand_poly_expr, rand_rational,
                       rand_weight_sequence, rand_wpoly)
+from test_spaces import _chart_building_center
 from test_subbundle import _random_solved_graph
 
 
@@ -283,6 +290,20 @@ def _reference_add_into(acc, terms) -> None:
         acc[s] = ex.add(acc.get(s, ZERO), c)
 
 
+def _reference_nonzero(acc) -> dict:
+    return {s: c for s, c in acc.items() if c != ZERO}
+
+
+def _reference_partial(terms, pvars, name) -> dict:
+    """The term-map partial on Expr coefficients."""
+    if name not in pvars:
+        return {s: d for s, c in terms
+                if (d := ex.differentiate(c, name)) != ZERO}
+    a = pvars.index(name)
+    return {s[:a] + (s[a] - 1,) + s[a + 1:]: ex.mul(ex.const(s[a]), c)
+            for s, c in terms if s[a]}
+
+
 def _reference_product(a, b, w=None, bound=None) -> dict:
     acc = {}
     for s, c in a:
@@ -291,7 +312,7 @@ def _reference_product(a, b, w=None, bound=None) -> dict:
             if bound is not None and weighted_degree(key, w) > bound:
                 continue
             acc[key] = ex.add(acc.get(key, ZERO), ex.mul(c, d))
-    return wp._nonzero(acc)
+    return _reference_nonzero(acc)
 
 
 def _reference_series(coeff_of, h, zero, w, bound) -> dict:
@@ -305,15 +326,15 @@ def _reference_series(coeff_of, h, zero, w, bound) -> dict:
                                       for s, c in hj.items()))
         hj = _reference_product(hj.items(), h.items(), w, bound)
         j += 1
-    return wp._nonzero(acc)
+    return _reference_nonzero(acc)
 
 
 def _reference_apply_field(field, terms, pvars, w=None, bound=None) -> dict:
     acc = {}
     for v, c in field:
         _reference_add_into(acc, _reference_product(
-            c, wp._partial(terms, pvars, v).items(), w, bound).items())
-    return wp._nonzero(acc)
+            c, _reference_partial(terms, pvars, v).items(), w, bound).items())
+    return _reference_nonzero(acc)
 
 
 def _reference_expand(e, pvars, w, bound) -> dict:
@@ -333,7 +354,7 @@ def _reference_expand(e, pvars, w, bound) -> dict:
         for t in e.terms:
             _reference_add_into(acc, _reference_expand(t, pvars, w,
                                                        bound).items())
-        return wp._nonzero(acc)
+        return _reference_nonzero(acc)
     if isinstance(e, ex.Prod):
         acc = {zero: ONE}
         for f in e.factors:
@@ -410,12 +431,16 @@ def _power_case(rng) -> ex.Expr:
 
 
 def _term_map(walk, e, bound):
+    """The walk's map at the kernel's edge, as a WeightedPoly and its text:
+    the kernel holds a Fraction where the Expr-valued reference holds a
+    Const."""
     pvars = POWER_WEIGHTS.positive_vars
     try:
         m = walk(e, pvars, POWER_WEIGHTS.positive_weights, bound)
     except ValueError as err:
         return "error", str(err)
-    return m, wp.wpoly_text(wp.wpoly(pvars, m), POWER_WEIGHTS)
+    p = wp.wpoly(pvars, m)
+    return p, wp.wpoly_text(p, POWER_WEIGHTS)
 
 
 def _powers(e):
@@ -1444,7 +1469,7 @@ def test_one_field_printer_matches_the_four_joins():
 def _reference_vf_apply(X, p):
     acc = {}
     for v, c in zip(X.vars, X.coeffs):
-        dp = wp._partial(p.terms, p.pvars, v)
+        dp = _reference_partial(p.terms, p.pvars, v)
         if not dp or c.is_zero:
             continue
         if c.pvars != p.pvars:
@@ -1515,9 +1540,9 @@ def _reference_base_words(fields, pvars, f, top):
             acc = {}
             for v, coeff in fields[c]:
                 _reference_add_into(acc, _reference_product(
-                    coeff.items(), wp._partial(g.items(), pvars, v).items(),
+                    coeff.items(), _reference_partial(g.items(), pvars, v).items(),
                     ones, top - sum(s)).items())
-            memo[s] = wp._nonzero(acc)
+            memo[s] = _reference_nonzero(acc)
         return memo[s]
 
     return lambda s: truncated(tuple(s)).get(zero, ZERO)
@@ -1531,10 +1556,12 @@ def test_frame_words_on_the_base_match_the_dict_loop():
         pvars = W.positive_vars
         top = rng.randint(1, 3)
         fields = sb._field_maps(fr, top - 1)
-        dict_fields = [[(v, dict(m)) for v, m in row] for row in fields]
+        dict_fields = [[(v, {s: ex.as_expr(c) for s, c in m}) for v, m in row]
+                       for row in fields]
         f = wp._expand(rng.choice(y_exprs), pvars, (1,) * len(pvars), top)
         on_base = sb._base_words(fields, pvars, f, top)
-        reference = _reference_base_words(dict_fields, pvars, f, top)
+        reference = _reference_base_words(
+            dict_fields, pvars, {s: ex.as_expr(c) for s, c in f.items()}, top)
         for s in itertools.product(range(top + 1), repeat=W.n):
             if sum(s) <= top:
                 assert on_base(s) == reference(s), (W, s)
@@ -1942,7 +1969,7 @@ def test_the_term_map_walk_matches_the_kernel_it_replaced():
         expected = _term_map(_reference_expand, e, bound)
         assert _term_map(wp._expand, e, bound) == expected, (ex.to_text(e), bound)
         kinds["error" if expected[0] == "error" else
-              "terms" if expected[0] else "zero"] += 1
+              "zero" if expected[0].is_zero else "terms"] += 1
     assert kinds["error"] >= 50 and kinds["zero"] >= 30
     assert kinds["terms"] >= 500
 
@@ -1959,10 +1986,12 @@ def test_the_field_applier_matches_the_kernel_it_replaced():
         pvars = W.positive_vars
         bound = rng.choice([None, 0, 1, 2, 3, 5, 7])
         w = None if bound is None else W.positive_weights
-        expected = _reference_apply_field(field, terms, pvars, w, bound)
-        assert wp._apply_field(field, terms, pvars, w, bound) == expected, \
-            (str(X), terms, bound)
-        nonzero += bool(expected)
+        expected = wp.wpoly(pvars, _reference_apply_field(field, terms, pvars,
+                                                          w, bound))
+        got = wp._apply_field([(v, wp._values(c)) for v, c in field],
+                              wp._values(terms), pvars, w, bound)
+        assert wp.wpoly(pvars, got) == expected, (str(X), terms, bound)
+        nonzero += not expected.is_zero
     assert nonzero >= 220
 
 
@@ -2169,3 +2198,376 @@ def test_ideal_generators_match_the_head_walk():
         positive.add(len(W.positive_weights))
         largest = max(largest, len(expected))
     assert positive == set(range(6)) and largest > 1000
+
+
+# ---------------------------------------------------------------------------
+# kernel values: the Fraction of a constant coefficient, the Expr of any
+# other.  The kernel as it was before, every value a canonical Expr added
+# and multiplied by ex.add and ex.mul, is kept here with the operations
+# that ran on it.
+
+def _expr_add_into(acc, terms) -> None:
+    for s, c in terms:
+        acc[s] = ex.add(acc[s], c) if s in acc else c
+
+
+def _expr_product(a, b, w=None, bound=None) -> dict:
+    b = [(u, d, 0 if bound is None else weighted_degree(u, w)) for u, d in b]
+    acc = {}
+    for s, c in a:
+        room = 0 if bound is None else bound - weighted_degree(s, w)
+        for u, d, deg in b:
+            if deg <= room:
+                key = tuple(map(operator.add, s, u))
+                cd = ex.mul(c, d)
+                acc[key] = ex.add(acc[key], cd) if key in acc else cd
+    return _reference_nonzero(acc)
+
+
+def _expr_apply_field(field, terms, pvars, w=None, bound=None) -> dict:
+    acc = {}
+    for v, c in field:
+        _expr_add_into(acc, _expr_product(
+            c, _reference_partial(terms, pvars, v).items(), w, bound).items())
+    return _reference_nonzero(acc)
+
+
+def _expr_series(coeff_of, h, zero, w, bound) -> dict:
+    acc = {zero: coeff_of(0)}
+    hj, j = h, 1
+    while hj:
+        coeff = coeff_of(j)
+        if coeff != ZERO:
+            _expr_add_into(acc, ((s, ex.mul(coeff, c)) for s, c in hj.items()))
+        hj = _expr_product(hj.items(), h.items(), w, bound)
+        j += 1
+    return _reference_nonzero(acc)
+
+
+def _expr_expand(e, pvars, w, bound) -> dict:
+    zero = (0,) * len(pvars)
+    if isinstance(e, ex.Const):
+        return {zero: e} if e != ZERO else {}
+    if isinstance(e, ex.Var):
+        if e.name not in pvars:
+            return {zero: e}
+        a = pvars.index(e.name)
+        if bound is not None and w[a] > bound:
+            return {}
+        return {zero[:a] + (1,) + zero[a + 1:]: ONE}
+    if isinstance(e, ex.Sum):
+        acc = {}
+        for t in e.terms:
+            _expr_add_into(acc, _expr_expand(t, pvars, w, bound).items())
+        return _reference_nonzero(acc)
+    if isinstance(e, ex.Prod):
+        first, *rest = e.factors
+        acc = _expr_expand(first, pvars, w, bound)
+        for f in rest:
+            acc = _expr_product(acc.items(),
+                                _expr_expand(f, pvars, w, bound).items(),
+                                w, bound)
+        return acc
+    if isinstance(e, ex.Pow):
+        base = _expr_expand(e.base, pvars, w, bound)
+        k = e.exponent
+        if k > 0:
+            if not base:
+                return {}
+            if len(base) == 1:
+                (s, c), = base.items()
+                s = tuple(k * x for x in s)
+                if bound is not None and weighted_degree(s, w) > bound:
+                    return {}
+                return {s: ex.pow_(c, k)}
+            if k > wp.MAX_EXPANDED_POWER and (zero in base or bound is None):
+                kind = "a constant term" if zero in base else "two or more terms"
+                raise ValueError(
+                    f"exponent {k} of a base with {kind} exceeds "
+                    f"the limit MAX_EXPANDED_POWER = {wp.MAX_EXPANDED_POWER}")
+            acc = base
+            for _ in range(k - 1):
+                acc = _expr_product(acc.items(), base.items(), w, bound)
+                if not acc:
+                    break
+            return acc
+        a0 = base.pop(zero, ZERO)
+        if bound is None and (base or a0 == ZERO):
+            raise ValueError(
+                f"not polynomial in designated variables: {ex.to_text(e)}")
+        if a0 == ZERO:
+            raise ValueError("negative power with vanishing constant term is "
+                             "not analytic in the positive-weight variables")
+        return _expr_series(lambda j: ex.mul(ex.const(wp._binom(k, j)),
+                                             ex.pow_(a0, k - j)),
+                            base, zero, w, bound)
+    if isinstance(e, ex.App):
+        if bound is None:
+            if ex.variables(e.arg) & set(pvars):
+                raise ValueError(
+                    f"not polynomial in designated variables: {ex.to_text(e)}")
+            return {zero: e}
+        h = _expr_expand(e.arg, pvars, w, bound)
+        a0 = h.pop(zero, ZERO)
+        return _expr_series(lambda j: wp._maclaurin_coeff(e.fn, a0, j),
+                            h, zero, w, bound)
+    raise TypeError(f"unknown expression node {e!r}")
+
+
+def _expr_weighted_taylor(e, W, up_to):
+    if up_to < 0:
+        raise ValueError("truncation degree must be nonnegative")
+    if up_to > wp.MAX_TAYLOR_DEGREE:
+        raise ValueError(f"degree {up_to} exceeds the limit "
+                         f"MAX_TAYLOR_DEGREE = {wp.MAX_TAYLOR_DEGREE}")
+    pvars = W.positive_vars
+    return wp.wpoly(pvars, _expr_expand(e, pvars, W.positive_weights, up_to))
+
+
+def _expr_poly_normal_form(e, positive_vars):
+    pvars = tuple(positive_vars)
+    return wp.wpoly(pvars, _expr_expand(e, pvars, None, None))
+
+
+def _expr_vf_apply(X, p):
+    for v, c in zip(X.vars, X.coeffs):
+        if c.terms and c.pvars != p.pvars and _reference_partial(
+                p.terms, p.pvars, v):
+            raise ValueError("mismatched variable splits")
+    return wp.wpoly(p.pvars, _expr_apply_field(
+        [(v, c.terms) for v, c in zip(X.vars, X.coeffs)], p.terms, p.pvars))
+
+
+def _expr_wp_add(*polys):
+    pvars = polys[0].pvars
+    acc = {}
+    for p in polys:
+        if p.pvars != pvars:
+            raise ValueError("mismatched variable splits")
+        _expr_add_into(acc, p.terms)
+    return wp.wpoly(pvars, acc)
+
+
+def _expr_lie_bracket(X, Y):
+    if X.vars != Y.vars:
+        raise ValueError("vector fields live on different charts")
+    minus = ex.const(-1)
+    return PolyVectorField(X.vars, tuple(
+        _expr_wp_add(_expr_vf_apply(X, yc), wp.wpoly(xc.pvars, {
+            s: ex.mul(minus, c) for s, c in _expr_vf_apply(Y, xc).terms}))
+        for xc, yc in zip(X.coeffs, Y.coeffs)))
+
+
+def _expr_blowup_lift_vf(X, W, chart):
+    if vf_filtration_degree(X, W) < 0:
+        raise ValueError("only fields of filtration degree 0 lift to the "
+                         "blow-up")
+    c = _chart_building_center(W, chart)
+    ynames = sp.deformation_names(W)
+    znames = sp.chart_names(W)
+    rename = sp._rename_map(W, znames + ("t",),
+                            [k for coeff in X.coeffs for _, k in coeff.terms])
+    w = list(W.positive_weights)
+    ext = []
+    for v, coeff in enumerate(X.coeffs):
+        index = [W.vars.index(p) for p in coeff.pvars]
+        terms = []
+        for s, k in coeff.terms:
+            full = [0] * W.n
+            for i, e in zip(index, s):
+                full[i] = e
+            terms.append((full, weighted_degree(s, w) - W.weights[v],
+                          ex.substitute(k, rename)))
+        ext.append(terms)
+    comps = {}
+    for b, zb in enumerate(znames):
+        acc = {}
+        for yv, q in chart.component(zb)[1]:
+            if yv == "t":
+                continue
+            v = ynames.index(yv)
+            for s, shift, kappa in ext[v]:
+                m = list(s)
+                m[b] += 1
+                m[v] -= 1
+                m[c] = (b == c) + shift
+                key, qk = tuple(m), ex.mul(ex.const(q), kappa)
+                acc[key] = ex.add(acc[key], qk) if key in acc else qk
+        terms = sorted(((k, sp._exps(dict(zip(znames, m))))
+                        for m, k in acc.items() if k != ZERO),
+                       key=lambda item: item[1])
+        if terms:
+            comps[zb] = tuple(terms)
+    return sp.BlowupField(chart, tuple(sorted(comps.items())))
+
+
+def _weight0_coefficient(rng, zero_vars, positive=()):
+    """A coefficient whose weight-0 part is a product of sums, a power of a
+    sum, a negative power of a sum or a sin/exp head; with positive
+    variables, a sum inside may carry one of them."""
+    def q():
+        return ex.const(rand_rational(rng, zero_ok=False))
+
+    z = [ex.var(v) for v in zero_vars] or [ONE]
+    inner = list(z) + [ex.var(v) for v in positive]
+    pick = rng.choice
+    kind = rng.randrange(6)
+    if kind == 0:  # (1 + a)*(1 + a + x), a Sum times a Sum, as (1+x)*(1+x+y)
+        return ex.mul(ex.add(ONE, z[0]), ex.add(ONE, z[0], pick(inner)))
+    if kind == 1:
+        return ex.pow_(ex.add(q(), pick(z), pick(inner)), rng.randint(1, 4))
+    if kind == 2:
+        return ex.pow_(ex.add(q(), pick(z)), -rng.randint(1, 3))
+    if kind == 3:
+        return ex.pow_(ex.add(q(), ex.mul(pick(z), pick(z)), pick(inner)),
+                       -rng.randint(1, 2))
+    if kind == 4:
+        return ex.app(pick(("sin", "exp")), ex.add(pick([ZERO, q()]),
+                                                   pick(inner)))
+    return ex.mul(q(), pick(z))
+
+
+def _kernel_value_case(rng) -> ex.Expr:
+    """A sum or product of rational or weight-0 coefficients times
+    monomials in x and y, over POWER_WEIGHTS, sometimes with a tree of
+    every node kind."""
+    x, y = ex.var("x"), ex.var("y")
+    pieces = []
+    for _ in range(rng.randint(1, 3)):
+        mono = ex.mul(*[rng.choice([x, y]) for _ in range(rng.randint(0, 2))])
+        coeff = (ex.const(rand_rational(rng, zero_ok=False)) if rng.random() < 0.4
+                 else _weight0_coefficient(rng, ("a", "b"), "xy"))
+        pieces.append(ex.mul(coeff, mono))
+    if rng.random() < 0.3:
+        pieces.append(_kernel_case(rng))
+    join = ex.add if rng.random() < 0.6 else ex.mul
+    return join(*pieces)
+
+
+def _assert_kernel_values(got: dict, expected: dict):
+    """got is a kernel map with the keys of the Expr-valued map expected:
+    no value a Const, a Fraction exactly where expected has a Const, and
+    each the value expected has."""
+    assert got.keys() == expected.keys()
+    for s, c in got.items():
+        assert not isinstance(c, ex.Const)
+        assert (type(c) is Fraction) == isinstance(expected[s], ex.Const)
+        assert ex.as_expr(c) == expected[s], (s, c, expected[s])
+
+
+def test_kernel_values_are_fractions_exactly_for_constant_coefficients():
+    rng = random.Random(2901)
+    pvars, w = POWER_WEIGHTS.positive_vars, POWER_WEIGHTS.positive_weights
+    kinds = {"fraction": 0, "expr": 0, "error": 0}
+    for _ in range(700):
+        e = _kernel_value_case(rng)
+        bound = rng.choice([None, 0, 1, 2, 3, 4, 6])
+        wb = None if bound is None else w
+        try:
+            expected = _expr_expand(e, pvars, wb, bound)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                wp._expand(e, pvars, wb, bound)
+            kinds["error"] += 1
+            continue
+        got = wp._expand(e, pvars, wb, bound)
+        _assert_kernel_values(got, expected)
+        for v in ("a", "x", "y"):
+            _assert_kernel_values(wp._partial(got.items(), pvars, v),
+                                  _reference_partial(expected.items(), pvars, v))
+        other = _kernel_value_case(rng)
+        try:
+            other_expected = _expr_expand(other, pvars, wb, bound)
+        except ValueError:
+            continue
+        _assert_kernel_values(
+            wp._product(got.items(), wp._expand(other, pvars, wb, bound).items(),
+                        wb, bound),
+            _expr_product(expected.items(), other_expected.items(), wb, bound))
+        field = [("a", list(got.items())), ("y", list(got.items()))]
+        expr_field = [("a", list(expected.items())),
+                      ("y", list(expected.items()))]
+        _assert_kernel_values(
+            wp._apply_field(field, wp._expand(other, pvars, wb, bound).items(),
+                            pvars, wb, bound),
+            _expr_apply_field(expr_field, other_expected.items(), pvars,
+                              wb, bound))
+        for c in got.values():
+            kinds["fraction" if type(c) is Fraction else "expr"] += 1
+    assert kinds["error"] >= 30, kinds
+    assert kinds["fraction"] >= 250 and kinds["expr"] >= 500, kinds
+
+
+def _edge_field(rng, W):
+    """A field on W whose coefficients mix generated polynomials with
+    weight-0 coefficients times monomials; one field in five has a
+    coefficient on another variable split."""
+    zero_vars, pvars = W.zero_vars, W.positive_vars
+    coeffs = []
+    for _ in W.vars:
+        c = rand_poly_expr(rng, W.vars, 3, 2) if rng.random() < 0.7 else ZERO
+        if zero_vars and rng.random() < 0.6:
+            mono = ex.mul(*[ex.var(rng.choice(pvars))
+                            for _ in range(rng.randint(0, 2))]) if pvars else ONE
+            c = ex.add(c, ex.mul(_weight0_coefficient(rng, zero_vars), mono))
+        coeffs.append(c)
+    X = vf_for_weights(W, coeffs)
+    if rng.random() < 0.2:
+        a = rng.randrange(W.n)
+        split = tuple(rng.sample(W.vars, rng.randint(0, W.n)))
+        coeffs = list(X.coeffs)
+        coeffs[a] = wp.poly_normal_form(rand_poly_expr(rng, W.vars, 2, 2), split)
+        X = PolyVectorField(W.vars, tuple(coeffs))
+    return X
+
+
+def test_the_operations_on_kernel_values_match_the_expr_valued_kernel():
+    rng = random.Random(2902)
+    xy = weight_sequence([("x", 0), ("y", 1)], 1)
+    sum_times_sum = ex.parse_expr("(1+x)*(1+x+y)")
+    assert str(wp.weighted_taylor(sum_times_sum, xy, 0)) == "(1 + x)^2"
+    for k in range(1, 5):
+        e = ex.pow_(ex.parse_expr("1+x+y"), k)
+        for up_to in range(3):
+            assert wp.weighted_taylor(e, xy, up_to) == \
+                _expr_weighted_taylor(e, xy, up_to)
+        assert wp.poly_normal_form(e, ("y",)) == _expr_poly_normal_form(e, ("y",))
+    seen = {"taylor": 0, "exact": 0, "refused": 0, "bracket": 0,
+            "split": 0, "lift": 0, "lift refused": 0}
+    for _ in range(500):
+        e = _kernel_value_case(rng)
+        up_to = rng.randint(0, 6)
+        expected = _outcome(_expr_weighted_taylor, e, POWER_WEIGHTS, up_to)
+        got = _outcome(wp.weighted_taylor, e, POWER_WEIGHTS, up_to)
+        assert got == expected and str(got) == str(expected), (str(e), up_to)
+        seen["taylor"] += isinstance(got, wp.WeightedPoly)
+        expected = _outcome(_expr_poly_normal_form, e, POWER_WEIGHTS.positive_vars)
+        got = _outcome(wp.poly_normal_form, e, POWER_WEIGHTS.positive_vars)
+        assert got == expected and str(got) == str(expected), str(e)
+        seen["exact" if isinstance(got, wp.WeightedPoly) else "refused"] += 1
+    for _ in range(300):
+        W = rand_weight_sequence(rng, max_n=3, max_order=3,
+                                 min_weight=rng.choice([0, 0, 1]))
+        X, Y = _edge_field(rng, W), _edge_field(rng, W)
+        expected = _outcome(_expr_lie_bracket, X, Y)
+        assert _outcome(lie_bracket, X, Y) == expected, (str(X), str(Y))
+        seen["split" if isinstance(expected, tuple) else "bracket"] += 1
+    for _ in range(120):
+        W = rand_weight_sequence(rng, max_n=3, max_order=3, min_weight=0)
+        if not W.positive_vars:
+            continue
+        X = _edge_field(rng, W)
+        X = vf_for_weights(W, [ex.add(wp.to_expr(wp.wpoly(c.pvars, {
+            s: k for s, k in c.terms if weighted_degree(
+                s, [W.weight_of(p) for p in c.pvars]) >= W.weight_of(v)})),
+            ex.mul(ex.const(rand_rational(rng)), ex.var(v)))
+            for v, c in zip(W.vars, X.coeffs)]) if rng.random() < 0.9 else X
+        for center in W.positive_vars:
+            for sign in "+-":
+                chart = sp.blowup_chart(W, center, sign)
+                expected = _outcome(_expr_blowup_lift_vf, X, W, chart)
+                got = _outcome(sp.blowup_lift_vf, X, W, chart)
+                assert got == expected and str(got) == str(expected), str(X)
+                seen["lift refused" if isinstance(expected, tuple)
+                     else "lift"] += 1
+    assert min(seen.values()) >= 20 and seen["bracket"] >= 150, seen

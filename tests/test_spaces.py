@@ -10,7 +10,8 @@ from weightings import wpoly as wp
 from weightings.expr import ONE, ZERO, parse_expr, var
 from weightings.fields import (PolyVectorField, euler_field,
                                vf_filtration_degree, vf_for_weights)
-from weightings.spaces import (BlowupField, blowup_chart, blowup_chart_inverse,
+from weightings.spaces import (BlowupField, RationalMonomialMap, _chart_center,
+                               blowup_chart, blowup_chart_inverse,
                                blowup_lift_vf, chart_names, check_morphism,
                                compose_rational, compose_transitions,
                                coordinate_change, def_interpolant,
@@ -369,6 +370,108 @@ def test_blowup_lift_rejects_a_chart_of_other_weights():
     X = vf_for_weights(W, [var("x"), parse_expr("2*y")])
     with pytest.raises(ValueError, match="map is not a blow-up chart"):
         blowup_lift_vf(X, W, foreign)
+
+
+def _chart_building_center(W, chart):
+    """The center check as it was: build blowup_chart of the one center
+    whose component carries t, and compare."""
+    comps = dict(chart.components)
+    for a, zn in enumerate(chart_names(W)):
+        if (W.weights[a] and chart.sign in ("+", "-")
+                and any(v == "t" for v, _q in comps.get(zn, (1, ()))[1])
+                and chart == blowup_chart(W, W.vars[a], chart.sign)):
+            return a
+    raise ValueError("map is not a blow-up chart")
+
+
+def _with_components(chart, components, sign=None):
+    return RationalMonomialMap(chart.source, chart.target, tuple(components),
+                               chart.sign if sign is None else sign)
+
+
+def _exponent_changed(chart):
+    (name, (coeff, exps)), *rest = [c for c in chart.components if c[0] != "t"]
+    (v, q), *others = exps
+    return _with_components(chart, sorted(
+        [c for c in chart.components if c[0] == "t"] + rest
+        + [(name, (coeff, ((v, q + 1), *others)))]))
+
+
+_W123 = weight_sequence({"a": 0, "x": 1, "y": 2, "z": 3}, 3)
+_Y = blowup_chart(_W123, "y")
+
+
+@pytest.mark.parametrize("chart", [
+    blowup_chart_inverse(_W123, "y"),
+    _exponent_changed(_Y),
+    _with_components(_Y, [c for c in _Y.components if c[0] != "z4"]),
+    _with_components(_Y, [c for c in _Y.components if c[0] != "t"]),
+    _with_components(_Y, _Y.components + (("z5", (1, (("y1", 1),))),)),
+    _with_components(_Y, _Y.components, sign="*"),
+    _with_components(_Y, _Y.components, sign=""),
+    blowup_chart(weight_sequence({"a": 0, "x": 1, "y": 2, "z": 4}, 4), "y"),
+    blowup_chart(weight_sequence({"x": 1, "y": 2, "z": 3}, 3), "y"),
+], ids=["inverse", "exponent", "missing", "missing-t", "extra", "sign",
+        "empty-sign", "other-weights", "other-count"])
+def test_the_chart_center_refuses_maps_that_are_not_blowup_charts(chart):
+    with pytest.raises(ValueError, match="map is not a blow-up chart"):
+        _chart_center(_W123, chart)
+    with pytest.raises(ValueError, match="map is not a blow-up chart"):
+        _chart_building_center(_W123, chart)
+
+
+def _spoiled_chart(rng, W, chart):
+    """chart with one defect drawn at random, or as it is."""
+    comps = list(chart.components)
+    k = rng.randrange(len(comps))
+    name, (coeff, exps) = comps[k]
+    kind = rng.randrange(9)
+    if kind == 0:  # an exponent moved, dropped or added
+        exps = dict(exps)
+        v = rng.choice(sorted(exps) + list(chart.source))
+        exps[v] = exps.get(v, 0) + rng.choice([-1, Fraction(1, 2), 1])
+        comps[k] = (name, (coeff, tuple(sorted((u, q) for u, q in exps.items()
+                                               if q))))
+    elif kind == 1:
+        comps[k] = (name, (coeff + 1, exps))
+    elif kind == 2:
+        del comps[k]
+    elif kind == 3:
+        comps.insert(k, (f"z{W.n + 1}", (1, exps)))
+    elif kind == 4:
+        comps.reverse()
+    elif kind == 5:
+        return RationalMonomialMap(chart.target, chart.source,
+                                   tuple(comps), chart.sign)
+    elif kind == 6:
+        return _with_components(chart, comps, rng.choice(["*", "+-", "+"]))
+    elif kind == 7:
+        return blowup_chart_inverse(W, W.vars[_chart_building_center(W, chart)],
+                                    chart.sign)
+    return _with_components(chart, comps)
+
+
+def test_the_closed_form_chart_check_matches_the_chart_building_check():
+    rng = random.Random(2905)
+    outcomes = {"center": 0, "refused": 0}
+    for _ in range(400):
+        W = _rand_lift_weights(rng)
+        source = rng.choice([W, W, W, _rand_lift_weights(rng)])
+        chart = blowup_chart(source, rng.choice(source.positive_vars),
+                             rng.choice("+-"))
+        if rng.random() < 0.6 and source is W:
+            chart = _spoiled_chart(rng, W, chart)
+        try:
+            expected = _chart_building_center(W, chart)
+        except ValueError as error:
+            expected = str(error)
+        try:
+            got = _chart_center(W, chart)
+        except ValueError as error:
+            got = str(error)
+        assert got == expected, (W, str(chart), chart.sign)
+        outcomes["refused" if isinstance(expected, str) else "center"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 # The lift as it was computed before the closed form: the degree-0 extension
