@@ -283,23 +283,28 @@ def nilpotent_frames(W: WeightSequence) -> GradedLieAlgebra:
         m[pos] -= 1
         return tuple(m)
 
+    # the labels holding x_p and along x_p; no exponent exceeds the top weight
+    holding = [[k for k, (s, _) in enumerate(labels) if s[p]] for p in range(len(pw))]
+    along = [[k for k, (_, a) in enumerate(labels) if positions[a] == p]
+             for p in range(len(pw))]
+    fraction = {q: Fraction(q) for q in range(-max(W.weights), max(W.weights) + 1)}
     brackets = []
     for i, (s, a) in enumerate(labels):
         pa = positions[a]
-        for j in range(i + 1, len(labels)):
+        # [x^s d_a, x^u d_b] = u_a x^(s+u-e_a) d_b - s_b x^(s+u-e_b) d_a,
+        # where a weight-0 x_a or x_b occurs in no monomial.  No label (s, a)
+        # has x_a in x^s, since s.w < w_a, so the two terms carry different
+        # labels and never cancel: the bracket is non-zero iff x_a | x^u or x_b | x^s.
+        partners = set(holding[pa]).union(*(along[p] for p, e in enumerate(s) if e))
+        for j in sorted(j for j in partners if j > i):
             u, b = labels[j]
             pb = positions[b]
-            # [x^s d_a, x^u d_b] = u_a x^(s+u-e_a) d_b - s_b x^(s+u-e_b) d_a,
-            # where a weight-0 x_a or x_b occurs in no monomial.  No label
-            # (s, a) has x_a in x^s, since s.w < w_a, so the two terms carry
-            # different labels and never cancel.
             entries = []
-            if pa is not None and u[pa]:
-                entries.append((index[(lowered(s, u, pa), b)], Fraction(u[pa])))
-            if pb is not None and s[pb]:
-                entries.append((index[(lowered(s, u, pb), a)], Fraction(-s[pb])))
-            if entries:
-                brackets.append(((i, j), tuple(sorted(entries))))
+            if u[pa]:
+                entries.append((index[(lowered(s, u, pa), b)], fraction[u[pa]]))
+            if s[pb]:
+                entries.append((index[(lowered(s, u, pb), a)], fraction[-s[pb]]))
+            brackets.append(((i, j), tuple(sorted(entries))))
     return GradedLieAlgebra(W, tuple(labels), degrees, in_sub, tuple(brackets))
 
 

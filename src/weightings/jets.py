@@ -25,11 +25,12 @@ largest exponents for a product, ...); the field width is the bit length of
 that bound, so no field ever carries into the next.  A monomial product is
 then one int addition, and a partial derivative lowers one field by a
 subtraction.  Sums rescale by the lcm of the denominators, products
-multiply them and accumulate in place, and powers square and multiply left
-to right.  Levels are built on demand: asked for levels lo and up, a sum
-passes lo to its terms, a product to its last product and a power to its
-last step; other operands keep all their levels.  A leading constant scales
-the product of the other factors, one expression's terms share each power
+multiply them and accumulate each pair of levels straight into its output
+level, and powers square and multiply left to right.  Levels are built on
+demand: asked for levels lo and up, a sum passes lo to its terms, a product
+to its last product and a power to its last step; other operands keep all
+their levels.  A leading constant scales the non-empty levels of the
+product of the other factors, one expression's terms share each power
 node's series, and a field's applier skips slots no key holds.  A result is
 sealed into a JetPoly once, one Fraction per distinct numerator, so the
 inner loops do plain int arithmetic (lifts of integer polynomials stay
@@ -230,10 +231,17 @@ class _Fields:
     def raw(self, *polys: JetPoly) -> Raw:
         """The polynomials as the levels of one raw series."""
         off = self.offsets
-        den = lcm(*(c.denominator for p in polys for _, c in p.terms))
-        return [{sum(e << off[label] for label, e in m):
-                 c.numerator * (den // c.denominator) for m, c in p.terms}
-                for p in polys], den
+        den = lcm(*[c.denominator for p in polys for _, c in p.terms])
+        levels = []
+        for p in polys:
+            nums = {}
+            for m, c in p.terms:
+                key = 0
+                for label, e in m:
+                    key += e << off[label]
+                nums[key] = c.numerator * (den // c.denominator)
+            levels.append(nums)
+        return levels, den
 
     def seal(self, nums: dict[int, int], den: int) -> JetPoly:
         """The JetPoly of numerators over den: each key peeled from its top
@@ -244,8 +252,8 @@ class _Fields:
             self.peel = peel = [None]
             for label, off in self.offsets.items():
                 peel += [(label, off, (1 << off) - 1)] * self.width
-        fraction = Fraction if den == 1 else lambda c: Fraction(c, den)
-        fractions = {c: fraction(c) for c in set(nums.values()) if c}
+        fractions = {c: Fraction(c, den) if den != 1 else Fraction(c)
+                     for c in set(nums.values()) if c}
         terms = []
         for key, c in nums.items():
             if c:
@@ -262,11 +270,10 @@ class _Fields:
 
 def _mul_into(out: dict, x: dict, y: dict) -> None:
     """out += x * y, in place."""
-    get = out.get
     for m1, c1 in x.items():
         for m2, c2 in y.items():
             m = m1 + m2
-            out[m] = get(m, 0) + c1 * c2
+            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
 
 
 def _series_mul(a: Raw, b: Raw, r: int, lo: int = 0) -> Raw:
@@ -278,37 +285,41 @@ def _series_mul(a: Raw, b: Raw, r: int, lo: int = 0) -> Raw:
             start = lo - i if lo > i else 0
             for j, y in enumerate(ys[start:r + 1 - i], start):
                 if y:
-                    _mul_into(out[i + j], x, y)
+                    acc = out[i + j]
+                    for m1, c1 in x.items():
+                        for m2, c2 in y.items():
+                            m = m1 + m2
+                            acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
     return out, dx * dy
 
 
-def _square_into(out: dict, x: dict) -> None:
-    """out += x * x, in place, taking each unordered pair of terms once."""
-    get = out.get
-    items = list(x.items())
-    for k, (m1, c1) in enumerate(items):
-        m = m1 + m1
-        out[m] = get(m, 0) + c1 * c1
-        c1 += c1
-        for m2, c2 in items[k + 1:]:
-            m = m1 + m2
-            out[m] = get(m, 0) + c1 * c2
-
-
 def _series_square(a: Raw, r: int, lo: int = 0) -> Raw:
-    """a * a from eps^lo to eps^r, taking each pair of levels once."""
+    """a * a from eps^lo to eps^r, taking each pair of levels once and, at
+    level 2i, each unordered pair of terms of level i once."""
     xs, d = a
     out = [{} for _ in range(r + 1)]
     for i, x in enumerate(xs[:r + 1]):
         if x:
             if lo <= 2 * i <= r:
-                _square_into(out[2 * i], x)
+                acc = out[2 * i]
+                items = list(x.items())
+                for k, (m1, c1) in enumerate(items):
+                    m = m1 + m1
+                    acc[m] = acc[m] + c1 * c1 if m in acc else c1 * c1
+                    c1 += c1
+                    for m2, c2 in items[k + 1:]:
+                        m = m1 + m2
+                        acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
             start = lo - i if lo > 2 * i else i + 1
             if start <= r - i:
-                twice = {m: 2 * c for m, c in x.items()}
+                twice = {m: 2 * c for m, c in x.items()}.items()
                 for j, y in enumerate(xs[start:r + 1 - i], start):
                     if y:
-                        _mul_into(out[i + j], twice, y)
+                        acc = out[i + j]
+                        for m1, c1 in twice:
+                            for m2, c2 in y.items():
+                                m = m1 + m2
+                                acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
     return out, d * d
 
 
@@ -341,7 +352,7 @@ def _series_sum(parts: Sequence[Raw], r: int, lo: int = 0) -> Raw:
         k = den // d
         for out, level in zip(acc[lo:], levels[lo:]):
             for m, c in level.items():
-                out[m] = out.get(m, 0) + k * c
+                out[m] = out[m] + k * c if m in out else k * c
     return acc, den
 
 
@@ -511,7 +522,8 @@ def _generic_series(f: Expr, rows: Mapping[str, Raw], r: int,
             if isinstance(c, ex.Const):  # the constant scales the rest
                 levels, den = rec(ex.Prod(tuple(rest)) if rest[1:] else
                                   rest[0], lo)
-                return [{m: c.value.numerator * v for m, v in level.items()}
+                k = c.value.numerator
+                return [{m: k * v for m, v in level.items()} if level else {}
                         for level in levels], den * c.value.denominator
             *head, last = map(rec, e.factors)
             return _series_mul(reduce(lambda x, y: _series_mul(x, y, r), head),

@@ -449,6 +449,7 @@ def blowup_lift_vf(X: PolyVectorField, W: WeightSequence,
             terms.append((full, weighted_degree(s, w) - W.weights[v],
                           wp._value(ex.substitute(k, rename))))
         ext.append(terms)
+    zorder = sorted(zip(znames, range(W.n)))  # z10 sorts before z2
     comps: dict[str, tuple[Term, ...]] = {}
     for b, zb in enumerate(znames):
         acc: dict = {}
@@ -463,10 +464,11 @@ def blowup_lift_vf(X: PolyVectorField, W: WeightSequence,
                 m[c] = (b == c) + shift
                 key, qk = tuple(m), wp._mul(q, kappa)
                 acc[key] = wp._add(acc[key], qk) if key in acc else qk
-        # m -> _exps is one-to-one, so the keys need not be _exps until here
-        terms = sorted(((ex.as_expr(k), _exps(dict(zip(znames, m))))
-                        for m, k in acc.items() if k),
-                       key=lambda item: item[1])
+        # each key's exponents in z-name order, one Fraction per integer
+        fraction = {q: Fraction(q) for q in set().union(*acc)}
+        terms = sorted(((ex.as_expr(k), tuple((z, fraction[m[a]])
+                                              for z, a in zorder if m[a]))
+                        for m, k in acc.items() if k), key=lambda item: item[1])
         if terms:
             comps[zb] = tuple(terms)
     return BlowupField(chart, tuple(sorted(comps.items())))
@@ -480,8 +482,9 @@ def _chart_center(W: WeightSequence, chart: RationalMonomialMap) -> int:
     for c, wc in enumerate(W.weights):
         if wc and comps.get(z[c]) == (1, (("t", 1), (y[c], Fraction(1, wc)))):
             closed = {"t": (1, (("t", 1),)), z[c]: comps[z[c]]}
-            closed.update((z[a], (1, _exps({y[a]: 1, y[c]: Fraction(-w, wc)})))
-                          for a, w in enumerate(W.weights) if a != c)
+            closed.update((z[a], (1, tuple(sorted(  # y_a y_c^(-w/wc); y_a at w = 0
+                ((y[a], 1), (y[c], Fraction(-w, wc)))[:1 + bool(w)]))))
+                for a, w in enumerate(W.weights) if a != c)
             if chart.sign in ("+", "-") and (chart.source, chart.target) == names \
                     and chart.components == tuple(sorted(closed.items())):
                 return c

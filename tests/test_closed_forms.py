@@ -77,7 +77,16 @@ was, and both are compared on generated inputs:
   Expr coefficients as it was: the same keys and values from ``_expand``,
   ``_partial``, ``_product`` and ``_apply_field``, no value a ``Const``,
   and the same ``weighted_taylor``, ``poly_normal_form``, ``lie_bracket``
-  and ``blowup_lift_vf``, refusals included.
+  and ``blowup_lift_vf``, refusals included;
+* the jet kernel's seal against the unpacking from the lowest field up, on
+  packings of up to 30 labels with bounds up to 99 999 and monomials that
+  are prefixes of one another; ``_series_mul`` and ``_series_square``,
+  which multiply each pair of levels straight into the output level,
+  against one call per level pair at every lo; ``blowup_lift_vf``, which
+  builds each term's exponents from its integer key, against ``_exps`` of
+  a dict per term, on weightings of up to 12 variables; and
+  ``nilpotent_frames``, which visits only the pairs whose bracket can be
+  non-zero, against the scan over every pair.
 """
 
 from __future__ import annotations
@@ -1580,7 +1589,7 @@ def _reference_series_mul(a, b, r):
         if x:
             for j, y in enumerate(ys[:r + 1 - i]):
                 if y:
-                    jt._mul_into(out[i + j], x, y)
+                    _per_pair_mul_into(out[i + j], x, y)
     return out, dx * dy
 
 
@@ -1591,12 +1600,12 @@ def _reference_series_square(a, r):
     for i, x in enumerate(xs[:r + 1]):
         if x:
             if 2 * i <= r:
-                jt._square_into(out[2 * i], x)
+                _per_pair_square_into(out[2 * i], x)
             if 2 * i < r:
                 twice = {m: 2 * c for m, c in x.items()}
                 for j, y in enumerate(xs[i + 1:r + 1 - i], start=i + 1):
                     if y:
-                        jt._mul_into(out[i + j], twice, y)
+                        _per_pair_mul_into(out[i + j], twice, y)
     return out, d * d
 
 
@@ -2571,3 +2580,331 @@ def test_the_operations_on_kernel_values_match_the_expr_valued_kernel():
                 seen["lift refused" if isinstance(expected, tuple)
                      else "lift"] += 1
     assert min(seen.values()) >= 20 and seen["bracket"] >= 150, seen
+
+
+# ---------------------------------------------------------------------------
+# the jet kernel's seal on wide packings, its products straight into the
+# output levels, the blow-up lift's exponent tuples and the frame's bracket
+# partners, each against the code it replaced
+
+_WIDE_LABELS = [(a, j) for a in range(-1, 6) for j in range(6)]
+
+
+def _prefix_family(rng, labels, bound):
+    """A monomial on the labels, as (label, exponent) pairs sorted by label,
+    with exponents 1 to bound (often 1 or bound), and each of its prefixes."""
+    chosen = sorted(rng.sample(labels, rng.randint(1, len(labels))))
+    m = [(label, rng.choice([1, bound, rng.randint(1, bound)]))
+         for label in chosen]
+    return [m[:k] for k in range(len(m) + 1)]
+
+
+def test_seal_matches_the_reference_on_wide_packings_and_prefixes():
+    rng = random.Random(3001)
+    seen = {"30 labels": 0, "bound 99999": 0, "past 64 bits": 0,
+            "prefixes": 0, "one label": 0, "same labels": 0, "den>1": 0}
+    for _ in range(1200):
+        labels = rng.sample(_WIDE_LABELS, rng.choice(
+            [1, 2, rng.randint(1, 30), 30]))
+        bound = rng.choice([1, 3, 7, 99_999, rng.randint(1, 99_999)])
+        fields = jt._Fields(labels, bound)
+        monomials = []
+        for _ in range(rng.randint(1, 4)):
+            family = _prefix_family(rng, labels, bound)
+            monomials += family
+            # the same labels with other exponents
+            monomials.append([(label, rng.randint(1, bound))
+                              for label, _e in family[-1]])
+        nums = {sum(e << fields.offsets[label] for label, e in m):
+                rng.choice([0, 1, -1, rng.randint(-10**6, 10**6)])
+                for m in monomials}
+        den = rng.choice([1, 1, 2, rng.randint(1, 10**6)])
+        sealed = fields.seal(nums, den)
+        expected = _reference_seal(fields, nums, den)
+        assert sealed == expected, (labels, bound, nums, den)
+        assert [m for m, _ in sealed.terms] == sorted(m for m, _ in sealed.terms)
+        seen["30 labels"] += len(labels) == 30
+        seen["bound 99999"] += bound == 99_999
+        seen["past 64 bits"] += max(nums).bit_length() > 64
+        present = {m for m, _ in sealed.terms}
+        seen["prefixes"] += any(m[:k] in present for m in present
+                                for k in range(1, len(m)))
+        seen["one label"] += len(labels) == 1
+        seen["same labels"] += len({tuple(l for l, _ in m) for m in present}) \
+            < len(present)
+        seen["den>1"] += den > 1
+    assert min(seen.values()) >= 100, seen
+
+
+def _per_pair_mul_into(out, x, y):
+    """out += x * y, in place."""
+    get = out.get
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+
+
+def _per_pair_square_into(out, x):
+    """out += x * x, in place, taking each unordered pair of terms once."""
+    get = out.get
+    items = list(x.items())
+    for k, (m1, c1) in enumerate(items):
+        m = m1 + m1
+        out[m] = get(m, 0) + c1 * c1
+        c1 += c1
+        for m2, c2 in items[k + 1:]:
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+
+
+def _per_pair_series_mul(a, b, r, lo=0):
+    """The product from eps^lo to eps^r, one call per level pair."""
+    (xs, dx), (ys, dy) = a, b
+    out = [{} for _ in range(r + 1)]
+    for i, x in enumerate(xs[:r + 1]):
+        if x:
+            start = lo - i if lo > i else 0
+            for j, y in enumerate(ys[start:r + 1 - i], start):
+                if y:
+                    _per_pair_mul_into(out[i + j], x, y)
+    return out, dx * dy
+
+
+def _per_pair_series_square(a, r, lo=0):
+    """a * a from eps^lo to eps^r, one call per pair of levels."""
+    xs, d = a
+    out = [{} for _ in range(r + 1)]
+    for i, x in enumerate(xs[:r + 1]):
+        if x:
+            if lo <= 2 * i <= r:
+                _per_pair_square_into(out[2 * i], x)
+            start = lo - i if lo > 2 * i else i + 1
+            if start <= r - i:
+                twice = {m: 2 * c for m, c in x.items()}
+                for j, y in enumerate(xs[start:r + 1 - i], start):
+                    if y:
+                        _per_pair_mul_into(out[i + j], twice, y)
+    return out, d * d
+
+
+def _raw_series(rng, fields, labels, levels):
+    """levels dicts of packed keys (exponents 0 to 2) -> int numerators, some
+    levels empty, over a random denominator."""
+    return [{sum(rng.randint(0, 2) << fields.offsets[label] for label in
+                 rng.sample(labels, rng.randint(0, min(3, len(labels))))):
+             rng.choice([1, -1, rng.randint(-50, 50)])
+             for _ in range(rng.choice([0, 1, 1, 2, rng.randint(0, 6)]))}
+            for _ in range(levels)], rng.randint(1, 12)
+
+
+def test_products_into_the_output_levels_match_one_call_per_level_pair():
+    rng = random.Random(3002)
+    seen = {"lo>0": 0, "short": 0, "long": 0, "empty level": 0,
+            "one term": 0, "zero sum": 0}
+    for _ in range(400):
+        labels = rng.sample(_WIDE_LABELS, rng.randint(1, 6))
+        fields = jt._Fields(labels, 8)
+        r = rng.randint(0, 5)
+        a = _raw_series(rng, fields, labels, rng.randint(1, r + 2))
+        b = _raw_series(rng, fields, labels, rng.randint(1, r + 2))
+        if rng.random() < 0.2:  # a row of the generic jet: one term a level
+            b = [{1 << fields.offsets[label]: 1} for label in
+                 rng.choices(labels, k=r + 1)], 1
+            seen["one term"] += 1
+        for lo in range(r + 1):
+            for got, expected in (
+                    (jt._series_mul(a, b, r, lo), _per_pair_series_mul(a, b, r, lo)),
+                    (jt._series_square(a, r, lo), _per_pair_series_square(a, r, lo))):
+                # the same levels, keys met in the same order, same denominator
+                assert [list(level.items()) for level in got[0]] == \
+                    [list(level.items()) for level in expected[0]], (a, b, r, lo)
+                assert got[1] == expected[1]
+                seen["zero sum"] += any(0 in level.values() for level in got[0])
+            seen["lo>0"] += lo > 0
+        seen["short" if len(a[0]) <= r else "long"] += 1
+        seen["empty level"] += any(not level for level in a[0])
+    assert min(seen.values()) >= 50, seen
+
+
+def _exps_chart_center(W, chart):
+    """_chart_center with each closed-form component through _exps."""
+    y, z = sp.deformation_names(W), sp.chart_names(W)
+    comps, names = dict(chart.components), (y + ("t",), z + ("t",))
+    for c, wc in enumerate(W.weights):
+        if wc and comps.get(z[c]) == (1, (("t", 1), (y[c], Fraction(1, wc)))):
+            closed = {"t": (1, (("t", 1),)), z[c]: comps[z[c]]}
+            closed.update((z[a], (1, sp._exps({y[a]: 1,
+                                               y[c]: Fraction(-w, wc)})))
+                          for a, w in enumerate(W.weights) if a != c)
+            if chart.sign in ("+", "-") and \
+                    (chart.source, chart.target) == names \
+                    and chart.components == tuple(sorted(closed.items())):
+                return c
+    raise ValueError("map is not a blow-up chart")
+
+
+def _exps_blowup_lift_vf(X, W, chart):
+    """blowup_lift_vf with each key's exponents through _exps of a dict
+    from every z name to its integer exponent."""
+    if vf_filtration_degree(X, W) < 0:
+        raise ValueError("only fields of filtration degree 0 lift to the "
+                         "blow-up")
+    c = _exps_chart_center(W, chart)
+    ynames = sp.deformation_names(W)
+    znames = sp.chart_names(W)
+    rename = sp._rename_map(W, znames + ("t",),
+                            [k for coeff in X.coeffs for _, k in coeff.terms])
+    w = list(W.positive_weights)
+    ext = []
+    for v, coeff in enumerate(X.coeffs):
+        index = [W.vars.index(p) for p in coeff.pvars]
+        terms = []
+        for s, k in coeff.terms:
+            full = [0] * W.n
+            for i, e in zip(index, s):
+                full[i] = e
+            terms.append((full, weighted_degree(s, w) - W.weights[v],
+                          wp._value(ex.substitute(k, rename))))
+        ext.append(terms)
+    comps = {}
+    for b, zb in enumerate(znames):
+        acc = {}
+        for yv, q in chart.component(zb)[1]:
+            if yv == "t":
+                continue
+            v = ynames.index(yv)
+            for s, shift, kappa in ext[v]:
+                m = list(s)
+                m[b] += 1
+                m[v] -= 1
+                m[c] = (b == c) + shift
+                key, qk = tuple(m), wp._mul(q, kappa)
+                acc[key] = wp._add(acc[key], qk) if key in acc else qk
+        terms = sorted(((ex.as_expr(k), sp._exps(dict(zip(znames, m))))
+                        for m, k in acc.items() if k),
+                       key=lambda item: item[1])
+        if terms:
+            comps[zb] = tuple(terms)
+    return sp.BlowupField(chart, tuple(sorted(comps.items())))
+
+
+def _lift_weights(rng):
+    """1-4 or 10-12 variables named a1, a2, ..., each of weight 0 to 3 (0
+    one time in five), at least one of positive weight."""
+    n = rng.choice([rng.randint(1, 4), rng.randint(10, 12)])
+    weights = [rng.choice([0, 1, 1, 2, 3]) for _ in range(n)]
+    weights[rng.randrange(n)] = rng.randint(1, 3)
+    return weight_sequence([(f"a{k + 1}", w) for k, w in enumerate(weights)])
+
+
+def _lift_field(rng, W):
+    """A field that is often of filtration degree 0: each coefficient a few
+    monomials in the positive-weight variables, kept or dropped by their
+    weight, with weight-0 factors on some coefficients."""
+    pvars, w = W.positive_vars, W.positive_weights
+    coeffs = []
+    for wv in W.weights:
+        terms = {}
+        for _ in range(rng.choice([0, 1, 2, 3])):
+            s = [0] * len(pvars)
+            for p in rng.sample(range(len(pvars)), min(len(pvars), 2)):
+                s[p] = rng.randint(0, 2)
+            s = tuple(s)
+            if weighted_degree(s, w) < wv and rng.random() < 0.9:
+                continue
+            k = ex.const(rand_rational(rng, zero_ok=False))
+            if W.zero_vars and rng.random() < 0.4:
+                k = ex.mul(k, ex.add(ONE, ex.var(rng.choice(W.zero_vars))))
+            terms[s] = ex.add(terms.get(s, ZERO), k)
+        coeffs.append(wp.wpoly(pvars, terms))
+    return PolyVectorField(W.vars, tuple(coeffs))
+
+
+def test_blowup_lift_exponents_from_the_integer_keys_match_the_exps_path():
+    rng = random.Random(3003)
+    seen = {"lift": 0, "refused": 0, "10+ variables": 0, "z10 term": 0,
+            "off-diagonal": 0, "sign -": 0}
+    for _ in range(160):
+        W = _lift_weights(rng)
+        X = _lift_field(rng, W)
+        centers = rng.sample(W.positive_vars, min(3, len(W.positive_vars)))
+        for center in centers:
+            for sign in "+-":
+                chart = sp.blowup_chart(W, center, sign)
+                expected = _outcome(_exps_blowup_lift_vf, X, W, chart)
+                got = _outcome(sp.blowup_lift_vf, X, W, chart)
+                assert got == expected and str(got) == str(expected), \
+                    (W, str(X), center, sign)
+                if isinstance(got, tuple):
+                    seen["refused"] += 1
+                    continue
+                assert all(type(q) is Fraction for _zb, terms in got.components
+                           for _k, m in terms for _v, q in m)
+                seen["lift"] += 1
+                seen["sign -"] += sign == "-"
+                seen["10+ variables"] += W.n >= 10
+                seen["z10 term"] += any(v == "z10" for _zb, terms in
+                                        got.components for _k, m in terms
+                                        for v, _q in m)
+                seen["off-diagonal"] += any(
+                    s[p] for v, coeff in zip(W.vars, X.coeffs)
+                    for s, _k in coeff.terms for p, pv in
+                    enumerate(coeff.pvars) if pv != v)
+    assert min(seen.values()) >= 30, seen
+
+
+def _all_pairs_nilpotent_frames(W):
+    """nilpotent_frames over every pair (i < j) of labels, one Fraction per
+    bracket entry."""
+    pvars = W.positive_vars
+    pw = list(W.positive_weights)
+    labels = [(s, a) for a, wa in enumerate(W.weights)
+              for s in exponents_below(pw, wa)]
+    labels.sort(key=lambda lab: (weighted_degree(lab[0], pw) - W.weights[lab[1]],
+                                 lab[1], lab[0]))
+    index = {lab: i for i, lab in enumerate(labels)}
+    degrees = tuple(weighted_degree(s, pw) - W.weights[a] for s, a in labels)
+    in_sub = tuple(any(s) for s, _ in labels)
+    positions = [pvars.index(v) if v in pvars else None for v in W.vars]
+
+    def lowered(s, u, pos):
+        m = list(map(operator.add, s, u))
+        m[pos] -= 1
+        return tuple(m)
+
+    brackets = []
+    for i, (s, a) in enumerate(labels):
+        pa = positions[a]
+        for j in range(i + 1, len(labels)):
+            u, b = labels[j]
+            pb = positions[b]
+            entries = []
+            if pa is not None and u[pa]:
+                entries.append((index[(lowered(s, u, pa), b)], Fraction(u[pa])))
+            if pb is not None and s[pb]:
+                entries.append((index[(lowered(s, u, pb), a)], Fraction(-s[pb])))
+            if entries:
+                brackets.append(((i, j), tuple(sorted(entries))))
+    return (tuple(labels), degrees, in_sub, tuple(brackets))
+
+
+def test_bracket_partners_match_the_scan_over_every_pair():
+    rng = random.Random(3004)
+    seen = {"weight 0": 0, "empty": 0, "brackets": 0, "sparse": 0}
+    for _ in range(320):
+        n = rng.randint(1, 6)
+        weights = [rng.choice([0, 1, 2, 3, 4, 5, 7]) for _ in range(n)]
+        W = weight_sequence([(f"x{k}", w) for k, w in enumerate(weights)])
+        g = nilpotent_frames(W)
+        expected = _all_pairs_nilpotent_frames(W)
+        assert (g.basis, g.degrees, g.in_subalgebra, g.brackets) == expected, \
+            weights
+        assert all(type(c) is Fraction for _ij, entries in g.brackets
+                   for _k, c in entries)
+        pairs = len(g.basis) * (len(g.basis) - 1) // 2
+        seen["weight 0"] += 0 in weights
+        seen["empty"] += not g.brackets
+        seen["brackets"] += bool(g.brackets)
+        seen["sparse"] += 0 < len(g.brackets) < pairs // 2
+    assert min(seen.values()) >= 30, seen
