@@ -622,10 +622,6 @@ def _factor_text(e: Expr) -> str:
         return f"{_factor_text(e.base)}^{e.exponent}"
     if isinstance(e, Sum):
         return f"({to_text(e)})"
-    if isinstance(e, Const):
-        return _frac_text(e.value)
-    if isinstance(e, Prod):
-        return f"({to_text(e)})"
     raise TypeError(f"unknown expression node {e!r}")
 
 

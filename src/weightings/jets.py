@@ -423,6 +423,7 @@ class JetPoint:
     values: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
+        _check_names(self.vars)
         if len(self.vars) != len(self.values):
             raise ValueError("one slot vector per variable required")
         lengths = {len(v) for v in self.values}
@@ -831,7 +832,10 @@ def parse_jet_point(text: str) -> JetPoint:
             if ":" not in piece:
                 raise ValueError(f"malformed slot {piece.strip()!r}")
             level, value = piece.split(":", 1)
-            slots[int(level)] = _parse_fraction(value.strip())
+            j = int(level)
+            if j in slots:
+                raise ValueError(f"variable {name.strip()!r} repeats slot level {j}")
+            slots[j] = _parse_fraction(value.strip())
         if sorted(slots) != list(range(len(slots))):
             raise ValueError(f"variable {name.strip()!r} is missing slot levels")
         names.append(name.strip())

@@ -314,6 +314,7 @@ class MultiWeight:
     def __post_init__(self):
         if not self.vars:
             raise ValueError("multi-weight needs at least one variable")
+        _check_names(self.vars)
         if len(self.vars) != len(self.weights):
             raise ValueError("variable and weight counts differ")
         dims = {len(v) for v in self.weights}
@@ -329,7 +330,10 @@ class MultiWeight:
         return len(self.weights[0])
 
     def vector_of(self, name: str) -> tuple[int, ...]:
-        return self.weights[self.vars.index(name)]
+        try:
+            return self.weights[self.vars.index(name)]
+        except ValueError:
+            raise KeyError(f"unknown variable {name!r}") from None
 
 
 _MULTI_RE = r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*\(([0-9,\s]*)\)\s*$"

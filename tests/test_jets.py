@@ -258,6 +258,16 @@ def test_parse_jet_point_refuses_before_it_allocates(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x=0:1;x=0:2", "duplicate variable names"),
+    ("x=0:1,0:2,1:3", "variable 'x' repeats slot level 0"),
+])
+def test_parse_jet_point_refuses_ambiguous_input(text, message):
+    with pytest.raises(ValueError) as err:
+        jt.parse_jet_point(text)
+    assert str(err.value) == message
+
+
 def test_parse_jet_point_keeps_decimal_exponents_within_the_limit():
     assert jt.parse_jet_point("x=0:1.5e3,1:-2E-2").values == (
         (Fraction(1500), Fraction(-1, 50)),)

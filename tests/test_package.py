@@ -79,6 +79,62 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 # ---------------------------------------------------------------------------
+# public methods that no other test calls, pinned by their exact results
+
+def _raised(make):
+    try:
+        make()
+    except TypeError as err:
+        return type(err).__name__, str(err)
+
+
+def _public_method_cases():
+    from fractions import Fraction
+
+    from weightings import expr as ex
+    from weightings import jets as jt
+    from weightings import subbundle as sb
+    from weightings.weights import weight_sequence
+
+    x, y = ex.var("x"), ex.var("y")
+    p = jt.jp_slot(0, 1) * jt.jp_slot(1, 0) + jt.jp_const(Fraction(1, 2))
+    fr = sb.frame(weight_sequence([("x", 1), ("y", 2)], 2), [[1, 0], [0, 1]])
+    cases = {
+        "Expr - Expr": (lambda: x - y, ex.parse_expr("x - y")),
+        "int - Expr": (lambda: 2 - x, ex.parse_expr("2 - x")),
+        "Expr / int": (lambda: x / 2, ex.parse_expr("1/2*x")),
+        "Expr / Fraction": (lambda: x / Fraction(2, 3), ex.parse_expr("3/2*x")),
+        "Expr / Const": (lambda: x / ex.const(3), ex.parse_expr("1/3*x")),
+        "Expr / Expr": (lambda: _raised(lambda: x / y),
+                        ("TypeError", "division only by rational constants")),
+        "str(Expr)": (lambda: str(ex.parse_expr("x^2*sin(y) - (x + y)^3/2")),
+                      "-1/2*(x + y)^3 + sin(y)*x^2"),
+        "JetPoly + int": (lambda: str(p + 1), "3/2 + x1.1*x2.0"),
+        "-JetPoly": (lambda: str(-p), "-1/2 - x1.1*x2.0"),
+        "str(JetPoly)": (lambda: str(p), "1/2 + x1.1*x2.0"),
+        "str(Reparametrization)": (
+            lambda: str(jt.reparam([1, 0, Fraction(-1, 2)])),
+            "psi=1*e + -1/2*e^3"),
+        "str(zero Reparametrization)": (lambda: str(jt.reparam([0, 0])),
+                                        "psi=0"),
+        "str(WeightingVerdict)": (lambda: str(sb.WeightingVerdict(
+            False, reason=sb.LAMBDA_INVARIANCE, witness="slot y.1 moves")),
+            "rejected LAMBDA_INVARIANCE: slot y.1 moves"),
+        "str(DiffOpStandardForm)": (lambda: str(sb.diffop(fr, {
+            (0, 0): x, (0, 1): ex.const(3), (1, 2): x + y})),
+            "(x) + (3) V2 + (x + y) V1V2^2"),
+        "str(zero DiffOpStandardForm)": (lambda: str(sb.diffop(fr, {})), "0"),
+    }
+    return [pytest.param(make, expected, id=name)
+            for name, (make, expected) in cases.items()]
+
+
+@pytest.mark.parametrize("make, expected", _public_method_cases())
+def test_public_methods_give_their_pinned_results(make, expected):
+    assert make() == expected
+
+
+# ---------------------------------------------------------------------------
 # leftovers of replaced paths, found on the syntax trees of src/weightings
 
 SRC = pathlib.Path(weightings.__file__).parent

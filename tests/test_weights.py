@@ -359,6 +359,18 @@ def test_multiweight_degrees():
     assert multi_degree({}, mw) == (0, 0)
 
 
+def test_multiweight_refuses_a_repeated_name():
+    with pytest.raises(ValueError) as err:
+        parse_multiweight("x=(1,0),x=(0,1)")
+    assert str(err.value) == "duplicate variable names"
+
+
+def test_multi_degree_names_an_unknown_variable():
+    with pytest.raises(KeyError) as err:
+        multi_degree({"z": 1}, parse_multiweight("x=(1,0)"))
+    assert err.value.args == ("unknown variable 'z'",)
+
+
 def test_multi_filtration_degree():
     mw = parse_multiweight("x=(1,0),y=(0,1)")
     xy = wp.poly_normal_form(parse_expr("x*y"), ("x", "y"))
