@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 from weightings import expr as ex
+from weightings import jets as jt
 from weightings import wpoly as wp
 from weightings.weights import WeightSequence, weight_sequence
 
@@ -15,6 +16,20 @@ def rand_rational(rng: random.Random, zero_ok: bool = True) -> Fraction:
     if not zero_ok and num == 0:
         num = 1
     return Fraction(num, rng.randint(1, 4))
+
+
+def rand_jetpoly(rng: random.Random, labels, max_terms: int = 4,
+                 max_exponent: int = 6) -> jt.JetPoly:
+    """Random JetPoly on the slot labels: up to max_terms terms of up to
+    three labels each, exponents 1 to max_exponent (often 1 or the top)."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        m = tuple(sorted((label, rng.choice([1, max_exponent,
+                                             rng.randint(1, max_exponent)]))
+                         for label in rng.sample(labels, rng.randint(
+                             0, min(3, len(labels))))))
+        terms[m] = rand_rational(rng)
+    return jt.jetpoly(terms)
 
 
 def rand_poly_expr(rng: random.Random, names, max_degree: int = 4,

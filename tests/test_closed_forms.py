@@ -64,8 +64,8 @@ from weightings.fields import (_apply_expr_field, lie_bracket,
 from weightings.weights import (exponents_below, ideal_generators,
                                 weight_sequence, weighted_degree)
 
-from conftest import (rand_expr, rand_poly_expr, rand_rational,
-                      rand_weight_sequence)
+from conftest import (rand_expr, rand_jetpoly, rand_poly_expr,
+                      rand_rational, rand_weight_sequence)
 from test_subbundle import _random_solved_graph
 
 
@@ -1108,14 +1108,6 @@ def test_initial_coordinates_that_do_not_vanish_on_the_base_are_refused():
 JET_LABELS = [(a, j) for a in range(-1, 3) for j in range(4)]
 
 
-def _rand_jetpoly(rng, labels=JET_LABELS, max_terms=4, max_exponent=6):
-    return jt.jetpoly({
-        tuple(sorted({label: rng.randint(1, max_exponent)
-                      for label in rng.sample(labels, rng.randint(0, 3))}
-                     .items())): rand_rational(rng)
-        for _ in range(rng.randint(0, max_terms))})
-
-
 # ---------------------------------------------------------------------------
 # one field printer, one Expr field applier, the frame words on the base
 
@@ -1181,7 +1173,7 @@ def test_one_field_printer_matches_the_four_joins():
                           for _ in range(rng.randint(1, 3))))
                 for n in sorted(rng.sample(znames, rng.randint(0, W.n)))))
             assert str(B) == _reference_blowup_field_text(B)
-        xi = jt.jet_vf({(a, k): _rand_jetpoly(rng, max_exponent=2)
+        xi = jt.jet_vf({(a, k): rand_jetpoly(rng, JET_LABELS, max_exponent=2)
                         for a, k in rng.sample(JET_LABELS[4:], 3)})
         assert str(xi) == _reference_jet_field_text(xi)
         xi = jt.vf_lift(X, rng.randint(0, 1), 2)
@@ -1283,7 +1275,7 @@ def _reference_seal(fields, nums, den):
 def test_seal_builds_one_fraction_per_distinct_numerator():
     rng = random.Random(1902)
     for _ in range(300):
-        p = _rand_jetpoly(rng, max_terms=8, max_exponent=3)
+        p = rand_jetpoly(rng, JET_LABELS, max_terms=8, max_exponent=3)
         fields = jt._Fields(jt.jp_labels(p), 3)
         (nums,), den = fields.raw(p)
         nums = {m: rng.choice([0, 1, -2, 3]) * v for m, v in nums.items()}

@@ -21,6 +21,9 @@ that result, and shares no code with the kernel it checks:
   along the fields, again by dual numbers; the term-map kernel keeps its
   value rule (the Fraction of a constant, never a Const); a transcendental
   head whose argument has a weight-0 part goes through sympy's ``series``;
+  every result's printed text parses back to it, and since values cannot
+  tell (1 + x)^2 from 1 + 2*x + x^2, fixed cases pin the printed form of
+  weight-0 coefficients;
 * Expr: ``expand``, ``differentiate`` and ``substitute`` agree with sympy
   on small polynomial and rational inputs, the canonical text means what
   sympy reads from it, and ``parse_expr(to_text(e)) == e``;
@@ -49,11 +52,12 @@ from weightings import expr as ex
 from weightings import jets as jt
 from weightings import spaces as sp
 from weightings import wpoly as wp
+from weightings.cli import main
 from weightings.fields import (PolyVectorField, lie_bracket, vf_apply,
                                vf_for_weights)
 from weightings.weights import weight_sequence
 
-from conftest import rand_poly_expr, rand_rational
+from conftest import rand_jetpoly, rand_poly_expr, rand_rational
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +222,6 @@ def _along(p, point, direction):
                         for label, v in point.items()})[1]
 
 
-def _rand_jetpoly(rng, labels=_LABELS, max_terms=4, max_exponent=6):
-    terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        m = tuple(sorted((label, rng.choice([1, max_exponent,
-                                             rng.randint(1, max_exponent)]))
-                         for label in rng.sample(labels, rng.randint(
-                             0, min(3, len(labels))))))
-        terms[m] = rand_rational(rng)
-    return jt.jetpoly(terms)
-
-
 def _poly_tree(rng, names, depth=3):
     """A polynomial tree of rational constants, variables, sums, products
     and powers 0 to 6; some sums multiply each term by one square, so the
@@ -291,7 +284,7 @@ def _check_raw_kernel(rng, point):
     labels = rng.sample(_LABELS, rng.randint(1, 6))
     fields = jt._Fields(labels, 16)
     r = rng.randint(0, 5)
-    rows = [[_rand_jetpoly(rng, labels, 3, 2)
+    rows = [[rand_jetpoly(rng, labels, 3, 2)
              for _ in range(rng.randint(1, r + 2))] for _ in range(3)]
     if rng.random() < 0.2:  # a row of the generic jet: one slot a level
         rows[1] = [jt.jp_slot(*rng.choice(labels)) for _ in range(r + 1)]
@@ -329,12 +322,12 @@ def test_jets_are_the_eps_coefficients_on_the_truncated_series():
         _assert_jet_field(xi)
         assert all(k >= i for (_a, k), _c in xi.terms)
         # JetPoly arithmetic
-        a, b = _rand_jetpoly(rng), _rand_jetpoly(rng)
-        polys = [_rand_jetpoly(rng) for _ in range(rng.randint(0, 4))]
+        a, b = rand_jetpoly(rng, _LABELS), rand_jetpoly(rng, _LABELS)
+        polys = [rand_jetpoly(rng, _LABELS) for _ in range(rng.randint(0, 4))]
         if polys and rng.random() < 0.3:
             polys.append(jt.jp_scale(polys[0], -1))
         e = rng.randint(0, 7)
-        base = _rand_jetpoly(rng, max_terms=rng.choice([1, 2, 3]),
+        base = rand_jetpoly(rng, _LABELS, max_terms=rng.choice([1, 2, 3]),
                              max_exponent=3)
         mapping = {}
         for label in sorted(jt.jp_labels(a)) + rng.sample(_LABELS, 2):
@@ -342,14 +335,14 @@ def test_jets_are_the_eps_coefficients_on_the_truncated_series():
             if kind == 0:
                 mapping[label] = jt.JP_ZERO
             elif kind < 3:
-                mapping[label] = _rand_jetpoly(rng, max_terms=3, max_exponent=3)
+                mapping[label] = rand_jetpoly(rng, _LABELS, max_terms=3, max_exponent=3)
         outputs = {"add": jt.jp_add(*polys), "mul": jt.jp_mul(a, b),
                    "pow": jt.jp_pow(base, e), "sub": jt.jp_substitute(a, mapping)}
         # two fields on the slots, sometimes the lift above
-        eta = jt.jet_vf({label: _rand_jetpoly(rng, max_terms=3, max_exponent=3)
+        eta = jt.jet_vf({label: rand_jetpoly(rng, _LABELS, max_terms=3, max_exponent=3)
                          for label in rng.sample(_LABELS[6:], rng.randint(0, 4))})
         zeta = xi if rng.random() < 0.3 else jt.jet_vf({
-            label: _rand_jetpoly(rng, max_terms=3, max_exponent=3)
+            label: rand_jetpoly(rng, _LABELS, max_terms=3, max_exponent=3)
             for label in rng.sample(_LABELS[6:], rng.randint(0, 4))})
         bracket = jt.jet_bracket(eta, zeta)
         applied = jt.jvf_apply(eta, a)
@@ -508,6 +501,11 @@ def _assert_kernel_map(m):
         assert c != 0
 
 
+def _assert_reads_back(p):
+    """The printed text of p parses back to p as an Expr."""
+    assert ex.parse_expr(str(p)) == wp.to_expr(p), str(p)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -552,6 +550,7 @@ def test_weighted_taylor_is_the_t_expansion_of_the_dilated_function():
             point = _in_point(rng, W, f)
             assert _by_degree(got, W, point, d) == \
                 _dilated_series(f, W, point, d), (text, d)
+            _assert_reads_back(got)
             seen["taylor"] += 1
             # homogeneous_approx is the t^k coefficient of the expansion
             k = rng.randint(0, d)
@@ -581,6 +580,7 @@ def test_weighted_taylor_is_the_t_expansion_of_the_dilated_function():
             point = _in_point(rng, W, f)
             assert _by_degree(exact, W, point, top + 2) == \
                 _dilated_series(f, W, point, top + 2), text
+            _assert_reads_back(exact)
             seen["exact"] += 1
         # a field applied to a polynomial, and a bracket of two fields
         X, Y = _split_field(rng, W), _split_field(rng, W)
@@ -599,6 +599,7 @@ def test_weighted_taylor_is_the_t_expansion_of_the_dilated_function():
         else:
             assert _wp_value(applied, {v: [q] for v, q in point.items()})[0] \
                 == _wp_along(p, point, at_x), (str(X), str(p))
+            _assert_reads_back(applied)
             seen["apply"] += 1
         bracket = _outcome(lie_bracket, X, Y)
         if isinstance(bracket, str):
@@ -611,6 +612,7 @@ def test_weighted_taylor_is_the_t_expansion_of_the_dilated_function():
                                   {v: [q] for v, q in point.items()})[0]
                 assert value == _wp_along(yc, point, at_x) - \
                     _wp_along(xc, point, at_y), (str(X), str(Y))
+                _assert_reads_back(bracket.coeffs[a])
             seen["bracket"] += 1
     assert min(seen.values()) >= 20, seen
 
@@ -646,6 +648,52 @@ def test_a_head_with_a_weight0_part_is_sympy_series():
                 (ex.to_text(f), d, k)
         cases += 1
     assert cases == 16
+
+
+# The references above compare values, so they cannot tell (1 + x)^2 from
+# 1 + 2*x + x^2.  The kernel keeps a weight-0 coefficient as the canonical
+# Expr of the operations that made it, unexpanded; these pin that text.
+_XY = weight_sequence([("x", 0), ("y", 1)], 3)
+_XYZ = weight_sequence([("x", 0), ("y", 1), ("z", 2)], 2)
+
+
+def _field(W, *coeffs):
+    return vf_for_weights(W, [ex.parse_expr(c) for c in coeffs])
+
+
+@pytest.mark.parametrize("result, text", [
+    (lambda: wp.weighted_taylor(ex.parse_expr("(1+x)*(1+x+y)"), _XY, 0),
+     "(1 + x)^2"),
+    (lambda: wp.weighted_taylor(ex.parse_expr("(1+x+y)^3"), _XY, 2),
+     "(1 + x)^3 + ((1 + x)^2 + (1 + x)*(2 + 2*x))*y + (3 + 3*x)*y^2"),
+    (lambda: wp.weighted_taylor(ex.parse_expr("(1+x+y)^-2"), _XY, 1),
+     "(1 + x)^-2 - 2*(1 + x)^-3*y"),
+    (lambda: wp.poly_normal_form(ex.parse_expr("(1+x)*(1+x+y)"), ("y",)),
+     "(1 + x)^2 + (1 + x)*y"),
+    (lambda: wp.homogeneous_approx(wp.weighted_taylor(
+        ex.parse_expr("y*(1+x)*(1+x+y)"), _XY, 2), _XY, 1), "(1 + x)^2*y"),
+    (lambda: vf_apply(_field(_XY, "0", "(1+x)*y"), wp.poly_normal_form(
+        ex.parse_expr("(1+x)*y^2"), ("y",))), "2*(1 + x)^2*y^2"),
+    (lambda: lie_bracket(_field(_XY, "0", "(1+x)*y"),
+                         _field(_XY, "0", "(1+x)^2*y^2")),
+     "((1 + x)^3*y^2) d/d[y]"),
+    (lambda: sp.blowup_lift_vf(_field(_XYZ, "0", "(1+x)*y", "(1+x)^2*z + y^2"),
+                               _XYZ, sp.blowup_chart(_XYZ, "y")),
+     "((1 + z1)*z2) d/d[z2] + (1 + ((1 + z1)^2 - 2*(1 + z1))*z3) d/d[z3]"),
+    (lambda: sp.blowup_lift_vf(_field(_XYZ, "0", "(1+x)*y", "(1+x)^2*z + y^2"),
+                               _XYZ, sp.blowup_chart(_XYZ, "z", "-")),
+     "((1 + z1 - 1/2*(1 + z1)^2)*z2 - 1/2*z2^3) d/d[z2] + "
+     "(1/2*z2^2*z3 + 1/2*(1 + z1)^2*z3) d/d[z3]"),
+], ids=["taylor-product", "taylor-power", "taylor-negative-power",
+        "normal-form", "approx", "vf-apply", "bracket", "lift-y", "lift-z-"])
+def test_weight0_coefficients_print_unexpanded(result, text):
+    assert str(result()) == text
+
+
+def test_happrox_prints_a_weight0_product_unexpanded(capsys):
+    assert main(["happrox", "--weights", "x=0,y=1", "--expr",
+                 "(1+x)*(1+x+y)", "--degree", "0"]) == 0
+    assert capsys.readouterr() == ("(1 + x)^2\n", "")
 
 
 # ---------------------------------------------------------------------------
@@ -788,17 +836,22 @@ def _lift_field(rng, W):
 def test_the_blowup_lift_is_the_pushforward_by_the_chart():
     rng = random.Random(3106)
     seen = {"lift": 0, "refused": 0, "10+ variables": 0, "two terms": 0}
+    zero_fields = 0
     for _ in range(130):
         W = _lift_weighting(rng)
         X = _lift_field(rng, W)
-        while X.is_zero:
-            X = _lift_field(rng, W)
         w, n = W.weights, W.n
         znames = sp.chart_names(W)
         for center in rng.sample(W.positive_vars, min(3, len(W.positive_vars))):
             c = W.vars.index(center)
             lift = _outcome(sp.blowup_lift_vf, X, W, sp.blowup_chart(
                 W, center, rng.choice("+-")))
+            if X.is_zero:
+                # the zero field lifts to the zero field, but blowup_lift_vf
+                # refuses it today (a known defect, recorded in CHANGES.md)
+                assert lift == "zero vector field has no filtration degree"
+                zero_fields += 1
+                continue
             degree0 = all(sum(e * W.weight_of(v) for v, e in zip(p.pvars, s))
                           >= wv for p, wv in zip(X.coeffs, w) for s, _ in p.terms)
             if isinstance(lift, str):
@@ -846,3 +899,4 @@ def test_the_blowup_lift_is_the_pushforward_by_the_chart():
             seen["10+ variables"] += n >= 10
     assert min(seen.values()) >= 30 and seen["lift"] + seen["refused"] >= 300, \
         seen
+    assert zero_fields > 0
