@@ -66,16 +66,11 @@ def euler_field(W: WeightSequence) -> PolyVectorField:
                               for v, w in zip(W.vars, W.weights)])
 
 
-def vf_filtration_degree(X: PolyVectorField, W: WeightSequence) -> int:
-    """min_a (deg f_a - w_a), clamped below at -r.  Errors on the zero field."""
-    if X.is_zero:
-        raise ValueError("zero vector field has no filtration degree")
-    best = math.inf
-    for v, c in zip(X.vars, X.coeffs):
-        if c.is_zero:
-            continue
-        best = min(best, wp.filtration_degree(c, W) - W.weight_of(v))
-    return max(-W.order, int(best))
+def vf_filtration_degree(X: PolyVectorField, W: WeightSequence):
+    """min_a (deg f_a - w_a), clamped below at -r; math.inf for the zero
+    field, as wpoly.filtration_degree gives for the zero polynomial."""
+    return max(-W.order, min((wp.filtration_degree(c, W) - W.weight_of(v)
+                              for v, c in zip(X.vars, X.coeffs)), default=math.inf))
 
 
 def homogeneous_approx_vf(X: PolyVectorField, W: WeightSequence,
@@ -218,14 +213,11 @@ def lie_derivative_form(X: PolyVectorField,
 
 
 def form_filtration_degree(alpha: DifferentialFormPoly, W: WeightSequence):
-    """min over terms of (coefficient degree + sum of the slot weights)."""
-    if alpha.is_zero:
-        raise ValueError("zero form has no filtration degree")
-    best = math.inf
-    for idx, c in alpha.terms:
-        shift = sum(W.weight_of(alpha.vars[a]) for a in idx)
-        best = min(best, wp.filtration_degree(c, W) + shift)
-    return int(best)
+    """min over terms of (coefficient degree + sum of the slot weights);
+    math.inf for the zero form."""
+    return min((wp.filtration_degree(c, W)
+                + sum(W.weight_of(alpha.vars[a]) for a in idx)
+                for idx, c in alpha.terms), default=math.inf)
 
 
 # ---------------------------------------------------------------------------

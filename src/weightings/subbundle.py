@@ -547,8 +547,6 @@ def frame(W: WeightSequence, coeff_rows: Sequence[Sequence[Expr]]) -> Frame:
 
 def _det_expr(matrix: list[list[Expr]]) -> Expr:
     n = len(matrix)
-    if n == 0:
-        return ONE
     if n == 1:
         return matrix[0][0]
     terms = []

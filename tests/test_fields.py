@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -56,8 +57,10 @@ def test_vf_filtration_degree_examples():
     W13 = weight_sequence({"x": 1, "y": 3}, 3)
     X = vf_for_weights(W13, [ex.ZERO, parse_expr("x^2")])
     assert vf_filtration_degree(X, W13) == -1
-    with pytest.raises(ValueError, match="zero"):
-        vf_filtration_degree(vf_for_weights(W, [ex.ZERO, ex.ZERO]), W)
+    # the zero field has every filtration degree, as the zero polynomial does
+    zero = vf_for_weights(W, [ex.ZERO, ex.ZERO])
+    assert vf_filtration_degree(zero, W) == math.inf
+    assert homogeneous_approx_vf(zero, W, 5).is_zero
 
 
 def test_homogeneous_approx_vf():
@@ -83,6 +86,7 @@ def test_form_degrees():
     y_dx = form(W.vars, 1, {(0,): wp.poly_normal_form(parse_expr("y"),
                                                       W.positive_vars)})
     assert form_filtration_degree(y_dx, W) == 3
+    assert form_filtration_degree(form(W.vars, 1, {}), W) == math.inf
 
 
 def test_d_raises_degree():
@@ -148,19 +152,6 @@ def test_nilpotent_frames_heisenberg():
     (k, c), = entries.items()
     assert c == 1
     assert g.basis[k] == ((0, 0), g.W.vars.index("y"))
-
-
-def test_nilpotent_frames_trivial_weighting():
-    W = weight_sequence({"x": 1, "y": 1, "z": 1}, 1)
-    g = nilpotent_frames(W)
-    assert g.dim == 3 and g.dim_sub == 0
-    assert all(not entries for _, entries in g.brackets)
-
-
-def test_nilpotent_frames_dims_112():
-    W = weight_sequence({"x": 1, "y": 1, "z": 2}, 2)
-    g = nilpotent_frames(W)
-    assert g.dim == 5 and g.dim_sub == 2
 
 
 def test_nilpotent_frames_properties():

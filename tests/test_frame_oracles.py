@@ -4,11 +4,13 @@ and the bracket table of the negative nilpotent frames.
 Each library routine is compared with a plain reference kept in this file:
 Cramer's rule over Laplace determinants for frame brackets, a memo-free
 reordering for normal_order, the full sum of c_v d_v f for Frame.apply, and
-an all-pairs enumeration of coordinate brackets for nilpotent_frames.
+an all-pairs enumeration of coordinate brackets, with the labels listed by
+brute force, for nilpotent_frames.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from weightings import expr as ex
 from weightings import subbundle as sb
 from weightings import wpoly as wp
 from weightings.fields import lie_bracket, nilpotent_frames
-from weightings.weights import weight_sequence
+from weightings.weights import weight_sequence, weighted_degree
 
 from conftest import rand_expr, rand_rational
 
@@ -161,22 +163,30 @@ def test_frame_apply_skips_only_zero_coefficients():
                 assert fr.apply(a, f) == full
 
 
-def _all_pairs_brackets(W) -> dict:
-    """Every [x^s d_a, x^u d_b] over the labels, from the coordinate formula."""
-    g = nilpotent_frames(W)
+def _frame_labels(W) -> list:
+    """Every label (s, a) with s.w < w_a, s on the positive-weight
+    variables, by degree s.w - w_a, then direction a, then s."""
+    k0 = W.count(0)
+    pw = W.weights[k0:]
+    labels = [(s, a) for a, wa in enumerate(W.weights)
+              for s in itertools.product(*[range(wa // w + 1) for w in pw])
+              if weighted_degree(s, pw) < wa]
+    return sorted(labels, key=lambda label: (
+        weighted_degree(label[0], pw) - W.weights[label[1]], label[1], label[0]))
+
+
+def _all_pairs_brackets(W, basis) -> tuple:
+    """Every non-zero [x^s d_a, x^u d_b] over the labels, i < j, from the
+    coordinate formula, with its entries sorted."""
     pvars = W.positive_vars
-    index = {label: i for i, label in enumerate(g.basis)}
-
-    def field(s, a):
-        mono = ex.mul(*[ex.pow_(ex.var(v), e) for v, e in zip(pvars, s)])
-        return mono, W.vars[a]
-
-    table = {}
-    for i, (s, a) in enumerate(g.basis):
-        for j, (u, b) in enumerate(g.basis):
-            if i >= j:
-                continue
-            (f, da), (h, db) = field(s, a), field(u, b)
+    index = {label: i for i, label in enumerate(basis)}
+    monomials = [ex.mul(*[ex.pow_(ex.var(v), e) for v, e in zip(pvars, s)])
+                 for s, _ in basis]
+    table = []
+    for i, (f, (_, a)) in enumerate(zip(monomials, basis)):
+        for j in range(i + 1, len(basis)):
+            h, (_, b) = monomials[j], basis[j]
+            da, db = W.vars[a], W.vars[b]
             entries: dict = {}
             for coeff, direction in ((ex.mul(f, ex.differentiate(h, da)), b),
                                      (ex.mul(ex.MINUS_ONE, h, ex.differentiate(f, db)), a)):
@@ -185,15 +195,31 @@ def _all_pairs_brackets(W) -> dict:
                     entries[k] = entries.get(k, Fraction(0)) + c.value
             entries = {k: c for k, c in entries.items() if c != 0}
             if entries:
-                table[(i, j)] = entries
-    return table
+                table.append(((i, j), tuple(sorted(entries.items()))))
+    return tuple(table)
 
 
-@pytest.mark.parametrize("weights", [(0, 1, 2), (1, 1, 2), (1, 2, 3, 4, 5, 7),
-                                     (0, 0, 1, 3)])
+def _nilpotent_weights() -> list:
+    rng = random.Random(3202)
+    drawn = {tuple(sorted(rng.choice([0, 0, 1, 1, 2, 3, 4])
+                          for _ in range(rng.randint(1, 4))))
+             for _ in range(40)}
+    fixed = [(0, 1, 2), (1, 1, 2), (1, 2, 3, 4, 5, 7), (0, 0, 1, 3), (1, 1, 1)]
+    return fixed + sorted(drawn.difference(fixed))
+
+
+@pytest.mark.parametrize("weights", _nilpotent_weights())
 def test_nilpotent_brackets_match_all_pairs_enumeration(weights):
     W = weight_sequence([(f"x{i}", w) for i, w in enumerate(weights)])
-    assert nilpotent_frames(W).bracket_table() == _all_pairs_brackets(W)
+    g = nilpotent_frames(W)
+    assert g.basis == tuple(_frame_labels(W))
+    pw = W.positive_weights
+    assert g.degrees == tuple(weighted_degree(s, pw) - W.weights[a]
+                              for s, a in g.basis)
+    assert g.in_subalgebra == tuple(any(s) for s, _ in g.basis)
+    assert g.brackets == _all_pairs_brackets(W, g.basis)
+    assert all(type(c) is Fraction for _, entries in g.brackets
+               for _, c in entries)
 
 
 def test_frame_bracket_needs_a_constant_determinant():

@@ -93,12 +93,15 @@ def _public_method_cases():
 
     from weightings import expr as ex
     from weightings import jets as jt
+    from weightings import spaces as sp
     from weightings import subbundle as sb
+    from weightings.fields import vf_for_weights
     from weightings.weights import weight_sequence
 
     x, y = ex.var("x"), ex.var("y")
     p = jt.jp_slot(0, 1) * jt.jp_slot(1, 0) + jt.jp_const(Fraction(1, 2))
     fr = sb.frame(weight_sequence([("x", 1), ("y", 2)], 2), [[1, 0], [0, 1]])
+    W = weight_sequence([("a", 0), ("x", 1), ("y", 2)], 2)
     cases = {
         "Expr - Expr": (lambda: x - y, ex.parse_expr("x - y")),
         "int - Expr": (lambda: 2 - x, ex.parse_expr("2 - x")),
@@ -124,6 +127,25 @@ def _public_method_cases():
             (0, 0): x, (0, 1): ex.const(3), (1, 2): x + y})),
             "(x) + (3) V2 + (x + y) V1V2^2"),
         "str(zero DiffOpStandardForm)": (lambda: str(sb.diffop(fr, {})), "0"),
+        "str(RationalMonomialMap)": (
+            lambda: str(sp.blowup_chart(W, "y", "-")),
+            "t = t; z1 = y1; z2 = y2*y3^(-1/2); z3 = t*y3^(1/2)"),
+        "str(inverse RationalMonomialMap)": (
+            lambda: str(sp.blowup_chart_inverse(W, "y", "-")),
+            "t = t; y1 = z1; y2 = t^(-1)*z2*z3; y3 = t^(-2)*z3^2"),
+        "str(RationalMonomialMap with coefficients)": (
+            lambda: str(sp.rational_map(("u",), ("a", "b"), {
+                "a": (2, {"u": 3}), "b": (Fraction(1, 2), {})})),
+            "a = 2*u^3; b = 1/2"),
+        "str(JetVectorField)": (
+            lambda: str(jt.jet_vf({(0, 1): p, (1, 2): jt.jp_const(-1)})),
+            "(1/2 + x1.1*x2.0) d/d[x1.1] + (-1) d/d[x2.2]"),
+        "str(zero JetVectorField)": (lambda: str(jt.jet_vf({})), "0"),
+        "str(PolyVectorField)": (lambda: str(vf_for_weights(W, [
+            0, ex.parse_expr("a*x"), ex.parse_expr("x^2 - 3*y")])),
+            "(a*x) d/d[x] + (-3*y + x^2) d/d[y]"),
+        "str(zero PolyVectorField)": (
+            lambda: str(vf_for_weights(W, [0, 0, 0])), "0"),
     }
     return [pytest.param(make, expected, id=name)
             for name, (make, expected) in cases.items()]
@@ -132,6 +154,129 @@ def _public_method_cases():
 @pytest.mark.parametrize("make, expected", _public_method_cases())
 def test_public_methods_give_their_pinned_results(make, expected):
     assert make() == expected
+
+
+# ---------------------------------------------------------------------------
+# guards and branches that no other test runs, pinned by their exact results
+
+def _outcome(make):
+    try:
+        return make()
+    except (KeyError, ValueError) as err:
+        return type(err).__name__, err.args[0]
+
+
+def _guard_cases():
+    from fractions import Fraction
+
+    from weightings import expr as ex
+    from weightings import fields as fd
+    from weightings import jets as jt
+    from weightings import spaces as sp
+    from weightings import subbundle as sb
+    from weightings import wpoly as wp
+    from weightings.weights import MultiWeight, WeightSequence, weight_sequence
+
+    W = weight_sequence({"x": 1, "y": 2}, 2)
+    other = weight_sequence({"x": 1, "z": 2}, 2)
+    x = wp.poly_normal_form(ex.var("x"), W.positive_vars)
+    x_alone = wp.poly_normal_form(ex.var("x"), ("x",))
+    X = fd.vf_for_weights(W, [ex.var("x"), ex.ONE])
+    Z = fd.vf_for_weights(other, [ex.ONE, ex.ZERO])
+    Q = sb.standard_q(W)
+    W0 = weight_sequence({"a": 0, "x": 1}, 1)
+    fr = sb.frame(W, [[1, 0], [ex.var("x"), 1]])
+    inner = sp.rational_map(("u", "v"), ("a", "b"),
+                            {"a": (2, {"u": 1}), "b": (1, {"v": 1})})
+
+    def outer(q):
+        return sp.rational_map(("a", "b"), ("p",), {"p": (1, {"a": q, "b": -1})})
+
+    def value(message):
+        return "ValueError", message
+
+    form = fd.form
+    cases = {
+        "WeightSequence.__replace__": (lambda: W.__replace__(order=3),
+                                       weight_sequence({"x": 1, "y": 2}, 3)),
+        "WeightSequence counts": (lambda: WeightSequence(("x", "y"), (1,), 1),
+                                  value("variable and weight counts differ")),
+        "WeightSequence negative": (lambda: WeightSequence(("x",), (-1,), 1),
+                                    value("weights must be nonnegative")),
+        "weight_of unknown": (lambda: W.weight_of("q"),
+                              ("KeyError", "unknown variable 'q'")),
+        "weight_sequence empty": (lambda: weight_sequence([]),
+                                  value("no weight assignments given")),
+        "MultiWeight empty": (lambda: MultiWeight((), ()),
+                              value("multi-weight needs at least one variable")),
+        "MultiWeight counts": (lambda: MultiWeight(("x", "y"), ((1,),)),
+                               value("variable and weight counts differ")),
+        "MultiWeight dimension 0": (lambda: MultiWeight(("x",), ((),)), value(
+            "multi-weight dimension must be at least 1")),
+        "MultiWeight negative": (lambda: MultiWeight(("x",), ((-1,),)),
+                                 value("multi-weight entries must be nonnegative")),
+        "wp_add empty": (lambda: wp.wp_add(), value("empty sum")),
+        "wp_add splits": (lambda: wp.wp_add(x, x_alone),
+                          value("mismatched variable splits")),
+        "wp_mul splits": (lambda: wp.wp_mul(x, x_alone),
+                          value("mismatched variable splits")),
+        "dilate collision": (lambda: wp.dilate(x, W, "y"), value(
+            "dilation parameter 'y' collides with a variable")),
+        "weighted_taylor negative": (lambda: wp.weighted_taylor(ex.var("x"), W, -1),
+                                     value("truncation degree must be nonnegative")),
+        "homogeneous_approx_vf below": (lambda: fd.homogeneous_approx_vf(
+            X, W, 0), value("vector field has filtration degree below 0")),
+        "lie_bracket charts": (lambda: fd.lie_bracket(X, Z),
+                               value("vector fields live on different charts")),
+        "form index length": (lambda: fd.DifferentialFormPoly(W.vars, 2, (
+            ((0,), x),)), value("index tuple length must equal form degree")),
+        "form_add types": (lambda: fd.form_add(form(W.vars, 1, {}), form(
+            W.vars, 2, {})), value("cannot add forms of different type")),
+        "contract 0-form": (lambda: fd.contract(X, form(W.vars, 0, {(): x})),
+                            value("cannot contract a 0-form")),
+        "lie_derivative_form 0-form": (
+            lambda: fd.lie_derivative_form(X, form(W.vars, 0, {(): x})),
+            value("use vf_apply for functions")),
+        "graph_subbundle slot": (lambda: sb.graph_subbundle(("x",), 1, {
+            (1, 0): jt.JP_ZERO}), value("constraint slot (1,0) out of range")),
+        "q_membership chart": (
+            lambda: sb.q_membership(Q, jt.jet_point(("x", "z"), [[0] * 3] * 2)),
+            value("jet point does not match the subbundle chart")),
+        "k_membership level": (lambda: sb.k_membership(Q, X, 3),
+                               value("level 3 outside 0..2")),
+        "k_membership chart": (lambda: sb.k_membership(Q, Z, 0), value(
+            "vector field chart does not match the subbundle")),
+        "Frame chart": (lambda: sb.Frame(W, (X, Z)),
+                        value("frame field lives on a different chart")),
+        "coefficient_q_weight zero": (lambda: sb.coefficient_q_weight(
+            sb.diffop(fr, {}), W), value("zero operator has no weight")),
+        # y V_1 + V_2 on x^2 y, with V_1 = d/dx and V_2 = x d/dx + d/dy
+        "apply_diffop of a WeightedPoly": (lambda: sb.apply_diffop(
+            sb.diffop(fr, {(1, 0): ex.var("y"), (0, 1): ex.ONE}),
+            wp.poly_normal_form(ex.parse_expr("x^2*y"), W.positive_vars)),
+            ex.parse_expr("x^2 + 2*x*y^2 + 2*x^2*y")),
+        "DeformationField.coefficient": (
+            lambda: [sp.theta_field(W0).coefficient(n) for n in ("y2", "y1")],
+            [ex.parse_expr("-y2"), ex.ZERO]),
+        "euler_like_check zero": (lambda: sp.euler_like_check(
+            fd.vf_for_weights(W, [ex.ZERO, ex.ZERO]), W), False),
+        # a weight-0 target coordinate is not checked
+        "check_morphism weight 0": (lambda: sp.check_morphism(sp.coordinate_change(
+            W0, W0, [ex.parse_expr("1 + x"), ex.var("x")])), True),
+        "compose_rational power": (lambda: sp.compose_rational(
+            outer(2), inner).components, (("p", (4, (("u", 2), ("v", -1)))),)),
+        "compose_rational fractional power": (
+            lambda: sp.compose_rational(outer(Fraction(1, 2)), inner),
+            value("cannot raise a non-unit coefficient to a fractional power "
+                  "in a chart composition")),
+    }
+    return [pytest.param(make, expected, id=name)
+            for name, (make, expected) in cases.items()]
+
+
+@pytest.mark.parametrize("make, expected", _guard_cases())
+def test_guards_give_their_pinned_results(make, expected):
+    assert _outcome(make) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import gc
 import itertools
+import math
 import random
+import re
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -707,7 +709,7 @@ def _perturbed_fixture(rng, n):
     y_exprs = []
     for a in range(n):
         y = var(names[a])
-        for u in _correction_monomials(W, W.weights[a]):
+        for u in _positive_multi_indices(W, W.weights[a], 2):
             if rng.random() < 0.7:
                 y = ex.add(y, ex.mul(ex.const(rand_rational(rng)),
                                      wp.monomial_expr(names, u)))
@@ -723,35 +725,14 @@ def _monomial_of_degree(rng, W, target):
     return None
 
 
-def _correction_monomials(W, below):
-    out = []
-    def walk(prefix, a, total, size):
-        if a == W.n:
-            if size >= 2:
-                out.append(tuple(prefix))
-            return
-        s = 0
-        while total + s * W.weights[a] < below:
-            walk(prefix + [s], a + 1, total + s * W.weights[a], size + s)
-            s += 1
-    walk([], 0, 0, 0)
-    return out
-
-
-def test_adapted_coordinates_perturbed_fixtures():
-    rng = random.Random(29)
-    done = 0
-    while done < 10:
-        fr, y_exprs = _perturbed_fixture(rng, rng.randint(2, 3))
-        change = adapted_coordinates(fr, y_exprs)
-        assert verify_adapted(change.x_in_chart, fr), (fr, y_exprs)
-        done += 1
-
-
-def test_verify_adapted_counterexample():
-    W = weight_sequence({"x1": 1, "x2": 3}, 3)
-    fr = _coordinate_frame(W)
-    assert not verify_adapted([parse_expr("x1"), parse_expr("x2 + x1^2")], fr)
+def _positive_multi_indices(W, below, min_size):
+    """Every s on the positive-weight variables with s.w < below and
+    |s| >= min_size, in lexicographic order."""
+    k0 = W.count(0)
+    ranges = [range(below // w + 1) for w in W.weights[k0:]]
+    return [(0,) * k0 + s for s in itertools.product(*ranges)
+            if sum(s) >= min_size
+            and weighted_degree(s, W.weights[k0:]) < below]
 
 
 def _inverse_change_to_order(change, W):
@@ -789,6 +770,229 @@ def test_adapted_change_inverse_composes_to_identity():
             composed = ex.substitute(change.x_in_y[a], inverse)
             diff = ex.add(composed, ex.mul(ex.MINUS_ONE, var(f"x{a + 1}")))
             assert wp.weighted_taylor(diff, xw, W.order).is_zero, (a, diff)
+
+
+# ---------------------------------------------------------------------------
+# adapted coordinates against their definition
+
+def _base_coefficient(rng, zero_vars) -> ex.Expr:
+    """A rational, times a head or an inverse power of a weight-0 variable."""
+    out = ex.const(rand_rational(rng, zero_ok=False))
+    if zero_vars and rng.random() < 0.5:
+        out = ex.mul(out, ex.app(rng.choice(ex.FUNCTIONS),
+                                 ex.var(rng.choice(zero_vars))))
+    if zero_vars and rng.random() < 0.4:
+        out = ex.mul(out, ex.pow_(ex.add(ONE, ex.var(rng.choice(zero_vars))),
+                                  -rng.randint(1, 2)))
+    return out
+
+
+def _positive_monomial(rng, W, min_size, heads=False) -> ex.Expr:
+    """A product of min_size or min_size + 1 factors that vanish on the base:
+    positive-weight variables, or with heads also sin(x), exp(x) - 1 and
+    x*cos(x')."""
+    pvars = W.positive_vars
+    size = rng.randint(min_size, min_size + 1)
+    if not heads:
+        return ex.mul(*[ex.var(rng.choice(pvars)) for _ in range(size)])
+    factors = []
+    for _ in range(size):
+        x = ex.var(rng.choice(pvars))
+        factors.append(rng.choice([
+            x, ex.app("sin", x), ex.add(ex.app("exp", x), ex.MINUS_ONE),
+            ex.mul(x, ex.app("cos", ex.var(rng.choice(pvars))))]))
+    return ex.mul(*factors)
+
+
+def _normalized_frame(rng, heads=False):
+    """A frame and initial coordinates meeting the adapted_coordinates
+    preconditions, built so that (V_a y_b) on the base is the identity.
+
+    y_b = x_b + sum_v l_vb x_v + h_b, with l a constant strictly upper
+    triangular matrix on the positive-weight variables and h_b of size at
+    least 2 in them, so the Jacobian on the base is J = 1 + l.  The frame is
+    J^-1 plus entries that vanish on the base, in the positive-weight
+    columns only, so its base-tangent fields commute.  With heads, h_b also
+    uses sin, exp and cos of positive-weight variables (frame entries are
+    polynomial in them).
+    """
+    k0 = rng.choice([1, 1, 2, 0])
+    pos = sorted(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+    if max(pos) == 1:
+        pos[-1] = rng.randint(2, 4)
+    W = weight_sequence([(n, 0) for n in ("a", "b")[:k0]]
+                        + [(f"x{i + 1}", w) for i, w in enumerate(pos)])
+    n = W.n
+    zero_vars = list(W.zero_vars)
+    J = [[Fraction(int(v == b)) for b in range(n)] for v in range(n)]
+    for v in range(k0, n):
+        for b in range(v + 1, n):
+            if rng.random() < 0.5:
+                J[v][b] = rand_rational(rng)
+    inverse = [[Fraction(int(v == b)) for b in range(n)] for v in range(n)]
+    for b in range(n):  # back substitution: J is unitriangular
+        for v in reversed(range(b)):
+            inverse[v][b] = -sum(J[v][k] * inverse[k][b]
+                                 for k in range(v + 1, b + 1))
+    y_exprs = []
+    for b in range(n):
+        y = ex.add(*[ex.mul(ex.const(J[v][b]), ex.var(W.vars[v]))
+                     for v in range(n)])
+        for _ in range(rng.randint(0, 2)):
+            y = ex.add(y, ex.mul(_base_coefficient(rng, zero_vars),
+                                 _positive_monomial(rng, W, 2, heads)))
+        y_exprs.append(y)
+    rows = []
+    for a in range(n):
+        row = [ex.const(inverse[a][v]) for v in range(n)]
+        for v in range(k0, n):
+            if rng.random() < 0.4:
+                row[v] = ex.add(row[v], ex.mul(_base_coefficient(rng, zero_vars),
+                                               _positive_monomial(rng, W, 1)))
+        rows.append(row)
+    return frame(W, rows), y_exprs
+
+
+DENSE_WEIGHTS = weight_sequence([("x1", 1), ("x2", 2), ("x3", 4)], 4)
+
+
+def _dense_fixture(rng):
+    """Weights (1, 2, 4), a frame perturbed by monomials that vanish at the
+    origin, and a third coordinate with every correction monomial, so that
+    words of size 2 and 3 leave several chi entries."""
+    x1, x2, x3 = (ex.var(v) for v in DENSE_WEIGHTS.vars)
+
+    def c():
+        return ex.const(rand_rational(rng, zero_ok=False))
+
+    rows = [[ONE + c() * x1, c() * x1, c() * x1 * x2],
+            [c() * x1, ONE, c() * x2],
+            [c() * x1, c() * x1, ONE]]
+    y_exprs = [x1, x2, x3 + c() * x1 ** 2 + c() * x1 ** 3 + c() * x1 * x2]
+    return frame(DENSE_WEIGHTS, rows), y_exprs
+
+
+def _adaptation_cases(rng, count):
+    """count frames with initial coordinates, a third each with weight-0
+    heads, with positive heads and perturbed, then a tenth as many dense."""
+    for i in range(count):
+        kind = ("weight-0 heads", "positive heads", "perturbed")[i % 3]
+        if kind == "perturbed":
+            yield kind, _perturbed_fixture(rng, rng.randint(2, 3))
+        else:
+            yield kind, _normalized_frame(rng, heads=kind == "positive heads")
+    for _ in range(count // 10):
+        yield "dense", _dense_fixture(rng)
+
+
+def _spoiled(rng, fr, y_exprs):
+    """Initial coordinates that break a precondition: two swapped, a linear
+    term with a weight-0 coefficient added, one multiplied by a function of
+    a weight-0 variable, or a constant added to a positive-weight one."""
+    W = fr.W
+    y = list(y_exprs)
+    b = rng.randrange(W.n)
+    kind = rng.randrange(4)
+    if kind == 0 and W.n > 1:
+        c = rng.choice([c for c in range(W.n) if c != b])
+        y[b], y[c] = y[c], y[b]
+    elif kind == 3:
+        b = rng.randrange(W.count(0), W.n)
+        y[b] = ex.add(y[b], ex.const(rand_rational(rng, zero_ok=False)))
+    elif kind == 1 or not W.zero_vars:
+        coeff = _base_coefficient(rng, list(W.zero_vars))
+        y[b] = ex.add(y[b], ex.mul(coeff, ex.var(rng.choice(W.vars))))
+    else:
+        z = ex.var(rng.choice(W.zero_vars))
+        y[b] = ex.mul(y[b], ex.add(ONE, rng.choice([z, ex.app("sin", z)])))
+    return y
+
+
+def _unadapted(rng, fr, x_exprs):
+    """x_exprs with one term of weighted degree below w_a added to x_a."""
+    W = fr.W
+    x = list(x_exprs)
+    a = rng.choice([a for a in range(W.n) if W.weights[a]])
+    s = rng.choice(_positive_multi_indices(W, W.weights[a], 0))
+    x[a] = ex.add(x[a], ex.mul(_base_coefficient(rng, list(W.zero_vars)),
+                               wp.monomial_expr(W.vars, s)))
+    return x
+
+
+def _vanishes_below_its_weight(fr, x_exprs):
+    """Whether (V^s x_a) vanishes on the base for every s.w < w_a, each
+    word applied to the Expr by Frame.apply_word."""
+    W = fr.W
+    return all(ex.expand(sb.restrict_to_base(fr.apply_word(s, x), W)) == ZERO
+               for x, wa in zip(x_exprs, W.weights) if wa
+               for s in _positive_multi_indices(W, wa, 0))
+
+
+def _failed_precondition(fr, y_exprs):
+    """The message of the first failed precondition of adapted_coordinates,
+    or None: (V_a y_b) on the base is the identity matrix, then every
+    positive-weight y_b vanishes on the base."""
+    W = fr.W
+    for a in range(W.n):
+        for b, y in enumerate(y_exprs):
+            value = sb.restrict_to_base(fr.apply(a, y), W)
+            expected = ONE if a == b else ZERO
+            if value != expected:
+                return (f"(V_{a + 1} y_{b + 1}) on the base is "
+                        f"{ex.to_text(value)}, expected {ex.to_text(expected)}")
+    for b in range(W.count(0), W.n):
+        if sb.restrict_to_base(y_exprs[b], W) != ZERO:
+            return f"initial coordinate y_{b + 1} does not vanish on the base"
+    return None
+
+
+def test_adapted_coordinates_meet_their_definition():
+    # x_a = y_a + sum chi_{a,u} y^u over |u| >= 2 and u.w < w_a, with
+    # (V^s x_a) = 0 on the base for every s.w < w_a.  The conditions with
+    # |s| >= 2 form a triangular system in chi with diagonal s!, so this
+    # ansatz fixes chi, and the conditions with |s| <= 1 are the
+    # preconditions.
+    rng = random.Random(3201)
+    seen = {"weight-0 heads": 0, "positive heads": 0, "perturbed": 0,
+            "dense": 0, "chi": 0, "refused": 0, "unadapted": 0}
+    for kind, (fr, y_exprs) in _adaptation_cases(rng, 300):
+        W = fr.W
+        change = adapted_coordinates(fr, y_exprs)
+        k0 = W.count(0)
+        assert dict(change.normalizers) == {
+            s: math.prod(map(math.factorial, s))
+            for s in _positive_multi_indices(W, max(W.weights), 2)}
+        chi = change.chi_map()
+        assert list(chi) == sorted(chi)
+        for (a, u), c in chi.items():
+            assert c != ZERO and not any(u[:k0]) and sum(u) >= 2
+            assert weighted_degree(u, W.weights) < W.weights[a]
+        names = change.y_names
+        for a in range(W.n):
+            assert change.x_in_y[a] == ex.add(var(names[a]), *[
+                ex.mul(c, wp.monomial_expr(names, u))
+                for (b, u), c in chi.items() if b == a])
+            assert change.x_in_chart[a] == ex.substitute(
+                change.x_in_y[a], dict(zip(names, y_exprs)))
+        # the Expr words on x_in_chart with positive heads cost seconds
+        if kind != "positive heads":
+            assert _vanishes_below_its_weight(fr, change.x_in_chart)
+        assert verify_adapted(change.x_in_chart, fr)
+        for x in (y_exprs, _unadapted(rng, fr, change.x_in_chart)):
+            verdict = _vanishes_below_its_weight(fr, x)
+            assert verify_adapted(x, fr) == verdict
+            seen["unadapted"] += not verdict
+        spoiled = _spoiled(rng, fr, y_exprs)
+        expected = _failed_precondition(fr, spoiled)
+        if expected is None:
+            adapted_coordinates(fr, spoiled)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                adapted_coordinates(fr, spoiled)
+        seen[kind] += 1
+        seen["chi"] += len(chi)
+        seen["refused"] += expected is not None
+    assert min(seen.values()) >= 15, seen
 
 
 # ---------------------------------------------------------------------------
