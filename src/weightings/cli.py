@@ -562,10 +562,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         cmd = parse_invocation(argv)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
-    try:
         text, code, payload = execute(cmd)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -116,10 +116,6 @@ def lie_bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorField:
     return PolyVectorField(X.vars, tuple(coeffs))
 
 
-def vf_equal(X: PolyVectorField, Y: PolyVectorField) -> bool:
-    return X.vars == Y.vars and X.coeffs == Y.coeffs
-
-
 # ---------------------------------------------------------------------------
 # differential forms
 
@@ -163,13 +159,7 @@ def form_add(*forms_: DifferentialFormPoly) -> DifferentialFormPoly:
 
 def d_poly(p: WeightedPoly, vars: Sequence[str]) -> DifferentialFormPoly:
     """Exterior derivative of a function, as a 1-form over the chart."""
-    vars = tuple(vars)
-    acc: dict[tuple[int, ...], WeightedPoly] = {}
-    for a, v in enumerate(vars):
-        dp = wp.partial(p, v)
-        if not dp.is_zero:
-            acc[(a,)] = dp
-    return form(vars, 1, acc)
+    return d_form(form(vars, 0, {(): p}))
 
 
 def d_form(alpha: DifferentialFormPoly) -> DifferentialFormPoly:

@@ -32,7 +32,7 @@ from . import expr as ex
 from . import wpoly as wp
 from .expr import Expr, ZERO
 from .fields import (PolyVectorField, _apply_expr_field, euler_field,
-                     homogeneous_approx_vf, vf_equal, vf_filtration_degree)
+                     homogeneous_approx_vf, vf_filtration_degree)
 from .weights import WeightSequence, record, weighted_degree
 
 
@@ -216,7 +216,7 @@ def euler_like_check(X: PolyVectorField, W: WeightSequence) -> bool:
         return False
     if vf_filtration_degree(X, W) < 0:
         return False
-    return vf_equal(homogeneous_approx_vf(X, W, 0), euler_field(W))
+    return homogeneous_approx_vf(X, W, 0) == euler_field(W)
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +365,22 @@ def _blowup_map(W: WeightSequence, center: str, sign: str,
     if wc < 1:
         raise ValueError(f"variable {center!r} has weight 0 and is not a "
                          f"blow-up direction")
-    names = deformation_names(W), chart_names(W)
-    source, target = names[::-1] if inverse else names
-    comps = {"t": (1, {"t": 1})}
-    for a, (name, w) in enumerate(zip(source, W.weights)):
-        if inverse:  # at the center the second key replaces the first
-            comps[target[a]] = (1, {name: 1, source[c]: w, "t": -w})
-        elif a == c:
-            comps[target[a]] = (1, {"t": 1, name: Fraction(1, wc)})
-        else:
-            comps[target[a]] = (1, {name: 1, source[c]: Fraction(-w, wc)})
-    return rational_map(source + ("t",), target + ("t",), comps, sign)
+    y, z, one = deformation_names(W), chart_names(W), Fraction(1)
+    source, target = (z, y) if inverse else (y, z)
+    comps = [("t", (one, (("t", one),)))]
+    for a, w in enumerate(W.weights):
+        if a == c:  # z_c = t y_c^(1/w_c) and y_c = t^(-w_c) z_c^(w_c)
+            exps = ((("t", Fraction(-wc)), (source[c], Fraction(wc))) if inverse
+                    else (("t", one), (source[c], Fraction(1, wc))))
+        elif not w:
+            exps = ((source[a], one),)
+        else:  # z_a = y_a y_c^(-w_a/w_c) and y_a = t^(-w_a) z_a z_c^(w_a)
+            q = Fraction(w) if inverse else Fraction(-w, wc)
+            pair = sorted([(source[a], one), (source[c], q)])
+            exps = (("t", Fraction(-w)), *pair) if inverse else tuple(pair)
+        comps.append((target[a], (one, exps)))
+    return RationalMonomialMap(source + ("t",), target + ("t",),
+                               tuple(sorted(comps)), sign)
 
 
 def blowup_chart(W: WeightSequence, center: str,
@@ -384,7 +389,8 @@ def blowup_chart(W: WeightSequence, center: str,
 
     Maps deformation coordinates (y, t) to chart coordinates (z, t) with
     z_a = y_a y_c^(-w_a/w_c) away from the center index and
-    z_c = t y_c^(1/w_c).
+    z_c = t y_c^(1/w_c).  Both signs print the same components: y_c^q reads
+    as |y_c|^q on the slice +-y_c > 0.
     """
     return _blowup_map(W, center, sign, False)
 
@@ -392,7 +398,9 @@ def blowup_chart(W: WeightSequence, center: str,
 def blowup_chart_inverse(W: WeightSequence, center: str,
                          sign: str = "+") -> RationalMonomialMap:
     """Inverse of blowup_chart: y_c = z_c^(w_c) t^(-w_c) and
-    y_a = z_a z_c^(w_a) t^(-w_a) away from the center index."""
+    y_a = z_a z_c^(w_a) t^(-w_a) away from the center index.  Both signs
+    print the same components, and y_c^q reads as |y_c|^q on the slice
+    +-y_c > 0, so the center component gives |y_c|."""
     return _blowup_map(W, center, sign, True)
 
 
@@ -476,16 +484,11 @@ def blowup_lift_vf(X: PolyVectorField, W: WeightSequence,
 
 def _chart_center(W: WeightSequence, chart: RationalMonomialMap) -> int:
     """Index c of the center of `chart`, which must be blowup_chart(W,
-    W.vars[c], sign), checked against that chart's closed form."""
-    y, z = deformation_names(W), chart_names(W)
-    comps, names = dict(chart.components), (y + ("t",), z + ("t",))
-    for c, wc in enumerate(W.weights):
-        if wc and comps.get(z[c]) == (1, (("t", 1), (y[c], Fraction(1, wc)))):
-            closed = {"t": (1, (("t", 1),)), z[c]: comps[z[c]]}
-            closed.update((z[a], (1, tuple(sorted(  # y_a y_c^(-w/wc); y_a at w = 0
-                ((y[a], 1), (y[c], Fraction(-w, wc)))[:1 + bool(w)]))))
-                for a, w in enumerate(W.weights) if a != c)
-            if chart.sign in ("+", "-") and (chart.source, chart.target) == names \
-                    and chart.components == tuple(sorted(closed.items())):
-                return c
+    W.vars[c], sign): z_c is the component of positive weight that holds t."""
+    comps = dict(chart.components)
+    for c, (zc, wc) in enumerate(zip(chart_names(W), W.weights)):
+        if wc and ("t", 1) in comps.get(zc, (1, ()))[1] \
+                and chart.sign in ("+", "-") \
+                and chart == _blowup_map(W, W.vars[c], chart.sign, False):
+            return c
     raise ValueError("map is not a blow-up chart")

@@ -11,7 +11,7 @@ from weightings.fields import (contract, coordinate_field, d_poly,
                                euler_field, form, form_filtration_degree,
                                gla_bracket, homogeneous_approx_vf, lie_bracket,
                                lie_derivative_form, nilpotent_frames, vf_apply,
-                               vf_equal, vf_filtration_degree, vf_for_weights)
+                               vf_filtration_degree, vf_for_weights)
 from weightings.weights import weight_sequence
 
 from conftest import rand_weight_sequence, rand_wpoly
@@ -67,12 +67,12 @@ def test_homogeneous_approx_vf():
     W = weight_sequence({"x": 1, "y": 2}, 2)
     X = vf_for_weights(W, [parse_expr("x"), ex.ONE])
     got = homogeneous_approx_vf(X, W, -2)
-    assert vf_equal(got, coordinate_field(W, "y"))
+    assert got == coordinate_field(W, "y")
     E = euler_field(W)
-    assert vf_equal(homogeneous_approx_vf(E, W, 0), E)
+    assert homogeneous_approx_vf(E, W, 0) == E
     W1 = weight_sequence({"x": 1}, 1)
     D = coordinate_field(W1, "x")
-    assert vf_equal(homogeneous_approx_vf(D, W1, -1), D)
+    assert homogeneous_approx_vf(D, W1, -1) == D
 
 
 def test_form_degrees():

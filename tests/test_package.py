@@ -169,6 +169,7 @@ def _outcome(make):
 def _guard_cases():
     from fractions import Fraction
 
+    from weightings import cli
     from weightings import expr as ex
     from weightings import fields as fd
     from weightings import jets as jt
@@ -194,6 +195,8 @@ def _guard_cases():
 
     def value(message):
         return "ValueError", message
+
+    u = jt.jet_point(("x",), [[1, 2]])
 
     form = fd.form
     cases = {
@@ -269,6 +272,55 @@ def _guard_cases():
             lambda: sp.compose_rational(outer(Fraction(1, 2)), inner),
             value("cannot raise a non-unit coefficient to a fractional power "
                   "in a chart composition")),
+        "RationalMonomialMap.component unknown": (
+            lambda: sp.blowup_chart(W, "y").component("q"), ("KeyError", "q")),
+        # the slot is named by its (variable index, level) label
+        "jp_evaluate no value": (lambda: jt.jp_evaluate(
+            jt.jet_lift(ex.var("x"), 1, 1, ("x",)), {}),
+            value("no value for slot (0, 1)")),
+        "JetScalar negative power": (lambda: jt.jet_scalar([1, 2]) ** -1,
+                                     value("negative power in the truncated algebra")),
+        "as_jetscalar orders": (lambda: jt.as_jetscalar(jt.jet_scalar([1, 2]), 2),
+                                value("mixed truncation orders")),
+        "JetPoint orders": (lambda: jt.jet_point(("x", "y"), [[0, 1], [0]]),
+                            value("all slot vectors must share one order")),
+        "evaluate_jet chart": (lambda: jt.evaluate_jet(ex.var("y"), u),
+                               value("variable 'y' is not a chart variable")),
+        "evaluate_jet negative power": (
+            lambda: jt.evaluate_jet(ex.parse_expr("x^-1"), u),
+            value("input is not polynomial (negative power)")),
+        "vf_lift level": (lambda: jt.vf_lift(X, 3, 2),
+                          value("lift level 3 outside 0..2")),
+        "vf_lift chart": (lambda: jt.vf_lift(fd.vf_from_exprs(
+            ("x",), [ex.var("y")], ("x", "y")), 0, 1),
+            value("variable 'y' is not a chart variable")),
+        "reparametrize order": (lambda: jt.reparametrize(u, jt.reparam([1, 0])),
+                                value("reparametrization order does not match "
+                                      "the point")),
+        "reparam_compose orders": (
+            lambda: jt.reparam_compose(jt.reparam([1]), jt.reparam([1, 0])),
+            value("mixed truncation orders")),
+        "tm_translate count": (lambda: jt.tm_translate(u, [1], [1, 2]),
+                               value("one component per variable required")),
+        "parse_reparametrization order": (
+            lambda: jt.parse_reparametrization("e^3", 2),
+            value("term e^3 above truncation order 2")),
+        "app unknown": (lambda: ex.app("tan", ex.var("x")),
+                        value("unknown function 'tan'")),
+        "eval_exact transcendental": (
+            lambda: ex.eval_exact(ex.parse_expr("sin(x)"), {"x": 1}),
+            value("expression does not evaluate to a rational: sin(1)")),
+        "parse_expr division by zero": (lambda: ex.parse_expr("1/0"), (
+            "ParseError", "division by zero (at position 1)")),
+        "semantically_equal canonical": (
+            lambda: ex.semantically_equal(ex.var("x"), ex.var("x")), True),
+        # exp(709) and exp(708) are finite floats, their product is not
+        "semantically_equal never finite": (lambda: ex.semantically_equal(
+            ex.parse_expr("exp(709)*exp(708)"), ex.ONE),
+            value("no sample point where both expressions are finite")),
+        "execute unknown command": (
+            lambda: cli.execute(cli.Command("nope", {})),
+            ("UsageError", "unknown command 'nope'")),
     }
     return [pytest.param(make, expected, id=name)
             for name, (make, expected) in cases.items()]

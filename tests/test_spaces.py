@@ -236,39 +236,52 @@ def test_scaling_order_random_polynomials():
         assert abs(report.estimated_order - degree) < 0.05, (f, degree, report)
 
 
+def _monomial_map(source, target, components, sign):
+    """The map with coefficients 1 and the nonzero exponents of each
+    component, names and exponents in sorted order."""
+    return RationalMonomialMap(source + ("t",), target + ("t",), tuple(sorted(
+        (name, (1, tuple(sorted((v, q) for v, q in exps.items() if q))))
+        for name, exps in components.items())), sign)
+
+
 def test_blowup_chart_inverse_consistency():
     # every sorted weighting of one to three variables with weights 0 to 4,
-    # every center of positive weight and both signs: the chart is
-    # z_c = t y_c^(1/w_c), z_a = y_a y_c^(-w_a/w_c) and t = t, and the
-    # inverse composes with it to the identity on both sides
+    # and one of twelve (z10 sorts before z2), every center of positive
+    # weight and both signs: the chart is z_c = t y_c^(1/w_c),
+    # z_a = y_a y_c^(-w_a/w_c) and t = t, its inverse y_c = t^(-w_c) z_c^(w_c)
+    # and y_a = t^(-w_a) z_a z_c^(w_a), every coefficient and exponent a
+    # Fraction, and the two compose to the identity on both sides
+    weightings = [weight_sequence(list(zip(("p", "q", "r"), weights)))
+                  for n in range(1, 4)
+                  for weights in itertools.combinations_with_replacement(
+                      range(5), n)]
+    weightings.append(weight_sequence([(f"x{k}", k % 5) for k in range(1, 13)]))
     charts = 0
-    for n in range(1, 4):
-        for weights in itertools.combinations_with_replacement(range(5), n):
-            W = weight_sequence(list(zip(("p", "q", "r"), weights)))
-            y, z = deformation_names(W), chart_names(W)
-            for c, wc in enumerate(W.weights):
-                for sign in "+-" if wc else ():
-                    chart = blowup_chart(W, W.vars[c], sign)
-                    inverse = blowup_chart_inverse(W, W.vars[c], sign)
-                    closed = {"t": (1, (("t", 1),)),
-                              z[c]: (1, (("t", 1), (y[c], Fraction(1, wc))))}
-                    for a, w in enumerate(W.weights):
-                        if a != c:  # y_a alone where w_a = 0
-                            exps = {y[a]: 1, y[c]: Fraction(-w, wc)}
-                            closed[z[a]] = (1, tuple(sorted(
-                                (v, q) for v, q in exps.items() if q)))
-                    assert chart == RationalMonomialMap(
-                        y + ("t",), z + ("t",), tuple(sorted(closed.items())),
-                        sign)
-                    assert (inverse.source, inverse.target, inverse.sign) == \
-                        (z + ("t",), y + ("t",), sign)
-                    around = compose_rational(chart, inverse)
-                    for name in chart.target:
-                        assert around.component(name) == (1, ((name, 1),))
-                    back = compose_rational(inverse, chart)
-                    for name in inverse.target:
-                        assert back.component(name) == (1, ((name, 1),))
-                    charts += 1
+    for W in weightings:
+        y, z = deformation_names(W), chart_names(W)
+        for c, wc in enumerate(W.weights):
+            for sign in "+-" if wc else ():
+                chart = blowup_chart(W, W.vars[c], sign)
+                inverse = blowup_chart_inverse(W, W.vars[c], sign)
+                closed = {"t": {"t": 1}, z[c]: {"t": 1, y[c]: Fraction(1, wc)}}
+                closed_inverse = {"t": {"t": 1}, y[c]: {"t": -wc, z[c]: wc}}
+                for a, w in enumerate(W.weights):
+                    if a != c:  # y_a and z_a alone where w_a = 0
+                        closed[z[a]] = {y[a]: 1, y[c]: Fraction(-w, wc)}
+                        closed_inverse[y[a]] = {"t": -w, z[a]: 1, z[c]: w}
+                assert chart == _monomial_map(y, z, closed, sign)
+                assert inverse == _monomial_map(z, y, closed_inverse, sign)
+                for m in (chart, inverse):
+                    assert {type(q) for _, (coeff, exps) in m.components
+                            for q in (coeff, *(q for _, q in exps))} \
+                        == {Fraction}
+                around = compose_rational(chart, inverse)
+                for name in chart.target:
+                    assert around.component(name) == (1, ((name, 1),))
+                back = compose_rational(inverse, chart)
+                for name in inverse.target:
+                    assert back.component(name) == (1, ((name, 1),))
+                charts += 1
     assert charts >= 100, charts
 
 
@@ -386,16 +399,14 @@ def test_blowup_lift_rejects_a_chart_of_other_weights():
         blowup_lift_vf(X, W, foreign)
 
 
-def _chart_building_center(W, chart):
-    """The center check as it was: build blowup_chart of the one center
-    whose component carries t, and compare."""
-    comps = dict(chart.components)
-    for a, zn in enumerate(chart_names(W)):
-        if (W.weights[a] and chart.sign in ("+", "-")
-                and any(v == "t" for v, _q in comps.get(zn, (1, ()))[1])
-                and chart == blowup_chart(W, W.vars[a], chart.sign)):
-            return a
-    raise ValueError("map is not a blow-up chart")
+def _center_by_search(W, chart):
+    """The definition: the index of the one positive-weight x for which
+    chart == blowup_chart(W, x, s) with one sign s, found by trying all."""
+    found = [(a, s) for a, x in enumerate(W.vars) if W.weights[a]
+             for s in "+-" if chart == blowup_chart(W, x, s)]
+    if len(found) != 1:
+        raise ValueError("map is not a blow-up chart")
+    return found[0][0]
 
 
 def _with_components(chart, components, sign=None):
@@ -431,7 +442,7 @@ def test_the_chart_center_refuses_maps_that_are_not_blowup_charts(chart):
     with pytest.raises(ValueError, match="map is not a blow-up chart"):
         _chart_center(_W123, chart)
     with pytest.raises(ValueError, match="map is not a blow-up chart"):
-        _chart_building_center(_W123, chart)
+        _center_by_search(_W123, chart)
 
 
 def _spoiled_chart(rng, W, chart):
@@ -460,12 +471,12 @@ def _spoiled_chart(rng, W, chart):
     elif kind == 6:
         return _with_components(chart, comps, rng.choice(["*", "+-", "+"]))
     elif kind == 7:
-        return blowup_chart_inverse(W, W.vars[_chart_building_center(W, chart)],
+        return blowup_chart_inverse(W, W.vars[_center_by_search(W, chart)],
                                     chart.sign)
     return _with_components(chart, comps)
 
 
-def test_the_closed_form_chart_check_matches_the_chart_building_check():
+def test_the_chart_center_matches_the_search_over_every_chart():
     rng = random.Random(2905)
     outcomes = {"center": 0, "refused": 0}
     for _ in range(400):
@@ -476,7 +487,7 @@ def test_the_closed_form_chart_check_matches_the_chart_building_check():
         if rng.random() < 0.6 and source is W:
             chart = _spoiled_chart(rng, W, chart)
         try:
-            expected = _chart_building_center(W, chart)
+            expected = _center_by_search(W, chart)
         except ValueError as error:
             expected = str(error)
         try:
