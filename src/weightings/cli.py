@@ -301,8 +301,11 @@ def _wp_json(p) -> dict:
 
 
 def _jp_json(p, names) -> dict:
+    """The terms sorted by monomial; a JetPoly holds them sorted by reversed
+    monomial."""
     return {"terms": [{"slots": [[names[a], j, e] for (a, j), e in m],
-                       "coefficient": str(c)} for m, c in p.terms]}
+                       "coefficient": str(c)}
+                      for m, c in sorted(p.terms, key=lambda t: t[0])]}
 
 
 def _wdeg(options, sections):

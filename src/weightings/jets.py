@@ -32,12 +32,20 @@ to its last product and a power to its last step; other operands keep all
 their levels.  A leading constant scales the non-empty levels of the
 product of the other factors, one expression's terms share each power
 node's series, and a field's applier skips slots no key holds.  A result is
-sealed into a JetPoly once, one Fraction per distinct numerator, so the
-inner loops do plain int arithmetic (lifts of integer polynomials stay
-integral); the seal peels each key from its top field, which its bit length
-names.  A JetPoly keeps its terms sorted by monomial, each exponent
-positive and each coefficient a non-zero Fraction, so equal polynomials
-compare equal.
+sealed into JetPolys once, so the inner loops do plain int arithmetic (lifts
+of integer polynomials stay integral): the levels of a lifted field
+coefficient, or all the coefficients of a bracket, share one seal and one
+Fraction per distinct numerator.  The seal peels each key from its top
+field, which its bit length names.
+
+A JetPoly keeps its terms sorted by reversed monomial, m[::-1]: that is
+lexicographic on exponent vectors with the highest slot label most
+significant.  Labels own ascending fields from the low bits and no field
+carries, so this is the integer order of the packed keys in every packing,
+and the seal sorts plain ints.  Each monomial lists its labels in
+increasing order, each exponent is positive and each coefficient a non-zero
+Fraction, so equal polynomials compare equal.  Printing (jp_text) sorts the
+terms by slot-degree and monomial.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
 from math import lcm, log2
-from operator import itemgetter, or_
+from operator import or_
 
 from . import expr as ex
 from .expr import Expr
@@ -98,7 +106,7 @@ class JetPoly:
 def jetpoly(terms: Mapping[Monomial, Fraction]) -> JetPoly:
     cleaned = [(m, c if isinstance(c, Fraction) else Fraction(c))
                for m, c in terms.items() if c != 0]
-    cleaned.sort(key=lambda item: item[0])
+    cleaned.sort(key=lambda item: item[0][::-1])
     return JetPoly(tuple(cleaned))
 
 
@@ -176,7 +184,7 @@ def jp_evaluate(p: JetPoly, values: Mapping[Label, Fraction]) -> Fraction:
         piece = c
         for label, e in m:
             if label not in values:
-                raise ValueError(f"no value for slot {label}")
+                raise ValueError(f"no value for slot {_slot_name(label)}")
             piece *= Fraction(values[label]) ** e
         out += piece
     return out
@@ -191,18 +199,19 @@ def jp_weighted_degree_terms(p: JetPoly) -> set[int]:
     return {sum(e * j for (_, j), e in m) for m, _ in p.terms}
 
 
+def _slot_name(label: Label, names: Sequence[str] | None = None) -> str:
+    """The slot (a, j) as name.level, variable a named x{a + 1} by default."""
+    a, j = label
+    base = names[a] if names is not None else f"x{a + 1}"
+    return f"{base}.{j}"
+
+
 def jp_text(p: JetPoly, names: Sequence[str] | None = None) -> str:
     """Deterministic print with slots rendered as name.level."""
     if p.is_zero:
         return "0"
-
-    def slot_name(label: Label) -> str:
-        a, j = label
-        base = names[a] if names is not None else f"x{a + 1}"
-        return f"{base}.{j}"
-
     return ex._terms_text(
-        (ex.const(c), ex._monomial_text((slot_name(l), e) for l, e in m))
+        (ex.const(c), ex._monomial_text((_slot_name(l, names), e) for l, e in m))
         for m, c in sorted(p.terms, key=lambda item: (
             sum(e * j for (_, j), e in item[0]), item[0])))
 
@@ -244,28 +253,39 @@ class _Fields:
         return levels, den
 
     def seal(self, nums: dict[int, int], den: int) -> JetPoly:
-        """The JetPoly of numerators over den: each key peeled from its top
-        field down and reversed, so each monomial comes out sorted by label,
-        and one Fraction per distinct numerator."""
+        """The JetPoly of numerators over den."""
+        return self.seal_levels((nums,), den)[0]
+
+    def seal_levels(self, levels: Sequence[dict[int, int]],
+                    den: int) -> list[JetPoly]:
+        """One JetPoly per level of numerators over den, with one Fraction
+        per distinct numerator across the levels.  Labels ascend from the
+        low bits and no field carries, so the integer order of the keys is
+        the order of the reversed monomials: each level is walked in sorted
+        key order, each key peeled from its top field down and reversed, so
+        each monomial comes out sorted by label."""
         peel = self.peel
         if peel is None:  # peel[b]: (label, offset, low mask) of bit b - 1
             self.peel = peel = [None]
             for label, off in self.offsets.items():
                 peel += [(label, off, (1 << off) - 1)] * self.width
         fractions = {c: Fraction(c, den) if den != 1 else Fraction(c)
-                     for c in set(nums.values()) if c}
-        terms = []
-        for key, c in nums.items():
-            if c:
-                m = []
-                while key:
-                    label, off, low = peel[key.bit_length()]
-                    m.append((label, key >> off))
-                    key &= low
-                m.reverse()
-                terms.append((tuple(m), fractions[c]))
-        terms.sort(key=itemgetter(0))
-        return JetPoly(tuple(terms))
+                     for c in set().union(*map(dict.values, levels)) if c}
+        polys = []
+        for nums in levels:
+            terms = []
+            for key in sorted(nums):
+                c = nums[key]
+                if c:
+                    m = []
+                    while key:
+                        label, off, low = peel[key.bit_length()]
+                        m.append((label, key >> off))
+                        key &= low
+                    m.reverse()
+                    terms.append((tuple(m), fractions[c]))
+            polys.append(JetPoly(tuple(terms)))
+        return polys
 
 
 def _mul_into(out: dict, x: dict, y: dict) -> None:
@@ -556,6 +576,9 @@ def _jet_rows(chart: Sequence[str], r: int,
               degree: int) -> tuple[_Fields, dict[str, Raw]]:
     """Fields for products of at most degree slots (a, j), j <= r, of the
     chart, and the generic jet's rows on them: row a is sum_j (a, j) eps^j."""
+    if len(chart) * (r + 1) > MAX_JET_SLOTS:
+        raise ValueError(f"{len(chart) * (r + 1)} jet slots exceed the limit "
+                         f"MAX_JET_SLOTS = {MAX_JET_SLOTS}")
     fields = _Fields([(a, j) for a in range(len(chart)) for j in range(r + 1)],
                      degree)
     off = fields.offsets
@@ -591,8 +614,8 @@ class JetVectorField:
         return JP_ZERO
 
     def __str__(self):
-        return ex._field_text((jp_text(c), f"x{a + 1}.{k}")
-                              for (a, k), c in self.terms)
+        return ex._field_text((jp_text(c), _slot_name(label))
+                              for label, c in self.terms)
 
 
 def jet_vf(terms: Mapping[Label, JetPoly]) -> JetVectorField:
@@ -645,8 +668,8 @@ def jet_bracket(xi: JetVectorField, eta: JetVectorField) -> JetVectorField:
     for label, c in fx:
         _apply_into(acc.setdefault(label, {}), fe, {m: -v for m, v in c.items()},
                     fields)
-    return jet_vf({label: fields.seal(nums, dx * de)
-                   for label, nums in acc.items()})
+    return jet_vf(dict(zip(acc, fields.seal_levels(list(acc.values()),
+                                                   dx * de))))
 
 
 def vf_lift(X: PolyVectorField, i: int, r: int) -> JetVectorField:
@@ -668,9 +691,9 @@ def vf_lift(X: PolyVectorField, i: int, r: int) -> JetVectorField:
                     piece = _series_mul(piece, _series_pow(rows[v], e, r - i),
                                         r - i)
             pieces.append(piece)
-        levels, den = _series_sum(pieces, r - i)
-        for k, nums in enumerate(levels, start=i):
-            acc[(a, k)] = fields.seal(nums, den)
+        for k, p in enumerate(fields.seal_levels(*_series_sum(pieces, r - i)),
+                              start=i):
+            acc[(a, k)] = p
     return jet_vf(acc)
 
 
@@ -685,7 +708,11 @@ def jp_reparametrize(rows: Sequence[Sequence[JetPoly]],
     """Series of slot polynomials under eps -> Psi(eps) = sum_m psi[m-1] eps^m:
     row a of the result is sum_j rows[a][j] Psi(eps)^j up to eps^len(psi)."""
     fields, out = _reparametrize_raw(rows, psi)
-    return [[fields.seal(nums, den) for nums in levels] for levels, den in out]
+    den = lcm(*(d for _, d in out))  # the rows over one denominator
+    sealed = iter(fields.seal_levels(
+        [{m: c * (den // d) for m, c in nums.items()}
+         for levels, d in out for nums in levels], den))
+    return [[next(sealed) for _ in levels] for levels, _ in out]
 
 
 def _reparametrize_raw(rows: Sequence[Sequence[JetPoly]], psi: Sequence[JetPoly],
@@ -805,6 +832,12 @@ _DECIMAL_EXPONENT_RE = r"[eE]\s*([-+]?[0-9_]+)\s*$"
 # Highest power e^j that parse_reparametrization accepts: a term e^j
 # allocates j coefficients.
 MAX_REPARAM_ORDER = 1000
+
+# Most slots (a, j) the generic jet of a lift may hold: it packs one bit
+# field per slot before any work starts.  The jet of jet_lift at level i has
+# n * (i + 1) slots on n variables, that of vf_lift from level i to order r
+# has n * (r - i + 1).
+MAX_JET_SLOTS = 10_000
 
 
 def _parse_fraction(text: str) -> Fraction:

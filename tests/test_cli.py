@@ -639,6 +639,34 @@ def test_an_oversized_degree_ends_at_its_limit(argv, err):
     assert (result.returncode, result.stdout, result.stderr) == (1, "", err)
 
 
+@pytest.mark.parametrize("argv, err", [
+    # the generic jet would pack 10^8 + 1 slots before any work
+    (["vf-lift", "--vars", "x", "--coeffs", "x^2", "--level", "0", "--order",
+      "100000000"],
+     "error: 100000001 jet slots exceed the limit MAX_JET_SLOTS = 10000\n"),
+    (["jet-lift", "--vars", "x,y", "--expr", "x*y", "--level", "5000",
+      "--order", "5000"],
+     "error: 10002 jet slots exceed the limit MAX_JET_SLOTS = 10000\n"),
+], ids=["vf-lift", "jet-lift"])
+def test_an_oversized_lift_ends_at_its_limit(argv, err):
+    result = subprocess.run([sys.executable, "-m", "weightings.cli", *argv],
+                            capture_output=True, text=True, env=_child_env(),
+                            timeout=10)
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", err)
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["vf-lift", "--vars", "x,y", "--coeffs", "1;0", "--level", "0",
+      "--order", "4999"], "d/d[x.0]: 1"),
+    (["jet-lift", "--vars", "x,y", "--expr", "x*y", "--level", "4999",
+      "--order", "4999"], "x.0*y.4999 + "),
+], ids=["vf-lift", "jet-lift"])
+def test_lifts_at_the_slot_limit(argv, first, capsys):
+    # two variables at levels 0 to 4999: 10000 slots
+    code, out, err = run(argv, capsys)
+    assert (code, err, out[:len(first)]) == (0, "", first)
+
+
 def test_happrox_at_the_degree_limit(capsys):
     assert run(["happrox", "--weights", "x=1", "--degree", "1000", "--expr",
                 "x^1000 + sin(x)"], capsys) == (0, "x^1000\n", "")

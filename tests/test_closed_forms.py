@@ -371,7 +371,7 @@ def _reference_seal(fields, nums, den):
                 key ^= e << off
             terms.append((tuple(m), Fraction(c) if integral
                           else Fraction(c, den)))
-    terms.sort(key=lambda item: item[0])
+    terms.sort(key=lambda item: item[0][::-1])
     return jt.JetPoly(tuple(terms))
 
 
@@ -493,7 +493,8 @@ def test_seal_matches_the_reference_on_wide_packings_and_prefixes():
         sealed = fields.seal(nums, den)
         expected = _reference_seal(fields, nums, den)
         assert sealed == expected, (labels, bound, nums, den)
-        assert [m for m, _ in sealed.terms] == sorted(m for m, _ in sealed.terms)
+        assert [m for m, _ in sealed.terms] == sorted(
+            (m for m, _ in sealed.terms), key=lambda m: m[::-1])
         seen["30 labels"] += len(labels) == 30
         seen["bound 99999"] += bound == 99_999
         seen["past 64 bits"] += max(nums).bit_length() > 64

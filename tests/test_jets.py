@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -368,7 +369,7 @@ def test_jp_reparametrize_matches_numeric_reparametrization():
 
 def _assert_contract(p):
     monomials = [m for m, _ in p.terms]
-    assert monomials == sorted(set(monomials))
+    assert monomials == sorted(set(monomials), key=lambda m: m[::-1])
     assert all(type(c) is Fraction and c != 0 for _, c in p.terms)
 
 
@@ -398,6 +399,56 @@ def test_outputs_keep_the_jetpoly_contract():
     assert outputs[1].is_zero and outputs[2] == jt.JP_ONE
     for p in outputs:
         _assert_contract(p)
+
+
+# slot labels (a, j), with the psi labels (-1, m) of the N3 substitution
+CANONICAL_LABELS = [(a, j) for a in range(-1, 3) for j in range(5)]
+
+
+def test_canonical_form_does_not_depend_on_constructor_or_packing():
+    rng = random.Random(3402)
+    seen = {"zero": 0, "constant term": 0, "den>1": 0, "past 64 bits": 0,
+            "shared top label": 0}
+    for _ in range(400):
+        used = rng.sample(CANONICAL_LABELS, rng.randint(1, 6))
+        top = rng.choice([1, 3, 7, 40])
+        terms = {}
+        for _ in range(rng.randint(0, 10)):
+            m = tuple(sorted((label, rng.randint(1, top)) for label in
+                             rng.sample(used, rng.randint(0, len(used)))))
+            terms[m] = rand_rational(rng, zero_ok=False)
+        items = list(terms.items())
+        rng.shuffle(items)
+        by_dict = jt.jetpoly(dict(items))
+        rng.shuffle(items)
+        by_sum = jp_add(*[jt.jetpoly({m: c}) for m, c in items])
+        # a packing with labels no term holds and fields wider than needed
+        extra = rng.sample(CANONICAL_LABELS, rng.randint(0, 8))
+        fields = jt._Fields(set(used) | set(extra),
+                            top + rng.choice([1, 2 ** 20, 2 ** 70]))
+        den = math.lcm(*[c.denominator for c in terms.values()]) * \
+            rng.choice([1, 2, 6])
+        rng.shuffle(items)
+        by_seal = fields.seal(
+            {sum(e << fields.offsets[label] for label, e in m):
+             c.numerator * (den // c.denominator) for m, c in items}, den)
+        # the same terms in no order, put in order by substitution and scaling
+        rng.shuffle(items)
+        unordered = jt.JetPoly(tuple(items))
+        by_substitute = jt.jp_substitute(unordered, {})
+        by_scale = jp_scale(unordered, 1)
+        built = [by_dict, by_sum, by_seal, by_substitute, by_scale]
+        assert all(p == by_dict and hash(p) == hash(by_dict) for p in built), \
+            (items, [p.terms for p in built])
+        for p in built:  # terms strictly increasing under m[::-1]
+            _assert_contract(p)
+        seen["zero"] += by_dict.is_zero
+        seen["constant term"] += () in terms
+        seen["den>1"] += den > 1
+        seen["past 64 bits"] += fields.width * len(fields.labels) > 64
+        seen["shared top label"] += len({m[-1][0] for m in terms if m}) < \
+            sum(1 for m in terms if m)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_jp_text_fixed_renderings():

@@ -162,7 +162,7 @@ def test_public_methods_give_their_pinned_results(make, expected):
 def _outcome(make):
     try:
         return make()
-    except (KeyError, ValueError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         return type(err).__name__, err.args[0]
 
 
@@ -274,10 +274,18 @@ def _guard_cases():
                   "in a chart composition")),
         "RationalMonomialMap.component unknown": (
             lambda: sp.blowup_chart(W, "y").component("q"), ("KeyError", "q")),
-        # the slot is named by its (variable index, level) label
+        # the slot is named as jp_text names it without chart names
         "jp_evaluate no value": (lambda: jt.jp_evaluate(
             jt.jet_lift(ex.var("x"), 1, 1, ("x",)), {}),
-            value("no value for slot (0, 1)")),
+            value("no value for slot x1.1")),
+        # a value that is no JetPoly or Expr node
+        "as_jetpoly str": (lambda: jt.as_jetpoly("x"), (
+            "TypeError", "cannot interpret 'x' as a jet polynomial")),
+        "evaluate_jet unknown node": (lambda: jt.evaluate_jet("x", u), (
+            "TypeError", "unknown expression node 'x'")),
+        "_generic_series unknown node": (
+            lambda: jt.jet_lift("x", 0, 0, ("x",)),
+            ("TypeError", "unknown expression node 'x'")),
         "JetScalar negative power": (lambda: jt.jet_scalar([1, 2]) ** -1,
                                      value("negative power in the truncated algebra")),
         "as_jetscalar orders": (lambda: jt.as_jetscalar(jt.jet_scalar([1, 2]), 2),

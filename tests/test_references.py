@@ -178,12 +178,12 @@ _LABELS = [(a, j) for a in range(-1, 3) for j in range(6)]
 
 
 def _assert_jetpoly(p):
-    """The JetPoly invariants: terms sorted by monomial and distinct, each
-    monomial sorted by label with distinct labels and positive int
-    exponents, each coefficient a non-zero Fraction."""
+    """The JetPoly invariants: terms sorted by reversed monomial and
+    distinct, each monomial sorted by label with distinct labels and
+    positive int exponents, each coefficient a non-zero Fraction."""
     assert type(p) is jt.JetPoly and type(p.terms) is tuple
     monomials = [m for m, _ in p.terms]
-    assert monomials == sorted(set(monomials)), p.terms
+    assert monomials == sorted(set(monomials), key=lambda m: m[::-1]), p.terms
     for m, c in p.terms:
         assert type(c) is Fraction and c != 0, p.terms
         labels = [label for label, _ in m]
