@@ -82,33 +82,38 @@ def homogeneous_approx_vf(X: PolyVectorField, W: WeightSequence,
         for v, c in zip(X.vars, X.coeffs)))
 
 
-def _apply(X: PolyVectorField, p: WeightedPoly) -> dict:
-    """The term map of vf_apply(X, p)."""
+def _maps(X: PolyVectorField) -> list:
+    """The (variable, term map) pairs of X's non-zero coefficients."""
+    return [(v, wp._values(c.terms)) for v, c in zip(X.vars, X.coeffs) if c.terms]
+
+
+def _apply(X: PolyVectorField, p: WeightedPoly, maps: list) -> dict:
+    """The term map of vf_apply(X, p), for maps = _maps(X)."""
     terms = wp._values(p.terms)
     for v, c in zip(X.vars, X.coeffs):
         if c.terms and c.pvars != p.pvars and wp._partial(terms, p.pvars, v):
             raise ValueError("mismatched variable splits")
-    return wp._apply_field([(v, wp._values(c.terms)) for v, c in
-                            zip(X.vars, X.coeffs)], terms, p.pvars)
+    return wp._apply_field(maps, terms, p.pvars)
 
 
 def vf_apply(X: PolyVectorField, p: WeightedPoly) -> WeightedPoly:
     """X(p); a coefficient on another split that meets a partial is refused."""
-    return wp.wpoly(p.pvars, _apply(X, p))
+    return wp.wpoly(p.pvars, _apply(X, p, _maps(X)))
 
 
 def _apply_expr_field(pairs, f: Expr) -> Expr:
-    """The one Expr field applier: non-zero c * df/dv summed over (v, c)."""
+    """The one Expr field applier: c * df/dv summed over (v, c), c != 0."""
     return ex.add(*[ex.mul(c, d) for v, c in pairs
-                    if c != ZERO and (d := ex.differentiate(f, v)) != ZERO])
+                    if (d := ex.differentiate(f, v)) != ZERO])
 
 
 def lie_bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorField:
     if X.vars != Y.vars:
         raise ValueError("vector fields live on different charts")
+    xmaps, ymaps = _maps(X), _maps(Y)
     coeffs = []
     for xc, yc in zip(X.coeffs, Y.coeffs):
-        acc, minus = _apply(X, yc), _apply(Y, xc)
+        acc, minus = _apply(X, yc, xmaps), _apply(Y, xc, ymaps)
         if xc.pvars != yc.pvars:
             raise ValueError("mismatched variable splits")
         wp._add_into(acc, ((s, wp._mul(ex.MINUS_ONE.value, c)) for s, c in minus.items()))

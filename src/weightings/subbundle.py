@@ -398,9 +398,11 @@ def _filtration_verdict(Q: GraphSubbundle,
 class Frame:
     """Local frame with declared tangency levels, over the chart of W.
 
-    What a frame derives from its fields (their coefficient expressions, the
-    inverse of its coefficient matrix, its brackets and normal-ordered words)
-    is kept on the instance, outside the dataclass fields, and dies with it.
+    What a frame derives is kept on the instance as plain dicts and tuples,
+    outside the dataclass fields, and dies with it.  On first use: each
+    field's coefficient expressions and non-zero (variable, coefficient)
+    pairs, each cofactor a non-zero bracket component reads, each bracket
+    and reordered V_a o V^s; on every bracket until one succeeds, 1/det.
     """
 
     W: WeightSequence
@@ -422,22 +424,28 @@ class Frame:
         return tuple(f.coeff_exprs() for f in self.fields)
 
     @cached_property
-    def _inverse(self) -> tuple[Fraction, list[list[Expr]]]:
-        """(1/det, cofactor matrix) of the matrix whose column c is field c."""
-        n = self.n
-        matrix = [[self._coeff_exprs[c][i] for c in range(n)] for i in range(n)]
-        det = ex.expand(_det_expr(matrix))
+    def _pairs(self) -> tuple[tuple[tuple[str, Expr], ...], ...]:
+        return tuple(tuple((v, c) for v, c in zip(self.W.vars, row) if c != ZERO)
+                     for row in self._coeff_exprs)
+
+    @cached_property
+    def _inverse(self) -> tuple[Fraction, dict]:
+        """(1/det, cofactor table) of the matrix whose column c is field c;
+        _cofactor fills the table with (i, c) -> cofactor of entry (i, c)."""
+        det = ex.expand(_det_expr([list(row) for row in zip(*self._coeff_exprs)]))
         if not isinstance(det, ex.Const) or det.value == 0:
             raise ValueError(
                 "frame brackets need a coefficient matrix with constant nonzero "
                 f"determinant (got {ex.to_text(det)})")
+        return 1 / det.value, {}
 
-        def cofactor(i: int, c: int) -> Expr:
-            d = _det_expr([row[:c] + row[c + 1:]
-                           for k, row in enumerate(matrix) if k != i])
-            return -d if (i + c) % 2 else d
-
-        return 1 / det.value, [[cofactor(i, c) for c in range(n)] for i in range(n)]
+    def _cofactor(self, i: int, c: int) -> Expr:
+        table = self._inverse[1]
+        if (i, c) not in table:
+            cols = self._coeff_exprs[:c] + self._coeff_exprs[c + 1:]
+            d = _det_expr([[f[k] for f in cols] for k in range(self.n) if k != i])
+            table[(i, c)] = -d if (i + c) % 2 else d
+        return table[(i, c)]
 
     @cached_property
     def _brackets(self) -> dict:
@@ -454,7 +462,8 @@ class Frame:
         return self._coeff_exprs[a]
 
     def apply(self, a: int, f: Expr) -> Expr:
-        return _apply_expr_field(zip(self.W.vars, self._coeff_exprs[a]), f)
+        return (ZERO if isinstance(f, ex.Const)
+                else _apply_expr_field(self._pairs[a], f))
 
     def apply_word(self, s: Sequence[int], f: Expr) -> Expr:
         """V^s f with V^s = V_1^{s_1} o ... o V_n^{s_n} (rightmost acts first)."""
@@ -550,10 +559,10 @@ def _det_expr(matrix: list[list[Expr]]) -> Expr:
     if n == 1:
         return matrix[0][0]
     terms = []
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        piece = ex.mul(matrix[0][j], _det_expr(minor))
-        terms.append(piece if j % 2 == 0 else ex.mul(ex.MINUS_ONE, piece))
+    for j, e in enumerate(matrix[0]):
+        if e != ZERO:
+            piece = ex.mul(e, _det_expr([row[:j] + row[j + 1:] for row in matrix[1:]]))
+            terms.append(piece if j % 2 == 0 else ex.mul(ex.MINUS_ONE, piece))
     return ex.add(*terms, ZERO)
 
 
@@ -562,11 +571,12 @@ def _frame_bracket(fr: Frame, a: int, b: int) -> tuple[tuple[int, Expr], ...]:
     if (a, b) in fr._brackets:
         return fr._brackets[(a, b)]
     target = lie_bracket(fr.fields[a], fr.fields[b]).coeff_exprs()
-    inv_det, cofactors = fr._inverse
+    inv_det = ex.const(fr._inverse[0])
+    nonzero = [(i, t) for i, t in enumerate(target) if t != ZERO]
     out = []
     for c in range(fr.n):
-        h = ex.expand(ex.mul(ex.const(inv_det), ex.add(
-            *[ex.mul(t, row[c]) for t, row in zip(target, cofactors)])))
+        h = ex.expand(ex.mul(inv_det, ex.add(
+            *[ex.mul(t, fr._cofactor(i, c)) for i, t in nonzero])))
         if h != ZERO:
             out.append((c, h))
     fr._brackets[(a, b)] = out = tuple(out)

@@ -25,14 +25,17 @@ from weightings.weights import weight_sequence, weighted_degree
 from conftest import rand_expr, rand_rational
 
 FRAME_WEIGHTS = weight_sequence([("x0", 0), ("x1", 1), ("x2", 2)], 2)
+# four variables: the determinant and each cofactor recurse one level deeper
+FRAME_WEIGHTS_4 = weight_sequence([("x0", 0), ("x1", 1), ("x2", 1), ("x3", 2)], 2)
 SHAPES = ("polynomial", "transcendental", "inverse", "mixed")
 
 
-def _entry(rng: random.Random, shape: str) -> ex.Expr:
-    """A rational polynomial, times a head of x0 or a power of 1 + x0."""
-    x0, x1, x2 = (ex.var(v) for v in FRAME_WEIGHTS.vars)
+def _entry(rng: random.Random, shape: str, W=FRAME_WEIGHTS) -> ex.Expr:
+    """A rational polynomial in the variables of W, x1 drawn twice as often,
+    times a head of x0 or a power of 1 + x0."""
+    x0, x1, *rest = (ex.var(v) for v in W.vars)
     out = ex.add(*[ex.mul(ex.const(rand_rational(rng, zero_ok=False)),
-                          *rng.sample([x0, x1, x1, x2], rng.randint(0, 2)))
+                          *rng.sample([x0, x1, x1, *rest], rng.randint(0, 2)))
                    for _ in range(rng.randint(1, 2))])
     if shape in ("transcendental", "mixed") and rng.random() < 0.6:
         out = ex.mul(out, ex.app(rng.choice(ex.FUNCTIONS), x0))
@@ -41,40 +44,46 @@ def _entry(rng: random.Random, shape: str) -> ex.Expr:
     return out
 
 
-def random_frame(rng: random.Random, shape: str) -> sb.Frame:
+def random_frame(rng: random.Random, shape: str, W=FRAME_WEIGHTS) -> sb.Frame:
     """A unitriangular coefficient matrix with rows and columns permuted.
 
-    Its determinant is +-1; the three entries below the diagonal, and about
-    a third of those above it, are zero.
+    Its determinant is +-1; the entries below the diagonal, and about a
+    third of those above it, are zero.
     """
-    n = FRAME_WEIGHTS.n
+    n = W.n
     upper = [[ex.ONE if i == j else
-              _entry(rng, shape) if j > i and rng.random() < 0.7 else ex.ZERO
+              _entry(rng, shape, W) if j > i and rng.random() < 0.7 else ex.ZERO
               for j in range(n)] for i in range(n)]
     rows, cols = list(range(n)), list(range(n))
     rng.shuffle(rows)
     rng.shuffle(cols)
-    return sb.frame(FRAME_WEIGHTS, [[upper[r][c] for c in cols] for r in rows])
+    return sb.frame(W, [[upper[r][c] for c in cols] for r in rows])
 
 
-def random_word(rng: random.Random) -> list:
-    word = [rng.randrange(FRAME_WEIGHTS.n) for _ in range(rng.randint(2, 3))]
+def random_word(rng: random.Random, W=FRAME_WEIGHTS) -> list:
+    word = [rng.randrange(W.n) for _ in range(rng.randint(2, 3))]
     if rng.random() < 0.5:
         word.insert(rng.randint(0, len(word)),
                     ex.mul(ex.const(rand_rational(rng, zero_ok=False)),
-                           ex.var(rng.choice(FRAME_WEIGHTS.vars))))
+                           ex.var(rng.choice(W.vars))))
     return word
 
 
 # ---------------------------------------------------------------------------
 # references
 
-def _laplace(matrix: list[list[ex.Expr]]) -> ex.Expr:
+def _laplace(matrix: list[list[ex.Expr]], memo: dict) -> ex.Expr:
+    """Laplace along the first row, zero entries included; memo keeps each
+    minor's determinant, so the matrices of one bracket share their minors."""
     if not matrix:
         return ex.ONE
-    return ex.add(*[ex.mul(ex.const((-1) ** j), matrix[0][j],
-                           _laplace([row[:j] + row[j + 1:] for row in matrix[1:]]))
-                    for j in range(len(matrix))])
+    key = tuple(map(tuple, matrix))
+    if key not in memo:
+        memo[key] = ex.add(*[
+            ex.mul(ex.const((-1) ** j), matrix[0][j],
+                   _laplace([row[:j] + row[j + 1:] for row in matrix[1:]], memo))
+            for j in range(len(matrix))])
+    return memo[key]
 
 
 def _cramer_bracket(fr: sb.Frame, a: int, b: int) -> tuple:
@@ -82,12 +91,13 @@ def _cramer_bracket(fr: sb.Frame, a: int, b: int) -> tuple:
     n = fr.n
     target = lie_bracket(fr.fields[a], fr.fields[b]).coeff_exprs()
     matrix = [[fr.field_exprs(c)[i] for c in range(n)] for i in range(n)]
-    det = ex.expand(_laplace(matrix))
+    memo: dict = {}
+    det = ex.expand(_laplace(matrix, memo))
     assert isinstance(det, ex.Const) and det.value != 0
     out = []
     for c in range(n):
         replaced = [row[:c] + [t] + row[c + 1:] for row, t in zip(matrix, target)]
-        h = ex.expand(ex.mul(ex.const(1 / det.value), _laplace(replaced)))
+        h = ex.expand(ex.mul(ex.const(1 / det.value), _laplace(replaced, memo)))
         if h != ex.ZERO:
             out.append((c, h))
     return tuple(out)
@@ -134,16 +144,18 @@ def _accumulate(acc: dict, key, value: ex.Expr) -> None:
 # ---------------------------------------------------------------------------
 # oracles
 
-@pytest.mark.parametrize("shape", SHAPES)
-def test_frame_bracket_and_normal_order_match_cramer_reference(shape):
-    rng = random.Random(f"frame-oracle:{shape}")
+@pytest.mark.parametrize("W, shape", [
+    *[pytest.param(FRAME_WEIGHTS, shape, id=shape) for shape in SHAPES],
+    *[pytest.param(FRAME_WEIGHTS_4, shape, id=f"4-{shape}") for shape in SHAPES]])
+def test_frame_bracket_and_normal_order_match_cramer_reference(W, shape):
+    rng = random.Random(f"frame-oracle:{shape}" + ("" if W is FRAME_WEIGHTS else ":4"))
     for _ in range(50):
-        fr = random_frame(rng, shape)
+        fr = random_frame(rng, shape, W)
         for a in range(fr.n):
             for b in range(fr.n):
                 if a != b:
                     assert sb._frame_bracket(fr, a, b) == _cramer_bracket(fr, a, b)
-        word = random_word(rng)
+        word = random_word(rng, W)
         D = sb.normal_order(fr, word)
         assert dict(D.terms) == _reference_normal_order(fr, word), word
 
@@ -230,3 +242,18 @@ def test_frame_bracket_needs_a_constant_determinant():
     for _ in range(2):  # the failed inverse is not kept
         with pytest.raises(ValueError, match=r"constant nonzero determinant \(got 1 \+ x0\)"):
             sb.normal_order(fr, [1, 0])
+
+
+def test_a_zero_bracket_still_needs_a_constant_determinant():
+    x2 = ex.var("x2")
+    fr = sb.frame(FRAME_WEIGHTS, [[ex.add(ex.ONE, x2), ex.ZERO, ex.ZERO],
+                                  [ex.ZERO, ex.ONE, ex.ZERO],
+                                  [ex.ZERO, ex.ZERO, ex.ONE]])
+    assert lie_bracket(fr.fields[2], fr.fields[1]).is_zero
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            sb.normal_order(fr, [2, 1])
+        assert str(info.value) == ("frame brackets need a coefficient matrix with "
+                                   "constant nonzero determinant (got 1 + x2)")
+    # a word in normal order reads no bracket
+    assert str(sb.normal_order(fr, [1, 2])) == "(1) V2V3"

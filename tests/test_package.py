@@ -329,6 +329,21 @@ def _guard_cases():
         "execute unknown command": (
             lambda: cli.execute(cli.Command("nope", {})),
             ("UsageError", "unknown command 'nope'")),
+        # a value that is no Expr node, at each walk over the node types
+        "as_expr str": (lambda: ex.as_expr("x"), (
+            "TypeError", "cannot interpret 'x' as an expression")),
+        **{f"{name} unknown node": (make, ("TypeError", "unknown expression node 'x'"))
+           for name, make in {
+               "sort_key": lambda: ex.sort_key("x"),
+               "variables": lambda: ex.variables("x"),
+               "differentiate": lambda: ex.differentiate("x", "x"),
+               "substitute": lambda: ex.substitute("x", {}),
+               "expand": lambda: ex.expand("x"),
+               "simplify_canonical": lambda: ex.simplify_canonical("x"),
+               "eval_numeric": lambda: ex.eval_numeric("x", {}),
+               "to_text": lambda: ex.to_text("x"),
+               "poly_normal_form": lambda: wp.poly_normal_form("x", ("x",)),
+           }.items()},
     }
     return [pytest.param(make, expected, id=name)
             for name, (make, expected) in cases.items()]
