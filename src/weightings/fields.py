@@ -67,10 +67,10 @@ def euler_field(W: WeightSequence) -> PolyVectorField:
 
 
 def vf_filtration_degree(X: PolyVectorField, W: WeightSequence):
-    """min_a (deg f_a - w_a), clamped below at -r; math.inf for the zero
-    field, as wpoly.filtration_degree gives for the zero polynomial."""
-    return max(-W.order, min((wp.filtration_degree(c, W) - W.weight_of(v)
-                              for v, c in zip(X.vars, X.coeffs)), default=math.inf))
+    """min_a (deg f_a - w_a); math.inf for the zero field, as
+    wpoly.filtration_degree gives for the zero polynomial."""
+    return min((wp.filtration_degree(c, W) - W.weight_of(v)
+                for v, c in zip(X.vars, X.coeffs)), default=math.inf)
 
 
 def homogeneous_approx_vf(X: PolyVectorField, W: WeightSequence,

@@ -2,9 +2,10 @@
 scaling field, blow-up charts, and the numeric order estimator.
 
 Deformation-space coordinates are named positionally y1..yn plus t, blow-up
-chart coordinates z1..zn plus t.  A symbol outside the weighting named like
-one of them is refused: the result would read it as that coordinate.  The
-interpolant of a function f of weighted degree at least i is
+chart coordinates z1..zn plus t; transitions and interpolants are written in
+their target names.  A symbol outside the weighting named like one of them is
+refused: the result would read it as that coordinate.  The interpolant of a
+function f of weighted degree at least i is
 
     sum_s  t^(s.w - i) * chi_s(y_0) * y^s
 
@@ -105,9 +106,17 @@ def nu_transition(phi: CoordinateChange) -> tuple[Expr, ...]:
         p = wp.weighted_taylor(component, W, wb)
         if wp.filtration_degree(p, W) < wb:
             raise ValueError("chart map does not preserve the filtrations")
-        parts.append(wp.to_expr(wp.homogeneous_part(p, W, wb)))
+        parts.append(wp.homogeneous_part(p, W, wb).terms)
     rename = _rename_map(W, deformation_names(W), phi.components)
-    return tuple(ex.substitute(e, rename) for e in parts)
+    ys = [rename[v] for v in W.positive_vars]
+    return tuple(ex.add(*[_renamed_term(c, rename, ys, s) for s, c in terms],
+                        ZERO) for terms in parts)
+
+
+def _renamed_term(c: Expr, rename: Mapping, names: Sequence, s) -> Expr:
+    """c * x^s in the target names: c renamed, x^s written as names^s."""
+    return ex.mul(ex.substitute(c, rename),
+                  *[ex.pow_(y, k) for y, k in zip(names, s) if k])
 
 
 def compose_transitions(outer: Sequence[Expr], inner: Sequence[Expr],
@@ -141,16 +150,14 @@ def _interpolate(p: wp.WeightedPoly, shift: int, W: WeightSequence) -> Expr:
     rename = _rename_map(W, deformation_names(W) + ("t",),
                          [c for _, c in p.terms])
     w = list(W.positive_weights)
-    t = ex.var("t")
+    names = [rename[v] for v in p.pvars] + [ex.var("t")]
     terms = []
     for s, c in p.terms:
         sw = weighted_degree(s, w)
         if sw < shift:
             raise ValueError(
                 f"function has a term of weighted degree {sw} below {shift}")
-        mono = ex.substitute(wp.monomial_expr(p.pvars, s), rename)
-        terms.append(ex.mul(ex.pow_(t, sw - shift),
-                            ex.substitute(c, rename), mono))
+        terms.append(_renamed_term(c, rename, names, s + (sw - shift,)))
     return ex.add(*terms, ZERO)
 
 

@@ -619,8 +619,13 @@ def _compose_into(acc: dict, fr: Frame, b: int, terms) -> None:
         db = fr.apply(b, coeff)
         if db != ZERO:
             wp._add_into(acc, ((u, db),), ex.add)
-        wp._add_into(acc, ((u2, ex.mul(coeff, coeff2))
+        wp._add_into(acc, ((u2, _times(coeff, coeff2))
                            for u2, coeff2 in _normal_va_vs(fr, b, u)), ex.add)
+
+
+def _times(a: Expr, b: Expr) -> Expr:
+    """a * b, a factor kept as it is when the other is the singleton ONE."""
+    return a if b is ONE else b if a is ONE else ex.mul(a, b)
 
 
 def _normal_va_vs(fr: Frame, a: int, s: tuple[int, ...]) -> tuple:
@@ -640,7 +645,7 @@ def _normal_va_vs(fr: Frame, a: int, s: tuple[int, ...]) -> tuple:
     # V_a o V^s = V_b o (V_a o V^rest) + [V_a, V_b] o V^rest
     _compose_into(acc, fr, b, _normal_va_vs(fr, a, rest))
     for c, h in _frame_bracket(fr, a, b):
-        wp._add_into(acc, ((u2, ex.mul(h, coeff2))
+        wp._add_into(acc, ((u2, _times(h, coeff2))
                            for u2, coeff2 in _normal_va_vs(fr, c, rest)), ex.add)
     cleaned = [(u, coeff) for u, coeff in acc.items() if coeff != ZERO]
     fr._va_vs[(a, s)] = out = tuple(sorted(cleaned, key=lambda item: item[0]))
@@ -662,7 +667,7 @@ def normal_order(fr: Frame, word: Sequence) -> DiffOpStandardForm:
             terms = nxt
         else:
             g = ex.as_expr(item)
-            terms = {s: ex.mul(g, f) for s, f in terms.items()}
+            terms = {s: _times(g, f) for s, f in terms.items()}
     return diffop(fr, terms)
 
 

@@ -13,9 +13,10 @@ All arithmetic runs on one private kernel of term maps (exponent tuple ->
 value: the Fraction of a constant coefficient, the canonical Expr of any
 other): an in-place sum, a product that drops the terms above an optional
 weighted-degree bound, and one expression walk, `_expand`.  Two Fractions
-add and multiply as Fractions; any other pair goes through expr's add and
-mul, a Const result becoming its Fraction, and a Const is built only where a
-map leaves the kernel.  Sums are formed only where two terms meet, so a
+add and multiply as Fractions, a rational or a derivative's integer exponent
+scales an Expr's leading coefficient, and any other pair goes through expr's
+add and mul, a Const result becoming its Fraction: a Const is built only
+where a map leaves the kernel.  Sums are formed only where two terms meet, so a
 coefficient that lands on a new exponent is stored as it is; each operation
 drops zero coefficients once, at its end.  A product takes the weighted
 degree of each term of its factors once, not once per pair.  With no bound
@@ -193,15 +194,14 @@ def _binom(k: int, j: int) -> Fraction:
 _SIN_CYCLE = ("sin", "cos", "-sin", "-cos")
 
 
-def _maclaurin_coeff(fn: str, at: Expr, j: int) -> Expr:
-    """j-th Taylor coefficient of fn about the point `at` (an expression)."""
-    factorial = math.factorial(j)
-    if fn == "exp":
-        return ex.mul(ex.const(Fraction(1, factorial)), ex.app("exp", at))
-    shift = 0 if fn == "sin" else 1
-    head = _SIN_CYCLE[(j + shift) % 4]
-    sign = -1 if head.startswith("-") else 1
-    return ex.mul(ex.const(Fraction(sign, factorial)), ex.app(head.lstrip("-"), at))
+def _maclaurin_coeff(fn: str, at, j: int):
+    """j-th Taylor coefficient of fn about `at`, both kernel values: at the
+    vanishing argument ZERO it is rational, +-1/j! or 0."""
+    head = "exp" if fn == "exp" else _SIN_CYCLE[(j + (fn == "cos")) % 4]
+    q = Fraction(-1 if head.startswith("-") else 1, math.factorial(j))
+    if at is ZERO:  # sin(0) = 0, cos(0) = exp(0) = 1
+        return Fraction(0) if head.endswith("sin") else q
+    return _mul(q, ex.app(head.lstrip("-"), at))
 
 
 def weighted_taylor(e: Expr, W: WeightSequence, up_to: int) -> WeightedPoly:
@@ -249,9 +249,17 @@ def _add(a, b):
 
 
 def _mul(a, b):
-    """a * b of kernel values as _add, a Fraction passed as its Const."""
-    return (a * b if type(a) is type(b) is Fraction
-            else _value(ex.mul(ex.as_expr(a), ex.as_expr(b))))
+    """a * b of kernel values or an integer exponent: a rational q scales an
+    Expr c*e to (q*c)*e, as ex.mul's constant path does, building no Const."""
+    if isinstance(a, Expr):
+        if isinstance(b, Expr):
+            return _value(ex.mul(a, b))
+        a, b = b, a
+    elif not isinstance(b, Expr):
+        return a * b
+    coeff, core = ex._split_coeff(b)
+    coeff *= a
+    return coeff if core is None or not coeff else ex._with_coeff(coeff, core)
 
 
 def _add_into(acc: dict, terms, plus=_add) -> None:
@@ -287,7 +295,7 @@ def _partial(terms, pvars: tuple[str, ...], name: str) -> dict:
         return {s: d for s, c in terms if type(c) is not Fraction
                 and (d := _value(ex.differentiate(c, name)))}
     a = pvars.index(name)
-    return {s[:a] + (s[a] - 1,) + s[a + 1:]: _mul(Fraction(s[a]), c)
+    return {s[:a] + (s[a] - 1,) + s[a + 1:]: _mul(s[a], c)
             for s, c in terms if s[a]}
 
 
@@ -380,7 +388,7 @@ def _expand(e: Expr, pvars: tuple[str, ...], w, bound) -> dict:
             return {zero: e}
         h = _expand(e.arg, pvars, w, bound)
         a0 = h.pop(zero, ZERO)
-        return _series(lambda j: _value(_maclaurin_coeff(e.fn, a0, j)),
+        return _series(lambda j: _maclaurin_coeff(e.fn, a0, j),
                        h, zero, w, bound)
     raise TypeError(f"unknown expression node {e!r}")
 

@@ -245,6 +245,10 @@ def _guard_cases():
         "q_membership chart": (
             lambda: sb.q_membership(Q, jt.jet_point(("x", "z"), [[0] * 3] * 2)),
             value("jet point does not match the subbundle chart")),
+        # Q's own variables, one order too many
+        "q_membership order": (
+            lambda: sb.q_membership(Q, jt.jet_point(W.vars, [[0] * (Q.order + 2)] * 2)),
+            value("jet point does not match the subbundle chart")),
         "k_membership level": (lambda: sb.k_membership(Q, X, 3),
                                value("level 3 outside 0..2")),
         "k_membership chart": (lambda: sb.k_membership(Q, Z, 0), value(

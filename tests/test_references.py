@@ -898,3 +898,176 @@ def test_the_blowup_lift_is_the_pushforward_by_the_chart():
     assert min(seen.values()) >= 30 and seen["lift"] + seen["refused"] >= 300, \
         seen
     assert zero_fields > 0
+
+
+# ---------------------------------------------------------------------------
+# the symbolic kernels' shortcuts: a rational scales an Expr, a Maclaurin
+# coefficient at 0 is rational, results are written in their target names
+
+def _scaled_kinds(e):
+    """The kinds of e that the scalar rule tells apart: a leading constant,
+    a Sum or Prod core after it, a bare Var, Pow or App."""
+    coeff, core = ex._split_coeff(e)
+    return {"leading constant": coeff != 1, "Sum core": type(core) is ex.Sum,
+            "Prod core": type(core) is ex.Prod,
+            "bare node": type(e) in (ex.Var, ex.Pow, ex.App)}
+
+
+def test_a_rational_scales_an_expr_as_expr_mul_does():
+    rng = random.Random(3107)
+    seen = dict.fromkeys(["Fraction", "int", "zero", "leading constant",
+                          "Sum core", "Prod core", "bare node"], 0)
+    cases = 0
+    while cases < 400:
+        e = _rational_tree(rng, ("a", "b", "x"), 3, heads=True)
+        if isinstance(e, ex.Const):
+            continue
+        q = rng.choice([rand_rational(rng, zero_ok=False), Fraction(1),
+                        rng.randint(1, 5), 0])
+        expected = wp._value(ex.mul(ex.const(q), e))
+        for got in (wp._mul(q, e), wp._mul(e, q)):
+            assert type(got) is type(expected) and got == expected, (q, repr(e))
+        seen["zero" if not q else type(q).__name__] += 1
+        for kind, hit in _scaled_kinds(e).items():
+            seen[kind] += hit
+        cases += 1
+    assert min(seen.values()) >= 30, seen
+
+
+def test_maclaurin_coefficients_are_derivatives_over_factorials():
+    rng = random.Random(3108)
+    x = ex.var("x")
+    cases = 0
+    for fn in ex.FUNCTIONS:
+        derivative = ex.app(fn, x)
+        for j in range(13):
+            points = [ex.ZERO, rand_rational(rng, zero_ok=False)]
+            while len(points) < 8:
+                at = _rational_tree(rng, ("a", "b"), 2, heads=True)
+                points.append(wp._value(at) or Fraction(1))
+            for at in points:
+                expected = wp._value(ex.mul(
+                    ex.const(Fraction(1, math.factorial(j))),
+                    ex.substitute(derivative, {"x": ex.as_expr(at)})))
+                got = wp._maclaurin_coeff(fn, at, j)
+                assert type(got) is type(expected) and got == expected, \
+                    (fn, j, repr(at))
+                assert type(got) is Fraction or at is not ex.ZERO
+                cases += 1
+            derivative = ex.differentiate(derivative, "x")
+    assert cases == 312
+
+
+# source names whose order differs from that of y1..yn
+_SOURCE_NAMES = ("q", "p", "n", "m", "k", "h", "g", "e", "d", "c", "b")
+
+
+def _source_weighting(rng):
+    """2-4 variables or 11 (y10 sorts before y2), the first of weight 0,
+    the others of weight 0 to 3, one at least positive."""
+    n = rng.choice([rng.randint(2, 4), 11])
+    weights = sorted([0, rng.randint(1, 3)]
+                     + [rng.choice([0, 1, 1, 2, 3]) for _ in range(n - 2)])
+    names = rng.sample(_SOURCE_NAMES, n)
+    return weight_sequence(list(zip(names, weights)), 3)
+
+
+def _weight0_coefficient(rng, W):
+    """A function of W's weight-0 variables: a rational, a variable, a
+    Sum, sin, cos or exp of either, or a product of those."""
+    a = ex.var(rng.choice(W.zero_vars))
+    pieces = [ex.const(rand_rational(rng, zero_ok=False)), a,
+              ex.add(a, ex.const(rand_rational(rng, zero_ok=False)))]
+    pieces += [ex.app(fn, rng.choice(pieces[1:])) for fn in ex.FUNCTIONS]
+    return ex.mul(*rng.sample(pieces, rng.randint(1, 2)))
+
+
+def _weighted_polynomial(rng, W, low):
+    """A few terms c(z) x^s, each of weighted degree at least low with
+    probability 0.95."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        s = [rng.randint(0, 2) for _ in W.positive_vars]
+        if sum(map(math.prod, zip(s, W.positive_weights))) < low \
+                and rng.random() < 0.95:
+            continue
+        terms.append(ex.mul(_weight0_coefficient(rng, W), *[
+            ex.pow_(ex.var(v), k) for v, k in zip(W.positive_vars, s)]))
+    return ex.add(*terms, ex.ZERO)
+
+
+def _with_clash(rng, e, names):
+    """e, or one time in eight e times a symbol named like a target
+    coordinate."""
+    return ex.mul(e, ex.var(rng.choice(names))) if rng.random() < 0.125 else e
+
+
+def _source_named_nu(phi):
+    """The graded transition in the source names, renamed at the end."""
+    W, parts = phi.source, []
+    for wb, component in zip(phi.target.weights, phi.components):
+        p = wp.weighted_taylor(component, W, wb)
+        if any(sum(map(math.prod, zip(s, W.positive_weights))) < wb
+               for s, _ in p.terms):
+            return "chart map does not preserve the filtrations"
+        parts.append(wp.to_expr(wp.homogeneous_part(p, W, wb)))
+    rename = _outcome(sp._rename_map, W, sp.deformation_names(W), phi.components)
+    if isinstance(rename, str):
+        return rename
+    return tuple(ex.substitute(e, rename) for e in parts)
+
+
+def _source_named_interpolant(f, degree, W):
+    """sum t^(s.w - degree) c x^s in the source names, renamed at the end."""
+    p = wp.poly_normal_form(f, W.positive_vars)
+    rename = _outcome(sp._rename_map, W, sp.deformation_names(W) + ("t",),
+                      [c for _, c in p.terms])
+    if isinstance(rename, str):
+        return rename
+    terms = []
+    for s, c in p.terms:
+        sw = sum(map(math.prod, zip(s, W.positive_weights)))
+        if sw < degree:
+            return f"function has a term of weighted degree {sw} below {degree}"
+        terms.append(ex.mul(ex.pow_(ex.var("t"), sw - degree), c,
+                            wp.monomial_expr(p.pvars, s)))
+    return ex.substitute(ex.add(*terms, ex.ZERO), rename)
+
+
+def test_transitions_and_interpolants_are_the_renamed_source_results():
+    rng = random.Random(3109)
+    seen = {"nu": 0, "nu filtration": 0, "nu clash": 0, "interpolant": 0,
+            "interpolant degree": 0, "interpolant clash": 0, "11 variables": 0,
+            "head": 0, "Sum": 0}
+    for _ in range(400):
+        W = _source_weighting(rng)
+        clash = ("y1", "y2", "y10", "y11")[:2 + 2 * (W.n >= 10)]
+        components = [ex.add(ex.var(v), _weight0_coefficient(rng, W))
+                      if not wv else _weighted_polynomial(rng, W, wv)
+                      for v, wv in zip(W.vars, W.weights)]
+        b = rng.randrange(W.n)
+        components[b] = _with_clash(rng, components[b], clash)
+        if rng.random() < 0.05:  # a term below the last component's weight
+            components[-1] = ex.add(components[-1], _weight0_coefficient(rng, W))
+        phi = sp.coordinate_change(W, W, components)
+        got, expected = _outcome(sp.nu_transition, phi), _source_named_nu(phi)
+        assert got == expected, (W, [str(c) for c in components])
+        seen[{"chart map does not preserve the filtrations": "nu filtration"}
+             .get(got, "nu clash") if isinstance(got, str) else "nu"] += 1
+        f = _with_clash(rng, _weighted_polynomial(rng, W, 0), clash + ("t",))
+        degree = rng.randint(0, 2)
+        got = _outcome(sp.def_interpolant, f, degree, W)
+        expected = _source_named_interpolant(f, degree, W)
+        if isinstance(got, str):
+            assert got == expected, (W, str(f), degree)
+            seen["interpolant clash" if "named like" in got
+                 else "interpolant degree"] += 1
+        else:
+            assert got.expression == expected, (W, str(f), degree)
+            seen["interpolant"] += 1
+        text = " ".join(map(str, components)) + " " + str(f)
+        seen["head"] += any(h + "(" in text for h in ex.FUNCTIONS)
+        seen["Sum"] += "(" in text.replace("sin(", "").replace(
+            "cos(", "").replace("exp(", "")
+        seen["11 variables"] += W.n == 11
+    assert min(seen.values()) >= 10 and min(seen["nu"], seen["interpolant"]) >= 300, seen
