@@ -227,6 +227,11 @@ MINUS_ONE = const(-1)
 _UNIT = ONE.value
 
 
+def _is_zero(e) -> bool:
+    """e == ZERO by node type: any Const of value 0, the singleton or not."""
+    return type(e) is Const and not e.value
+
+
 def as_expr(value) -> Expr:
     if isinstance(value, Expr):
         return value
@@ -399,7 +404,7 @@ def app(fn: str, arg) -> Expr:
     if fn not in FUNCTIONS:
         raise ValueError(f"unknown function {fn!r}")
     arg = as_expr(arg)
-    if arg == ZERO:
+    if _is_zero(arg):
         return _APP_AT_ZERO[fn]
     return App(fn, arg)
 
@@ -437,19 +442,19 @@ def differentiate(e: Expr, name: str) -> Expr:
         pieces = []
         for i, f in enumerate(e.factors):
             df = differentiate(f, name)
-            if df == ZERO:
+            if _is_zero(df):
                 continue
             rest = e.factors[:i] + e.factors[i + 1:]
             pieces.append(mul(df, *rest))
         return add(*pieces)
     if isinstance(e, Pow):
         db = differentiate(e.base, name)
-        if db == ZERO:
+        if _is_zero(db):
             return ZERO
         return mul(const(e.exponent), pow_(e.base, e.exponent - 1), db)
     if isinstance(e, App):
         da = differentiate(e.arg, name)
-        if da == ZERO:
+        if _is_zero(da):
             return ZERO
         if e.fn == "sin":
             outer = app("cos", e.arg)

@@ -11,13 +11,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
-from operator import add
+from operator import itemgetter, mul
 
 from . import expr as ex
 from . import wpoly as wp
 from .expr import Expr, ZERO
-from .weights import (WeightSequence, _check_names, exponents_below, record,
-                      weighted_degree)
+from .weights import WeightSequence, _check_names, _exponent_walk, record
 from .wpoly import WeightedPoly
 
 
@@ -104,7 +103,7 @@ def vf_apply(X: PolyVectorField, p: WeightedPoly) -> WeightedPoly:
 def _apply_expr_field(pairs, f: Expr) -> Expr:
     """The one Expr field applier: c * df/dv summed over (v, c), c != 0."""
     return ex.add(*[ex.mul(c, d) for v, c in pairs
-                    if (d := ex.differentiate(f, v)) != ZERO])
+                    if not ex._is_zero(d := ex.differentiate(f, v))])
 
 
 def lie_bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorField:
@@ -253,46 +252,42 @@ class GradedLieAlgebra:
 
 
 def nilpotent_frames(W: WeightSequence) -> GradedLieAlgebra:
-    """Monomial frame of the negative graded fields, with exact brackets."""
-    pvars = W.positive_vars
-    pw = list(W.positive_weights)
-    labels = [(s, a) for a, wa in enumerate(W.weights)
-              for s in exponents_below(pw, wa)]
-    labels.sort(key=lambda lab: (weighted_degree(lab[0], pw) - W.weights[lab[1]],
-                                 lab[1], lab[0]))
-    index = {lab: i for i, lab in enumerate(labels)}
-    degrees = tuple(weighted_degree(s, pw) - W.weights[a] for s, a in labels)
+    """Monomial frame of the negative graded fields, with exact brackets.
+
+    A label (s, a) is coded as the integer S n + a, S the exponents s read as
+    digits in radix R = 2 max w, the first leading.  A label's exponents are
+    below max w, since s.w < w_a, so no digit of s + u - e_p carries: the
+    label (s + u - e_p, b) has the code S n + code(u, b) - n R^(m-1-p),
+    m = len(s), and a bracket entry is found by integer arithmetic.
+    """
+    n, k0, pw = W.n, W.count(0), W.positive_weights
+    m, radix = len(pw), 2 * max(W.weights)
+    place = [n * radix ** (m - 1 - p) for p in range(m)]  # S n of s = e_p
+    raw = sorted(((sw - wa, (s, a), sum(map(mul, s, place)) + a)
+                  for a, wa in enumerate(W.weights) for s, sw in _exponent_walk(pw, wa)),
+                 key=itemgetter(0))  # stable: by degree, then direction a, then s
+    degrees, labels, codes = map(tuple, zip(*raw)) if raw else ((),) * 3
+    index = {code: i for i, code in enumerate(codes)}
+    sn = [code - a for code, (_, a) in zip(codes, labels)]  # S n of each label
     in_sub = tuple(any(s) for s, _ in labels)
-    positions = [pvars.index(v) if v in pvars else None for v in W.vars]
 
-    def lowered(s, u, pos):
-        m = list(map(add, s, u))
-        m[pos] -= 1
-        return tuple(m)
-
-    # the labels holding x_p and along x_p; no exponent exceeds the top weight
-    holding = [[k for k, (s, _) in enumerate(labels) if s[p]] for p in range(len(pw))]
-    along = [[k for k, (_, a) in enumerate(labels) if positions[a] == p]
-             for p in range(len(pw))]
+    # the labels holding x_p and along x_p; no weight-0 direction has a label
+    holding = [[k for k, (s, _) in enumerate(labels) if s[p]] for p in range(m)]
+    along = [[k for k, (_, a) in enumerate(labels) if a - k0 == p] for p in range(m)]
     fraction = {q: Fraction(q) for q in range(-max(W.weights), max(W.weights) + 1)}
     brackets = []
     for i, (s, a) in enumerate(labels):
-        pa = positions[a]
+        pa = a - k0
         # [x^s d_a, x^u d_b] = u_a x^(s+u-e_a) d_b - s_b x^(s+u-e_b) d_a,
-        # where a weight-0 x_a or x_b occurs in no monomial.  No label (s, a)
-        # has x_a in x^s, since s.w < w_a, so the two terms carry different
-        # labels and never cancel: the bracket is non-zero iff x_a | x^u or x_b | x^s.
-        partners = set(holding[pa]).union(*(along[p] for p, e in enumerate(s) if e))
-        for j in sorted(j for j in partners if j > i):
-            u, b = labels[j]
-            pb = positions[b]
-            entries = []
-            if u[pa]:
-                entries.append((index[(lowered(s, u, pa), b)], fraction[u[pa]]))
-            if s[pb]:
-                entries.append((index[(lowered(s, u, pb), a)], fraction[-s[pb]]))
-            brackets.append(((i, j), tuple(sorted(entries))))
-    return GradedLieAlgebra(W, tuple(labels), degrees, in_sub, tuple(brackets))
+        # where a weight-0 x_a or x_b occurs in no monomial.  x_a | x^u needs
+        # w_a <= u.w < w_b and x_b | x^s needs w_b <= s.w < w_a, so at most
+        # one term is non-zero, and it carries a single label.
+        row = [((i, j), ((index[sn[i] + codes[j] - place[pa]], fraction[labels[j][0][pa]]),))
+               for j in holding[pa] if j > i]
+        row += [((i, j), ((index[codes[i] + sn[j] - place[p]], fraction[-e]),))
+                for p, e in enumerate(s) if e for j in along[p] if j > i]
+        brackets += sorted(row)
+    return GradedLieAlgebra(W, labels, degrees, in_sub, tuple(brackets))
 
 
 def gla_bracket(g: GradedLieAlgebra, x: dict[int, Fraction],

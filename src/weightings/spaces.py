@@ -191,7 +191,7 @@ class DeformationField:
 
 def _def_field(W: WeightSequence, degree: int,
                comps: Mapping[str, Expr]) -> DeformationField:
-    cleaned = [(n, c) for n, c in comps.items() if c != ZERO]
+    cleaned = [(n, c) for n, c in comps.items() if not ex._is_zero(c)]
     cleaned.sort(key=lambda item: item[0])
     return DeformationField(W, degree, tuple(cleaned))
 

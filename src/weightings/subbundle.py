@@ -425,7 +425,7 @@ class Frame:
 
     @cached_property
     def _pairs(self) -> tuple[tuple[tuple[str, Expr], ...], ...]:
-        return tuple(tuple((v, c) for v, c in zip(self.W.vars, row) if c != ZERO)
+        return tuple(tuple((v, c) for v, c in zip(self.W.vars, row) if not ex._is_zero(c))
                      for row in self._coeff_exprs)
 
     @cached_property
@@ -542,13 +542,13 @@ def frame(W: WeightSequence, coeff_rows: Sequence[Sequence[Expr]]) -> Frame:
     origin = {v: Fraction(0) for v in W.zero_vars}
     at_origin = [[ex.const(ex.eval_exact(c.coefficient(zero), origin))
                   for c in f.coeffs] for f in fields]
-    if _det_expr(at_origin) == ZERO:
+    if ex._is_zero(_det_expr(at_origin)):
         raise ValueError("frame coefficient matrix is singular at the base point")
     k0 = W.count(0)
     for a in range(k0):
         for b in range(a):
             bracket = lie_bracket(fields[a], fields[b])
-            if any(c.coefficient(zero) != ZERO for c in bracket.coeffs[:k0]):
+            if not all(ex._is_zero(c.coefficient(zero)) for c in bracket.coeffs[:k0]):
                 raise ValueError(
                     "base-tangent frame fields do not commute on the base")
     return fr
@@ -560,7 +560,7 @@ def _det_expr(matrix: list[list[Expr]]) -> Expr:
         return matrix[0][0]
     terms = []
     for j, e in enumerate(matrix[0]):
-        if e != ZERO:
+        if not ex._is_zero(e):
             piece = ex.mul(e, _det_expr([row[:j] + row[j + 1:] for row in matrix[1:]]))
             terms.append(piece if j % 2 == 0 else ex.mul(ex.MINUS_ONE, piece))
     return ex.add(*terms, ZERO)
@@ -572,12 +572,12 @@ def _frame_bracket(fr: Frame, a: int, b: int) -> tuple[tuple[int, Expr], ...]:
         return fr._brackets[(a, b)]
     target = lie_bracket(fr.fields[a], fr.fields[b]).coeff_exprs()
     inv_det = ex.const(fr._inverse[0])
-    nonzero = [(i, t) for i, t in enumerate(target) if t != ZERO]
+    nonzero = [(i, t) for i, t in enumerate(target) if not ex._is_zero(t)]
     out = []
     for c in range(fr.n):
         h = ex.expand(ex.mul(inv_det, ex.add(
             *[ex.mul(t, fr._cofactor(i, c)) for i, t in nonzero])))
-        if h != ZERO:
+        if not ex._is_zero(h):
             out.append((c, h))
     fr._brackets[(a, b)] = out = tuple(out)
     return out
@@ -606,7 +606,7 @@ def diffop(fr: Frame, terms: Mapping[tuple[int, ...], Expr]) -> DiffOpStandardFo
     cleaned = []
     for s, f in terms.items():
         f = ex.as_expr(f)
-        if f != ZERO:
+        if not ex._is_zero(f):
             cleaned.append((tuple(int(v) for v in s), f))
     cleaned.sort(key=lambda item: item[0])
     return DiffOpStandardForm(fr, tuple(cleaned))
@@ -617,7 +617,7 @@ def _compose_into(acc: dict, fr: Frame, b: int, terms) -> None:
     acc, for terms the (u, c_u) pairs."""
     for u, coeff in terms:
         db = fr.apply(b, coeff)
-        if db != ZERO:
+        if not ex._is_zero(db):
             wp._add_into(acc, ((u, db),), ex.add)
         wp._add_into(acc, ((u2, _times(coeff, coeff2))
                            for u2, coeff2 in _normal_va_vs(fr, b, u)), ex.add)
@@ -630,24 +630,19 @@ def _times(a: Expr, b: Expr) -> Expr:
 
 def _normal_va_vs(fr: Frame, a: int, s: tuple[int, ...]) -> tuple:
     """Standard form of V_a o V^s, as ((u, coefficient) ...)."""
-    n = len(s)
-    if not any(s):
-        unit = tuple(1 if c == a else 0 for c in range(n))
-        return ((unit, ONE),)
-    b = next(c for c in range(n) if s[c])
+    b = next((c for c, e in enumerate(s) if e), a)  # s = 0 is e_a once bumped
     if a <= b:
-        bumped = tuple(e + (1 if c == a else 0) for c, e in enumerate(s))
-        return ((bumped, ONE),)
+        return ((s[:a] + (s[a] + 1,) + s[a + 1:], ONE),)
     if (a, s) in fr._va_vs:
         return fr._va_vs[(a, s)]
-    rest = tuple(e - (1 if c == b else 0) for c, e in enumerate(s))
+    rest = s[:b] + (s[b] - 1,) + s[b + 1:]
     acc: dict[tuple[int, ...], Expr] = {}
     # V_a o V^s = V_b o (V_a o V^rest) + [V_a, V_b] o V^rest
     _compose_into(acc, fr, b, _normal_va_vs(fr, a, rest))
     for c, h in _frame_bracket(fr, a, b):
         wp._add_into(acc, ((u2, _times(h, coeff2))
                            for u2, coeff2 in _normal_va_vs(fr, c, rest)), ex.add)
-    cleaned = [(u, coeff) for u, coeff in acc.items() if coeff != ZERO]
+    cleaned = [(u, coeff) for u, coeff in acc.items() if not ex._is_zero(coeff)]
     fr._va_vs[(a, s)] = out = tuple(sorted(cleaned, key=lambda item: item[0]))
     return out
 
@@ -657,10 +652,14 @@ def normal_order(fr: Frame, word: Sequence) -> DiffOpStandardForm:
 
     Word items are frame indices (int, 0-based, meaning composition with
     that frame field) or expressions (meaning multiplication); the leftmost
-    item acts last.
+    item acts last.  A bool, or an int outside 0..n-1, is refused.
     """
+    word = list(word)
+    for item in word:
+        if isinstance(item, int) and (type(item) is bool or not 0 <= item < fr.n):
+            raise ValueError(f"word item {item!r} is no frame index 0..{fr.n - 1}")
     terms: dict[tuple[int, ...], Expr] = {(0,) * fr.n: ONE}
-    for item in reversed(list(word)):
+    for item in reversed(word):
         if isinstance(item, int):
             nxt: dict[tuple[int, ...], Expr] = {}
             _compose_into(nxt, fr, item, terms.items())
@@ -807,7 +806,7 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
                     words[a] = _base_words(fields, pvars, f, m)
                 value = ex.expand(ex.mul(ex.const(Fraction(-1) / normalizers[s]),
                                          words[a](s)))
-                if value != ZERO:
+                if not ex._is_zero(value):
                     chi[(a, s)] = value
         for (a, u), coeff in chi.items():
             if sum(u) == m:
@@ -854,6 +853,6 @@ def verify_adapted(x_exprs: Sequence[Expr], fr: Frame) -> bool:
         top = tops[a]
         f = wp._expand(ex.as_expr(x_exprs[a]), pvars, (1,) * len(pvars), top)
         on_base = _base_words(fields, pvars, f, top)
-        if any(ex.expand(on_base(s)) != ZERO for s in all_s):
+        if not all(ex._is_zero(ex.expand(on_base(s))) for s in all_s):
             return False
     return True

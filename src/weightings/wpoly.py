@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 
 from . import expr as ex
 from .expr import Expr, ZERO, ONE
@@ -74,14 +74,9 @@ class WeightedPoly:
 
 def wpoly(pvars: Sequence[str], terms: Mapping[tuple[int, ...], Expr] | None = None) -> WeightedPoly:
     """The WeightedPoly of a mapping exponent->coefficient, zeros dropped."""
-    pvars = tuple(pvars)
-    cleaned = []
-    for s, c in (terms or {}).items():
-        c = ex.as_expr(c)
-        if c != ZERO:
-            cleaned.append((tuple(int(v) for v in s), c))
-    cleaned.sort(key=lambda item: item[0])
-    return WeightedPoly(pvars, tuple(cleaned))
+    cleaned = [(tuple(int(v) for v in s), c) for s, given in (terms or {}).items()
+               if not ex._is_zero(c := ex.as_expr(given))]
+    return WeightedPoly(tuple(pvars), tuple(sorted(cleaned, key=itemgetter(0))))
 
 
 def wp_zero(pvars: Sequence[str]) -> WeightedPoly:
@@ -127,8 +122,13 @@ def monomial_text(pvars: Sequence[str], exponents: Sequence[int]) -> str:
 
 
 def to_expr(p: WeightedPoly) -> Expr:
-    return ex.add(*[ex.mul(c, monomial_expr(p.pvars, s)) for s, c in p.terms],
-                  ZERO)
+    """sum_s c_s x^s, each term c_s or one product of c_s and the powers of x^s."""
+    terms = [ex.mul(c, *xs) if (xs := [ex.pow_(ex.var(v), e)
+                                      for v, e in zip(p.pvars, s) if e]) else c
+             for s, c in p.terms]
+    if len(terms) == 1:
+        return terms[0]
+    return ex.add(*terms) if terms else ZERO
 
 
 def poly_normal_form(e: Expr, positive_vars: Sequence[str]) -> WeightedPoly:
@@ -304,8 +304,8 @@ def _apply_field(field, terms, pvars, w=None, bound=None) -> dict:
     (v, c_v) of field, c_v and terms as pairs, no degree above bound."""
     acc: dict = {}
     for v, c in field:
-        _add_into(acc, _product(c, _partial(terms, pvars, v).items(),
-                                w, bound).items())
+        if d := _partial(terms, pvars, v):
+            _add_into(acc, _product(c, d.items(), w, bound).items())
     return _nonzero(acc)
 
 

@@ -216,7 +216,10 @@ def _nilpotent_weights() -> list:
     drawn = {tuple(sorted(rng.choice([0, 0, 1, 1, 2, 3, 4])
                           for _ in range(rng.randint(1, 4))))
              for _ in range(40)}
-    fixed = [(0, 1, 2), (1, 1, 2), (1, 2, 3, 4, 5, 7), (0, 0, 1, 3), (1, 1, 1)]
+    fixed = [(0, 1, 2), (1, 1, 2), (1, 2, 3, 4, 5, 7), (0, 0, 1, 3), (1, 1, 1),
+             # large top weights: the exponents of a label, and those of
+             # s + u in a non-zero bracket, reach max w - 1 in a label code
+             (1, 13), (1, 1, 1, 9), (0, 1, 1, 2, 8)]
     return fixed + sorted(drawn.difference(fixed))
 
 
@@ -230,6 +233,7 @@ def test_nilpotent_brackets_match_all_pairs_enumeration(weights):
                               for s, a in g.basis)
     assert g.in_subalgebra == tuple(any(s) for s, _ in g.basis)
     assert g.brackets == _all_pairs_brackets(W, g.basis)
+    assert all(len(entries) == 1 for _, entries in g.brackets)
     assert all(type(c) is Fraction for _, entries in g.brackets
                for _, c in entries)
 

@@ -187,6 +187,10 @@ def _guard_cases():
     Q = sb.standard_q(W)
     W0 = weight_sequence({"a": 0, "x": 1}, 1)
     fr = sb.frame(W, [[1, 0], [ex.var("x"), 1]])
+    # the 3-field frame of the CI smoke line
+    fr3 = sb.frame(weight_sequence([("x1", 1), ("x2", 2), ("x3", 3)]), [
+        [ex.parse_expr(e) for e in row]
+        for row in (("1", "2*x1", "3*x2"), ("0", "1", "5*x1"), ("0", "0", "1"))])
     inner = sp.rational_map(("u", "v"), ("a", "b"),
                             {"a": (2, {"u": 1}), "b": (1, {"v": 1})})
 
@@ -255,6 +259,13 @@ def _guard_cases():
             "vector field chart does not match the subbundle")),
         "Frame chart": (lambda: sb.Frame(W, (X, Z)),
                         value("frame field lives on a different chart")),
+        # a bool, or an int outside 0..n-1, is no frame index
+        **{f"normal_order item {item!r}": (
+            lambda item=item: sb.normal_order(fr3, [item]),
+            value(f"word item {item!r} is no frame index 0..2")) for item in (3, -1, True)},
+        "normal_order item after a valid one": (
+            lambda: sb.normal_order(fr3, [2, 5]),
+            value("word item 5 is no frame index 0..2")),
         "coefficient_q_weight zero": (lambda: sb.coefficient_q_weight(
             sb.diffop(fr, {}), W), value("zero operator has no weight")),
         # y V_1 + V_2 on x^2 y, with V_1 = d/dx and V_2 = x d/dx + d/dy

@@ -26,7 +26,9 @@ that result, and shares no code with the kernel it checks:
   weight-0 coefficients;
 * Expr: ``expand``, ``differentiate`` and ``substitute`` agree with sympy
   on small polynomial and rational inputs, the canonical text means what
-  sympy reads from it, and ``parse_expr(to_text(e)) == e``;
+  sympy reads from it, and ``parse_expr(to_text(e)) == e``; the zero test
+  ``expr._is_zero`` is ``e == ZERO``, and ``wpoly.to_expr`` is the sum of
+  c_s * ``monomial_expr(s)``, with the same text;
 * the blow-up lift: ``blowup_lift_vf`` is the push-forward of the degree-0
   extension of X by the chart, dz_b = sum_v q_bv (z_b / y_v) dy_v, checked
   at rational chart points, where y = (inverse chart)(z, t) is rational.
@@ -43,6 +45,7 @@ replaces (see ``tests/test_closed_forms.py`` for the copies that remain).
 from __future__ import annotations
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -1071,3 +1074,55 @@ def test_transitions_and_interpolants_are_the_renamed_source_results():
             "cos(", "").replace("exp(", "")
         seen["11 variables"] += W.n == 11
     assert min(seen.values()) >= 10 and min(seen["nu"], seen["interpolant"]) >= 300, seen
+
+
+# ---------------------------------------------------------------------------
+# a polynomial's Expr is the sum of its terms c_s * x^s; a zero test reads
+# the node type
+
+def test_to_expr_is_the_sum_of_coefficient_times_monomial():
+    rng = random.Random(3701)
+    seen = dict.fromkeys(["empty", "one term", "two or more", "constant term",
+                          "Const", "Var", "Sum", "Prod", "App"], 0)
+    for _ in range(400):
+        W = _source_weighting(rng)
+        terms = {tuple(rng.choice([0, 0, 1, 2]) for _ in W.positive_vars):
+                 _weight0_coefficient(rng, W)
+                 for _ in range(rng.choice([0, 1, 1, 2, 3, 4]))}
+        p = wp.wpoly(W.positive_vars, terms)
+        expected = ex.add(*[ex.mul(c, wp.monomial_expr(p.pvars, s))
+                            for s, c in p.terms], ex.ZERO)
+        got = wp.to_expr(p)
+        assert got == expected and repr(got) == repr(expected), repr(p)
+        seen[("empty", "one term")[len(p.terms)] if len(p.terms) < 2
+             else "two or more"] += 1
+        seen["constant term"] += any(not any(s) for s, _ in p.terms)
+        for _, c in p.terms:
+            seen[type(c).__name__] += 1
+    assert min(seen.values()) >= 30, seen
+
+
+def test_the_zero_test_is_equality_with_zero():
+    rng = random.Random(3702)
+    names = ("a", "b", "x")
+    W = weight_sequence([("a", 0), ("b", 0), ("x", 1)], 2)
+    unpickled = pickle.loads(pickle.dumps(ex.ZERO))
+    cases = [ex.ZERO, ex.as_expr(0), ex.Const(Fraction(0)), unpickled, ex.ONE,
+             ex.MINUS_ONE, ex.as_expr(Fraction(1, 2))]
+    assert all(z is not ex.ZERO for z in cases[1:4])
+    for _ in range(300):
+        e = _rational_tree(rng, names, 3, heads=True)
+        v = rng.choice(names)
+        outputs = [e, ex.differentiate(e, v), ex.add(e, ex.mul(ex.MINUS_ONE, e)),
+                   ex.mul(ex.ZERO, e), ex.expand(e)]
+        at_zero = _outcome(ex.substitute, e, {v: ex.ZERO})
+        taylor = _outcome(wp.weighted_taylor, e, W, rng.randint(0, 2))
+        outputs += [] if isinstance(at_zero, str) else [at_zero]
+        if not isinstance(taylor, str):
+            outputs += [wp.to_expr(taylor)] + [c for _, c in taylor.terms]
+        cases += outputs + [pickle.loads(pickle.dumps(out)) for out in outputs]
+    zeros = 0
+    for e in cases:
+        assert ex._is_zero(e) == (e == ex.ZERO), repr(e)
+        zeros += ex._is_zero(e)
+    assert zeros >= 300 and len(cases) - zeros >= 1000, (zeros, len(cases))
