@@ -37,10 +37,11 @@ _EXPORTS = {
     "subbundle": ("AdaptedChange", "DiffOpStandardForm", "Frame",
                   "GraphSubbundle", "WeightingVerdict", "adapted_coordinates",
                   "apply_diffop", "check_weighting", "coefficient_q_weight",
-                  "derive_weights", "diffop", "frame", "graph_subbundle",
-                  "induced_filtration_degree", "k_membership", "normal_order",
-                  "q_membership", "quotient_to_normal", "standard_q",
-                  "substitute_graph", "verify_adapted"),
+                  "coordinate_graph", "derive_weights", "diffop", "frame",
+                  "graph_subbundle", "induced_filtration_degree",
+                  "k_membership", "normal_order", "q_membership",
+                  "quotient_to_normal", "standard_q", "substitute_graph",
+                  "verify_adapted"),
     "spaces": ("BlowupField", "CoordinateChange", "DeformationField",
                "DeformationFunction", "RationalMonomialMap", "ScalingReport",
                "blowup_chart", "blowup_chart_inverse", "blowup_lift_vf",

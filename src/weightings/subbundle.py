@@ -1,11 +1,11 @@
 """Graded subbundles of the prolonged chart, the weighting criterion, and
 adapted coordinates.
 
-A GraphSubbundle, built by ``graph_subbundle``, stores the subbundle in
-solved form: a set of constrained slots (a, j), each equal to a slot
-polynomial in the free slots that is homogeneous of degree j.  Membership,
-tangency, restriction, and the weighting checks all reduce to substitution
-into this graph.
+A GraphSubbundle, built by ``graph_subbundle`` (or by ``coordinate_graph``
+from coordinates u = x - G), stores the subbundle in solved form: a set of
+constrained slots (a, j), each equal to a slot polynomial in the free slots
+that is homogeneous of degree j.  Membership, tangency, restriction, and
+the weighting checks all reduce to substitution into this graph.
 
 ``check_weighting`` decides in two steps and names a rejection in a third:
 
@@ -41,10 +41,10 @@ degree at least j, so its correction clears level j of u_a and moves no
 lower level.
 
 FILTRATION_MISMATCH is then complete for positive weights, by an argument
-checked on generated weightings but not proved: a different choice at an
-earlier level differs by a function of at least the same filtration
-degree, and the systems are linear with rational data, so if a real
-solution exists, a rational one does.
+checked on generated weightings (``tests/test_descriptions.py``, G outside
+the ansatz too) but not proved: a different choice at an earlier level
+differs by a function of at least the same filtration degree, and the
+systems are linear with rational data: a real solution gives a rational one.
 
 Each level solves one integer system: a row per packed slot monomial, a
 column per candidate u^s, and each non-zero residual of the level as a
@@ -147,11 +147,40 @@ def graph_subbundle(vars: Sequence[str], order: int,
     return GraphSubbundle(vars, order, tuple(cleaned))
 
 
+def coordinate_graph(weights: Mapping[str, int], order: int,
+                     shears: Mapping[str, Expr]) -> GraphSubbundle:
+    """The graph where u_a = x_a - G_a vanishes to order w_a, for weights
+    mapping the chart's names to w_a in chart order and shears names to G_a
+    (0 if absent): slot (a, j), j < w_a, is G_a^(j) solved level by level."""
+    vars = tuple(weights)
+    solved = {(a, j): jt.JP_ZERO for a, name in enumerate(vars)
+              for j in range(weights[name]) if j == 0 or name not in shears}
+    for name, G in shears.items():
+        if name not in weights:
+            raise ValueError(f"shear for {name!r}, which is not a chart variable")
+        if weights[name] and not jt.jp_substitute(
+                jt.jet_lift(G, 0, order, vars), solved).is_zero:
+            raise ValueError(f"shear for {name!r} does not vanish on the base")
+    for j in range(1, max(weights.values(), default=0)):
+        pending = {(vars.index(name), j): jt.jet_lift(G, j, order, vars)
+                   for name, G in shears.items() if weights[name] > j}
+        while pending:
+            pending = {s: jt.jp_substitute(p, solved) for s, p in pending.items()}
+            ready = [s for s, p in pending.items()
+                     if not jt.jp_labels(p) & pending.keys()]
+            if not ready:  # each pending slot reads one: n reads end on a cycle
+                s = min(pending)
+                for _ in pending:
+                    s = min(jt.jp_labels(pending[s]) & pending.keys())
+                raise ValueError(f"slot {vars[s[0]]}.{j} depends on itself "
+                                 f"through the shears")
+            solved.update((s, pending.pop(s)) for s in ready)
+    return graph_subbundle(vars, order, solved)
+
+
 def standard_q(W: WeightSequence) -> GraphSubbundle:
     """The subbundle cut out by vanishing of all slots below each weight."""
-    constraints = {(a, j): jt.JP_ZERO
-                   for a in range(W.n) for j in range(W.weights[a])}
-    return graph_subbundle(W.vars, W.order, constraints)
+    return coordinate_graph(W.as_dict(), W.order, {})
 
 
 def substitute_graph(Q: GraphSubbundle, p: JetPoly) -> JetPoly:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from weightings import expr as ex
 from weightings import jets as jt
+from weightings import subbundle as sb
 from weightings import wpoly as wp
 from weightings.weights import WeightSequence, weight_sequence
 
@@ -30,6 +31,22 @@ def rand_jetpoly(rng: random.Random, labels, max_terms: int = 4,
                              0, min(3, len(labels))))))
         terms[m] = rand_rational(rng)
     return jt.jetpoly(terms)
+
+
+def coordinate_graph(weights, order, shears) -> sb.GraphSubbundle:
+    """``sb.coordinate_graph``, checked against its definition: the graph
+    constrains exactly the slots (a, j) with j < w_a, and u_a = x_a - G_a
+    vanishes to order w_a along it.  That is, each lift u_a^(j), j < w_a,
+    vanishes on the graph: ``induced_filtration_degree`` finds the first
+    lift off the graph (checked against lift-then-substitute in
+    ``tests/test_subbundle.py``), and reads each level once."""
+    Q = sb.coordinate_graph(weights, order, shears)
+    assert Q.constrained_labels() == {(a, j) for a, w in enumerate(
+        weights.values()) for j in range(w)}, Q
+    for name, w in weights.items():
+        u = ex.add(ex.var(name), ex.mul(ex.MINUS_ONE, shears.get(name, ex.ZERO)))
+        assert sb.induced_filtration_degree(Q, u) >= w, (Q, name)
+    return Q
 
 
 def rand_poly_expr(rng: random.Random, names, max_degree: int = 4,

@@ -3,17 +3,22 @@
 Each case draws weighted coordinates u = x - G on a chart x1..xn (n is 1-3
 unless a test asks for more): sorted weights 1-5, order 6, and a triangular
 shear, G_a a polynomial without constant term in the x_b with b < a.  The
-graph Q of the weighting is built here from its definition, not by a
-library helper: a jet lies on Q when u_a vanishes to order w_a along it, so
-the slot (a, j), j < w_a, is the lift G_a^(j) restricted to the slots
-already solved.
+graph Q of the weighting comes from ``coordinate_graph``, checked against
+its definition by the helper of ``conftest``: Q constrains the slots (a, j)
+with j < w_a, and the lift u_a^(j) vanishes on Q at each of them.
 
 * Functions: ``induced_filtration_degree(Q, f)`` (the jet kernel) equals
   the weighted order of f(x(u)) from ``weighted_taylor`` in u (the term-map
   kernel), capped at r + 1.
 * Vector fields: ``k_membership(Q, X, i)`` equals
   ``vf_filtration_degree(X written in u) >= -i``.
-* The graph: ``check_weighting(Q)`` accepts it with the weights of u.
+* The graph: ``check_weighting(Q)`` accepts it with the weights of u, and
+  the accepted graph passes N3, the reparametrization check.  A second leg
+  draws G outside N4's correction ansatz: monomials of order 2-3 in any
+  positive-weight variable, and weight-0 factors beside variables of lower
+  index; N4 accepts those with the weights of u too, or abstains where G
+  reads a weight-0 variable, and every level system it solves has full
+  column rank.
 * Euler-like fields: for shears that keep the weighting (every monomial of
   G_a of weighted degree >= w_a in the weights of x), the Euler field
   sum_a w_a u_a d/du_a of u, written in x, passes ``euler_like_check``,
@@ -25,17 +30,19 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
+
 from weightings import expr as ex
-from weightings import jets as jt
 from weightings import wpoly as wp
 from weightings.fields import (euler_field, vf_filtration_degree, vf_for_weights,
                                vf_from_exprs)
 from weightings.spaces import euler_like_check
-from weightings.subbundle import (check_weighting, graph_subbundle,
-                                  induced_filtration_degree, k_membership)
+from weightings import subbundle as sb
+from weightings.subbundle import (check_weighting, induced_filtration_degree,
+                                  k_membership)
 from weightings.weights import weight_sequence
 
-from conftest import rand_rational
+from conftest import coordinate_graph, rand_rational
 
 ORDER = 6
 
@@ -56,14 +63,10 @@ def _weighting(rng, n=None):
                               _monomial(rng, xs[:a], 3))
                        for _ in range(rng.randint(1, 2) if a else 0)])
               for a in range(n)]
-    constraints = {}
+    Q = coordinate_graph(dict(zip(xs, weights)), ORDER, dict(zip(xs, shears)))
     x_in_u = {}
     for a, G in enumerate(shears):
-        for j in range(weights[a]):
-            constraints[(a, j)] = jt.jp_substitute(
-                jt.jet_lift(G, j, ORDER, xs), constraints)
         x_in_u[xs[a]] = ex.add(ex.var(us[a]), ex.substitute(G, x_in_u))
-    Q = graph_subbundle(xs, ORDER, constraints)
     u_in_x = [ex.add(ex.var(x), ex.mul(ex.const(-1), G))
               for x, G in zip(xs, shears)]
     return xs, Q, u_in_x, x_in_u, weight_sequence(list(zip(us, weights)),
@@ -136,8 +139,79 @@ def test_check_weighting_accepts_the_graph_with_the_weights_of_u():
         verdict = check_weighting(Q)
         assert verdict.accepted, (str(Q), str(verdict))
         assert verdict.weights.weights == Wu.weights, str(Q)
+        # the graph of an acceptance is invariant under reparametrization
+        assert sb._lambda_invariance_witness(Q) is None, str(Q)
         sheared += any(not g.is_zero for _, g in Q.constraints)
     assert sheared >= 500, sheared
+
+
+def _outside_the_ansatz(rng, weight0):
+    """(weights, shears) of u = x - G on 2-4 variables of weights 1-4, and
+    with weight0 one or two of weight 0, in drawn chart order.  Each G_a is
+    up to three monomials of order 2-3 in the positive-weight variables,
+    weights >= w_a included, outside N4's ansatz.  With weight0 a monomial
+    may also take weight-0 factors, and then reads only variables of lower
+    index, so that no slot depends on itself through the shears."""
+    weights = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+    weights += [0] * (rng.randint(1, 2) if weight0 else 0)
+    rng.shuffle(weights)
+    names = [f"x{a + 1}" for a in range(len(weights))]
+    positive = [name for name, w in zip(names, weights) if w]
+    shears = {}
+    for name in positive:
+        lower = names[:names.index(name)]
+        monomials = []
+        for _ in range(rng.randint(0, 3)):
+            size = rng.randint(2, 3)
+            if weight0 and set(lower) & set(positive) and rng.random() < 0.5:
+                factors = [rng.choice([n for n in lower if n in positive])]
+                factors += [rng.choice(lower) for _ in range(size - 1)]
+            else:
+                factors = [rng.choice(positive) for _ in range(size)]
+            monomials.append(ex.mul(ex.const(rand_rational(rng, False)),
+                                    *map(ex.var, factors)))
+        shears[name] = ex.add(*monomials)
+    return dict(zip(names, weights)), shears
+
+
+@pytest.mark.parametrize("weight0, seed", [(False, 5), (True, 6)],
+                         ids=["positive", "weight-0"])
+def test_check_weighting_accepts_shears_outside_the_ansatz(weight0, seed,
+                                                           monkeypatch):
+    # u_a = x_a - G_a is a weighting with the weights of u, so N4 must
+    # accept, or abstain where a G_a reads a weight-0 variable; every level
+    # system it solves has full column rank, as the candidates u^s at a
+    # level are independent
+    def eliminate(rows, ncols):
+        d, pivots = real_eliminate(rows, ncols)
+        assert len(pivots) == ncols
+        systems.append(ncols)
+        return d, pivots
+
+    real_eliminate, systems = sb._eliminate, []
+    monkeypatch.setattr(sb, "_eliminate", eliminate)
+    rng = random.Random(seed)
+    seen = {"accepted": 0, "undecided": 0, "reads weight >= w_a": 0}
+    for _ in range(300):
+        weights, shears = _outside_the_ansatz(rng, weight0)
+        Q = coordinate_graph(weights, max(weights.values()) + rng.randint(0, 1),
+                             shears)
+        verdict = check_weighting(Q)
+        if verdict.accepted:
+            assert verdict.weights.as_dict() == weights, (str(Q), shears)
+            assert sb._lambda_invariance_witness(Q) is None, str(Q)
+            seen["accepted"] += 1
+        else:
+            assert verdict.reason == sb.UNDECIDED, (str(Q), str(verdict))
+            assert any(weights[v] == 0 for G in shears.values()
+                       for v in ex.variables(G)), str(Q)
+            seen["undecided"] += 1
+        seen["reads weight >= w_a"] += any(
+            weights[v] >= weights[name] for name, G in shears.items()
+            for v in ex.variables(G))
+    assert seen["accepted"] >= 200 and seen["reads weight >= w_a"] >= 250, seen
+    assert seen["undecided"] >= (20 if weight0 else 0), seen
+    assert len(systems) >= 30, systems
 
 
 def _same_weighting(rng):

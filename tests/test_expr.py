@@ -288,3 +288,56 @@ def test_pickle_round_trip_leaves_out_cached_hash():
             hash(node)
         assert all(hasattr(node, "_h") for node in _subtrees(fresh))
         assert pickle.dumps(fresh) == before == pickle.dumps(e)
+
+
+# constants fold in add and mul
+
+def test_two_constants_fold_to_the_node_of_the_general_path():
+    rng = random.Random(2004)
+    zeros = 0
+    for _ in range(600):
+        a = ex.const(rand_rational(rng))
+        b = ex.const(-a.value if rng.random() < 0.2 else rand_rational(rng))
+        for fold, general in ((ex.add(a, b), ex.add(a, b, ex.ZERO)),
+                              (ex.mul(a, b), ex.mul(a, b, ex.ONE))):
+            assert type(fold) is type(general) is ex.Const
+            assert type(fold.value) is type(general.value) is Fraction
+            assert fold == general and hash(fold) == hash(general)
+            assert repr(fold) == repr(general)
+            assert (fold is ex.ZERO) == (general is ex.ZERO) == (fold.value == 0)
+            zeros += fold is ex.ZERO
+    assert zeros >= 150
+
+
+def _node_of_each_class(rng) -> dict:
+    """Generated canonical nodes by class; a Prod with a leading constant is
+    "Prod*", one without it "Prod"."""
+    names = ("x", "y", "z")
+    nodes: dict = {}
+    while min(map(len, nodes.values()), default=0) < 40 or len(nodes) < 7:
+        e = rand_expr(rng, names)
+        kind = type(e).__name__
+        if kind == "Prod" and type(e.factors[0]) is ex.Const:
+            kind = "Prod*"
+        nodes.setdefault(kind, []).append(e)
+    return nodes
+
+
+def test_a_constant_times_a_node_is_the_node_of_the_general_path():
+    rng = random.Random(2505)
+    nodes = _node_of_each_class(rng)
+    assert set(nodes) == {"Const", "Var", "Sum", "Prod", "Prod*", "Pow", "App"}
+    cancelled = 0
+    for kind, es in nodes.items():
+        for e in es:
+            lead = ex._split_coeff(e)[0]
+            for q in (ex.ZERO, ex.ONE, ex.const(rand_rational(rng)),
+                      ex.const(1 / lead) if lead else ex.ONE):
+                general = ex.mul(q, e, ex.ONE)
+                for fast in (ex.mul(q, e), ex.mul(e, q)):
+                    assert type(fast) is type(general)
+                    assert fast == general and hash(fast) == hash(general)
+                    assert repr(fast) == repr(general)
+                    assert (fast is ex.ZERO) == (general is ex.ZERO)
+                cancelled += kind == "Prod*" and q.value * lead == 1
+    assert cancelled >= 10

@@ -451,6 +451,20 @@ def test_canonical_form_does_not_depend_on_constructor_or_packing():
     assert min(seen.values()) >= 20, seen
 
 
+def test_seal_builds_one_fraction_per_distinct_numerator():
+    rng = random.Random(1902)
+    labels = [(a, j) for a in range(-1, 3) for j in range(4)]
+    for _ in range(300):
+        p = rand_jetpoly(rng, labels, max_terms=8, max_exponent=3)
+        fields = jt._Fields(jt.jp_labels(p), 3)
+        (nums,), den = fields.raw(p)
+        nums = {m: rng.choice([0, 1, -2, 3]) * v for m, v in nums.items()}
+        den *= rng.choice([1, 1, 2, 6])
+        sealed = fields.seal(nums, den)
+        assert len({id(c) for _, c in sealed.terms}) == \
+            len({c for _, c in sealed.terms})
+
+
 def test_jp_text_fixed_renderings():
     s = jp_slot
     cases = [

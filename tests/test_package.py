@@ -32,7 +32,8 @@ EXPORTED = {
         tm_translate vf_lift""",
     "subbundle": """AdaptedChange DiffOpStandardForm Frame GraphSubbundle
         WeightingVerdict adapted_coordinates apply_diffop check_weighting
-        coefficient_q_weight derive_weights diffop frame graph_subbundle
+        coefficient_q_weight coordinate_graph derive_weights diffop frame
+        graph_subbundle
         induced_filtration_degree k_membership normal_order q_membership
         quotient_to_normal standard_q substitute_graph verify_adapted""",
     "spaces": """BlowupField CoordinateChange DeformationField
@@ -244,6 +245,17 @@ def _guard_cases():
         "lie_derivative_form 0-form": (
             lambda: fd.lie_derivative_form(X, form(W.vars, 0, {(): x})),
             value("use vf_apply for functions")),
+        "coordinate_graph off the base": (lambda: sb.coordinate_graph(
+            {"x": 1, "y": 2}, 2, {"y": ex.parse_expr("x + 1")}),
+            value("shear for 'y' does not vanish on the base")),
+        # x2.1 = t.0*x3.1 and x3.1 = t.0*x2.1: no slot can be solved first
+        "coordinate_graph cycle": (lambda: sb.coordinate_graph(
+            {"t": 0, "x2": 2, "x3": 2}, 2, {"x2": ex.parse_expr("t*x3"),
+                                            "x3": ex.parse_expr("t*x2")}),
+            value("slot x2.1 depends on itself through the shears")),
+        "coordinate_graph outside the chart": (lambda: sb.coordinate_graph(
+            {"x": 1}, 1, {"q": ex.parse_expr("x^2")}),
+            value("shear for 'q', which is not a chart variable")),
         "graph_subbundle slot": (lambda: sb.graph_subbundle(("x",), 1, {
             (1, 0): jt.JP_ZERO}), value("constraint slot (1,0) out of range")),
         "q_membership chart": (

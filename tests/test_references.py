@@ -39,7 +39,7 @@ wrong result is found at a random rational point with high probability
 identities", JACM 1980).  The jets and wpoly tests run without sympy.
 
 A kernel change adds cases here; it does not freeze a copy of the code it
-replaces (see ``tests/test_closed_forms.py`` for the copies that remain).
+replaces.
 """
 
 from __future__ import annotations
