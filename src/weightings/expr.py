@@ -119,9 +119,13 @@ def _node(cls):
     depends on the process's string-hash seed.  Every attribute assignment
     or deletion raises ``dataclasses.FrozenInstanceError``, imported then.
     Nodes are built in every kernel loop, so each writes its own ``__init__``.
+
+    A node prints as ``Name(field, ...)``, fields in order: a tuple field as
+    its items' ``repr``s, an ``Expr`` as its ``repr``, anything else (a
+    ``Fraction``, a name, an exponent, a function head) as its ``str``.
     """
     cls = record(cls, slots=True)
-    field_hash = cls.__hash__
+    field_hash, names = cls.__hash__, cls.__match_args__
 
     def __hash__(self):
         try:
@@ -131,7 +135,16 @@ def _node(cls):
             object.__setattr__(self, "_h", h)
             return h
 
-    cls.__hash__ = __hash__
+    def text(value):
+        if isinstance(value, tuple):
+            return ", ".join(map(repr, value))
+        return repr(value) if isinstance(value, Expr) else str(value)
+
+    def __repr__(self):
+        return f"{cls.__name__}({', '.join(text(getattr(self, n)) for n in names)})"
+
+    __repr__.__qualname__ = f"{cls.__qualname__}.__repr__"
+    cls.__hash__, cls.__repr__ = __hash__, __repr__
     return cls
 
 
@@ -144,9 +157,6 @@ class Const(Expr):
     def __init__(self, value):
         object.__setattr__(self, "value", value)
 
-    def __repr__(self):
-        return f"Const({self.value})"
-
 
 @_node
 class Var(Expr):
@@ -156,9 +166,6 @@ class Var(Expr):
 
     def __init__(self, name):
         object.__setattr__(self, "name", name)
-
-    def __repr__(self):
-        return f"Var({self.name})"
 
 
 @_node
@@ -170,9 +177,6 @@ class Sum(Expr):
     def __init__(self, terms):
         object.__setattr__(self, "terms", terms)
 
-    def __repr__(self):
-        return "Sum(" + ", ".join(map(repr, self.terms)) + ")"
-
 
 @_node
 class Prod(Expr):
@@ -182,9 +186,6 @@ class Prod(Expr):
 
     def __init__(self, factors):
         object.__setattr__(self, "factors", factors)
-
-    def __repr__(self):
-        return "Prod(" + ", ".join(map(repr, self.factors)) + ")"
 
 
 @_node
@@ -198,9 +199,6 @@ class Pow(Expr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
 
-    def __repr__(self):
-        return f"Pow({self.base!r}, {self.exponent})"
-
 
 @_node
 class App(Expr):
@@ -212,9 +210,6 @@ class App(Expr):
     def __init__(self, fn, arg):
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "arg", arg)
-
-    def __repr__(self):
-        return f"App({self.fn}, {self.arg!r})"
 
 
 def const(value: RationalLike) -> Const:

@@ -156,7 +156,10 @@ def jp_pow(p: JetPoly, exponent: int) -> JetPoly:
 def jp_substitute(p: JetPoly, mapping: Mapping[Label, JetPoly]) -> JetPoly:
     """p with each slot in mapping replaced by its value.  The fields are
     bounded by the largest sum of e * (largest exponent of the value) over
-    the factors label^e of a term; a term through a zero value vanishes."""
+    the factors label^e of a term; a term through a zero value vanishes.
+    A polynomial with no terms, which is canonical, comes back as it is."""
+    if not p.terms:
+        return p
     values = {label: mapping[label] if label in mapping else jp_slot(*label)
               for label in jp_labels(p)}
     top = {label: _max_exponent(g) for label, g in values.items()}
@@ -286,14 +289,6 @@ class _Fields:
                     terms.append((tuple(m), fractions[c]))
             polys.append(JetPoly(tuple(terms)))
         return polys
-
-
-def _mul_into(out: dict, x: dict, y: dict) -> None:
-    """out += x * y, in place."""
-    for m1, c1 in x.items():
-        for m2, c2 in y.items():
-            m = m1 + m2
-            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
 
 
 def _series_mul(a: Raw, b: Raw, r: int, lo: int = 0) -> Raw:
@@ -639,10 +634,12 @@ def _apply_into(out: dict, field: list[tuple[Label, dict]], nums: dict,
         if label in offsets and support >> offsets[label] & mask:
             off = offsets[label]
             one = 1 << off
-            # lowering one exponent keeps distinct monomials distinct
-            dp = {m - one: v * e for m, v in nums.items()
-                  if (e := m >> off & mask)}
-            _mul_into(out, c, dp)
+            dp = [(m - one, v * e) for m, v in nums.items()
+                  if (e := m >> off & mask)]
+            for m1, c1 in c.items():
+                for m2, c2 in dp:
+                    m = m1 + m2
+                    out[m] = out[m] + c1 * c2 if m in out else c1 * c2
     return out
 
 

@@ -248,12 +248,17 @@ def scaling_order_estimate(f: Expr, W: WeightSequence,
     For polynomial input the slope recovers the filtration degree.  A sample
     that is zero, a pole or not a finite float triggers a resample of the
     base point, up to eight times; with a fixed base point, or once the
-    attempts run out, the estimate raises ValueError.
+    attempts run out, the estimate raises ValueError, as it does at once for
+    a base point of the wrong length or a t_grid value that is not positive.
     """
     if t_grid is None:
         t_grid = [2.0 ** (-k) for k in range(4, 13)]
     if len(set(t_grid)) < 2:
         raise ValueError("t_grid needs at least two distinct values")
+    if bad := [t for t in t_grid if not t > 0]:
+        raise ValueError(f"t_grid values must be positive, got {bad[0]}")
+    if base_point is not None and len(base_point) != W.n:
+        raise ValueError(f"base point needs {W.n} coordinates, got {len(base_point)}")
     import random
     rng = random.Random(seed)
 

@@ -151,7 +151,9 @@ def coordinate_graph(weights: Mapping[str, int], order: int,
                      shears: Mapping[str, Expr]) -> GraphSubbundle:
     """The graph where u_a = x_a - G_a vanishes to order w_a, for weights
     mapping the chart's names to w_a in chart order and shears names to G_a
-    (0 if absent): slot (a, j), j < w_a, is G_a^(j) solved level by level."""
+    (0 if absent): slot (a, j), j < w_a, is G_a^(j) solved level by level.
+    Only triangular same-level systems are solved: an invertible block such
+    as G_x = 2x (u = -x) is refused as a cycle, like G_x = x (u = 0)."""
     vars = tuple(weights)
     solved = {(a, j): jt.JP_ZERO for a, name in enumerate(vars)
               for j in range(weights[name]) if j == 0 or name not in shears}
@@ -184,11 +186,9 @@ def standard_q(W: WeightSequence) -> GraphSubbundle:
 
 
 def substitute_graph(Q: GraphSubbundle, p: JetPoly) -> JetPoly:
-    """Restrict a slot polynomial to the graph (eliminate constrained slots)."""
-    mapping = Q.constraint_map()
-    if not (jt.jp_labels(p) & set(mapping)):
-        return p
-    return jt.jp_substitute(p, mapping)
+    """Restrict a slot polynomial to the graph: ``jp_substitute`` by the
+    constraint map, so canonical even where p reads no constrained slot."""
+    return jt.jp_substitute(p, Q.constraint_map())
 
 
 def q_membership(Q: GraphSubbundle, u: JetPoint) -> bool:

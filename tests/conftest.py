@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
+from weightings import cli
 from weightings import expr as ex
 from weightings import jets as jt
 from weightings import subbundle as sb
 from weightings import wpoly as wp
-from weightings.weights import WeightSequence, weight_sequence
+from weightings.weights import WeightSequence, weight_sequence, weighted_degree
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def rand_rational(rng: random.Random, zero_ok: bool = True) -> Fraction:
@@ -110,3 +115,58 @@ def rand_wpoly(rng: random.Random, W: WeightSequence, max_degree: int = 4,
             coeff = ex.mul(coeff, ex.var(rng.choice(W.zero_vars)))
         terms[s] = ex.add(terms.get(s, ex.ZERO), coeff)
     return wp.wpoly(pvars, terms)
+
+
+def fixture_graph(name: str) -> sb.GraphSubbundle:
+    """The ``[graph]`` of ``fixtures/<name>``, read as ``check-q`` reads it."""
+    text = (FIXTURES / name).read_text()
+    return cli._graph_from_sections(cli.parse_problem_file(text))
+
+
+def positive_multi_indices(W: WeightSequence, below: int, min_size: int):
+    """Every s on the positive-weight variables with s.w < below and
+    |s| >= min_size, in lexicographic order."""
+    k0 = W.count(0)
+    ranges = [range(below // w + 1) for w in W.weights[k0:]]
+    return [(0,) * k0 + s for s in itertools.product(*ranges)
+            if sum(s) >= min_size
+            and weighted_degree(s, W.weights[k0:]) < below]
+
+
+def _monomial_of_degree(rng: random.Random, W: WeightSequence, target: int):
+    for _ in range(20):
+        s = tuple(rng.randint(0, 2) for _ in range(W.n))
+        if sum(s) >= 1 and weighted_degree(s, W.weights) >= target:
+            return wp.monomial_expr(W.vars, s)
+    return None
+
+
+def perturbed_fixture(rng: random.Random, n: int):
+    """Random frame with admissible coefficients and correction-worthy
+    initial coordinates; the base point is the origin (no weight-0 part)."""
+    names = tuple(f"x{i + 1}" for i in range(n))
+    weights = sorted(rng.randint(1, 3) for _ in range(n))
+    W = weight_sequence(dict(zip(names, weights)), max(weights))
+    rows = []
+    for a in range(n):
+        row = [ex.ONE if b == a else ex.ZERO for b in range(n)]
+        for b in range(n):
+            if rng.random() < 0.5:
+                continue
+            # coefficient of weighted degree >= max(1, w_b - w_a), vanishing at 0
+            target = max(1, W.weights[b] - W.weights[a])
+            mono = _monomial_of_degree(rng, W, target)
+            if mono is not None:
+                row[b] = ex.add(row[b], ex.mul(ex.const(rand_rational(rng)),
+                                               mono))
+        rows.append(row)
+    fr = sb.frame(W, rows)
+    y_exprs = []
+    for a in range(n):
+        y = ex.var(names[a])
+        for u in positive_multi_indices(W, W.weights[a], 2):
+            if rng.random() < 0.7:
+                y = ex.add(y, ex.mul(ex.const(rand_rational(rng)),
+                                     wp.monomial_expr(names, u)))
+        y_exprs.append(y)
+    return fr, y_exprs

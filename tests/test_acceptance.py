@@ -28,10 +28,8 @@ from weightings.subbundle import (FILTRATION_MISMATCH, FLAG_INVALID,
                                   diffop, frame, standard_q, verify_adapted)
 from weightings.weights import ideal_generators, weight_sequence
 
-from conftest import (rand_poly_expr, rand_rational, rand_weight_sequence,
-                      rand_wpoly)
-from test_subbundle import _antisymmetric_graph, _flag_gap_graph, \
-    _perturbed_fixture
+from conftest import (fixture_graph, perturbed_fixture, rand_poly_expr,
+                      rand_rational, rand_weight_sequence, rand_wpoly)
 
 
 def _report(number: int, description: str, check) -> None:
@@ -184,9 +182,9 @@ def test_criterion_05_weighting_criterion():
             verdict = check_weighting(standard_q(W))
             assert verdict.accepted
             assert verdict.weights.as_dict() == W.as_dict()
-        flag = check_weighting(_flag_gap_graph())
+        flag = check_weighting(fixture_graph("flag_gap.prob"))
         assert not flag.accepted and flag.reason == FLAG_INVALID
-        anti = check_weighting(_antisymmetric_graph())
+        anti = check_weighting(fixture_graph("antisymmetric_relation.prob"))
         assert not anti.accepted and anti.reason == FILTRATION_MISMATCH
         assert anti.details == {"reconstructed_dim": 10, "graph_dim": 9}
 
@@ -208,7 +206,7 @@ def test_criterion_06_adapted_coordinates():
         rng = random.Random(606)
         done = 0
         while done < 10:
-            fr2, y_exprs = _perturbed_fixture(rng, rng.randint(2, 3))
+            fr2, y_exprs = perturbed_fixture(rng, rng.randint(2, 3))
             change2 = adapted_coordinates(fr2, y_exprs)
             assert verify_adapted(change2.x_in_chart, fr2)
             done += 1

@@ -155,6 +155,20 @@ def test_print_parse_round_trip():
         assert parse_expr(to_text(e)) == e
 
 
+# what each node class prints, by the one rule of expr._node
+@pytest.mark.parametrize("text, expected", [
+    ("-3/2", "Const(-3/2)"),
+    ("x", "Var(x)"),
+    ("(1 + y)^-1", "Pow(Sum(Const(1), Var(y)), -1)"),
+    ("3/2*sin(x)^2", "Prod(Const(3/2), Pow(App(sin, Var(x)), 2))"),
+    ("exp(2*z)", "App(exp, Prod(Const(2), Var(z)))"),
+    ("-1/2 + cos(x)*y + x^3",
+     "Sum(Const(-1/2), Pow(Var(x), 3), Prod(Var(y), App(cos, Var(x))))"),
+], ids=["Const", "Var", "Pow", "Prod", "App", "Sum"])
+def test_each_node_class_prints_its_pinned_repr(text, expected):
+    assert repr(parse_expr(text)) == expected
+
+
 def test_special_values_fold():
     assert parse_expr("sin(0)") == ex.ZERO
     assert parse_expr("cos(0)") == ex.ONE

@@ -256,6 +256,11 @@ def _guard_cases():
         "coordinate_graph outside the chart": (lambda: sb.coordinate_graph(
             {"x": 1}, 1, {"q": ex.parse_expr("x^2")}),
             value("shear for 'q', which is not a chart variable")),
+        # u = -x is a coordinate of weight 2, but its same-level block is not
+        # triangular; solving constant blocks will move this row
+        "coordinate_graph invertible same-level block": (
+            lambda: sb.coordinate_graph({"x": 2}, 2, {"x": ex.parse_expr("2*x")}),
+            value("slot x.1 depends on itself through the shears")),
         "graph_subbundle slot": (lambda: sb.graph_subbundle(("x",), 1, {
             (1, 0): jt.JP_ZERO}), value("constraint slot (1,0) out of range")),
         "q_membership chart": (
@@ -299,6 +304,12 @@ def _guard_cases():
             lambda: sp.compose_rational(outer(Fraction(1, 2)), inner),
             value("cannot raise a non-unit coefficient to a fractional power "
                   "in a chart composition")),
+        "scaling_order_estimate base point length": (
+            lambda: sp.scaling_order_estimate(ex.var("x"), W, base_point=[1]),
+            value("base point needs 2 coordinates, got 1")),
+        "scaling_order_estimate t_grid sign": (
+            lambda: sp.scaling_order_estimate(ex.var("x"), W, t_grid=[0.5, -0.25]),
+            value("t_grid values must be positive, got -0.25")),
         "RationalMonomialMap.component unknown": (
             lambda: sp.blowup_chart(W, "y").component("q"), ("KeyError", "q")),
         # the slot is named as jp_text names it without chart names

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import pytest
 
-from weightings import cli
 from weightings import expr as ex
 from weightings import fields as fl
 from weightings import jets as jt
@@ -30,6 +29,8 @@ from weightings import subbundle as sb
 from weightings import weights as wt
 from weightings import wpoly as wp
 from weightings.expr import ONE, ZERO, parse_expr
+
+from conftest import fixture_graph
 
 MODULES = (wt, ex, wp, fl, jt, sp, sb)
 RECORDS = [cls for module in MODULES for cls in vars(module).values()
@@ -56,11 +57,6 @@ def _values(obj):
     return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
 
 
-def _fixture_graph(name):
-    path = Path(__file__).resolve().parent.parent / "fixtures" / name
-    return cli._graph_from_sections(cli.parse_problem_file(path.read_text()))
-
-
 def _library_outputs():
     W = wt.weight_sequence({"t": 0, "x": 1, "y": 2}, 3)
     W2 = wt.weight_sequence({"x": 1, "y": 2}, 2)
@@ -85,7 +81,7 @@ def _library_outputs():
         sp.scaling_order_estimate(parse_expr("x^2 + y"), W2),
         sp.blowup_lift_vf(X2, W2, sp.blowup_chart(W2, "y", "-")),
         Q, sb.check_weighting(Q),
-        sb.check_weighting(_fixture_graph("antisymmetric_relation.prob")),
+        sb.check_weighting(fixture_graph("antisymmetric_relation.prob")),
         sb.normal_order(fr, [1, 0, 1]),
         sb.adapted_coordinates(fr, [parse_expr("x"), parse_expr("y + x^2")]),
     ]

@@ -29,23 +29,9 @@ from weightings.subbundle import (FILTRATION_MISMATCH, FLAG_INVALID,
                                   substitute_graph, verify_adapted)
 from weightings.weights import weight_sequence, weighted_degree
 
-from conftest import (coordinate_graph, rand_poly_expr, rand_rational,
+from conftest import (coordinate_graph, fixture_graph, perturbed_fixture,
+                      positive_multi_indices, rand_poly_expr, rand_rational,
                       rand_weight_sequence)
-
-
-def _flag_gap_graph():
-    # order 2 over the x1-axis: level-0 of x1 free, level-1 constrained
-    return graph_subbundle(("x1", "x2"), 2, {(1, 0): jt.JP_ZERO,
-                                             (0, 1): jt.JP_ZERO,
-                                             (1, 1): jt.JP_ZERO})
-
-
-def _antisymmetric_graph():
-    relation = jt.jp_add(jp_mul(jp_slot(0, 1), jp_slot(1, 2)),
-                         jp_scale(jp_mul(jp_slot(0, 2), jp_slot(1, 1)), -1))
-    constraints = {(0, 0): jt.JP_ZERO, (1, 0): jt.JP_ZERO, (2, 0): jt.JP_ZERO,
-                   (2, 1): jt.JP_ZERO, (2, 2): jt.JP_ZERO, (2, 3): relation}
-    return graph_subbundle(("x1", "x2", "x3"), 4, constraints)
 
 
 def _sheared_graph():
@@ -106,7 +92,7 @@ def test_q_membership():
 
 
 def test_q_membership_on_relation_graph():
-    Q = _antisymmetric_graph()
+    Q = fixture_graph("antisymmetric_relation.prob")
     rows = [[0, 2, 3, 1, 0], [0, 5, 1, 0, 0], [0, 0, 0, 2 * 1 - 3 * 5, 4]]
     assert q_membership(Q, jet_point(Q.vars, rows))
     rows[2][3] += 1
@@ -114,7 +100,7 @@ def test_q_membership_on_relation_graph():
 
 
 def test_induced_filtration_degree():
-    Q = _antisymmetric_graph()
+    Q = fixture_graph("antisymmetric_relation.prob")
     assert induced_filtration_degree(Q, var("x3")) == 3
     assert induced_filtration_degree(Q, var("x1")) == 1
     assert induced_filtration_degree(Q, parse_expr("1")) == 0
@@ -144,7 +130,7 @@ def test_derive_weights_round_trip():
 
 def test_derive_weights_flag_errors():
     with pytest.raises(ValueError, match="base tangent"):
-        derive_weights(_flag_gap_graph())
+        derive_weights(fixture_graph("flag_gap.prob"))
     gap = graph_subbundle(("x",), 3, {(0, 0): jt.JP_ZERO, (0, 2): jt.JP_ZERO})
     with pytest.raises(ValueError, match="not monotone"):
         derive_weights(gap)
@@ -152,8 +138,8 @@ def test_derive_weights_flag_errors():
 
 def test_derive_weights_reads_slot_pattern():
     # the counterexample graph has free slots only from level 4 for x3
-    assert derive_weights(_antisymmetric_graph()).as_dict() == \
-        {"x1": 1, "x2": 1, "x3": 4}
+    Q = fixture_graph("antisymmetric_relation.prob")
+    assert derive_weights(Q).as_dict() == {"x1": 1, "x2": 1, "x3": 4}
     assert derive_weights(_sheared_graph()).as_dict() == {"x1": 1, "x2": 3}
 
 
@@ -219,6 +205,17 @@ def test_graded_product_law_on_graph():
         assert lhs == rhs
 
 
+def test_substitute_graph_has_the_contract_of_jp_substitute():
+    # y.2 and then 2*x.1: both free on the standard graph, stored in reverse
+    Q = coordinate_graph({"x": 1, "y": 2}, 2, {})
+    y2, x1 = (((1, 2), 1),), (((0, 1), 1),)
+    p = jt.JetPoly(((y2, Fraction(1)), (x1, Fraction(2))))
+    assert not jt.jp_labels(p) & Q.constrained_labels()
+    by_graph = substitute_graph(Q, p)
+    by_substitute = jt.jp_substitute(p, Q.constraint_map())
+    assert by_graph.terms == by_substitute.terms == p.terms[::-1]
+
+
 def test_check_weighting_accepts_standard():
     rng = random.Random(17)
     for _ in range(20):
@@ -229,13 +226,13 @@ def test_check_weighting_accepts_standard():
 
 
 def test_check_weighting_rejects_flag_gap():
-    verdict = check_weighting(_flag_gap_graph())
+    verdict = check_weighting(fixture_graph("flag_gap.prob"))
     assert not verdict.accepted
     assert verdict.reason == FLAG_INVALID
 
 
 def test_check_weighting_rejects_antisymmetric_relation():
-    verdict = check_weighting(_antisymmetric_graph())
+    verdict = check_weighting(fixture_graph("antisymmetric_relation.prob"))
     assert not verdict.accepted
     assert verdict.reason == FILTRATION_MISMATCH
     assert "x3" in verdict.witness and "3" in verdict.witness
@@ -874,55 +871,6 @@ def test_adapted_coordinates_with_base_coordinates():
     assert not verify_adapted(initial, fr)
 
 
-def _perturbed_fixture(rng, n):
-    """Random frame with admissible coefficients and correction-worthy
-    initial coordinates; the base point is the origin (no weight-0 part)."""
-    names = tuple(f"x{i + 1}" for i in range(n))
-    weights = sorted(rng.randint(1, 3) for _ in range(n))
-    W = weight_sequence(dict(zip(names, weights)), max(weights))
-    rows = []
-    for a in range(n):
-        row = [ONE if b == a else ZERO for b in range(n)]
-        for b in range(n):
-            if rng.random() < 0.5:
-                continue
-            # coefficient of weighted degree >= max(1, w_b - w_a), vanishing at 0
-            target = max(1, W.weights[b] - W.weights[a])
-            mono = _monomial_of_degree(rng, W, target)
-            if mono is not None:
-                row[b] = ex.add(row[b], ex.mul(ex.const(rand_rational(rng)),
-                                               mono))
-        rows.append(row)
-    fr = frame(W, rows)
-    y_exprs = []
-    for a in range(n):
-        y = var(names[a])
-        for u in _positive_multi_indices(W, W.weights[a], 2):
-            if rng.random() < 0.7:
-                y = ex.add(y, ex.mul(ex.const(rand_rational(rng)),
-                                     wp.monomial_expr(names, u)))
-        y_exprs.append(y)
-    return fr, y_exprs
-
-
-def _monomial_of_degree(rng, W, target):
-    for _ in range(20):
-        s = tuple(rng.randint(0, 2) for _ in range(W.n))
-        if sum(s) >= 1 and weighted_degree(s, W.weights) >= target:
-            return wp.monomial_expr(W.vars, s)
-    return None
-
-
-def _positive_multi_indices(W, below, min_size):
-    """Every s on the positive-weight variables with s.w < below and
-    |s| >= min_size, in lexicographic order."""
-    k0 = W.count(0)
-    ranges = [range(below // w + 1) for w in W.weights[k0:]]
-    return [(0,) * k0 + s for s in itertools.product(*ranges)
-            if sum(s) >= min_size
-            and weighted_degree(s, W.weights[k0:]) < below]
-
-
 def _inverse_change_to_order(change, W):
     """Invert x = y + corrections by fixed-point iteration, to order r."""
     n = W.n
@@ -947,7 +895,7 @@ def test_adapted_change_inverse_composes_to_identity():
     cases.append((_coordinate_frame(W0),
                   [parse_expr("x1"), parse_expr("x2 + x1^2")]))
     for _ in range(3):
-        cases.append(_perturbed_fixture(rng, rng.randint(2, 3)))
+        cases.append(perturbed_fixture(rng, rng.randint(2, 3)))
     for fr, y_exprs in cases:
         W = fr.W
         change = adapted_coordinates(fr, y_exprs)
@@ -1066,7 +1014,7 @@ def _adaptation_cases(rng, count):
     for i in range(count):
         kind = ("weight-0 heads", "positive heads", "perturbed")[i % 3]
         if kind == "perturbed":
-            yield kind, _perturbed_fixture(rng, rng.randint(2, 3))
+            yield kind, perturbed_fixture(rng, rng.randint(2, 3))
         else:
             yield kind, _normalized_frame(rng, heads=kind == "positive heads")
     for _ in range(count // 10):
@@ -1101,7 +1049,7 @@ def _unadapted(rng, fr, x_exprs):
     W = fr.W
     x = list(x_exprs)
     a = rng.choice([a for a in range(W.n) if W.weights[a]])
-    s = rng.choice(_positive_multi_indices(W, W.weights[a], 0))
+    s = rng.choice(positive_multi_indices(W, W.weights[a], 0))
     x[a] = ex.add(x[a], ex.mul(_base_coefficient(rng, list(W.zero_vars)),
                                wp.monomial_expr(W.vars, s)))
     return x
@@ -1113,7 +1061,7 @@ def _vanishes_below_its_weight(fr, x_exprs):
     W = fr.W
     return all(ex.expand(sb.restrict_to_base(fr.apply_word(s, x), W)) == ZERO
                for x, wa in zip(x_exprs, W.weights) if wa
-               for s in _positive_multi_indices(W, wa, 0))
+               for s in positive_multi_indices(W, wa, 0))
 
 
 def _failed_precondition(fr, y_exprs):
@@ -1149,7 +1097,7 @@ def test_adapted_coordinates_meet_their_definition():
         k0 = W.count(0)
         assert dict(change.normalizers) == {
             s: math.prod(map(math.factorial, s))
-            for s in _positive_multi_indices(W, max(W.weights), 2)}
+            for s in positive_multi_indices(W, max(W.weights), 2)}
         chi = change.chi_map()
         assert list(chi) == sorted(chi)
         for (a, u), c in chi.items():
