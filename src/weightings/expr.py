@@ -509,29 +509,13 @@ def expand(e: Expr) -> Expr:
 
 
 def simplify_canonical(e: Expr, expand_polynomials: bool = False) -> Expr:
-    """Rebuild an expression bottom-up through the canonical constructors.
-
-    With ``expand_polynomials`` set, polynomial subexpressions are fully
-    multiplied out.  Every expression the constructors build is a fixed
-    point: ``simplify_canonical(e) == e`` and
-    ``simplify_canonical(e, expand_polynomials=True) == expand(e)``, so the
-    library never calls it; tests use it to check that invariant.
-    """
-    if isinstance(e, (Const, Var)):
-        out = e
-    elif isinstance(e, Sum):
-        out = add(*[simplify_canonical(t) for t in e.terms])
-    elif isinstance(e, Prod):
-        out = mul(*[simplify_canonical(f) for f in e.factors])
-    elif isinstance(e, Pow):
-        out = pow_(simplify_canonical(e.base), e.exponent)
-    elif isinstance(e, App):
-        out = app(e.fn, simplify_canonical(e.arg))
-    else:
-        raise TypeError(f"unknown expression node {e!r}")
-    if expand_polynomials:
-        out = expand(out)
-    return out
+    """Rebuild an expression bottom-up through the canonical constructors:
+    ``substitute(e, {})``, expanded when ``expand_polynomials`` is set.  Every
+    expression the constructors build is a fixed point, so the library never
+    calls it; tests use it to check that ``simplify_canonical(e) == e`` and
+    ``simplify_canonical(e, expand_polynomials=True) == expand(e)``."""
+    out = substitute(e, {})
+    return expand(out) if expand_polynomials else out
 
 
 _MATH_FN = {"sin": math.sin, "cos": math.cos, "exp": math.exp}

@@ -65,11 +65,21 @@ def euler_field(W: WeightSequence) -> PolyVectorField:
                               for v, w in zip(W.vars, W.weights)])
 
 
+def _check_chart(X: PolyVectorField, chart: tuple[str, ...]) -> None:
+    """Refuse X unless it lives on `chart`: its coefficients are read by
+    position, so the same names in another order are another chart."""
+    if X.vars != chart:
+        raise ValueError(f"vector field chart ({', '.join(X.vars)}) differs "
+                         f"from the chart ({', '.join(chart)})")
+
+
 def vf_filtration_degree(X: PolyVectorField, W: WeightSequence):
-    """min_a (deg f_a - w_a); math.inf for the zero field, as
-    wpoly.filtration_degree gives for the zero polynomial."""
-    return min((wp.filtration_degree(c, W) - W.weight_of(v)
-                for v, c in zip(X.vars, X.coeffs)), default=math.inf)
+    """min_a (deg f_a - w_a), f_a and w_a paired by position: X must live on
+    W's chart and each f_a designate W's positive-weight variables.  math.inf
+    for the zero field, as wpoly.filtration_degree gives for zero."""
+    _check_chart(X, W.vars)
+    return min((wp.filtration_degree(c, W) - w
+                for w, c in zip(W.weights, X.coeffs)), default=math.inf)
 
 
 def homogeneous_approx_vf(X: PolyVectorField, W: WeightSequence,
@@ -77,8 +87,7 @@ def homogeneous_approx_vf(X: PolyVectorField, W: WeightSequence,
     if vf_filtration_degree(X, W) < degree:
         raise ValueError(f"vector field has filtration degree below {degree}")
     return PolyVectorField(X.vars, tuple(
-        wp.homogeneous_part(c, W, degree + W.weight_of(v))
-        for v, c in zip(X.vars, X.coeffs)))
+        wp.homogeneous_part(c, W, degree + w) for w, c in zip(W.weights, X.coeffs)))
 
 
 def _maps(X: PolyVectorField) -> list:
@@ -107,8 +116,7 @@ def _apply_expr_field(pairs, f: Expr) -> Expr:
 
 
 def lie_bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorField:
-    if X.vars != Y.vars:
-        raise ValueError("vector fields live on different charts")
+    _check_chart(Y, X.vars)
     xmaps, ymaps = _maps(X), _maps(Y)
     coeffs = []
     for xc, yc in zip(X.coeffs, Y.coeffs):
@@ -185,6 +193,7 @@ def d_form(alpha: DifferentialFormPoly) -> DifferentialFormPoly:
 def contract(X: PolyVectorField, alpha: DifferentialFormPoly) -> DifferentialFormPoly:
     if alpha.degree == 0:
         raise ValueError("cannot contract a 0-form")
+    _check_chart(X, alpha.vars)
     acc: dict[tuple[int, ...], WeightedPoly] = {}
     for idx, c in alpha.terms:
         for pos, a in enumerate(idx):

@@ -122,6 +122,8 @@ def _renamed_term(c: Expr, rename: Mapping, names: Sequence, s) -> Expr:
 def compose_transitions(outer: Sequence[Expr], inner: Sequence[Expr],
                         W_mid: WeightSequence) -> tuple[Expr, ...]:
     """Substitute one graded transition into another (both in y-names)."""
+    if len(inner) != W_mid.n:
+        raise ValueError(f"expected {W_mid.n} inner components, got {len(inner)}")
     names = deformation_names(W_mid)
     mapping = dict(zip(names, inner))
     return tuple(ex.substitute(c, mapping) for c in outer)
@@ -456,19 +458,11 @@ def blowup_lift_vf(X: PolyVectorField, W: WeightSequence,
     znames = chart_names(W)
     rename = _rename_map(W, znames + ("t",),
                          [k for coeff in X.coeffs for _, k in coeff.terms])
-    w = list(W.positive_weights)
-    # per y_v, its extension's terms as (s over all y, s.w - w_v, kappa(z_0))
-    ext = []
-    for v, coeff in enumerate(X.coeffs):
-        index = [W.vars.index(p) for p in coeff.pvars]
-        terms = []
-        for s, k in coeff.terms:
-            full = [0] * W.n
-            for i, e in zip(index, s):
-                full[i] = e
-            terms.append((full, weighted_degree(s, w) - W.weights[v],
-                          wp._value(ex.substitute(k, rename))))
-        ext.append(terms)
+    w, pad = W.positive_weights, (0,) * W.count(0)
+    # per y_v, its extension's terms as (s over all y, s.w - w_v, kappa(z_0)); W's
+    # weight-0 variables come first and carry no exponent
+    ext = [[(pad + s, weighted_degree(s, w) - wv, wp._value(ex.substitute(k, rename)))
+            for s, k in coeff.terms] for wv, coeff in zip(W.weights, X.coeffs)]
     zorder = sorted(zip(znames, range(W.n)))  # z10 sorts before z2
     comps: dict[str, tuple[Term, ...]] = {}
     for b, zb in enumerate(znames):

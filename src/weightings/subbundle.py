@@ -75,8 +75,8 @@ from . import expr as ex
 from . import jets as jt
 from . import wpoly as wp
 from .expr import Expr, ZERO, ONE
-from .fields import (PolyVectorField, _apply_expr_field, lie_bracket,
-                     vf_for_weights)
+from .fields import (PolyVectorField, _apply_expr_field, _check_chart,
+                     lie_bracket, vf_for_weights)
 from .jets import JetPoly, JetPoint, Label
 from .weights import (WeightSequence, _check_names, _exponent_walk,
                       exponents_below, record, weight_sequence,
@@ -254,8 +254,7 @@ def k_membership(Q: GraphSubbundle, X: PolyVectorField, i: int) -> bool:
     """Whether the level -i lift of X is tangent to the graph."""
     if not 0 <= i <= Q.order:
         raise ValueError(f"level {i} outside 0..{Q.order}")
-    if X.vars != Q.vars:
-        raise ValueError("vector field chart does not match the subbundle")
+    _check_chart(X, Q.vars)
     xi = jt.vf_lift(X, i, Q.order)
     for (a, j), g in Q.constraints:
         image = xi.coefficient((a, j)) - jt.jvf_apply(xi, g)
@@ -441,8 +440,7 @@ class Frame:
         if len(self.fields) != self.W.n:
             raise ValueError("frame needs one field per chart variable")
         for f in self.fields:
-            if f.vars != self.W.vars:
-                raise ValueError("frame field lives on a different chart")
+            _check_chart(f, self.W.vars)
 
     @property
     def n(self) -> int:
@@ -823,7 +821,7 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
     normalizers: dict[tuple[int, ...], Fraction] = {}
     # running[a] = y_a + sum of the chi_{a,u} y^u found so far, through
     # degree top; a word of size m reads it through degree m
-    running = {a: y_maps[a] for a in range(k0, n)}
+    running = {a: dict(y_maps[a]) for a in range(k0, n)}
     for m, group in itertools.groupby(all_s, key=sum):
         words = {}
         for s in group:
@@ -835,18 +833,17 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
                     words[a] = _base_words(fields, pvars, f, m)
                 value = ex.expand(ex.mul(ex.const(Fraction(-1) / normalizers[s]),
                                          words[a](s)))
-                if not ex._is_zero(value):
-                    chi[(a, s)] = value
-        for (a, u), coeff in chi.items():
-            if sum(u) == m:
-                term = {zero: wp._value(coeff)}
-                for b, e in enumerate(u):
+                if ex._is_zero(value):
+                    continue
+                chi[(a, s)] = value
+                # words[a] of size m is built: add chi_{a,s} y^s to x_a now
+                term = {zero: wp._value(value)}
+                for b, e in enumerate(s):
                     for _ in range(e):
                         term = wp._product(term.items(), y_maps[b].items(),
                                            ones, top)
-                acc = dict(running[a])
-                wp._add_into(acc, term.items())
-                running[a] = wp._nonzero(acc)
+                wp._add_into(running[a], term.items())
+                running[a] = wp._nonzero(running[a])
 
     def y_monomial(u: tuple[int, ...]) -> Expr:
         return ex.mul(*[ex.pow_(y_exprs[b], e) for b, e in enumerate(u) if e],
@@ -872,6 +869,8 @@ def adapted_coordinates(fr: Frame, y_exprs: Sequence[Expr],
 
 def verify_adapted(x_exprs: Sequence[Expr], fr: Frame) -> bool:
     """Check (V^s x_a) vanishes on the base whenever s.w < w_a."""
+    if len(x_exprs) != fr.n:
+        raise ValueError(f"expected {fr.n} coordinates, got {len(x_exprs)}")
     W = fr.W
     pvars = W.positive_vars
     words = {a: _normal_multi_indices(W, W.weights[a], 0)

@@ -142,23 +142,31 @@ def poly_normal_form(e: Expr, positive_vars: Sequence[str]) -> WeightedPoly:
     return wpoly(pvars, _expand(e, pvars, None, None))
 
 
+def _split_weights(p: WeightedPoly, W: WeightSequence) -> tuple[int, ...]:
+    """W.positive_weights, the weights of p's exponents by position: p must
+    designate exactly W's positive-weight variables, in W's order, as every
+    polynomial the library builds against W does; any other split is refused."""
+    if p.pvars != W.positive_vars:
+        raise ValueError(f"polynomial variables ({', '.join(p.pvars)}) differ from "
+                         f"the positive-weight variables ({', '.join(W.positive_vars)})")
+    return W.positive_weights
+
+
 def filtration_degree(p: WeightedPoly, W: WeightSequence):
     """Minimum weighted degree of the stored terms; math.inf for zero."""
-    if p.is_zero:
-        return math.inf
-    w = [W.weight_of(v) for v in p.pvars]
-    return min(weighted_degree(s, w) for s, _ in p.terms)
+    w = _split_weights(p, W)
+    return min((weighted_degree(s, w) for s, _ in p.terms), default=math.inf)
 
 
 def homogeneous_part(p: WeightedPoly, W: WeightSequence, degree: int) -> WeightedPoly:
-    w = [W.weight_of(v) for v in p.pvars]
+    w = _split_weights(p, W)
     return wpoly(p.pvars, {s: c for s, c in p.terms
                            if weighted_degree(s, w) == degree})
 
 
 def homogeneous_approx(p: WeightedPoly, W: WeightSequence, degree: int) -> WeightedPoly:
     """Weighted-degree-`degree` component of p; requires no lower terms."""
-    w = [W.weight_of(v) for v in p.pvars]
+    w = _split_weights(p, W)
     for s, c in p.terms:
         d = weighted_degree(s, w)
         if d < degree:
@@ -176,7 +184,7 @@ def dilate(p: WeightedPoly, W: WeightSequence, tname: str = "t") -> Expr:
     """Multiply each term by t^{s.w}, returning an expression in (vars, t)."""
     if tname in p.pvars or tname in W.vars:
         raise ValueError(f"dilation parameter {tname!r} collides with a variable")
-    w = [W.weight_of(v) for v in p.pvars]
+    w = _split_weights(p, W)
     t = ex.var(tname)
     return ex.add(*[ex.mul(ex.pow_(t, weighted_degree(s, w)), c,
                            monomial_expr(p.pvars, s))
@@ -395,11 +403,8 @@ def _expand(e: Expr, pvars: tuple[str, ...], w, bound) -> dict:
 
 def wpoly_text(p: WeightedPoly, W: WeightSequence | None = None) -> str:
     """Canonical print: terms ascending by (weighted or total degree, exponents)."""
+    w = [1] * len(p.pvars) if W is None else _split_weights(p, W)
     if p.is_zero:
         return "0"
-    if W is not None:
-        w = [W.weight_of(v) for v in p.pvars]
-    else:
-        w = [1] * len(p.pvars)
     ordered = sorted(p.terms, key=lambda item: (weighted_degree(item[0], w), item[0]))
     return ex._terms_text((c, monomial_text(p.pvars, s)) for s, c in ordered)

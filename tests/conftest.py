@@ -9,6 +9,7 @@ from pathlib import Path
 
 from weightings import cli
 from weightings import expr as ex
+from weightings import fields as fl
 from weightings import jets as jt
 from weightings import subbundle as sb
 from weightings import wpoly as wp
@@ -115,6 +116,42 @@ def rand_wpoly(rng: random.Random, W: WeightSequence, max_degree: int = 4,
             coeff = ex.mul(coeff, ex.var(rng.choice(W.zero_vars)))
         terms[s] = ex.add(terms.get(s, ex.ZERO), coeff)
     return wp.wpoly(pvars, terms)
+
+
+def check_nilpotent_algebras(rng: random.Random) -> None:
+    """On ten weightings drawn from rng, the nilpotent_frames algebra is
+    antisymmetric, adds degrees, satisfies Jacobi, and its r-fold brackets
+    of random basis vectors vanish."""
+    for _ in range(10):
+        W = rand_weight_sequence(rng, max_n=3, max_order=3)
+        g = fl.nilpotent_frames(W)
+        assert g.dim - g.dim_sub == W.n - W.count(0)
+        basis_vecs = [{i: Fraction(1)} for i in range(g.dim)]
+        # antisymmetry and degree additivity
+        for i in range(g.dim):
+            for j in range(g.dim):
+                bij = fl.gla_bracket(g, basis_vecs[i], basis_vecs[j])
+                bji = fl.gla_bracket(g, basis_vecs[j], basis_vecs[i])
+                assert bij == {k: -c for k, c in bji.items()}
+                for k in bij:
+                    assert g.degrees[k] == g.degrees[i] + g.degrees[j]
+        # Jacobi
+        for i in range(g.dim):
+            for j in range(g.dim):
+                for k in range(g.dim):
+                    total = {}
+                    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                        inner = fl.gla_bracket(g, basis_vecs[x], basis_vecs[y])
+                        outer = fl.gla_bracket(g, inner, basis_vecs[z])
+                        for idx, c in outer.items():
+                            total[idx] = total.get(idx, Fraction(0)) + c
+                    assert all(c == 0 for c in total.values())
+        # nilpotency: (r+1)-fold brackets vanish
+        for _ in range(10):
+            vec = basis_vecs[rng.randrange(g.dim)]
+            for _ in range(W.order):
+                vec = fl.gla_bracket(g, basis_vecs[rng.randrange(g.dim)], vec)
+            assert vec == {}
 
 
 def fixture_graph(name: str) -> sb.GraphSubbundle:

@@ -13,8 +13,8 @@ from weightings import expr as ex
 from weightings import jets as jt
 from weightings import wpoly as wp
 from weightings.expr import ONE, ZERO, parse_expr, var
-from weightings.fields import (euler_field, gla_bracket, lie_bracket,
-                               nilpotent_frames, vf_for_weights)
+from weightings.fields import (euler_field, lie_bracket, nilpotent_frames,
+                               vf_for_weights)
 from weightings.jets import (JP_ZERO, evaluate_jet, jet_bracket, jet_lift,
                              jet_point, jp_add, jp_evaluate, jp_mul, jp_scale,
                              jp_slot, vf_lift)
@@ -28,8 +28,9 @@ from weightings.subbundle import (FILTRATION_MISMATCH, FLAG_INVALID,
                                   diffop, frame, standard_q, verify_adapted)
 from weightings.weights import ideal_generators, weight_sequence
 
-from conftest import (fixture_graph, perturbed_fixture, rand_poly_expr,
-                      rand_rational, rand_weight_sequence, rand_wpoly)
+from conftest import (check_nilpotent_algebras, fixture_graph, perturbed_fixture,
+                      rand_poly_expr, rand_rational, rand_weight_sequence,
+                      rand_wpoly)
 
 
 def _report(number: int, description: str, check) -> None:
@@ -278,34 +279,7 @@ def test_criterion_09_nilpotent_algebra():
         labels = {g.basis[i], g.basis[j]}
         assert ((0, 0), 0) in labels and ((1, 0), 1) in labels
         assert entries == {g.basis.index(((0, 0), 1)): Fraction(1)}
-        rng = random.Random(909)
-        for _ in range(10):
-            W2 = rand_weight_sequence(rng, max_n=3, max_order=3)
-            g2 = nilpotent_frames(W2)
-            assert g2.dim - g2.dim_sub == W2.n - W2.count(0)
-            vecs = [{i: Fraction(1)} for i in range(g2.dim)]
-            for i in range(g2.dim):
-                for j in range(g2.dim):
-                    bij = gla_bracket(g2, vecs[i], vecs[j])
-                    bji = gla_bracket(g2, vecs[j], vecs[i])
-                    assert bij == {k: -c for k, c in bji.items()}
-                    for k in bij:
-                        assert g2.degrees[k] == g2.degrees[i] + g2.degrees[j]
-            for i in range(g2.dim):
-                for j in range(g2.dim):
-                    for k in range(g2.dim):
-                        total = {}
-                        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                            inner = gla_bracket(g2, vecs[x], vecs[y])
-                            outer = gla_bracket(g2, inner, vecs[z])
-                            for idx, c in outer.items():
-                                total[idx] = total.get(idx, Fraction(0)) + c
-                        assert all(c == 0 for c in total.values())
-            for _ in range(10):
-                vec = vecs[rng.randrange(g2.dim)]
-                for _ in range(W2.order):
-                    vec = gla_bracket(g2, vecs[rng.randrange(g2.dim)], vec)
-                assert vec == {}
+        check_nilpotent_algebras(random.Random(909))
 
     _report(9, "nilpotent frame algebra: dims, brackets, Jacobi, nilpotency",
             check)

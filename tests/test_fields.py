@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -9,12 +8,12 @@ from weightings import wpoly as wp
 from weightings.expr import parse_expr
 from weightings.fields import (contract, coordinate_field, d_poly,
                                euler_field, form, form_filtration_degree,
-                               gla_bracket, homogeneous_approx_vf, lie_bracket,
+                               homogeneous_approx_vf, lie_bracket,
                                lie_derivative_form, nilpotent_frames, vf_apply,
                                vf_filtration_degree, vf_for_weights)
 from weightings.weights import weight_sequence
 
-from conftest import rand_weight_sequence, rand_wpoly
+from conftest import check_nilpotent_algebras, rand_weight_sequence, rand_wpoly
 
 
 def _rand_vf(rng, W, coeff_vars=True):
@@ -155,37 +154,7 @@ def test_nilpotent_frames_heisenberg():
 
 
 def test_nilpotent_frames_properties():
-    rng = random.Random(53)
-    for _ in range(10):
-        W = rand_weight_sequence(rng, max_n=3, max_order=3)
-        g = nilpotent_frames(W)
-        assert g.dim - g.dim_sub == W.n - W.count(0)
-        basis_vecs = [{i: Fraction(1)} for i in range(g.dim)]
-        # antisymmetry and degree additivity
-        for i in range(g.dim):
-            for j in range(g.dim):
-                bij = gla_bracket(g, basis_vecs[i], basis_vecs[j])
-                bji = gla_bracket(g, basis_vecs[j], basis_vecs[i])
-                assert bij == {k: -c for k, c in bji.items()}
-                for k in bij:
-                    assert g.degrees[k] == g.degrees[i] + g.degrees[j]
-        # Jacobi
-        for i in range(g.dim):
-            for j in range(g.dim):
-                for k in range(g.dim):
-                    total = {}
-                    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = gla_bracket(g, basis_vecs[x], basis_vecs[y])
-                        outer = gla_bracket(g, inner, basis_vecs[z])
-                        for idx, c in outer.items():
-                            total[idx] = total.get(idx, Fraction(0)) + c
-                    assert all(c == 0 for c in total.values())
-        # nilpotency: (r+1)-fold brackets vanish
-        for _ in range(10):
-            vec = basis_vecs[rng.randrange(g.dim)]
-            for _ in range(W.order):
-                vec = gla_bracket(g, basis_vecs[rng.randrange(g.dim)], vec)
-            assert vec == {}
+    check_nilpotent_algebras(random.Random(53))
 
 
 def test_subalgebra_closed_under_bracket():
@@ -206,3 +175,74 @@ def test_vf_from_exprs_refuses_repeated_or_empty_names(chart, message):
     from weightings.fields import vf_from_exprs
     with pytest.raises(ValueError, match=f"^{message}$"):
         vf_from_exprs(chart, [parse_expr("x"), ex.ONE], chart)
+
+
+def test_readers_refuse_another_chart_or_split():
+    """Fields are read by position on W's chart, polynomials over W's
+    positive-weight variables in W's order: the same field on a permuted
+    chart, or the same polynomial on a permuted, partial or weight-0 split,
+    gets the one refusal from every reader."""
+    from weightings import spaces as sp
+    from weightings import subbundle as sb
+    from weightings.fields import vf_from_exprs
+
+    from conftest import rand_poly_expr
+
+    def refused(read, message):
+        with pytest.raises(ValueError) as err:
+            read()
+        assert str(err.value) == message
+
+    def shuffled(items):
+        out = list(items)
+        while out == list(items):
+            rng.shuffle(out)
+        return tuple(out)
+
+    rng = random.Random(4040)
+    drawn, splits = 0, {"permuted": 0, "partial": 0, "weight 0": 0}
+    while drawn < 300:
+        W = rand_weight_sequence(rng, max_n=4, max_order=3, min_weight=0)
+        pos = W.positive_vars
+        if W.n < 2 or not pos:
+            continue
+        drawn += 1
+        X = _rand_vf(rng, W)
+        chart = shuffled(range(W.n))
+        Xp = vf_from_exprs([W.vars[a] for a in chart],
+                           [X.coeff_exprs()[a] for a in chart], pos)
+        message = (f"vector field chart ({', '.join(Xp.vars)}) differs from "
+                   f"the chart ({', '.join(W.vars)})")
+        one_form = form(W.vars, 1, {(0,): wp.wp_const(pos, 1)})
+        for read in (lambda: contract(Xp, one_form), lambda: lie_bracket(X, Xp),
+                     lambda: vf_filtration_degree(Xp, W),
+                     lambda: homogeneous_approx_vf(Xp, W, 0),
+                     lambda: sp.def_vf_interpolant(Xp, 0, W),
+                     lambda: sp.euler_like_check(Xp, W),
+                     lambda: sp.blowup_lift_vf(Xp, W, sp.blowup_chart(W, pos[0])),
+                     lambda: sb.k_membership(sb.standard_q(W), Xp, 0),
+                     lambda: sb.Frame(W, (Xp,) * W.n)):
+            refused(read, message)
+        assert vf_filtration_degree(X, W) < math.inf  # X itself is read
+
+        e = rand_poly_expr(rng, W.vars)
+        readers = (lambda q: wp.filtration_degree(q, W),
+                   lambda q: wp.homogeneous_part(q, W, 0),
+                   lambda q: wp.homogeneous_approx(q, W, 0),
+                   lambda q: wp.dilate(q, W), lambda q: wp.wpoly_text(q, W))
+        for read in readers:
+            read(wp.poly_normal_form(e, pos))
+        dropped = rng.choice(pos)
+        rebuilt = {"partial": tuple(v for v in pos if v != dropped)}
+        if len(pos) > 1:
+            rebuilt["permuted"] = shuffled(pos)
+        if W.zero_vars:
+            rebuilt["weight 0"] = (rng.choice(W.zero_vars),) + pos
+        for kind, split in rebuilt.items():
+            splits[kind] += 1
+            q = wp.poly_normal_form(e, split)
+            message = (f"polynomial variables ({', '.join(split)}) differ from "
+                       f"the positive-weight variables ({', '.join(pos)})")
+            for read in readers:
+                refused(lambda: read(q), message)
+    assert min(splits.values()) >= 100, splits

@@ -185,6 +185,21 @@ def _guard_cases():
     x_alone = wp.poly_normal_form(ex.var("x"), ("x",))
     X = fd.vf_for_weights(W, [ex.var("x"), ex.ONE])
     Z = fd.vf_for_weights(other, [ex.ONE, ex.ZERO])
+    # x d/dx + 2y d/dy, W's Euler field, written on the chart (y, x)
+    E = fd.vf_from_exprs(("y", "x"), [ex.parse_expr("2*y"), ex.var("x")],
+                         W.positive_vars)
+    # x*y and x d/dx + 2y d/dy with y alone designated
+    xy_over_y = wp.poly_normal_form(ex.parse_expr("x*y"), ("y",))
+    euler_over_y = fd.vf_from_exprs(W.vars, [ex.var("x"), ex.parse_expr("2*y")],
+                                    ("y",))
+    # d/dx written on the chart (y, x), and d(y) on W's chart
+    d_dx_on_yx = fd.vf_from_exprs(("y", "x"), [ex.ZERO, ex.ONE], W.positive_vars)
+    dy = fd.d_poly(wp.poly_normal_form(ex.var("y"), W.positive_vars), W.vars)
+    # the identity frame of weights (1, 2, 3), and two and four coordinates
+    W3 = weight_sequence([("x1", 1), ("x2", 2), ("x3", 3)])
+    identity3 = sb.frame(W3, [[int(a == b) for b in range(3)] for a in range(3)])
+    coords = {2: [ex.var("x1"), ex.var("x2")], 4: [*map(ex.var, W3.vars), ex.ONE]}
+    y1, y2 = ex.var("y1"), ex.var("y2")
     Q = sb.standard_q(W)
     W0 = weight_sequence({"a": 0, "x": 1}, 1)
     fr = sb.frame(W, [[1, 0], [ex.var("x"), 1]])
@@ -200,6 +215,13 @@ def _guard_cases():
 
     def value(message):
         return "ValueError", message
+
+    def chart(of, on):
+        return value(f"vector field chart ({of}) differs from the chart ({on})")
+
+    def split(of, on):
+        return value(f"polynomial variables ({of}) differ from the "
+                     f"positive-weight variables ({on})")
 
     u = jt.jet_point(("x",), [[1, 2]])
 
@@ -234,14 +256,33 @@ def _guard_cases():
                                      value("truncation degree must be nonnegative")),
         "homogeneous_approx_vf below": (lambda: fd.homogeneous_approx_vf(
             X, W, 0), value("vector field has filtration degree below 0")),
-        "lie_bracket charts": (lambda: fd.lie_bracket(X, Z),
-                               value("vector fields live on different charts")),
+        "lie_bracket charts": (lambda: fd.lie_bracket(X, Z), chart("x, z", "x, y")),
         "form index length": (lambda: fd.DifferentialFormPoly(W.vars, 2, (
             ((0,), x),)), value("index tuple length must equal form degree")),
         "form_add types": (lambda: fd.form_add(form(W.vars, 1, {}), form(
             W.vars, 2, {})), value("cannot add forms of different type")),
         "contract 0-form": (lambda: fd.contract(X, form(W.vars, 0, {(): x})),
                             value("cannot contract a 0-form")),
+        # d/dx on (y, x) read on (x, y) is d/dy, whose d(y) is 1, not 0
+        "contract chart": (lambda: fd.contract(d_dx_on_yx, dy), chart("y, x", "x, y")),
+        # E read on (x, y) is 2y d/dx + x d/dy
+        "euler_like_check chart": (lambda: sp.euler_like_check(E, W),
+                                   chart("y, x", "x, y")),
+        "blowup_lift_vf chart": (lambda: sp.blowup_lift_vf(E, W, sp.blowup_chart(W, "y")),
+                                 chart("y, x", "x, y")),
+        "def_vf_interpolant chart": (lambda: sp.def_vf_interpolant(E, 0, W),
+                                     chart("y, x", "x, y")),
+        # read by name, x*y over (y) would have degree 2, not 3
+        "filtration_degree split": (lambda: wp.filtration_degree(xy_over_y, W),
+                                    split("y", "x, y")),
+        "vf_filtration_degree split": (lambda: fd.vf_filtration_degree(euler_over_y, W),
+                                       split("y", "x, y")),
+        **{f"verify_adapted {k} coordinates": (
+            lambda k=k: sb.verify_adapted(coords[k], identity3),
+            value(f"expected 3 coordinates, got {k}")) for k in (2, 4)},
+        "compose_transitions inner": (
+            lambda: sp.compose_transitions([y1 * y2], [y1], W),
+            value("expected 2 inner components, got 1")),
         "lie_derivative_form 0-form": (
             lambda: fd.lie_derivative_form(X, form(W.vars, 0, {(): x})),
             value("use vf_apply for functions")),
@@ -272,10 +313,8 @@ def _guard_cases():
             value("jet point does not match the subbundle chart")),
         "k_membership level": (lambda: sb.k_membership(Q, X, 3),
                                value("level 3 outside 0..2")),
-        "k_membership chart": (lambda: sb.k_membership(Q, Z, 0), value(
-            "vector field chart does not match the subbundle")),
-        "Frame chart": (lambda: sb.Frame(W, (X, Z)),
-                        value("frame field lives on a different chart")),
+        "k_membership chart": (lambda: sb.k_membership(Q, Z, 0), chart("x, z", "x, y")),
+        "Frame chart": (lambda: sb.Frame(W, (X, Z)), chart("x, z", "x, y")),
         # a bool, or an int outside 0..n-1, is no frame index
         **{f"normal_order item {item!r}": (
             lambda item=item: sb.normal_order(fr3, [item]),
